@@ -6,16 +6,22 @@
 //             [--k K] [--radius R] [--tile-size M] [--seed S] [--smoke]
 //             [--dir scratch_dir] [--out BENCH_wps.json]
 //
-// Three phases:
+// Four phases:
 //   * build: pack the synthetic city (constant AP density, so a range query
 //     touches the same neighbourhood at any scale) and write the snapshot;
+//   * cold: Q mixed queries over T concurrent threads against a freshly
+//     opened Service, so each tile's first touch (payload CRC verify, and
+//     for geometric queries the tile's spatial index build) is charged to
+//     the query that makes it;
+//   * warm: Q fresh mixed queries after prewarm(), which pays every tile's
+//     first touch up front;
 //   * oracle: S randomly drawn lookup/nearest/range queries answered by both
-//     the mmapped Service and the ApDatabase the snapshot was built from —
-//     any bit difference is a hard FAIL (exit 1), the whole subsystem's
-//     contract;
-//   * throughput: Q mixed queries over T concurrent threads against the one
-//     const Service, per-query latencies recorded into pre-assigned slots.
-// Writes machine-readable BENCH_wps.json (queries/s + latency percentiles).
+//     a freshly opened Service and the ApDatabase the snapshot was built
+//     from — any bit difference is a hard FAIL (exit 1), the whole
+//     subsystem's contract.
+// Writes machine-readable BENCH_wps.json: the machine (hw_cores, build
+// type), then queries/s and p50/p99 latency per op (lookup / nearest_k /
+// range) for the cold and the warm pass.
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -31,6 +37,7 @@
 #include "net80211/mac_address.h"
 #include "util/flags.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 #include "wps/service.h"
 #include "wps/snapshot_writer.h"
@@ -146,10 +153,89 @@ bool check_query(const wps::Service& service, const marauder::ApDatabase& db,
   return false;
 }
 
-double percentile_us(std::vector<double>& sorted_s, double p) {
-  if (sorted_s.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(p * static_cast<double>(sorted_s.size() - 1));
-  return sorted_s[idx] * 1e6;
+const char* op_name(Op op) {
+  switch (op) {
+    case Op::kLookup:
+      return "lookup";
+    case Op::kNearest:
+      return "nearest_k";
+    case Op::kRange:
+      return "range";
+  }
+  return "?";
+}
+
+constexpr Op kOps[] = {Op::kLookup, Op::kNearest, Op::kRange};
+
+/// One timed pass: `queries` run over `threads` against the one const
+/// Service, each latency landing in its query's pre-assigned slot so the
+/// per-op percentiles are stable run to run.
+struct Pass {
+  double elapsed_s = 0.0;
+  double qps = 0.0;
+  std::size_t queries = 0;
+  util::SampleSet latency_us[std::size(kOps)];
+};
+
+Pass run_pass(const wps::Service& service, const std::vector<Query>& queries,
+              std::size_t threads, std::size_t k, double radius_m) {
+  Pass pass;
+  pass.queries = queries.size();
+  std::vector<double> latency_s(queries.size(), 0.0);
+  std::atomic<std::size_t> sink{0};
+  const double t0 = now_seconds();
+  util::ThreadPool::shared().run_chunks(
+      queries.size(), 64, threads, [&](std::size_t, std::size_t begin, std::size_t end) {
+        std::size_t local = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          const Query& q = queries[i];
+          const double q0 = now_seconds();
+          switch (q.op) {
+            case Op::kLookup:
+              local += service.lookup(net80211::MacAddress::from_u64(q.bssid)).has_value();
+              break;
+            case Op::kNearest:
+              local += service.nearest_k(q.center, k).size();
+              break;
+            case Op::kRange:
+              local += service.range(q.center, radius_m).size();
+              break;
+          }
+          latency_s[i] = now_seconds() - q0;
+        }
+        // A do-not-optimize sink: one relaxed add per chunk keeps the
+        // compiler from discarding the query results.
+        sink.fetch_add(local, std::memory_order_relaxed);
+      });
+  pass.elapsed_s = now_seconds() - t0;
+  pass.qps = pass.elapsed_s > 0.0 ? static_cast<double>(queries.size()) / pass.elapsed_s : 0.0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    pass.latency_us[static_cast<std::size_t>(queries[i].op)].add(latency_s[i] * 1e6);
+  }
+  return pass;
+}
+
+double pct(const util::SampleSet& s, double p) { return s.empty() ? 0.0 : s.percentile(p); }
+
+void print_pass(const char* name, const Pass& pass) {
+  std::cout << name << ": " << pass.queries << " queries in " << pass.elapsed_s << " s ("
+            << pass.qps << " q/s)\n";
+  for (const Op op : kOps) {
+    const util::SampleSet& s = pass.latency_us[static_cast<std::size_t>(op)];
+    std::cout << "  " << op_name(op) << ": " << s.count() << " ops, p50 " << pct(s, 50.0)
+              << " us, p99 " << pct(s, 99.0) << " us\n";
+  }
+}
+
+void write_pass(std::ostream& out, const Pass& pass, std::size_t threads) {
+  out << "{\"threads\": " << threads << ", \"queries\": " << pass.queries
+      << ", \"elapsed_s\": " << pass.elapsed_s << ", \"qps\": " << pass.qps;
+  for (const Op op : kOps) {
+    const util::SampleSet& s = pass.latency_us[static_cast<std::size_t>(op)];
+    out << ",\n    \"" << op_name(op) << "\": {\"count\": " << s.count()
+        << ", \"p50_us\": " << pct(s, 50.0) << ", \"p99_us\": " << pct(s, 99.0) << "}";
+  }
+  out << "}";
 }
 
 }  // namespace
@@ -191,92 +277,79 @@ int main(int argc, char** argv) {
     return 1;
   }
   const wps::SnapshotBuildStats build_stats = written.value();
-
-  t0 = now_seconds();
-  auto opened = wps::Service::open(snapshot_path);
-  const double open_s = now_seconds() - t0;
-  if (!opened.ok()) {
-    std::cerr << "FAIL: snapshot open: " << opened.error() << "\n";
-    return 1;
-  }
-  const wps::Service service = std::move(opened).value();
-
   std::cout << "generate " << gen_s << " s, build " << build_s << " s ("
-            << build_stats.tiles << " tiles, " << build_stats.file_bytes
-            << " bytes), open " << open_s << " s\n";
+            << build_stats.tiles << " tiles, " << build_stats.file_bytes << " bytes)\n";
 
-  // Oracle pass: sampled bit-exact equivalence against the in-memory db.
-  const std::vector<Query> oracle_queries = make_queries(oracle_sample, num_aps, seed);
-  std::size_t mismatches = 0;
-  t0 = now_seconds();
-  for (const Query& q : oracle_queries) {
-    if (!check_query(service, db, q, k, radius_m)) ++mismatches;
+  // The timed passes get a service of their own, closed before the oracle
+  // pass so the two never hold their tile indexes at once.
+  double open_s = 0.0;
+  double prewarm_s = 0.0;
+  Pass cold;
+  Pass warm;
+  wps::ServiceStats stats;
+  {
+    t0 = now_seconds();
+    auto opened = wps::Service::open(snapshot_path);
+    open_s = now_seconds() - t0;
+    if (!opened.ok()) {
+      std::cerr << "FAIL: snapshot open: " << opened.error() << "\n";
+      return 1;
+    }
+    const wps::Service& service = opened.value();
+    std::cout << "open " << open_s << " s\n";
+    cold = run_pass(service, make_queries(queries_total, num_aps, util::hash_combine(seed, 77)),
+                    threads, k, radius_m);
+    t0 = now_seconds();
+    service.prewarm(threads);
+    prewarm_s = now_seconds() - t0;
+    warm = run_pass(service, make_queries(queries_total, num_aps, util::hash_combine(seed, 78)),
+                    threads, k, radius_m);
+    stats = service.stats();
   }
-  const double oracle_s = now_seconds() - t0;
-  std::cout << "oracle: " << oracle_sample << " sampled queries, " << mismatches
-            << " mismatches (" << oracle_s << " s)\n";
+  print_pass("cold", cold);
+  std::cout << "prewarm: " << prewarm_s << " s\n";
+  print_pass("warm", warm);
 
-  // Throughput pass: every thread hammers the same const Service; latencies
-  // land in pre-assigned slots so percentiles are stable run to run.
-  const std::vector<Query> load = make_queries(queries_total, num_aps,
-                                               util::hash_combine(seed, 77));
-  std::vector<double> latency_s(load.size(), 0.0);
-  std::atomic<std::size_t> sink{0};
-  t0 = now_seconds();
-  util::ThreadPool::shared().run_chunks(
-      load.size(), 64, threads, [&](std::size_t, std::size_t begin, std::size_t end) {
-        std::size_t local = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Query& q = load[i];
-          const double q0 = now_seconds();
-          switch (q.op) {
-            case Op::kLookup:
-              local += service.lookup(net80211::MacAddress::from_u64(q.bssid)).has_value();
-              break;
-            case Op::kNearest:
-              local += service.nearest_k(q.center, k).size();
-              break;
-            case Op::kRange:
-              local += service.range(q.center, radius_m).size();
-              break;
-          }
-          latency_s[i] = now_seconds() - q0;
-        }
-        // A do-not-optimize sink: one relaxed add per chunk keeps the
-        // compiler from discarding the query results.
-        sink.fetch_add(local, std::memory_order_relaxed);
-      });
-  const double elapsed_s = now_seconds() - t0;
-  const double qps = elapsed_s > 0.0 ? static_cast<double>(load.size()) / elapsed_s : 0.0;
+  // Oracle pass, after the timed ones so its allocations (the database's
+  // lazily built index) stay out of their latencies: sampled bit-exact
+  // equivalence against the in-memory db, on a freshly opened service so
+  // first-touch answers are checked too.
+  std::size_t mismatches = 0;
+  {
+    auto checked = wps::Service::open(snapshot_path);
+    if (!checked.ok()) {
+      std::cerr << "FAIL: snapshot open: " << checked.error() << "\n";
+      return 1;
+    }
+    t0 = now_seconds();
+    for (const Query& q : make_queries(oracle_sample, num_aps, seed)) {
+      if (!check_query(checked.value(), db, q, k, radius_m)) ++mismatches;
+    }
+    std::cout << "oracle: " << oracle_sample << " sampled queries, " << mismatches
+              << " mismatches (" << now_seconds() - t0 << " s)\n";
+  }
 
-  std::vector<double> sorted = latency_s;
-  std::sort(sorted.begin(), sorted.end());
-  const double p50_us = percentile_us(sorted, 0.50);
-  const double p95_us = percentile_us(sorted, 0.95);
-  const double p99_us = percentile_us(sorted, 0.99);
-  const double max_us = sorted.empty() ? 0.0 : sorted.back() * 1e6;
-
-  std::cout << "throughput: " << load.size() << " queries in " << elapsed_s << " s ("
-            << qps << " q/s), p50 " << p50_us << " us, p95 " << p95_us << " us, p99 "
-            << p99_us << " us, max " << max_us << " us (sink " << sink.load() << ")\n";
-
-  const wps::ServiceStats stats = service.stats();
   std::ofstream out(out_path);
   out << "{\n  \"benchmark\": \"wps\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+      << "  \"hw_cores\": " << util::ThreadPool::default_parallelism() << ",\n"
+      << "  \"build_type\": \"" << MM_BUILD_TYPE << "\",\n"
       << "  \"aps\": " << num_aps << ",\n"
       << "  \"tiles\": " << build_stats.tiles << ",\n"
       << "  \"snapshot_bytes\": " << build_stats.file_bytes << ",\n"
+      << "  \"k\": " << k << ",\n"
+      << "  \"radius_m\": " << radius_m << ",\n"
       << "  \"build_s\": " << build_s << ",\n"
       << "  \"open_s\": " << open_s << ",\n"
+      << "  \"prewarm_s\": " << prewarm_s << ",\n"
       << "  \"oracle\": {\"samples\": " << oracle_sample
       << ", \"mismatches\": " << mismatches << ", \"identical\": "
       << (mismatches == 0 ? "true" : "false") << "},\n"
-      << "  \"throughput\": {\"threads\": " << threads << ", \"queries\": "
-      << load.size() << ", \"elapsed_s\": " << elapsed_s << ", \"qps\": " << qps
-      << ", \"p50_us\": " << p50_us << ", \"p95_us\": " << p95_us << ", \"p99_us\": "
-      << p99_us << ", \"max_us\": " << max_us << "},\n"
-      << "  \"quarantine\": {\"tiles\": " << stats.tiles_quarantined
+      << "  \"cold\": ";
+  write_pass(out, cold, threads);
+  out << ",\n  \"warm\": ";
+  write_pass(out, warm, threads);
+  out << ",\n  \"quarantine\": {\"tiles\": " << stats.tiles_quarantined
       << ", \"sections_rejected\": " << stats.sections_rejected << "}\n}\n";
   std::cout << "\nwrote " << out_path << "\n";
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "util/rng.h"
 
@@ -194,118 +192,115 @@ std::vector<SpatialIndex::Id> SpatialIndex::nearest_k(Vec2 center, std::size_t k
   std::vector<Id> out;
   if (k == 0 || points_.empty()) return out;
 
+  // Max-heap of the k best (distance, id) pairs seen so far; front() is the
+  // current k-th best, the distance every unscanned cell must beat.
   std::vector<std::pair<double, Id>> best;
-
-  if (2 * k >= points_.size()) {
-    // The answer covers (most of) the index; any traversal degenerates to a
-    // full scan, so do the scan without frontier bookkeeping.
-    best.reserve(points_.size());
-    for (const auto& [id, p] : points_) best.emplace_back(p.distance_to(center), id);
-  } else {
-    // Best-first search over cells. The frontier starts at the occupied
-    // bounding box's cell nearest the query (a far-away center therefore
-    // skips straight past the empty gulf old ring expansion crawled across)
-    // and expands 8-neighbourhoods in ascending lower-bound order, so cells
-    // behind the query are popped only if the answer forces them.
-    //
-    // The per-cell lower bound is the per-axis ring argument: a point whose
-    // cell is d >= 1 cells away along an axis lies at least (d-1)*cell away
-    // along that axis (the center may sit on its own cell's edge), giving
-    // hypot(max(0,dx-1), max(0,dy-1)) * cell overall. The 1e-12 shave keeps
-    // it a true lower bound under the rounding of hypot and the cell
-    // bucketing divisions — sloppiness only ever scans extra cells, never
-    // skips a contender, so results stay bit-identical to the brute oracle.
-    const Cell c0 = cell_of(center);
-    const Cell start{std::clamp(c0.x, cell_lo_.x, cell_hi_.x),
-                     std::clamp(c0.y, cell_lo_.y, cell_hi_.y)};
-    const auto bound_of = [&](const Cell& c) {
-      const std::int64_t dx = c.x > c0.x ? c.x - c0.x : c0.x - c.x;
-      const std::int64_t dy = c.y > c0.y ? c.y - c0.y : c0.y - c.y;
-      const double ax = dx > 0 ? static_cast<double>(dx - 1) * cell_size_ : 0.0;
-      const double ay = dy > 0 ? static_cast<double>(dy - 1) * cell_size_ : 0.0;
-      return std::hypot(ax, ay) * (1.0 - 1e-12);
-    };
-
-    using FrontierEntry = std::pair<double, Cell>;
-    std::priority_queue<FrontierEntry, std::vector<FrontierEntry>, std::greater<>>
-        frontier;
-    std::unordered_set<Cell, CellHasher> seen;
-    // Max-heap of the k best (distance, id) pairs seen so far; its top is
-    // the current k-th best, the bound the frontier races against.
-    std::priority_queue<std::pair<double, Id>> top;
-    const auto scan_bucket = [&](const std::vector<Entry>& bucket) {
-      for (const Entry& e : bucket) {
-        const std::pair<double, Id> cand{e.p.distance_to(center), e.id};
-        if (top.size() < k) {
-          top.push(cand);
-        } else if (cand < top.top()) {
-          top.pop();
-          top.push(cand);
-        }
-      }
-    };
-    // When the walk has visited more cells than the index occupies, the
-    // grid is sparse relative to the search (tiny cells, wide empty gulf
-    // between the query and the answer) and cell-by-cell flooding loses to
-    // just ranking every occupied cell. Hand over to that fallback — same
-    // bounds, same predicates, so the same bits either way.
-    const std::size_t flood_limit = 2 * cells_.size() + 64;
-    bool flooded_out = false;
-    frontier.emplace(bound_of(start), start);
-    seen.insert(start);
-    while (!frontier.empty()) {
-      const auto [cell_bound, cell] = frontier.top();
-      frontier.pop();
-      // Every unpopped cell bounds >= cell_bound (bounds are monotone along
-      // any L-inf-monotone path from `start`, and one such path from inside
-      // the popped region reaches every unvisited cell through the
-      // frontier), so a strict beat by the k-th distance ends the search.
-      // Ties resolve by id in the final sort, exactly as a brute scan does.
-      if (top.size() == k && cell_bound > top.top().first) break;
-      const auto it = cells_.find(cell);
-      if (it != cells_.end()) scan_bucket(it->second);
-      if (seen.size() > flood_limit) {
-        flooded_out = true;
-        break;
-      }
-      for (int ny = -1; ny <= 1; ++ny) {
-        for (int nx = -1; nx <= 1; ++nx) {
-          if (nx == 0 && ny == 0) continue;
-          const Cell n{cell.x + nx, cell.y + ny};
-          if (n.x < cell_lo_.x || n.x > cell_hi_.x || n.y < cell_lo_.y ||
-              n.y > cell_hi_.y) {
-            continue;
-          }
-          if (seen.insert(n).second) frontier.emplace(bound_of(n), n);
-        }
+  best.reserve(std::min(k, points_.size()));
+  const auto scan_bucket = [&](const std::vector<Entry>& bucket) {
+    for (const Entry& e : bucket) {
+      const std::pair<double, Id> cand{e.p.distance_to(center), e.id};
+      if (best.size() < k) {
+        best.push_back(cand);
+        std::push_heap(best.begin(), best.end());
+      } else if (cand < best.front()) {
+        std::pop_heap(best.begin(), best.end());
+        best.back() = cand;
+        std::push_heap(best.begin(), best.end());
       }
     }
-    if (flooded_out) {
-      // Rank every occupied cell by lower bound and scan ascending until the
-      // k-th distance beats the next bound. The heap restarts empty: it
-      // cannot de-duplicate, and re-scanning an already-visited bucket into
-      // the partial heap would double-count its ids.
-      top = {};
+  };
+  // True when every point at least `bound` away loses to the current k-th
+  // best. A strict beat leaves exact ties to the final (distance, id) order.
+  const auto beaten = [&](double bound) {
+    return best.size() == k && shaved_bound(bound, center) > best.front().first;
+  };
+
+  if (2 * k >= points_.size()) {
+    // The answer covers (most of) the index: any traversal degenerates to a
+    // full scan, so scan without the walk's bookkeeping.
+    for (const auto& [cell, bucket] : cells_) scan_bucket(bucket);
+  } else {
+    // Chebyshev rings of cells around the query's cell, each clipped to the
+    // occupied bounding box; a center far outside the box starts at the
+    // first ring that touches it. Every point in ring r lies at least r-1
+    // whole cells from the center along some axis, so once (r-1)*cell beats
+    // the k-th distance no later ring can contribute.
+    const Cell c0 = cell_of(center);
+    const std::int64_t first_ring =
+        std::max({std::int64_t{0}, cell_lo_.x - c0.x, c0.x - cell_hi_.x, cell_lo_.y - c0.y,
+                  c0.y - cell_hi_.y});
+    const std::int64_t last_ring =
+        std::max({c0.x - cell_lo_.x, cell_hi_.x - c0.x, c0.y - cell_lo_.y, cell_hi_.y - c0.y});
+    const auto scan_cell = [&](std::int64_t x, std::int64_t y) {
+      const auto it = cells_.find({x, y});
+      if (it != cells_.end()) scan_bucket(it->second);
+    };
+    // When the rings would visit more cells than the index occupies, the
+    // grid is sparse relative to the search (tiny cells, a wide empty gulf
+    // between the query and the answer) and cell-by-cell walking loses to
+    // ranking the occupied cells. Hand over to that fallback before such a
+    // ring — same bounds, same predicates, so the same bits either way.
+    const std::uint64_t flood_limit = 2 * cells_.size() + 64;
+    std::uint64_t walked = 0;
+    std::int64_t r = first_ring;
+    bool flooded = false;
+    for (; r <= last_ring; ++r) {
+      if (r > 0 && beaten(static_cast<double>(r - 1) * cell_size_)) break;
+      // Ring r inside the box: its rows y = c0.y -/+ r span [x_lo, x_hi],
+      // its columns x = c0.x -/+ r span [y_lo, y_hi] (the rows own the
+      // corners). r >= first_ring keeps every row span non-empty.
+      const std::int64_t x_lo = std::max(c0.x - r, cell_lo_.x);
+      const std::int64_t x_hi = std::min(c0.x + r, cell_hi_.x);
+      const std::int64_t y_lo = std::max(c0.y - r + 1, cell_lo_.y);
+      const std::int64_t y_hi = std::min(c0.y + r - 1, cell_hi_.y);
+      const bool top = c0.y - r >= cell_lo_.y;
+      const bool bottom = r > 0 && c0.y + r <= cell_hi_.y;
+      const bool left = r > 0 && c0.x - r >= cell_lo_.x;
+      const bool right = r > 0 && c0.x + r <= cell_hi_.x;
+      const auto row_cells = static_cast<std::uint64_t>(x_hi - x_lo + 1);
+      const auto col_cells = static_cast<std::uint64_t>(std::max<std::int64_t>(0, y_hi - y_lo + 1));
+      walked += row_cells * (top + bottom) + col_cells * (left + right);
+      if (walked > flood_limit) {
+        flooded = true;
+        break;
+      }
+      if (top) {
+        for (std::int64_t x = x_lo; x <= x_hi; ++x) scan_cell(x, c0.y - r);
+      }
+      if (bottom) {
+        for (std::int64_t x = x_lo; x <= x_hi; ++x) scan_cell(x, c0.y + r);
+      }
+      if (left) {
+        for (std::int64_t y = y_lo; y <= y_hi; ++y) scan_cell(c0.x - r, y);
+      }
+      if (right) {
+        for (std::int64_t y = y_lo; y <= y_hi; ++y) scan_cell(c0.x + r, y);
+      }
+    }
+    if (flooded) {
+      // Rank the occupied cells of rings r and beyond by their per-axis
+      // lower bound, hypot(max(0,dx-1), max(0,dy-1)) * cell, and scan them
+      // in ascending order until the k-th distance beats the next bound.
+      // The walked rings' points are already in the heap.
+      const auto gap = [&](std::int64_t d) {
+        return d > 0 ? static_cast<double>(d - 1) * cell_size_ : 0.0;
+      };
       std::vector<std::pair<double, const std::vector<Entry>*>> ranked;
-      ranked.reserve(cells_.size());
       for (const auto& [cell, bucket] : cells_) {
-        ranked.emplace_back(bound_of(cell), &bucket);
+        const std::int64_t dx = cell.x > c0.x ? cell.x - c0.x : c0.x - cell.x;
+        const std::int64_t dy = cell.y > c0.y ? cell.y - c0.y : c0.y - cell.y;
+        if (std::max(dx, dy) < r) continue;
+        ranked.emplace_back(std::hypot(gap(dx), gap(dy)), &bucket);
       }
       std::sort(ranked.begin(), ranked.end());
       for (const auto& [cell_bound, bucket] : ranked) {
-        if (top.size() == k && cell_bound > top.top().first) break;
+        if (beaten(cell_bound)) break;
         scan_bucket(*bucket);
       }
     }
-    best.reserve(top.size());
-    while (!top.empty()) {
-      best.push_back(top.top());
-      top.pop();
-    }
   }
 
-  std::sort(best.begin(), best.end());
-  if (best.size() > k) best.resize(k);
+  std::sort_heap(best.begin(), best.end());
   out.reserve(best.size());
   for (const auto& [dist, id] : best) out.push_back(id);
   return out;

@@ -22,6 +22,8 @@
 //     index concurrently (mutation requires external exclusion).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -30,6 +32,19 @@
 #include "geo/vec2.h"
 
 namespace mm::geo {
+
+/// Rounding allowances for pruning a nearest-neighbour search over a grid
+/// (SpatialIndex's cells, the WPS service's tiles). Bucketing v by
+/// floor(v / cell) can put a point a few ulps of |v| across a cell edge, and
+/// hypot rounds too, so a lower bound is shaved and a search radius widened
+/// by a relative and a magnitude-scaled margin: sloppiness only ever scans
+/// more, never drops a contender.
+[[nodiscard]] inline double shaved_bound(double bound_m, Vec2 center) noexcept {
+  return bound_m * (1.0 - 1e-12) - std::max(std::abs(center.x), std::abs(center.y)) * 1e-15;
+}
+[[nodiscard]] inline double widened_radius(double radius_m, Vec2 center) noexcept {
+  return radius_m * (1.0 + 1e-12) + std::max(std::abs(center.x), std::abs(center.y)) * 1e-15;
+}
 
 class SpatialIndex {
  public:
@@ -66,10 +81,12 @@ class SpatialIndex {
   void query_range(Vec2 lo, Vec2 hi, std::vector<Id>& out) const;
 
   /// The k closest points ordered by (distance_to(center), id); fewer when
-  /// the index holds fewer than k points. Served by a best-first frontier
-  /// over cells (exact per-cell lower bounds, popped in ascending order), so
-  /// clustered data and query centers far outside the occupied bounding box
-  /// cost what the answer costs, not what the empty space between costs.
+  /// the index holds fewer than k points. Served by an allocation-free walk
+  /// of Chebyshev cell rings around the query cell, clipped to the occupied
+  /// bounding box and stopped once the k-th distance beats the next ring's
+  /// lower bound; when the rings would cross more cells than the index
+  /// occupies (clustered data, a center far outside the box) it ranks only
+  /// the occupied cells instead, so the empty space between costs nothing.
   [[nodiscard]] std::vector<Id> nearest_k(Vec2 center, std::size_t k) const;
 
  private:

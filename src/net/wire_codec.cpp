@@ -57,7 +57,6 @@ void append_wire_frame(const WireFrame& frame, std::vector<std::uint8_t>& out) {
     throw std::invalid_argument("append_wire_frame: payload exceeds wire bound");
   }
   const std::size_t start = out.size();
-  out.reserve(start + kWireHeaderBytes + frame.payload.size());
   out.push_back(kWireMagic0);
   out.push_back(kWireMagic1);
   out.push_back(kWireVersion);

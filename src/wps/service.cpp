@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -130,8 +131,6 @@ struct Service::Impl {
   mutable std::atomic<std::uint64_t> tiles_quarantined{0};
   mutable std::atomic<std::uint64_t> records_quarantined{0};
 
-  ServiceOptions options;
-
   ~Impl() {
     if (data != nullptr) {
       ::munmap(const_cast<std::uint8_t*>(data), file_size);
@@ -183,7 +182,7 @@ struct Service::Impl {
       // BSSID-ascending inside a tile, so ascending local id == ascending
       // BSSID — the property the query merges lean on.
       st.index = std::make_unique<geo::SpatialIndex>(
-          geo::SpatialIndex::build_from(points, options.index_cell_m));
+          geo::SpatialIndex::build_from(points));
     });
     return st.index.get();
   }
@@ -234,7 +233,6 @@ struct Service::State {
   std::atomic<std::uint64_t> epoch{1};
   std::atomic<std::uint64_t> reloads{0};
   std::atomic<std::uint64_t> reloads_rejected{0};
-  ServiceOptions options;
 
   [[nodiscard]] std::shared_ptr<const Impl> pin() const noexcept {
     return current.load(std::memory_order_acquire);
@@ -244,7 +242,7 @@ struct Service::State {
   /// (footer fast path / forward-scan fallback), build the tile table.
   /// Shared verbatim by open() and reload().
   static util::Result<std::shared_ptr<const Impl>> open_impl(
-      const std::filesystem::path& path, const ServiceOptions& options);
+      const std::filesystem::path& path);
 };
 
 Service::Service(std::unique_ptr<State> state) : state_(std::move(state)) {}
@@ -253,11 +251,10 @@ Service& Service::operator=(Service&&) noexcept = default;
 Service::~Service() = default;
 
 util::Result<std::shared_ptr<const Service::Impl>> Service::State::open_impl(
-    const std::filesystem::path& path, const ServiceOptions& options) {
+    const std::filesystem::path& path) {
   using R = util::Result<std::shared_ptr<const Impl>>;
 
   auto impl = std::make_unique<Impl>();
-  impl->options = options;
 
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return R::failure("wps: cannot open " + path.string());
@@ -427,13 +424,11 @@ util::Result<std::shared_ptr<const Service::Impl>> Service::State::open_impl(
   return R(std::shared_ptr<const Impl>(std::move(impl)));
 }
 
-util::Result<Service> Service::open(const std::filesystem::path& path,
-                                    const ServiceOptions& options) {
+util::Result<Service> Service::open(const std::filesystem::path& path) {
   using R = util::Result<Service>;
-  auto impl = State::open_impl(path, options);
+  auto impl = State::open_impl(path);
   if (!impl.ok()) return R::failure(impl.error());
   auto state = std::make_unique<State>();
-  state->options = options;
   state->current.store(std::move(impl).value(), std::memory_order_release);
   return Service(std::move(state));
 }
@@ -443,7 +438,7 @@ util::Result<std::uint64_t> Service::reload(const std::filesystem::path& path,
   using R = util::Result<std::uint64_t>;
   std::lock_guard<std::mutex> lock(state_->reload_mutex);
 
-  auto opened = State::open_impl(path, state_->options);
+  auto opened = State::open_impl(path);
   if (!opened.ok()) {
     state_->reloads_rejected.fetch_add(1, std::memory_order_relaxed);
     return R::failure("wps reload rejected: " + opened.error());
@@ -616,11 +611,9 @@ std::vector<WpsAp> Service::nearest_k(geo::Vec2 center, std::size_t k) const {
   // Expanding Chebyshev rings of *tiles* around the query's tile. A tile in
   // ring m holds points at distance >= (m-1)*tile_size, so once the k-th
   // best distance beats ring*tile_size no farther ring matters — the same
-  // bound Atlas uses at cell granularity. Within each tile the local
-  // spatial index's (distance, local id) top-k is a superset of that tile's
-  // contribution to the global (distance, BSSID) top-k, because local id
-  // order IS BSSID order inside a tile.
-  const TileKey t0{tile_coord(center.x, im.tile_size), tile_coord(center.y, im.tile_size)};
+  // bound Atlas uses at cell granularity.
+  const double tile = im.tile_size;
+  const TileKey t0{tile_coord(center.x, tile), tile_coord(center.y, tile)};
   const auto iabs = [](std::int64_t v) { return v < 0 ? -v : v; };
   const std::int64_t max_ring = std::max(
       std::max(iabs(t0.x - im.tile_lo.x), iabs(im.tile_hi.x - t0.x)),
@@ -636,21 +629,61 @@ std::vector<WpsAp> Service::nearest_k(geo::Vec2 center, std::size_t k) const {
     std::uint64_t bssid;
     PackedRecord record;
   };
-  std::vector<Candidate> best;
   const auto by_rank = [](const Candidate& a, const Candidate& b) {
     if (a.dist != b.dist) return a.dist < b.dist;
     return a.bssid < b.bssid;
   };
+  // Max-heap of the k best candidates by (distance, BSSID); front() is the
+  // current k-th best.
+  std::vector<Candidate> best;
+  best.reserve(std::min<std::uint64_t>(k, im.records_total));
+  const auto offer = [&](const PackedRecord& r) {
+    const Candidate c{geo::Vec2{r.x, r.y}.distance_to(center), r.bssid, r};
+    if (best.size() < k) {
+      best.push_back(c);
+      std::push_heap(best.begin(), best.end(), by_rank);
+    } else if (by_rank(c, best.front())) {
+      std::pop_heap(best.begin(), best.end(), by_rank);
+      best.back() = c;
+      std::push_heap(best.begin(), best.end(), by_rank);
+    }
+  };
+  // True when every record at least `bound` away loses to the current k-th
+  // best. A strict beat leaves exact ties to the (distance, BSSID) order.
+  const auto beaten = [&](double bound) {
+    return best.size() == k && geo::shaved_bound(bound, center) > best.front().dist;
+  };
+  // How far the center lies beyond a tile's near edge along one axis. The
+  // edge is picked by key, not by coordinate, so the gap stays a lower
+  // bound for the +-2^40 tiles tile_coord clamps far coordinates into.
+  const auto axis_gap = [tile](std::int64_t key, std::int64_t key0, double c) {
+    if (key > key0) return std::max(0.0, static_cast<double>(key) * tile - c);
+    if (key < key0) return std::max(0.0, c - static_cast<double>(key + 1) * tile);
+    return 0.0;
+  };
 
+  // Until k candidates are held, a tile contributes its local top-k, which
+  // is a superset of its share of the global (distance, BSSID) top-k because
+  // local id order IS BSSID order inside a tile. From then on a tile whose
+  // rectangle lies beyond the k-th distance is skipped, and a nearer one
+  // contributes only its points within that distance.
+  std::vector<geo::SpatialIndex::Id> hits;
   const auto scan_tile = [&](std::int64_t tx, std::int64_t ty) {
     const auto it = im.tile_lookup.find({tx, ty});
     if (it == im.tile_lookup.end()) return;
+    if (beaten(std::hypot(axis_gap(tx, t0.x, center.x), axis_gap(ty, t0.y, center.y)))) {
+      return;
+    }
     const geo::SpatialIndex* index = im.ensure_index(it->second);
     if (index == nullptr) return;
     const Impl::TileMeta& meta = im.tiles[it->second];
-    for (const geo::SpatialIndex::Id local : index->nearest_k(center, k)) {
-      const PackedRecord r = im.record_at(meta, local);
-      best.push_back({geo::Vec2{r.x, r.y}.distance_to(center), r.bssid, r});
+    if (best.size() < k) {
+      for (const geo::SpatialIndex::Id local : index->nearest_k(center, k)) {
+        offer(im.record_at(meta, local));
+      }
+    } else {
+      index->query_disc(center, geo::widened_radius(best.front().dist, center), hits);
+      for (const geo::SpatialIndex::Id local : hits) offer(im.record_at(meta, local));
     }
   };
 
@@ -678,18 +711,10 @@ std::vector<WpsAp> Service::nearest_k(geo::Vec2 center, std::size_t k) const {
         for (std::int64_t ty = y_lo; ty <= y_hi; ++ty) scan_tile(t0.x + ring, ty);
       }
     }
-    if (best.size() >= k) {
-      std::nth_element(best.begin(), best.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                       best.end(), by_rank);
-      const double kth = best[k - 1].dist;
-      // Strict >: a ring whose lower bound ties the k-th distance may still
-      // hold smaller-BSSID ties, so it gets scanned before we stop.
-      if (static_cast<double>(ring) * im.tile_size > kth) break;
-    }
+    if (beaten(static_cast<double>(ring) * tile)) break;
   }
 
-  std::sort(best.begin(), best.end(), by_rank);
-  if (best.size() > k) best.resize(k);
+  std::sort_heap(best.begin(), best.end(), by_rank);
   out.reserve(best.size());
   for (const Candidate& c : best) out.push_back(Impl::to_ap(c.record));
   return out;

@@ -47,13 +47,6 @@ struct WpsAp {
   std::optional<double> radius_m;
 };
 
-struct ServiceOptions {
-  /// Cell size handed to each lazily built per-tile spatial index
-  /// (0 = let the index pick from the tile's own point density).
-  /// Performance only, never results.
-  double index_cell_m = 0.0;
-};
-
 /// Admission policy for reload() (Aegis hot-swap, DESIGN.md §14). The
 /// candidate snapshot is opened *beside* the serving one and must pass every
 /// check before the swap; any failure rolls back to the incumbent.
@@ -89,8 +82,7 @@ class Service {
   /// or its header is unusable; tail/section damage degrades instead (see
   /// ServiceStats). The Service is movable, not copyable; all queries on a
   /// const Service are safe from any number of threads concurrently.
-  [[nodiscard]] static util::Result<Service> open(const std::filesystem::path& path,
-                                                  const ServiceOptions& options = {});
+  [[nodiscard]] static util::Result<Service> open(const std::filesystem::path& path);
 
   Service(Service&&) noexcept;
   Service& operator=(Service&&) noexcept;
@@ -107,7 +99,9 @@ class Service {
   [[nodiscard]] std::vector<WpsAp> range(geo::Vec2 center, double radius_m) const;
 
   /// The k nearest APs ordered by (distance, BSSID), expanding tile rings
-  /// around the query point exactly as far as the k-th best distance forces.
+  /// around the query point exactly as far as the k-th best distance forces;
+  /// once k candidates are held, a tile wholly beyond the k-th distance is
+  /// skipped and a nearer one contributes only its points within it.
   [[nodiscard]] std::vector<WpsAp> nearest_k(geo::Vec2 center, std::size_t k) const;
 
   [[nodiscard]] std::size_t size() const noexcept;  ///< records in accepted tiles

@@ -175,6 +175,25 @@ TEST(WireCodec, OversizePayloadThrowsAndBadLengthFieldIsRejected) {
   EXPECT_GE(decoder.stats().bad_length, 1u);
 }
 
+// Appending many frames into one buffer must grow it geometrically. An
+// exact-size reserve per call reallocated, and copied the whole stream, on
+// every frame, which made encoding a long stream into one vector quadratic.
+TEST(WireCodec, AppendingManyFramesGrowsTheBufferGeometrically) {
+  constexpr std::uint64_t kFrames = 100'000;
+  WireFrame in;
+  in.payload.assign(16, 0x5A);
+  std::vector<std::uint8_t> wire;
+  std::size_t capacity_changes = 0;
+  for (std::uint64_t seq = 1; seq <= kFrames && capacity_changes <= 64; ++seq) {
+    in.seq = seq;
+    const std::size_t before = wire.capacity();
+    append_wire_frame(in, wire);
+    if (wire.capacity() != before) ++capacity_changes;
+  }
+  EXPECT_LE(capacity_changes, 64u);
+  EXPECT_EQ(wire.size(), kFrames * (kWireHeaderBytes + in.payload.size()));
+}
+
 TEST(Fec, ParityPayloadIsXorOfBlock) {
   FecEncoder encoder(1, 3);
   std::vector<std::uint8_t> wire;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -167,6 +168,130 @@ TEST(WpsService, FarAwayQueryCenters) {
     const geo::Vec2 c{far, -far};
     expect_same_list(service.nearest_k(c, 7), db.nearest_aps(c, 7));
     expect_same_list(service.range(c, 100.0), db.aps_in_range(c, 100.0));
+  }
+}
+
+// --------------------------------------------------------------------------
+// Brute-force oracle for nearest_k. The tests above compare against
+// db.nearest_aps, which runs the same Atlas nearest_k as each tile of the
+// service, so a bug both share would pass both sides; these compare against
+// a full (distance, BSSID) sort of every record instead.
+
+std::vector<const marauder::KnownAp*> brute_nearest(const marauder::ApDatabase& db,
+                                                    geo::Vec2 center, std::size_t k) {
+  std::vector<const marauder::KnownAp*> ranked = db.sorted_records();  // ascending BSSID
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [&](const marauder::KnownAp* a, const marauder::KnownAp* b) {
+                     return a->position.distance_to(center) < b->position.distance_to(center);
+                   });
+  if (ranked.size() > k) ranked.resize(k);
+  return ranked;
+}
+
+void expect_brute_nearest(const Service& service, const marauder::ApDatabase& db,
+                          geo::Vec2 center, std::size_t k) {
+  SCOPED_TRACE(testing::Message() << "center (" << center.x << ", " << center.y << ") k " << k);
+  expect_same_list(service.nearest_k(center, k), brute_nearest(db, center, k));
+}
+
+marauder::KnownAp ap_at(std::uint64_t bssid, geo::Vec2 position) {
+  marauder::KnownAp ap;
+  ap.bssid = net80211::MacAddress::from_u64(bssid);
+  ap.position = position;
+  return ap;
+}
+
+/// Distinct BSSIDs whose order has nothing to do with insertion order.
+std::uint64_t scrambled_bssid(std::uint64_t i) {
+  return 0x020000000000ULL + (i * 0x9E3779B1ULL) % (std::uint64_t{1} << 40);
+}
+
+TEST(WpsService, NearestKBruteForceSparseTiles) {
+  // 400 APs over a 12 km square in 256 m tiles: most tiles hold 0-2 APs,
+  // fewer than k, so every answer is gathered across many tiles.
+  util::Rng rng(31);
+  marauder::ApDatabase db;
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    db.add(ap_at(scrambled_bssid(i), {rng.uniform(-6000.0, 6000.0), rng.uniform(-6000.0, 6000.0)}));
+  }
+  SnapshotBuildOptions build;
+  build.tile_size_m = 256.0;
+  const Service service = open_snapshot_of(db, "mm_wps_brute_sparse.wps", build);
+  for (int i = 0; i < 60; ++i) {
+    const geo::Vec2 c{rng.uniform(-7000.0, 7000.0), rng.uniform(-7000.0, 7000.0)};
+    for (const std::size_t k : {std::size_t{1}, std::size_t{8}, db.size() + 3}) {
+      expect_brute_nearest(service, db, c, k);
+    }
+  }
+}
+
+TEST(WpsService, NearestKBruteForceTiesAcrossTiles) {
+  // Query at the center of tile (0, 0). Six APs lie at exactly 300 m (axis
+  // offsets and 3-4-5 diagonals), two of them inside the query's tile with
+  // the largest BSSIDs: that tile is scanned first, so one of them is the
+  // k-th candidate when the smaller-BSSID twins in the neighbouring tiles
+  // are reached through the distance-pruned path, and BSSID alone must
+  // decide. From a second center, an AP on tile (1, 0)'s west edge and one
+  // inside the query's tile are both exactly 300 m away; at k = 6 the latter
+  // is the k-th candidate when tile (1, 0) is reached, so the tile's lower
+  // bound equals the k-th distance and the edge AP's smaller BSSID must win.
+  marauder::ApDatabase db;
+  db.add(ap_at(0x700, {266.0, 256.0}));  // 10 m
+  db.add(ap_at(0x701, {256.0, 286.0}));  // 30 m
+  db.add(ap_at(0x900, {436.0, 496.0}));  // 300 m, tile (0, 0)
+  db.add(ap_at(0x901, {76.0, 16.0}));    // 300 m, tile (0, 0)
+  db.add(ap_at(0x100, {-44.0, 256.0}));  // 300 m, tile (-1, 0)
+  db.add(ap_at(0x101, {556.0, 256.0}));  // 300 m, tile (1, 0)
+  db.add(ap_at(0x102, {256.0, -44.0}));  // 300 m, tile (0, -1)
+  db.add(ap_at(0x902, {256.0, 556.0}));  // 300 m, tile (0, 1)
+  db.add(ap_at(0x050, {512.0, 100.0}));  // on tile (1, 0)'s west edge
+  db.add(ap_at(0x950, {32.0, 340.0}));   // 300 m from (212, 100), tile (0, 0)
+  const Service service = open_snapshot_of(db, "mm_wps_brute_ties.wps");
+  for (const geo::Vec2 c : {geo::Vec2{256.0, 256.0}, geo::Vec2{212.0, 100.0}}) {
+    for (std::size_t k = 1; k <= db.size() + 1; ++k) expect_brute_nearest(service, db, c, k);
+  }
+}
+
+TEST(WpsService, NearestKBruteForceOnTileEdgesAndCorners) {
+  // APs on a 50 m lattice in 100 m tiles: every other lattice line is a
+  // tile edge (x = n * tile_size), so points sit on tile edges and corners,
+  // and lattice symmetry makes exact distance ties everywhere. BSSIDs are
+  // scrambled so ties do not resolve in position order.
+  marauder::ApDatabase db;
+  std::uint64_t i = 0;
+  for (int ix = -6; ix <= 6; ++ix) {
+    for (int iy = -6; iy <= 6; ++iy) db.add(ap_at(scrambled_bssid(i++), {ix * 50.0, iy * 50.0}));
+  }
+  SnapshotBuildOptions build;
+  build.tile_size_m = 100.0;
+  const Service service = open_snapshot_of(db, "mm_wps_brute_edges.wps", build);
+  std::vector<geo::Vec2> centers;
+  for (int ix = -4; ix <= 4; ++ix) {
+    for (int iy = -4; iy <= 4; iy += 2) {
+      centers.push_back({ix * 100.0, iy * 100.0});         // tile corners
+      centers.push_back({ix * 100.0, iy * 100.0 + 37.5});  // tile edges
+      centers.push_back({ix * 50.0 + 25.0, iy * 50.0});    // between lattice points
+    }
+  }
+  for (const geo::Vec2& c : centers) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{8}, std::size_t{13}, db.size() + 1}) {
+      expect_brute_nearest(service, db, c, k);
+    }
+  }
+}
+
+TEST(WpsService, NearestKBruteForceFarOutsideTheBox) {
+  const auto db = random_db(32, 600);
+  const Service service = open_snapshot_of(db, "mm_wps_brute_far.wps");
+  for (const double far : {6.0e4, 1.0e6, 1.0e9, 1.0e13, 5.0e15}) {
+    // Diagonally beyond a corner, and beyond one side while level with the
+    // box on the other axis.
+    for (const geo::Vec2 c : {geo::Vec2{far, -far}, geo::Vec2{-far, far}, geo::Vec2{far, 10.0},
+                              geo::Vec2{0.0, -far}}) {
+      for (const std::size_t k : {std::size_t{1}, std::size_t{8}, db.size() + 2}) {
+        expect_brute_nearest(service, db, c, k);
+      }
+    }
   }
 }
 
