@@ -1,17 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical kernels:
 // disc-intersection geometry, the simplex solver on AP-Rad-shaped LPs,
-// M-Loc localization, 802.11 frame codec, CRC-32, and pcap I/O.
+// M-Loc localization, 802.11 frame codec, per-record capture decode,
+// CRC-32, and pcap I/O.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <vector>
 
+#include "capture/replay.h"
 #include "geo/disc_intersection.h"
 #include "lp/simplex.h"
 #include "marauder/mloc.h"
 #include "net80211/crc32.h"
 #include "net80211/frames.h"
 #include "net80211/pcap.h"
+#include "net80211/radiotap.h"
 #include "util/rng.h"
 
 namespace {
@@ -108,6 +111,25 @@ void BM_FrameParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FrameParse);
+
+// What replay pays per pcap record: radiotap, the zero-copy FrameView::parse
+// (FCS included) and classify_frame, on one probe response.
+void BM_DecodeRecord(benchmark::State& state) {
+  const auto ap = *net80211::MacAddress::parse("00:1a:2b:00:00:01");
+  const auto client = *net80211::MacAddress::parse("00:16:6f:00:00:02");
+  net80211::Radiotap rt;
+  rt.antenna_signal_dbm = -61;
+  std::vector<std::uint8_t> bytes = rt.serialize();
+  const auto body =
+      net80211::make_probe_response(ap, client, "CampusNet", 6, 12345, 7).serialize();
+  bytes.insert(bytes.end(), body.begin(), body.end());
+  const net80211::PcapRecordView record{12345, bytes};
+  for (auto _ : state) {
+    auto decoded = capture::decode_record(record);
+    benchmark::DoNotOptimize(decoded);
+  }
+}
+BENCHMARK(BM_DecodeRecord);
 
 void BM_Crc32(benchmark::State& state) {
   std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)), 0xa5);

@@ -7,7 +7,7 @@
 
 namespace mm::capture {
 
-void FrameEvent::set_ssid(const std::optional<std::string>& s) {
+void FrameEvent::set_ssid(std::optional<std::string_view> s) {
   has_ssid = s.has_value();
   ssid_len = 0;
   if (!has_ssid) return;
@@ -15,8 +15,12 @@ void FrameEvent::set_ssid(const std::optional<std::string>& s) {
   std::memcpy(ssid, s->data(), ssid_len);
 }
 
-ClassifiedFrame classify_frame(const net80211::ManagementFrame& frame, double time_s,
-                               double rssi_dbm) {
+namespace {
+
+/// The one classify policy; Frame is FrameView or ManagementFrame, which
+/// share their fields and the ssid()/ds_channel() accessors.
+template <typename Frame>
+ClassifiedFrame classify(const Frame& frame, double time_s, double rssi_dbm) {
   ClassifiedFrame out;
   out.event.time_s = time_s;
   out.event.rssi_dbm = rssi_dbm;
@@ -81,6 +85,18 @@ ClassifiedFrame classify_frame(const net80211::ManagementFrame& frame, double ti
       break;
   }
   return out;
+}
+
+}  // namespace
+
+ClassifiedFrame classify_frame(const net80211::FrameView& frame, double time_s,
+                               double rssi_dbm) {
+  return classify(frame, time_s, rssi_dbm);
+}
+
+ClassifiedFrame classify_frame(const net80211::ManagementFrame& frame, double time_s,
+                               double rssi_dbm) {
+  return classify(frame, time_s, rssi_dbm);
 }
 
 void apply_event(const FrameEvent& event, ObservationStore& store) {

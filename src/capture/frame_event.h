@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "net80211/frames.h"
@@ -68,7 +69,7 @@ struct FrameEvent {
     if (!has_ssid) return std::nullopt;
     return std::string(ssid, ssid_len);
   }
-  void set_ssid(const std::optional<std::string>& s);
+  void set_ssid(std::optional<std::string_view> s);
 };
 
 static_assert(std::is_trivially_copyable_v<FrameEvent>,
@@ -82,7 +83,11 @@ struct ClassifiedFrame {
 
 /// Maps one parsed management frame to its observation event (if it carries
 /// one) and its stats bucket. This is the single decode policy shared by the
-/// batch replay, the sniffer's live sink, and Riptide's feed.
+/// batch replay, the sniffer's live sink, and Riptide's feed: the decode
+/// path hands it a zero-copy view, the simulator its owning frame, and both
+/// overloads run the same body.
+[[nodiscard]] ClassifiedFrame classify_frame(const net80211::FrameView& frame,
+                                             double time_s, double rssi_dbm);
 [[nodiscard]] ClassifiedFrame classify_frame(const net80211::ManagementFrame& frame,
                                              double time_s, double rssi_dbm);
 

@@ -25,25 +25,38 @@ void count_frame_class(FrameClass cls, ReplayStats& stats) {
   }
 }
 
-std::optional<ClassifiedFrame> decode_record(const net80211::PcapRecord& record) {
+std::optional<ClassifiedFrame> decode_record(const net80211::PcapRecordView& record) {
   const auto rt = net80211::Radiotap::parse(record.data);
   if (!rt.ok()) return std::nullopt;
   // Radiotap::parse guarantees header_length <= data.size(), so the body
   // span below never reads out of bounds even on hostile length fields.
-  const std::span<const std::uint8_t> body{
-      record.data.data() + rt.value().header_length,
-      record.data.size() - rt.value().header_length};
-  const auto parsed = net80211::ManagementFrame::parse(body);
+  const auto parsed = net80211::FrameView::parse(record.data.subspan(rt.value().header_length));
   if (!parsed.ok()) return std::nullopt;
   const double time_s = static_cast<double>(record.timestamp_us) * 1e-6;
   const double rssi = rt.value().header.antenna_signal_dbm;
   return classify_frame(parsed.value(), time_s, rssi);
 }
 
+int RecordFaults::apply(net80211::PcapRecordView& record) {
+  if (!active_) return 1;
+  damaged_.assign(record.data.begin(), record.data.end());
+  const fault::FaultInjector::FrameAction action = injector_.apply_frame(damaged_);
+  record.data = damaged_;
+  switch (action) {
+    case fault::FaultInjector::FrameAction::kDrop:
+      return 0;
+    case fault::FaultInjector::FrameAction::kDuplicate:
+      return 2;
+    case fault::FaultInjector::FrameAction::kPass:
+      break;
+  }
+  return 1;
+}
+
 namespace {
 
 /// Parses one record and, when intact, feeds it to the store.
-void ingest_record(const net80211::PcapRecord& record, ObservationStore& store,
+void ingest_record(const net80211::PcapRecordView& record, ObservationStore& store,
                    ReplayStats& stats) {
   const auto decoded = decode_record(record);
   if (!decoded) {
@@ -67,30 +80,16 @@ util::Result<ReplayStats> replay_pcap(const std::filesystem::path& path,
                       std::to_string(reader.linktype()));
   }
 
-  fault::FaultInjector injector(options.fault_plan);
-  const bool inject = options.fault_plan.active();
-
+  RecordFaults faults(options.fault_plan);
   ReplayStats stats;
   while (auto record = reader.next()) {
     ++stats.records;
-    int deliveries = 1;
-    if (inject) {
-      switch (injector.apply_frame(record->data)) {
-        case fault::FaultInjector::FrameAction::kDrop:
-          deliveries = 0;
-          break;
-        case fault::FaultInjector::FrameAction::kDuplicate:
-          deliveries = 2;
-          break;
-        case fault::FaultInjector::FrameAction::kPass:
-          break;
-      }
-    }
+    const int deliveries = faults.apply(*record);
     for (int i = 0; i < deliveries; ++i) ingest_record(*record, store, stats);
   }
   stats.framing_quarantined = reader.quarantined();
   stats.truncated_tail = reader.truncated();
-  stats.faults = injector.stats();
+  stats.faults = faults.stats();
   return stats;
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <vector>
 
 #include "capture/frame_event.h"
 #include "capture/observation_store.h"
@@ -52,11 +53,33 @@ util::Result<ReplayStats> replay_pcap(const std::filesystem::path& path,
                                       const ReplayOptions& options = {});
 
 /// Radiotap + 802.11 decode of one pcap record into its observation event;
-/// nullopt when the record is malformed. Shared by the batch replay above
-/// and the streaming feed (pipeline/live_feed.h) so both quarantine exactly
-/// the same records.
+/// nullopt when the record is malformed. Shared by the batch replay above,
+/// the streaming feed (pipeline/live_feed.h) and `mmctl net-send`, so all of
+/// them quarantine exactly the same records. Zero-copy: the frame is
+/// validated and classified where it lies.
 [[nodiscard]] std::optional<ClassifiedFrame> decode_record(
-    const net80211::PcapRecord& record);
+    const net80211::PcapRecordView& record);
+
+/// A FaultPlan applied to a capture's records in file order: the one place
+/// the batch replay and the streaming feed damage records, so a given plan
+/// and seed damage exactly the same records in the same way on both paths.
+/// Under an inactive plan records pass through untouched and uncopied.
+class RecordFaults {
+ public:
+  explicit RecordFaults(const fault::FaultPlan& plan)
+      : injector_(plan), active_(plan.active()) {}
+
+  /// How many times the record is delivered (0 = dropped, 2 = duplicated).
+  /// Under an active plan `record` is redirected to a damaged copy held
+  /// here, valid until the next call.
+  [[nodiscard]] int apply(net80211::PcapRecordView& record);
+  [[nodiscard]] const fault::FaultStats& stats() const noexcept { return injector_.stats(); }
+
+ private:
+  fault::FaultInjector injector_;
+  bool active_;
+  std::vector<std::uint8_t> damaged_;  ///< reused: the injector edits a copy
+};
 
 /// Bumps the ReplayStats subtype counter for one decoded frame.
 void count_frame_class(FrameClass cls, ReplayStats& stats);

@@ -7,15 +7,18 @@
 //
 // The WAL checksums every record on the ingest hot path, so this is tuned:
 // SSE4.2 `crc32` instructions when the CPU has them (picked once at startup),
-// otherwise a slice-by-8 table walk. Both produce identical values; the RFC
-// 3720 vector in durability_wal_test pins the polynomial either way.
+// otherwise the shared slice-by-8 table walk (util/crc32_slice8.h). Both
+// produce identical values; the RFC 3720 vector in durability_wal_test pins
+// the polynomial either way, and util_crc_test checks both paths against a
+// bit-at-a-time reference.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
+
+#include "util/crc32_slice8.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <nmmintrin.h>
@@ -26,50 +29,11 @@ namespace mm::durability {
 
 namespace detail {
 
-/// Slice-by-8 tables: table[0] is the classic byte-at-a-time table; table[k]
-/// advances a byte through k+1 zero bytes, letting the loop fold 8 input
-/// bytes per iteration with independent lookups.
-constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc32c_tables() {
-  std::array<std::array<std::uint32_t, 256>, 8> tables{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
-    }
-    tables[0][i] = crc;
-  }
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = tables[0][i];
-    for (std::size_t k = 1; k < 8; ++k) {
-      crc = (crc >> 8) ^ tables[0][crc & 0xFFu];
-      tables[k][i] = crc;
-    }
-  }
-  return tables;
-}
-
-inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32cTables =
-    make_crc32c_tables();
-
+/// The portable path: the shared slice-by-8 kernel on the Castagnoli
+/// polynomial.
 [[nodiscard]] inline std::uint32_t crc32c_sw(const std::uint8_t* data,
                                              std::size_t size) noexcept {
-  const auto& t = kCrc32cTables;
-  std::uint32_t crc = 0xFFFFFFFFu;
-  while (size >= 8) {
-    std::uint64_t chunk = 0;
-    std::memcpy(&chunk, data, 8);
-    chunk ^= crc;  // little-endian: crc folds into the first four bytes
-    crc = t[7][chunk & 0xFFu] ^ t[6][(chunk >> 8) & 0xFFu] ^
-          t[5][(chunk >> 16) & 0xFFu] ^ t[4][(chunk >> 24) & 0xFFu] ^
-          t[3][(chunk >> 32) & 0xFFu] ^ t[2][(chunk >> 40) & 0xFFu] ^
-          t[1][(chunk >> 48) & 0xFFu] ^ t[0][(chunk >> 56) & 0xFFu];
-    data += 8;
-    size -= 8;
-  }
-  while (size-- > 0) {
-    crc = (crc >> 8) ^ t[0][(crc ^ *data++) & 0xFFu];
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return util::crc32_slice8<0x82F63B78u>(data, size);
 }
 
 #ifdef MM_CRC32C_HW

@@ -114,10 +114,14 @@ void SpatialIndex::query_disc(Vec2 center, double radius_m, std::vector<Id>& out
   out.clear();
   if (!(radius_m >= 0.0) || points_.empty()) return;  // rejects NaN too
 
-  const std::int64_t cx_lo = cell_coord(center.x - radius_m, cell_size_);
-  const std::int64_t cx_hi = cell_coord(center.x + radius_m, cell_size_);
-  const std::int64_t cy_lo = cell_coord(center.y - radius_m, cell_size_);
-  const std::int64_t cy_hi = cell_coord(center.y + radius_m, cell_size_);
+  // center -/+ radius can round across a cell edge and drop a point at
+  // exactly the radius, so the rectangle (only) is widened by the rounding
+  // slack; membership stays the exact distance test below.
+  const double reach = widened_radius(radius_m, center);
+  const std::int64_t cx_lo = cell_coord(center.x - reach, cell_size_);
+  const std::int64_t cx_hi = cell_coord(center.x + reach, cell_size_);
+  const std::int64_t cy_lo = cell_coord(center.y - reach, cell_size_);
+  const std::int64_t cy_hi = cell_coord(center.y + reach, cell_size_);
   const auto span_x = static_cast<std::uint64_t>(cx_hi - cx_lo + 1);
   const auto span_y = static_cast<std::uint64_t>(cy_hi - cy_lo + 1);
 

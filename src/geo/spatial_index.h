@@ -33,12 +33,12 @@
 
 namespace mm::geo {
 
-/// Rounding allowances for pruning a nearest-neighbour search over a grid
-/// (SpatialIndex's cells, the WPS service's tiles). Bucketing v by
-/// floor(v / cell) can put a point a few ulps of |v| across a cell edge, and
-/// hypot rounds too, so a lower bound is shaved and a search radius widened
-/// by a relative and a magnitude-scaled margin: sloppiness only ever scans
-/// more, never drops a contender.
+/// Rounding allowances for pruning a search over a grid (SpatialIndex's
+/// cells, the WPS service's tiles). Bucketing v by floor(v / cell) can put a
+/// point a few ulps of |v| across a cell edge, and hypot rounds too, so a
+/// lower bound is shaved and the rectangle of cells a disc query visits is
+/// widened by a relative and a magnitude-scaled margin: sloppiness only ever
+/// scans more, never drops a contender.
 [[nodiscard]] inline double shaved_bound(double bound_m, Vec2 center) noexcept {
   return bound_m * (1.0 - 1e-12) - std::max(std::abs(center.x), std::abs(center.y)) * 1e-15;
 }

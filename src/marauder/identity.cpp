@@ -5,6 +5,9 @@
 #include <cstddef>
 #include <map>
 #include <numeric>
+#include <span>
+#include <unordered_map>
+#include <utility>
 
 #include "util/thread_pool.h"
 
@@ -68,46 +71,151 @@ std::uint16_t seq_forward_delta(std::uint16_t last, std::uint16_t first) noexcep
   return static_cast<std::uint16_t>((first - last) & 0x0FFF);
 }
 
-/// APs active in the death-window of a vanishing device: every AP whose
-/// contact span reaches into the last `window_s` seconds of the device's
-/// life. Output ascending (contacts are stored ascending by AP).
-void gamma_tail(const DeviceSummary& dev, double window_s,
-                std::vector<net80211::MacAddress>& out) {
-  out.clear();
-  const sim::SimTime cut = dev.last_seen - window_s;
-  for (const ContactSpan& c : dev.contacts) {
-    if (c.last_seen >= cut) out.push_back(c.ap);
-  }
-}
+/// Death-window and birth-window AP sets of every device, as dense AP ids
+/// in one flat arena: device i's birth window (the APs whose contact began
+/// within `window_s` of its first sighting) is ids[at[2i], at[2i+1]), its
+/// death window (contact lasting into the final `window_s`) is
+/// ids[at[2i+1], at[2i+2]).
+struct GammaWindows {
+  std::vector<std::uint32_t> ids;
+  std::vector<std::uint32_t> at;
+  std::uint32_t aps = 0;  ///< distinct APs in any window (ids are < aps)
 
-/// APs active in the birth-window of a fresh device (first `window_s`
-/// seconds). Output ascending.
-void gamma_head(const DeviceSummary& dev, double window_s,
-                std::vector<net80211::MacAddress>& out) {
-  out.clear();
-  const sim::SimTime cut = dev.first_seen + window_s;
-  for (const ContactSpan& c : dev.contacts) {
-    if (c.first_seen <= cut) out.push_back(c.ap);
-  }
-}
-
-/// |a ∩ b| over two ascending MAC vectors.
-std::size_t sorted_common(const std::vector<net80211::MacAddress>& a,
-                          const std::vector<net80211::MacAddress>& b) noexcept {
-  std::size_t common = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++common;
-      ++i;
-      ++j;
+  GammaWindows(const std::vector<const DeviceSummary*>& devices, double window_s) {
+    std::unordered_map<net80211::MacAddress, std::uint32_t, net80211::MacHasher> id_of;
+    std::vector<std::uint32_t> tail;
+    at.reserve(2 * devices.size() + 1);
+    at.push_back(0);
+    for (const DeviceSummary* dev : devices) {
+      const sim::SimTime head_cut = dev->first_seen + window_s;
+      const sim::SimTime tail_cut = dev->last_seen - window_s;
+      tail.clear();
+      for (const ContactSpan& c : dev->contacts) {
+        const bool in_head = c.first_seen <= head_cut;
+        const bool in_tail = c.last_seen >= tail_cut;
+        if (!in_head && !in_tail) continue;
+        const std::uint32_t id = id_of.try_emplace(c.ap, aps).first->second;
+        if (id == aps) ++aps;
+        if (in_head) ids.push_back(id);
+        if (in_tail) tail.push_back(id);
+      }
+      at.push_back(static_cast<std::uint32_t>(ids.size()));
+      ids.insert(ids.end(), tail.begin(), tail.end());
+      at.push_back(static_cast<std::uint32_t>(ids.size()));
     }
   }
-  return common;
+
+  [[nodiscard]] std::span<const std::uint32_t> head(std::size_t i) const noexcept {
+    return {ids.data() + at[2 * i], ids.data() + at[2 * i + 1]};
+  }
+  [[nodiscard]] std::span<const std::uint32_t> tail(std::size_t i) const noexcept {
+    return {ids.data() + at[2 * i + 1], ids.data() + at[2 * i + 2]};
+  }
+};
+
+/// Signal (c): Gamma similarity + temporal adjacency. A device vanishes and
+/// a fresh MAC appears within gamma_max_gap_s hearing a near-identical AP
+/// set, compared over death/birth windows so long-lived devices that
+/// wandered far apart still match on where they actually rotated.
+///
+/// In a dense population every death window overlaps several births that
+/// hear roughly the same campus APs, and accepting them all chains
+/// unrelated devices together. So each vanished pseudonym nominates its
+/// highest-Jaccard successor, each newborn its highest-Jaccard predecessor,
+/// and only mutual nominations become edges. Ties keep the first candidate
+/// in scan order: vanished devices ascending by MAC, and for each, its
+/// newborns ascending by birth rank.
+///
+/// Candidates come from an AP -> newborn index, not a pairwise rescan: a
+/// vanished device walks the postings of its death-window APs, counting
+/// APs in common per newborn born in its candidate range, then visits the
+/// newborns sharing at least gamma_min_common in ascending birth rank.
+void gamma_edges(const std::vector<const DeviceSummary*>& devices,
+                 const ResolverOptions& options, std::vector<Edge>& edges) {
+  const std::size_t n = devices.size();
+  const std::size_t min_common = options.gamma_min_common;
+  std::vector<std::uint32_t> by_first_seen(n);
+  std::iota(by_first_seen.begin(), by_first_seen.end(), 0);
+  std::sort(by_first_seen.begin(), by_first_seen.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (devices[a]->first_seen != devices[b]->first_seen) {
+      return devices[a]->first_seen < devices[b]->first_seen;
+    }
+    return a < b;
+  });
+  std::vector<sim::SimTime> keys(n);
+  for (std::size_t k = 0; k < n; ++k) keys[k] = devices[by_first_seen[k]]->first_seen;
+
+  const GammaWindows windows(devices, options.gamma_window_s);
+
+  // CSR index: AP id -> birth ranks of the newborns whose birth window
+  // heard it, ascending. A newborn hearing fewer than gamma_min_common APs
+  // can never qualify and stays out.
+  std::vector<std::uint32_t> posting_at(windows.aps + 1, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto head = windows.head(by_first_seen[k]);
+    if (head.size() < min_common) continue;
+    for (const std::uint32_t ap : head) ++posting_at[ap + 1];
+  }
+  std::partial_sum(posting_at.begin(), posting_at.end(), posting_at.begin());
+  std::vector<std::uint32_t> postings(posting_at.back());
+  std::vector<std::uint32_t> cursor(posting_at.begin(), posting_at.end() - 1);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto head = windows.head(by_first_seen[k]);
+    if (head.size() < min_common) continue;
+    for (const std::uint32_t ap : head) postings[cursor[ap]++] = static_cast<std::uint32_t>(k);
+  }
+
+  constexpr std::size_t kUnmatched = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> best_successor(n, kUnmatched);
+  std::vector<double> successor_jaccard(n, 0.0);
+  std::vector<std::size_t> best_predecessor(n, kUnmatched);
+  std::vector<double> predecessor_jaccard(n, 0.0);
+  std::vector<std::uint32_t> common(n, 0);  // by birth rank, zeroed after each device
+  for (std::size_t a = 0; a < n; ++a) {
+    const DeviceSummary& da = *devices[a];
+    // The candidate range starts at da.last_seen: a newborn born earlier
+    // coexisted with the vanished pseudonym, and a rotation ends one MAC's
+    // life before the next begins (the coexistence veto).
+    const auto lo = static_cast<std::uint32_t>(
+        std::lower_bound(keys.begin(), keys.end(), da.last_seen) - keys.begin());
+    const auto hi = static_cast<std::uint32_t>(
+        std::upper_bound(keys.begin(), keys.end(), da.last_seen + options.gamma_max_gap_s) -
+        keys.begin());
+    if (lo >= hi) continue;
+    const auto tail = windows.tail(a);
+    if (tail.size() < min_common) continue;
+    for (const std::uint32_t ap : tail) {
+      const auto end = postings.begin() + posting_at[ap + 1];
+      for (auto it = std::lower_bound(postings.begin() + posting_at[ap], end, lo);
+           it != end && *it < hi; ++it) {
+        ++common[*it];
+      }
+    }
+    for (std::uint32_t k = lo; k < hi; ++k) {
+      const std::size_t shared = std::exchange(common[k], 0);
+      if (shared < min_common) continue;
+      const std::size_t b = by_first_seen[k];
+      if (b == a) continue;  // a single-instant device is its own newborn
+      const std::size_t unioned = tail.size() + windows.head(b).size() - shared;
+      const double jaccard =
+          unioned == 0 ? 0.0 : static_cast<double>(shared) / static_cast<double>(unioned);
+      if (jaccard + 1e-12 < options.gamma_min_jaccard) continue;
+      if (best_successor[a] == kUnmatched || jaccard > successor_jaccard[a]) {
+        best_successor[a] = b;
+        successor_jaccard[a] = jaccard;
+      }
+      if (best_predecessor[b] == kUnmatched || jaccard > predecessor_jaccard[b]) {
+        best_predecessor[b] = a;
+        predecessor_jaccard[b] = jaccard;
+      }
+    }
+  }
+  for (std::size_t a = 0; a < n; ++a) {
+    const std::size_t b = best_successor[a];
+    if (b != kUnmatched && best_predecessor[b] == a) {
+      edges.push_back(make_edge(a, b, Signal::kGamma));
+    }
+  }
 }
 
 }  // namespace
@@ -311,74 +419,10 @@ IdentityMap IdentityResolver::resolve() const {
     stats_.seq_edges = edges.size() - before;
   }
 
-  // --- (c) Gamma similarity + temporal adjacency: a device vanishes and a
-  // fresh MAC appears within gamma_max_gap_s hearing a near-identical AP
-  // set. Compared over death/birth windows so long-lived devices that
-  // wandered far apart still match on where they actually rotated.
+  // --- (c) Gamma similarity + temporal adjacency (gamma_edges above).
   if (options_.signals.gamma_temporal && n > 1) {
-    std::vector<std::size_t> by_first_seen(n);
-    std::iota(by_first_seen.begin(), by_first_seen.end(), 0);
-    std::sort(by_first_seen.begin(), by_first_seen.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (devices[a]->first_seen != devices[b]->first_seen) {
-                  return devices[a]->first_seen < devices[b]->first_seen;
-                }
-                return a < b;
-              });
-    std::vector<sim::SimTime> keys(n);
-    for (std::size_t k = 0; k < n; ++k) keys[k] = devices[by_first_seen[k]]->first_seen;
-
-    // Same mutual-best discipline as the sequence signal: in a dense
-    // population every death window overlaps several births that hear
-    // roughly the same campus APs, and accepting them all chains unrelated
-    // devices together. Each vanished pseudonym nominates its
-    // highest-Jaccard successor, each newborn its highest-Jaccard
-    // predecessor; only mutual nominations become edges. Ties keep the
-    // first candidate in deterministic scan order.
     const std::size_t before = edges.size();
-    constexpr std::size_t kUnmatched = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> best_successor(n, kUnmatched);
-    std::vector<double> successor_jaccard(n, 0.0);
-    std::vector<std::size_t> best_predecessor(n, kUnmatched);
-    std::vector<double> predecessor_jaccard(n, 0.0);
-    std::vector<net80211::MacAddress> tail, head;
-    for (std::size_t a = 0; a < n; ++a) {
-      const DeviceSummary& da = *devices[a];
-      const auto lo = std::lower_bound(keys.begin(), keys.end(), da.last_seen);
-      const auto hi = std::upper_bound(keys.begin(), keys.end(),
-                                       da.last_seen + options_.gamma_max_gap_s);
-      if (lo == hi) continue;
-      gamma_tail(da, options_.gamma_window_s, tail);
-      if (tail.size() < options_.gamma_min_common) continue;
-      for (auto it = lo; it != hi; ++it) {
-        const std::size_t b = by_first_seen[static_cast<std::size_t>(it - keys.begin())];
-        if (b == a) continue;
-        const DeviceSummary& db = *devices[b];
-        if (db.first_seen < da.last_seen) continue;  // coexistence veto
-        gamma_head(db, options_.gamma_window_s, head);
-        if (head.size() < options_.gamma_min_common) continue;
-        const std::size_t common = sorted_common(tail, head);
-        if (common < options_.gamma_min_common) continue;
-        const std::size_t unioned = tail.size() + head.size() - common;
-        const double jaccard =
-            unioned == 0 ? 0.0 : static_cast<double>(common) / static_cast<double>(unioned);
-        if (jaccard + 1e-12 < options_.gamma_min_jaccard) continue;
-        if (best_successor[a] == kUnmatched || jaccard > successor_jaccard[a]) {
-          best_successor[a] = b;
-          successor_jaccard[a] = jaccard;
-        }
-        if (best_predecessor[b] == kUnmatched || jaccard > predecessor_jaccard[b]) {
-          best_predecessor[b] = a;
-          predecessor_jaccard[b] = jaccard;
-        }
-      }
-    }
-    for (std::size_t a = 0; a < n; ++a) {
-      const std::size_t b = best_successor[a];
-      if (b != kUnmatched && best_predecessor[b] == a) {
-        edges.push_back(make_edge(a, b, Signal::kGamma));
-      }
-    }
+    gamma_edges(devices, options_, edges);
     stats_.gamma_edges = edges.size() - before;
   }
 

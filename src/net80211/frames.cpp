@@ -58,12 +58,13 @@ class Cursor {
     pos_ += 6;
     return true;
   }
-  [[nodiscard]] bool take_bytes(std::size_t n, std::vector<std::uint8_t>& out) {
+  [[nodiscard]] bool skip(std::size_t n) noexcept {
     if (remaining() < n) return false;
-    out.assign(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-               data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
     pos_ += n;
     return true;
+  }
+  [[nodiscard]] std::span<const std::uint8_t> rest() const noexcept {
+    return data_.subspan(pos_);
   }
 
  private:
@@ -116,6 +117,26 @@ InformationElement ds_channel(int channel) {
 }
 
 }  // namespace ie
+
+std::optional<std::span<const std::uint8_t>> FrameView::find_ie(
+    std::uint8_t id) const noexcept {
+  for (std::size_t pos = 0; pos + 2 <= ie_bytes.size(); pos += 2 + ie_bytes[pos + 1]) {
+    if (ie_bytes[pos] == id) return ie_bytes.subspan(pos + 2, ie_bytes[pos + 1]);
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string_view> FrameView::ssid() const noexcept {
+  const auto payload = find_ie(ie::kSsid);
+  if (!payload) return std::nullopt;
+  return std::string_view(reinterpret_cast<const char*>(payload->data()), payload->size());
+}
+
+std::optional<int> FrameView::ds_channel() const noexcept {
+  const auto payload = find_ie(ie::kDsParameterSet);
+  if (!payload || payload->empty()) return std::nullopt;
+  return static_cast<int>(payload->front());
+}
 
 std::optional<std::string> ManagementFrame::ssid() const {
   const InformationElement* element = find_ie(ie::kSsid);
@@ -178,12 +199,12 @@ std::vector<std::uint8_t> ManagementFrame::serialize() const {
   return out;
 }
 
-util::Result<ManagementFrame> ManagementFrame::parse(std::span<const std::uint8_t> bytes,
-                                                     bool verify_fcs) {
+util::Result<FrameView> FrameView::parse(std::span<const std::uint8_t> bytes, bool verify_fcs) {
+  using R = util::Result<FrameView>;
   constexpr std::size_t kHeaderLen = 24;
   constexpr std::size_t kFcsLen = 4;
   if (bytes.size() < kHeaderLen + kFcsLen) {
-    return util::Result<ManagementFrame>::failure("frame too short");
+    return R::failure("frame too short");
   }
 
   if (verify_fcs) {
@@ -194,7 +215,7 @@ util::Result<ManagementFrame> ManagementFrame::parse(std::span<const std::uint8_
                                  (static_cast<std::uint32_t>(fcs_bytes[2]) << 16) |
                                  (static_cast<std::uint32_t>(fcs_bytes[3]) << 24);
     if (crc32(body) != stored) {
-      return util::Result<ManagementFrame>::failure("FCS mismatch");
+      return R::failure("FCS mismatch");
     }
   }
 
@@ -202,20 +223,20 @@ util::Result<ManagementFrame> ManagementFrame::parse(std::span<const std::uint8_
   std::uint8_t fc0 = 0;
   std::uint8_t fc1 = 0;
   std::uint16_t duration = 0;
-  ManagementFrame frame;
+  FrameView frame;
   if (!cur.take_u8(fc0) || !cur.take_u8(fc1) || !cur.take_u16(duration)) {
-    return util::Result<ManagementFrame>::failure("truncated header");
+    return R::failure("truncated header");
   }
-  if ((fc0 & 0x03) != 0) return util::Result<ManagementFrame>::failure("not protocol version 0");
+  if ((fc0 & 0x03) != 0) return R::failure("not protocol version 0");
   const int frame_type = (fc0 >> 2) & 0x03;
   if (frame_type == 2) {
     // Data plane: only the null-function keep-alive is modeled.
     if ((fc0 >> 4) != 4) {
-      return util::Result<ManagementFrame>::failure("unsupported data subtype");
+      return R::failure("unsupported data subtype");
     }
     frame.subtype = ManagementSubtype::kDataNull;
   } else if (frame_type != 0) {
-    return util::Result<ManagementFrame>::failure("not a management or data frame");
+    return R::failure("not a management or data frame");
   } else {
     const auto subtype = static_cast<ManagementSubtype>(fc0 >> 4);
     switch (subtype) {
@@ -228,50 +249,65 @@ util::Result<ManagementFrame> ManagementFrame::parse(std::span<const std::uint8_
         frame.subtype = subtype;
         break;
       default:
-        return util::Result<ManagementFrame>::failure("unsupported management subtype");
+        return R::failure("unsupported management subtype");
     }
   }
 
   std::uint16_t seq_ctl = 0;
   if (!cur.take_mac(frame.addr1) || !cur.take_mac(frame.addr2) ||
       !cur.take_mac(frame.addr3) || !cur.take_u16(seq_ctl)) {
-    return util::Result<ManagementFrame>::failure("truncated addresses");
+    return R::failure("truncated addresses");
   }
   frame.sequence = static_cast<std::uint16_t>(seq_ctl >> 4);
 
   if (has_fixed_beacon_fields(frame.subtype)) {
     if (!cur.take_u64(frame.timestamp_us) || !cur.take_u16(frame.beacon_interval_tu) ||
         !cur.take_u16(frame.capability)) {
-      return util::Result<ManagementFrame>::failure("truncated fixed fields");
+      return R::failure("truncated fixed fields");
     }
   } else if (frame.subtype == ManagementSubtype::kDeauthentication) {
     if (!cur.take_u16(frame.reason_code)) {
-      return util::Result<ManagementFrame>::failure("truncated reason code");
+      return R::failure("truncated reason code");
     }
   } else if (frame.subtype == ManagementSubtype::kAssociationRequest) {
     if (!cur.take_u16(frame.capability) || !cur.take_u16(frame.listen_interval)) {
-      return util::Result<ManagementFrame>::failure("truncated association request");
+      return R::failure("truncated association request");
     }
   } else if (frame.subtype == ManagementSubtype::kAssociationResponse) {
     if (!cur.take_u16(frame.capability) || !cur.take_u16(frame.status_code) ||
         !cur.take_u16(frame.association_id)) {
-      return util::Result<ManagementFrame>::failure("truncated association response");
+      return R::failure("truncated association response");
     }
   }
 
+  // The elements stay where they are; only their bounds are checked.
+  frame.ie_bytes = cur.rest();
   while (cur.remaining() > 0) {
-    InformationElement element;
+    std::uint8_t id = 0;
     std::uint8_t length = 0;
-    if (!cur.take_u8(element.id) || !cur.take_u8(length)) {
-      return util::Result<ManagementFrame>::failure("truncated IE header");
+    if (!cur.take_u8(id) || !cur.take_u8(length)) {
+      return R::failure("truncated IE header");
     }
-    if (!cur.take_bytes(length, element.payload)) {
-      return util::Result<ManagementFrame>::failure("IE length exceeds frame");
-    }
-    frame.ies.push_back(std::move(element));
+    if (!cur.skip(length)) return R::failure("IE length exceeds frame");
   }
   return frame;
 }
+
+util::Result<ManagementFrame> ManagementFrame::parse(std::span<const std::uint8_t> bytes,
+                                                     bool verify_fcs) {
+  const auto view = FrameView::parse(bytes, verify_fcs);
+  if (!view.ok()) return util::Result<ManagementFrame>::failure(view.error());
+  ManagementFrame frame;
+  static_cast<FrameFields&>(frame) = view.value();
+  std::size_t elements = 0;
+  view.value().for_each_ie([&](std::uint8_t, std::span<const std::uint8_t>) { ++elements; });
+  frame.ies.reserve(elements);
+  view.value().for_each_ie([&](std::uint8_t id, std::span<const std::uint8_t> payload) {
+    frame.ies.push_back({id, {payload.begin(), payload.end()}});
+  });
+  return frame;
+}
+
 
 ManagementFrame make_beacon(const MacAddress& bssid, std::string_view ssid, int channel,
                             std::uint64_t timestamp_us, std::uint16_t sequence) {

@@ -55,7 +55,9 @@ inline constexpr std::uint8_t kDsParameterSet = 3;
 [[nodiscard]] InformationElement ds_channel(int channel);
 }  // namespace ie
 
-struct ManagementFrame {
+/// Header and fixed fields: everything a frame carries besides its tagged
+/// elements. Fields a subtype does not carry keep their defaults.
+struct FrameFields {
   ManagementSubtype subtype = ManagementSubtype::kBeacon;
   MacAddress addr1;  ///< destination
   MacAddress addr2;  ///< source
@@ -74,7 +76,40 @@ struct ManagementFrame {
   std::uint16_t listen_interval = 10;
   std::uint16_t status_code = 0;
   std::uint16_t association_id = 0;
+};
 
+/// A validated frame whose information elements stay in the bytes it was
+/// parsed from: the decode path's zero-copy form. It borrows those bytes,
+/// so it must not outlive them.
+struct FrameView : FrameFields {
+  /// The tagged-element region (FCS excluded), bounds-checked by parse().
+  std::span<const std::uint8_t> ie_bytes;
+
+  /// Payload of the first element with this id, if any.
+  [[nodiscard]] std::optional<std::span<const std::uint8_t>> find_ie(
+      std::uint8_t id) const noexcept;
+  /// First SSID element, if any (empty for the wildcard SSID).
+  [[nodiscard]] std::optional<std::string_view> ssid() const noexcept;
+  /// Channel from the DS Parameter Set element, if present.
+  [[nodiscard]] std::optional<int> ds_channel() const noexcept;
+
+  /// Calls fn(id, payload) for every element, in frame order.
+  template <typename Fn>
+  void for_each_ie(Fn&& fn) const {
+    for (std::size_t pos = 0; pos + 2 <= ie_bytes.size(); pos += 2 + ie_bytes[pos + 1]) {
+      fn(ie_bytes[pos], ie_bytes.subspan(pos + 2, ie_bytes[pos + 1]));
+    }
+  }
+
+  /// The one frame validator: FCS (with `verify_fcs`, rejecting a corrupted
+  /// frame the way a real NIC drops bad-FCS frames), header, fixed fields
+  /// and element bounds.
+  [[nodiscard]] static util::Result<FrameView> parse(std::span<const std::uint8_t> bytes,
+                                                     bool verify_fcs = true);
+};
+
+/// An owning frame: what the simulator builds and serializes.
+struct ManagementFrame : FrameFields {
   std::vector<InformationElement> ies;
 
   /// First SSID element, if any (nullopt when absent; empty string for the
@@ -87,8 +122,7 @@ struct ManagementFrame {
   /// Over-the-air byte layout including the trailing FCS.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
-  /// Parses a serialized frame. With `verify_fcs`, a corrupted frame is
-  /// rejected the way a real NIC drops bad-FCS frames.
+  /// FrameView::parse plus a copy of the elements.
   [[nodiscard]] static util::Result<ManagementFrame> parse(
       std::span<const std::uint8_t> bytes, bool verify_fcs = true);
 };

@@ -1,6 +1,8 @@
 #include "net80211/pcap.h"
 
+#include <algorithm>
 #include <array>
+#include <cstring>
 
 namespace mm::net80211 {
 
@@ -27,23 +29,16 @@ void put_u16(std::ofstream& out, std::uint16_t v) {
   out.write(bytes.data(), bytes.size());
 }
 
-bool take_u32(std::ifstream& in, std::uint32_t& v) {
-  std::array<char, 4> bytes{};
-  if (!in.read(bytes.data(), bytes.size())) return false;
-  v = static_cast<std::uint8_t>(bytes[0]) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[1])) << 8) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[2])) << 16) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[3])) << 24);
-  return true;
+constexpr std::size_t kGlobalHeaderBytes = 24;
+constexpr std::size_t kRecordHeaderBytes = 16;
+
+std::uint32_t get_u32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-bool take_u16(std::ifstream& in, std::uint16_t& v) {
-  std::array<char, 2> bytes{};
-  if (!in.read(bytes.data(), bytes.size())) return false;
-  v = static_cast<std::uint16_t>(
-      static_cast<std::uint8_t>(bytes[0]) |
-      (static_cast<std::uint16_t>(static_cast<std::uint8_t>(bytes[1])) << 8));
-  return true;
+std::uint16_t get_u16(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
 }  // namespace
 
@@ -85,16 +80,19 @@ bool PcapWriter::write(std::uint64_t timestamp_us, std::span<const std::uint8_t>
   return true;
 }
 
-PcapReader::PcapReader(const std::filesystem::path& path) : in_(path, std::ios::binary) {
+PcapReader::PcapReader(const std::filesystem::path& path)
+    : in_(path, std::ios::binary), buf_(kPcapReadBlockBytes) {
   if (!in_) {
     error_ = "pcap: cannot open " + path.string();
     return;
   }
-  std::uint32_t magic = 0;
-  if (!take_u32(in_, magic)) {
+  const bool whole = fill(kGlobalHeaderBytes);
+  if (unread() < 4) {
     error_ = "pcap: missing global header";
     return;
   }
+  const std::uint8_t* header = buf_.data() + pos_;
+  const std::uint32_t magic = get_u32(header);
   if (magic == kMagicUsecSwapped) {
     error_ = "pcap: big-endian capture files are not supported";
     return;
@@ -107,28 +105,49 @@ PcapReader::PcapReader(const std::filesystem::path& path) : in_(path, std::ios::
     error_ = "pcap: bad magic number";
     return;
   }
-  std::uint16_t major = 0;
-  std::uint16_t minor = 0;
-  std::uint32_t skip = 0;
-  if (!take_u16(in_, major) || !take_u16(in_, minor) || !take_u32(in_, skip) ||
-      !take_u32(in_, skip) || !take_u32(in_, snaplen_) || !take_u32(in_, linktype_)) {
+  if (!whole) {
     error_ = "pcap: truncated global header";
     return;
   }
+  // header + 8: thiszone and sigfigs, unused.
+  const std::uint16_t major = get_u16(header + 4);
+  snaplen_ = get_u32(header + 16);
+  linktype_ = get_u32(header + 20);
+  pos_ += kGlobalHeaderBytes;
   if (major != 2) error_ = "pcap: unsupported version";
 }
 
-std::optional<PcapRecord> PcapReader::next() {
+bool PcapReader::fill(std::size_t n) {
+  if (unread() >= n) return true;
+  if (eof_) return false;
+  std::memmove(buf_.data(), buf_.data() + pos_, unread());
+  end_ -= pos_;
+  pos_ = 0;
+  if (buf_.size() < n) buf_.resize(n);
+  while (end_ < n && !eof_) {
+    in_.read(reinterpret_cast<char*>(buf_.data() + end_),
+             static_cast<std::streamsize>(buf_.size() - end_));
+    end_ += static_cast<std::size_t>(in_.gcount());
+    // A short read is the end of the file (a read error ends it the same
+    // way: whatever was read is all there is).
+    if (!in_) eof_ = true;
+  }
+  return end_ >= n;
+}
+
+std::optional<PcapRecordView> PcapReader::next() {
   if (!ok() || done_) return std::nullopt;
-  std::uint32_t ts_sec = 0;
-  if (!take_u32(in_, ts_sec)) return std::nullopt;  // clean EOF
-  std::uint32_t ts_usec = 0;
-  std::uint32_t incl_len = 0;
-  std::uint32_t orig_len = 0;
-  if (!take_u32(in_, ts_usec) || !take_u32(in_, incl_len) || !take_u32(in_, orig_len)) {
-    done_ = truncated_ = true;
+  if (!fill(kRecordHeaderBytes)) {
+    // A clean end leaves no byte behind; even one stray byte is a record
+    // header the file lost the rest of.
+    truncated_ = unread() > 0;
+    done_ = true;
     return std::nullopt;
   }
+  const std::uint8_t* header = buf_.data() + pos_;
+  const std::uint32_t ts_sec = get_u32(header);
+  const std::uint32_t ts_usec = get_u32(header + 4);
+  const std::uint32_t incl_len = get_u32(header + 8);
   if (incl_len > kMaxSaneRecordBytes) {
     // Corrupt framing: the length field itself is damaged, and without it
     // there is no way to find the next record boundary. Quarantine and end
@@ -137,20 +156,22 @@ std::optional<PcapRecord> PcapReader::next() {
     done_ = true;
     return std::nullopt;
   }
-  PcapRecord record;
-  record.timestamp_us = static_cast<std::uint64_t>(ts_sec) * 1000000 + ts_usec;
-  record.data.resize(incl_len);
-  if (!in_.read(reinterpret_cast<char*>(record.data.data()),
-                static_cast<std::streamsize>(incl_len))) {
+  if (!fill(kRecordHeaderBytes + incl_len)) {
     done_ = truncated_ = true;
     return std::nullopt;
   }
+  // fill() may have moved the buffer: take the payload address afterwards.
+  const PcapRecordView record{static_cast<std::uint64_t>(ts_sec) * 1000000 + ts_usec,
+                              {buf_.data() + pos_ + kRecordHeaderBytes, incl_len}};
+  pos_ += kRecordHeaderBytes + incl_len;
   return record;
 }
 
 std::vector<PcapRecord> PcapReader::read_all() {
   std::vector<PcapRecord> records;
-  while (auto record = next()) records.push_back(std::move(*record));
+  while (const auto record = next()) {
+    records.push_back({record->timestamp_us, {record->data.begin(), record->data.end()}});
+  }
   return records;
 }
 

@@ -29,11 +29,23 @@ inline constexpr std::uint32_t kLinktype80211 = 105;
 /// reader quarantines such records instead of allocating gigabytes.
 inline constexpr std::uint32_t kMaxSaneRecordBytes = 1u << 20;
 
+/// Bytes the reader asks its stream for per refill: records are cut out of
+/// this buffer instead of being read one field at a time.
+inline constexpr std::size_t kPcapReadBlockBytes = std::size_t{1} << 20;
+
 struct PcapRecord {
   std::uint64_t timestamp_us = 0;
   std::vector<std::uint8_t> data;
 
   bool operator==(const PcapRecord&) const = default;
+};
+
+/// A record as PcapReader::next() hands it out: `data` points into the
+/// reader's buffer and stays valid only until the next call to next() (or
+/// the reader's destruction). Copy the bytes to keep them.
+struct PcapRecordView {
+  std::uint64_t timestamp_us = 0;
+  std::span<const std::uint8_t> data;
 };
 
 /// Streaming pcap writer. Never throws: a failed open or write latches into
@@ -67,9 +79,15 @@ class PcapWriter {
 };
 
 /// Pcap reader. Open/magic failures latch into ok()/error() instead of
-/// throwing; a file that ends mid-record terminates iteration and sets
-/// truncated(); a record whose length field is corrupt is quarantined (the
-/// stream cannot be re-synchronized past it, so iteration stops there too).
+/// throwing; a file that ends anywhere but on a record boundary (even 1 byte
+/// into a record header) terminates iteration and sets truncated(); a
+/// record whose length field is corrupt is quarantined (the stream cannot
+/// be re-synchronized past it, so iteration stops there too).
+///
+/// The file is read in blocks of kPcapReadBlockBytes into one buffer, which
+/// grows only when a single record needs more (at most 16 +
+/// kMaxSaneRecordBytes), and records are handed out as views into it: no
+/// per-record allocation.
 class PcapReader {
  public:
   explicit PcapReader(const std::filesystem::path& path);
@@ -80,15 +98,26 @@ class PcapReader {
   [[nodiscard]] std::uint32_t linktype() const noexcept { return linktype_; }
   [[nodiscard]] std::uint32_t snaplen() const noexcept { return snaplen_; }
   /// Next record, or nullopt at end-of-file (or on truncation/quarantine).
-  [[nodiscard]] std::optional<PcapRecord> next();
+  /// The view is invalidated by the next call.
+  [[nodiscard]] std::optional<PcapRecordView> next();
   /// True if the file ended mid-record.
   [[nodiscard]] bool truncated() const noexcept { return truncated_; }
   /// Records rejected for corrupt framing (insane length field).
   [[nodiscard]] std::uint64_t quarantined() const noexcept { return quarantined_; }
+  /// Every remaining record, copied out of the buffer.
   [[nodiscard]] std::vector<PcapRecord> read_all();
 
  private:
+  /// Makes at least `n` unread bytes available, moving the unread tail to
+  /// the front of the buffer and reading more; false if the file ends first.
+  bool fill(std::size_t n);
+  [[nodiscard]] std::size_t unread() const noexcept { return end_ - pos_; }
+
   std::ifstream in_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t pos_ = 0;  ///< first unread byte of buf_
+  std::size_t end_ = 0;  ///< one past the last byte read into buf_
+  bool eof_ = false;     ///< the stream has nothing more to give
   std::uint32_t linktype_ = 0;
   std::uint32_t snaplen_ = 0;
   bool done_ = false;  ///< iteration latched closed (truncation or quarantine)

@@ -16,8 +16,7 @@ util::Result<LiveFeedStats> feed_pcap(const std::filesystem::path& path,
                       std::to_string(reader.linktype()));
   }
 
-  fault::FaultInjector injector(options.fault_plan);
-  const bool inject = options.fault_plan.active();
+  capture::RecordFaults faults(options.fault_plan);
   sim::ReplayClock clock(options.speed);
 
   LiveFeedStats stats;
@@ -28,19 +27,7 @@ util::Result<LiveFeedStats> feed_pcap(const std::filesystem::path& path,
       break;
     }
     ++stats.replay.records;
-    int deliveries = 1;
-    if (inject) {
-      switch (injector.apply_frame(record->data)) {
-        case fault::FaultInjector::FrameAction::kDrop:
-          deliveries = 0;
-          break;
-        case fault::FaultInjector::FrameAction::kDuplicate:
-          deliveries = 2;
-          break;
-        case fault::FaultInjector::FrameAction::kPass:
-          break;
-      }
-    }
+    const int deliveries = faults.apply(*record);
     for (int i = 0; i < deliveries; ++i) {
       const auto decoded = capture::decode_record(*record);
       if (!decoded) {
@@ -65,7 +52,7 @@ util::Result<LiveFeedStats> feed_pcap(const std::filesystem::path& path,
   }
   stats.replay.framing_quarantined = reader.quarantined();
   stats.replay.truncated_tail = reader.truncated();
-  stats.replay.faults = injector.stats();
+  stats.replay.faults = faults.stats();
   return stats;
 }
 

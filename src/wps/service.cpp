@@ -561,10 +561,13 @@ std::vector<WpsAp> Service::range(geo::Vec2 center, double radius_m) const {
   std::vector<WpsAp> out;
   if (!(radius_m >= 0.0) || im.tiles.empty()) return out;  // rejects NaN too
 
-  const std::int64_t tx_lo = tile_coord(center.x - radius_m, im.tile_size);
-  const std::int64_t tx_hi = tile_coord(center.x + radius_m, im.tile_size);
-  const std::int64_t ty_lo = tile_coord(center.y - radius_m, im.tile_size);
-  const std::int64_t ty_hi = tile_coord(center.y + radius_m, im.tile_size);
+  // Widened like Atlas's cell rectangle, so a record at exactly the radius
+  // in the tile across an edge is not dropped by rounding.
+  const double reach = geo::widened_radius(radius_m, center);
+  const std::int64_t tx_lo = tile_coord(center.x - reach, im.tile_size);
+  const std::int64_t tx_hi = tile_coord(center.x + reach, im.tile_size);
+  const std::int64_t ty_lo = tile_coord(center.y - reach, im.tile_size);
+  const std::int64_t ty_hi = tile_coord(center.y + reach, im.tile_size);
 
   std::vector<geo::SpatialIndex::Id> hits;
   const auto scan_tile = [&](std::size_t t) {
@@ -682,7 +685,7 @@ std::vector<WpsAp> Service::nearest_k(geo::Vec2 center, std::size_t k) const {
         offer(im.record_at(meta, local));
       }
     } else {
-      index->query_disc(center, geo::widened_radius(best.front().dist, center), hits);
+      index->query_disc(center, best.front().dist, hits);
       for (const geo::SpatialIndex::Id local : hits) offer(im.record_at(meta, local));
     }
   };

@@ -415,6 +415,29 @@ TEST(AtlasEquivalence, ApDatabaseGridQueriesMatchBruteForce) {
   }
 }
 
+TEST(AtlasEquivalence, ApDatabaseDiscBoundaryAcrossCellEdgeMatchesBruteForce) {
+  // An AP 1e-17 m below a cell edge at exactly the query radius: the grid's
+  // cell rectangle must not round it away.
+  marauder::ApDatabase db;
+  const geo::Vec2 positions[] = {{-1e-17, 0.0}, {0.0, -1e-17}, {2.0, 0.0}, {40.0, 40.0}};
+  std::uint64_t bssid = 0x0a0000000001ULL;
+  for (const geo::Vec2& p : positions) {
+    marauder::KnownAp ap;
+    ap.bssid = net80211::MacAddress::from_u64(bssid++);
+    ap.position = p;
+    db.add(std::move(ap));
+  }
+  for (const geo::Vec2 center : {geo::Vec2{1.0, 0.0}, geo::Vec2{0.0, 1.0}}) {
+    std::vector<const marauder::KnownAp*> brute;
+    for (const marauder::KnownAp* ap : db.sorted_records()) {
+      if (ap->position.distance_to(center) <= 1.0) brute.push_back(ap);
+    }
+    ASSERT_FALSE(brute.empty());
+    EXPECT_EQ(brute.front()->position.x, -1e-17);  // at exactly the radius
+    EXPECT_EQ(db.aps_in_range(center, 1.0), brute);
+  }
+}
+
 TEST(AtlasEquivalence, ApDatabaseCachesInvalidateOnAddOnly) {
   marauder::ApDatabase db;
   marauder::KnownAp a;

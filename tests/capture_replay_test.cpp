@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <string>
 
 #include "capture/sniffer.h"
 #include "net80211/pcap.h"
@@ -19,7 +20,12 @@ const net80211::MacAddress kApMac = *net80211::MacAddress::parse("00:1a:2b:00:00
 const net80211::MacAddress kClientMac = *net80211::MacAddress::parse("00:16:6f:00:00:02");
 
 std::filesystem::path record_session() {
-  const auto path = std::filesystem::temp_directory_path() / "mm_replay.pcap";
+  // One file per test: ctest runs this binary's tests as parallel processes,
+  // and one test truncating or removing a shared file breaks another.
+  const auto path =
+      std::filesystem::temp_directory_path() /
+      ("mm_replay_" + std::string(testing::UnitTest::GetInstance()->current_test_info()->name()) +
+       ".pcap");
   sim::World world({});
   sim::ApConfig ap;
   ap.bssid = kApMac;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <vector>
 
@@ -148,10 +149,13 @@ TEST(DiscIntersection, AreaDecreasesAsDiscsAdded) {
   }
 }
 
+// gtest names each case by the struct's raw bytes, so the struct must have no
+// padding: a padding hole would put uninitialised stack bytes into the name.
 struct AreaCase {
-  int k;
+  std::int64_t k;
   std::uint64_t seed;
 };
+static_assert(sizeof(AreaCase) == 2 * sizeof(std::uint64_t));
 
 class MonteCarloAreaTest : public ::testing::TestWithParam<AreaCase> {};
 

@@ -114,6 +114,22 @@ TEST(SpatialIndex, PointsOnCellBoundaries) {
             brute_range(points, {-10.0, -10.0}, {10.0, 10.0}));
 }
 
+TEST(SpatialIndex, DiscBoundaryAcrossCellEdgeMatchesBruteForce) {
+  // From (1, 0) with radius 1, center.x - radius is exactly 0.0, a cell
+  // edge, while (-1e-17, 0) lies in the cell below it at a distance that
+  // rounds to exactly 1. The same on the y axis, and on the far side.
+  const std::vector<Vec2> points{{-1e-17, 0.0}, {0.0, -1e-17}, {2.0, 0.0}, {0.5, 0.5}};
+  for (const double cell : {1.0, 0.25, 3.0}) {
+    SpatialIndex index(cell);
+    for (std::size_t i = 0; i < points.size(); ++i) index.insert(i, points[i]);
+    for (const Vec2 center : {Vec2{1.0, 0.0}, Vec2{0.0, 1.0}}) {
+      EXPECT_EQ(index.query_disc(center, 1.0), brute_disc(points, center, 1.0))
+          << "cell " << cell << " center (" << center.x << ", " << center.y << ")";
+    }
+    EXPECT_EQ(index.query_disc({1.0, 0.0}, 1.0), (std::vector<Id>{0, 1, 2, 3}));
+  }
+}
+
 TEST(SpatialIndex, NegativeAndNanRadiusEmpty) {
   SpatialIndex index(10.0);
   index.insert(0, {0.0, 0.0});

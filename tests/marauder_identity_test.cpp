@@ -10,12 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "marauder/linker.h"
+#include "util/rng.h"
 
 namespace mm::marauder {
 namespace {
@@ -334,6 +338,240 @@ TEST(IdentityResolver, UpsertReplacesExistingSummary) {
   EXPECT_EQ(map.identities[0].fingerprint.count("new-net"), 1u);
   EXPECT_EQ(map.identities[0].fingerprint.count("old-net"), 0u);
   EXPECT_EQ(map.identities[0].last_seen, 9.0);
+}
+
+// --- Gamma seams against a brute-force oracle ----------------------------
+//
+// The resolver finds Gamma-seam candidates through an AP -> newborn index.
+// The reference below is the pairwise scan it replaced: every vanished
+// pseudonym (ascending MAC) rebuilds the birth window of every newborn in
+// its candidate range (ascending birth rank) and intersects the AP sets.
+// The two must agree on every edge, so they must agree on the identities.
+
+struct GammaOracle {
+  std::vector<std::pair<std::size_t, std::size_t>> edges;  ///< MAC-order indices
+  // Coverage: how often the cases the index must reproduce occurred.
+  std::size_t successor_ties = 0;    ///< equal-Jaccard newborns for one predecessor
+  std::size_t predecessor_ties = 0;  ///< equal-Jaccard predecessors for one newborn
+  std::size_t born_at_last_seen = 0;
+  std::size_t born_at_range_end = 0;
+  std::size_t self_candidates = 0;   ///< single-instant devices meeting themselves
+  std::size_t short_windows = 0;     ///< windows of exactly gamma_min_common - 1 APs
+  std::size_t exact_windows = 0;     ///< windows of exactly gamma_min_common APs
+  std::size_t vetoed = 0;            ///< coexisting pairs that would otherwise qualify
+};
+
+std::vector<net80211::MacAddress> window_aps(const DeviceSummary& dev, double window_s,
+                                             bool birth) {
+  std::vector<net80211::MacAddress> out;
+  for (const ContactSpan& c : dev.contacts) {
+    if (birth ? c.first_seen <= dev.first_seen + window_s
+              : c.last_seen >= dev.last_seen - window_s) {
+      out.push_back(c.ap);
+    }
+  }
+  return out;
+}
+
+std::size_t sorted_common(const std::vector<net80211::MacAddress>& a,
+                          const std::vector<net80211::MacAddress>& b) {
+  std::vector<net80211::MacAddress> both;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(both));
+  return both.size();
+}
+
+GammaOracle pairwise_gamma(std::vector<DeviceSummary> devices, const ResolverOptions& o) {
+  std::sort(devices.begin(), devices.end(),
+            [](const DeviceSummary& a, const DeviceSummary& b) { return a.mac < b.mac; });
+  const std::size_t n = devices.size();
+  std::vector<std::size_t> by_first_seen(n);
+  std::iota(by_first_seen.begin(), by_first_seen.end(), 0);
+  std::sort(by_first_seen.begin(), by_first_seen.end(), [&](std::size_t a, std::size_t b) {
+    if (devices[a].first_seen != devices[b].first_seen) {
+      return devices[a].first_seen < devices[b].first_seen;
+    }
+    return a < b;
+  });
+
+  GammaOracle out;
+  constexpr std::size_t kUnmatched = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> best_successor(n, kUnmatched);
+  std::vector<double> successor_jaccard(n, 0.0);
+  std::vector<std::size_t> best_predecessor(n, kUnmatched);
+  std::vector<double> predecessor_jaccard(n, 0.0);
+  const auto jaccard_of = [](std::size_t common, std::size_t x, std::size_t y) {
+    const std::size_t unioned = x + y - common;
+    return unioned == 0 ? 0.0 : static_cast<double>(common) / static_cast<double>(unioned);
+  };
+  for (std::size_t a = 0; a < n; ++a) {
+    const DeviceSummary& da = devices[a];
+    const auto tail = window_aps(da, o.gamma_window_s, /*birth=*/false);
+    out.short_windows += tail.size() + 1 == o.gamma_min_common;
+    out.exact_windows += tail.size() == o.gamma_min_common;
+    if (tail.size() < o.gamma_min_common) continue;
+    for (const std::size_t b : by_first_seen) {
+      const DeviceSummary& db = devices[b];
+      if (db.first_seen > da.last_seen + o.gamma_max_gap_s) break;
+      const auto head = window_aps(db, o.gamma_window_s, /*birth=*/true);
+      if (head.size() < o.gamma_min_common) continue;
+      const std::size_t common = sorted_common(tail, head);
+      if (common < o.gamma_min_common) continue;
+      const double jaccard = jaccard_of(common, tail.size(), head.size());
+      if (jaccard + 1e-12 < o.gamma_min_jaccard) continue;
+      if (b == a) {
+        out.self_candidates += db.first_seen == da.last_seen;
+        continue;
+      }
+      if (db.first_seen < da.last_seen) {  // coexistence veto
+        ++out.vetoed;
+        continue;
+      }
+      out.born_at_last_seen += db.first_seen == da.last_seen;
+      out.born_at_range_end += db.first_seen == da.last_seen + o.gamma_max_gap_s;
+      if (best_successor[a] != kUnmatched && jaccard == successor_jaccard[a]) {
+        ++out.successor_ties;
+      }
+      if (best_predecessor[b] != kUnmatched && jaccard == predecessor_jaccard[b]) {
+        ++out.predecessor_ties;
+      }
+      if (best_successor[a] == kUnmatched || jaccard > successor_jaccard[a]) {
+        best_successor[a] = b;
+        successor_jaccard[a] = jaccard;
+      }
+      if (best_predecessor[b] == kUnmatched || jaccard > predecessor_jaccard[b]) {
+        best_predecessor[b] = a;
+        predecessor_jaccard[b] = jaccard;
+      }
+    }
+  }
+  for (std::size_t a = 0; a < n; ++a) {
+    const std::size_t b = best_successor[a];
+    if (b != kUnmatched && best_predecessor[b] == a) out.edges.emplace_back(a, b);
+  }
+  return out;
+}
+
+/// The partition an identity map induces, as sorted MAC lists in sorted order.
+std::vector<std::vector<net80211::MacAddress>> partition_of(const IdentityMap& map) {
+  std::vector<std::vector<net80211::MacAddress>> groups;
+  for (const ResolvedIdentity& identity : map.identities) {
+    groups.push_back(identity.macs);
+    std::sort(groups.back().begin(), groups.back().end());
+  }
+  std::sort(groups.begin(), groups.end());
+  return groups;
+}
+
+std::vector<std::vector<net80211::MacAddress>> partition_of(
+    const std::vector<DeviceSummary>& devices,
+    const std::vector<std::pair<std::size_t, std::size_t>>& edges) {
+  std::vector<net80211::MacAddress> macs;
+  for (const DeviceSummary& d : devices) macs.push_back(d.mac);
+  std::sort(macs.begin(), macs.end());
+  std::vector<std::size_t> root(macs.size());
+  std::iota(root.begin(), root.end(), 0);
+  const auto find = [&](std::size_t x) {
+    while (root[x] != x) x = root[x];
+    return x;
+  };
+  for (const auto& [a, b] : edges) root[find(a)] = find(b);
+  std::vector<std::vector<net80211::MacAddress>> by_root(macs.size());
+  for (std::size_t i = 0; i < macs.size(); ++i) by_root[find(i)].push_back(macs[i]);
+  std::vector<std::vector<net80211::MacAddress>> groups;
+  for (auto& group : by_root) {
+    if (!group.empty()) groups.push_back(std::move(group));
+  }
+  std::sort(groups.begin(), groups.end());
+  return groups;
+}
+
+/// A seeded population on integer seconds over a handful of APs, so equal
+/// Jaccards, births exactly at a death or at the end of the gap, coexisting
+/// look-alikes and single-instant devices are all common.
+std::vector<DeviceSummary> random_population(util::Rng& rng, const ResolverOptions& o) {
+  const int devices = static_cast<int>(rng.uniform_int(20, 90));
+  const int aps = static_cast<int>(rng.uniform_int(3, 7));
+  std::vector<DeviceSummary> out;
+  for (int d = 0; d < devices; ++d) {
+    DeviceSummary s;
+    s.mac = mac(1000 + static_cast<int>((d * 7919) % 4093));  // MAC order != birth order
+    if (d > 0 && rng.bernoulli(0.3)) {
+      // Born exactly at an earlier device's death or at the end of its gap.
+      const DeviceSummary& before =
+          out[static_cast<std::size_t>(rng.uniform_int(0, d - 1))];
+      s.first_seen = before.last_seen + (rng.bernoulli(0.5) ? 0.0 : o.gamma_max_gap_s);
+    } else {
+      s.first_seen = static_cast<double>(rng.uniform_int(0, 80));
+    }
+    s.last_seen = rng.bernoulli(0.15) ? s.first_seen
+                                      : s.first_seen + static_cast<double>(rng.uniform_int(1, 25));
+    for (int ap = 0; ap < aps; ++ap) {
+      if (!rng.bernoulli(0.55)) continue;
+      ContactSpan c;
+      c.ap = mac(ap);  // below every device MAC: ascending AP order
+      const auto lo = static_cast<std::int64_t>(s.first_seen);
+      const auto hi = static_cast<std::int64_t>(s.last_seen);
+      c.first_seen = static_cast<double>(rng.uniform_int(lo, hi));
+      c.last_seen = static_cast<double>(
+          rng.uniform_int(static_cast<std::int64_t>(c.first_seen), hi));
+      s.contacts.push_back(c);
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+TEST(IdentityResolver, GammaSeamsMatchPairwiseOracle) {
+  struct Setting {
+    double window_s;
+    double max_gap_s;
+    std::size_t min_common;
+    double min_jaccard;
+  };
+  const Setting settings[] = {{3.0, 5.0, 2, 0.5}, {8.0, 15.0, 3, 0.4}, {8.0, 15.0, 1, 0.3}};
+  GammaOracle coverage;
+  std::size_t edges_total = 0;
+  for (const Setting& setting : settings) {
+    ResolverOptions options;
+    options.signals = {false, false, true};
+    options.gamma_window_s = setting.window_s;
+    options.gamma_max_gap_s = setting.max_gap_s;
+    options.gamma_min_common = setting.min_common;
+    options.gamma_min_jaccard = setting.min_jaccard;
+    util::Rng rng(0x6A33A + setting.min_common);
+    for (int round = 0; round < 150; ++round) {
+      SCOPED_TRACE(testing::Message() << "window " << setting.window_s << " gap "
+                                      << setting.max_gap_s << " round " << round);
+      const std::vector<DeviceSummary> devices = random_population(rng, options);
+      const GammaOracle oracle = pairwise_gamma(devices, options);
+
+      IdentityResolver resolver(options);
+      for (const DeviceSummary& d : devices) resolver.upsert(d);
+      const IdentityMap map = resolver.resolve();
+      EXPECT_EQ(resolver.last_stats().gamma_edges, oracle.edges.size());
+      ASSERT_EQ(partition_of(map), partition_of(devices, oracle.edges));
+
+      edges_total += oracle.edges.size();
+      coverage.successor_ties += oracle.successor_ties;
+      coverage.predecessor_ties += oracle.predecessor_ties;
+      coverage.born_at_last_seen += oracle.born_at_last_seen;
+      coverage.born_at_range_end += oracle.born_at_range_end;
+      coverage.self_candidates += oracle.self_candidates;
+      coverage.short_windows += oracle.short_windows;
+      coverage.exact_windows += oracle.exact_windows;
+      coverage.vetoed += oracle.vetoed;
+    }
+  }
+  // The populations must actually exercise what the index has to reproduce.
+  EXPECT_GT(edges_total, 100u);
+  EXPECT_GT(coverage.successor_ties, 0u);
+  EXPECT_GT(coverage.predecessor_ties, 0u);
+  EXPECT_GT(coverage.born_at_last_seen, 0u);
+  EXPECT_GT(coverage.born_at_range_end, 0u);
+  EXPECT_GT(coverage.self_candidates, 0u);
+  EXPECT_GT(coverage.short_windows, 0u);
+  EXPECT_GT(coverage.exact_windows, 0u);
+  EXPECT_GT(coverage.vetoed, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "net80211/frames.h"
 #include "net80211/radiotap.h"
@@ -171,6 +174,157 @@ TEST(Pcap, TruncatedMidRecordHeaderDetected) {
   EXPECT_TRUE(reader.truncated());
   EXPECT_FALSE(reader.next().has_value());  // stays latched, no reread
   std::filesystem::remove(path);
+}
+
+TEST(Pcap, StubRecordHeaderOfAnyLengthIsTruncation) {
+  // A capture that ends 1-15 bytes after its last whole record lost part of
+  // a record header: that is a torn tail, never a clean end.
+  const auto path = temp_pcap("mm_trunc_stub.pcap");
+  for (std::size_t stub = 1; stub <= 15; ++stub) {
+    {
+      PcapWriter writer(path);
+      writer.write(0, std::vector<std::uint8_t>{0x01, 0x02});
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::app);
+      out.write(std::string(stub, '\x7f').data(), static_cast<std::streamsize>(stub));
+    }
+    PcapReader reader(path);
+    EXPECT_EQ(reader.read_all().size(), 1u) << stub << " stray bytes";
+    EXPECT_TRUE(reader.truncated()) << stub << " stray bytes";
+    EXPECT_EQ(reader.quarantined(), 0u);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Pcap, RecordsStraddlingReadBlocksReadBackIdentical) {
+  // The first block holds the file's first kPcapReadBlockBytes bytes. The
+  // first record is sized so the second starts `shift` bytes before that
+  // boundary: its header (shift 1-15) or payload (shift 16-55) straddles
+  // it, or it starts exactly on it (shift 0).
+  const auto path = temp_pcap("mm_blocks.pcap");
+  for (std::size_t shift = 0; shift <= 56; shift += (shift < 20 ? 1 : 9)) {
+    std::vector<PcapRecord> written;
+    written.push_back({1, std::vector<std::uint8_t>(kPcapReadBlockBytes - 24 - 16 - shift)});
+    for (std::size_t i = 0; i < written[0].data.size(); ++i) {
+      written[0].data[i] = static_cast<std::uint8_t>(i * 31 + shift);
+    }
+    written.push_back({2, std::vector<std::uint8_t>(40, 0xa5)});
+    written.push_back({3, {}});
+    written.push_back({4, std::vector<std::uint8_t>{0x01, 0x02, 0x03}});
+    {
+      PcapWriter writer(path, kLinktypeRadiotap, kMaxSaneRecordBytes);
+      for (const PcapRecord& r : written) writer.write(r.timestamp_us, r.data);
+    }
+    PcapReader reader(path);
+    EXPECT_EQ(reader.read_all(), written) << "shift " << shift;
+    EXPECT_FALSE(reader.truncated());
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Pcap, MaxSaneRecordReadsBack) {
+  // A record of exactly kMaxSaneRecordBytes is data, not corrupt framing:
+  // the buffer grows to hold it and the records around it.
+  const auto path = temp_pcap("mm_max_record.pcap");
+  std::vector<PcapRecord> written;
+  written.push_back({7, std::vector<std::uint8_t>(1000, 0x11)});
+  written.push_back({8, std::vector<std::uint8_t>(kMaxSaneRecordBytes)});
+  for (std::size_t i = 0; i < written[1].data.size(); ++i) {
+    written[1].data[i] = static_cast<std::uint8_t>(i ^ (i >> 8));
+  }
+  written.push_back({9, std::vector<std::uint8_t>(300, 0x22)});
+  {
+    PcapWriter writer(path, kLinktypeRadiotap, kMaxSaneRecordBytes);
+    for (const PcapRecord& r : written) writer.write(r.timestamp_us, r.data);
+  }
+  PcapReader reader(path);
+  EXPECT_EQ(reader.read_all(), written);
+  EXPECT_FALSE(reader.truncated());
+  EXPECT_EQ(reader.quarantined(), 0u);
+  std::filesystem::remove(path);
+}
+
+/// What a pcap byte string holds, parsed in memory: the reference the
+/// streaming reader must match on every prefix.
+struct ReferenceParse {
+  bool ok = false;
+  std::vector<PcapRecord> records;
+  bool truncated = false;
+  std::uint64_t quarantined = 0;
+};
+
+ReferenceParse parse_in_memory(const std::vector<std::uint8_t>& bytes) {
+  const auto u32 = [&](std::size_t at) {
+    return static_cast<std::uint32_t>(bytes[at]) | (static_cast<std::uint32_t>(bytes[at + 1]) << 8) |
+           (static_cast<std::uint32_t>(bytes[at + 2]) << 16) |
+           (static_cast<std::uint32_t>(bytes[at + 3]) << 24);
+  };
+  ReferenceParse out;
+  if (bytes.size() < 24) return out;
+  out.ok = true;
+  std::size_t pos = 24;
+  while (pos < bytes.size()) {
+    if (bytes.size() - pos < 16) {
+      out.truncated = true;
+      break;
+    }
+    const std::uint32_t incl = u32(pos + 8);
+    if (incl > kMaxSaneRecordBytes) {
+      ++out.quarantined;
+      break;
+    }
+    if (bytes.size() - pos - 16 < incl) {
+      out.truncated = true;
+      break;
+    }
+    const auto data = bytes.begin() + static_cast<std::ptrdiff_t>(pos + 16);
+    out.records.push_back({static_cast<std::uint64_t>(u32(pos)) * 1000000 + u32(pos + 4),
+                           {data, data + incl}});
+    pos += 16 + incl;
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Pcap, TruncationSweepMatchesInMemoryReference) {
+  // Three records (one empty), then the same file with a corrupt length on
+  // the third: cut at every byte offset, the reader must return exactly the
+  // records, truncated() and quarantined() of an in-memory parse.
+  const auto path = temp_pcap("mm_sweep.pcap");
+  const auto cut_path = temp_pcap("mm_sweep_cut.pcap");
+  {
+    PcapWriter writer(path);
+    writer.write(1000001, std::vector<std::uint8_t>{0xde, 0xad, 0xbe, 0xef, 0x01});
+    writer.write(2000002, std::vector<std::uint8_t>{});
+    writer.write(3000003, std::vector<std::uint8_t>(9, 0x5a));
+  }
+  std::vector<std::uint8_t> corrupt = read_bytes(path);
+  corrupt[24 + (16 + 5) + 16 + 8 + 3] = 0x7f;  // third record's incl_len
+  for (const std::vector<std::uint8_t>& full : {read_bytes(path), corrupt}) {
+    for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+      const std::vector<std::uint8_t> prefix(full.begin(),
+                                             full.begin() + static_cast<std::ptrdiff_t>(cut));
+      {
+        std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(prefix.data()),
+                  static_cast<std::streamsize>(prefix.size()));
+      }
+      const ReferenceParse expect = parse_in_memory(prefix);
+      PcapReader reader(cut_path);
+      ASSERT_EQ(reader.ok(), expect.ok) << "cut " << cut;
+      if (!expect.ok) continue;
+      EXPECT_EQ(reader.read_all(), expect.records) << "cut " << cut;
+      EXPECT_EQ(reader.truncated(), expect.truncated) << "cut " << cut;
+      EXPECT_EQ(reader.quarantined(), expect.quarantined) << "cut " << cut;
+    }
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(cut_path);
 }
 
 TEST(Pcap, InsaneRecordLengthQuarantined) {

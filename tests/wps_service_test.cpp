@@ -206,6 +206,27 @@ std::uint64_t scrambled_bssid(std::uint64_t i) {
   return 0x020000000000ULL + (i * 0x9E3779B1ULL) % (std::uint64_t{1} << 40);
 }
 
+TEST(WpsService, RangeBruteForceAtExactRadiusAcrossTileEdge) {
+  // APs 1e-17 m below the x = 0 and y = 0 tile edges, each exactly 1 m from
+  // a query whose center -/+ radius rounds onto the edge: neither the tile
+  // rectangle nor the tile's cell rectangle may round them away.
+  marauder::ApDatabase db;
+  db.add(ap_at(0x300, {-1e-17, 0.0}));
+  db.add(ap_at(0x301, {0.0, -1e-17}));
+  db.add(ap_at(0x302, {2.0, 0.0}));
+  db.add(ap_at(0x303, {700.0, -300.0}));
+  const Service service = open_snapshot_of(db, "mm_wps_range_edge.wps");
+  for (const geo::Vec2 center : {geo::Vec2{1.0, 0.0}, geo::Vec2{0.0, 1.0}}) {
+    std::vector<const marauder::KnownAp*> brute;
+    for (const marauder::KnownAp* ap : db.sorted_records()) {
+      if (ap->position.distance_to(center) <= 1.0) brute.push_back(ap);
+    }
+    ASSERT_FALSE(brute.empty());
+    EXPECT_EQ(brute.front()->position.x, -1e-17);  // at exactly the radius
+    expect_same_list(service.range(center, 1.0), brute);
+  }
+}
+
 TEST(WpsService, NearestKBruteForceSparseTiles) {
   // 400 APs over a 12 km square in 256 m tiles: most tiles hold 0-2 APs,
   // fewer than k, so every answer is gathered across many tiles.
