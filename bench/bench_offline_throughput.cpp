@@ -1,11 +1,11 @@
 // Slipstream offline throughput: Tracker::locate_all over a synthetic
 // capture (serial vs a 1/2/4/8 thread sweep), per-stage timings from
-// LocateAllProfile, the gated Gamma-memo cache's effect, and the parallel
-// Monte-Carlo / AP-Rad kernels. The acceptance bar is a >= 4x locate_all
-// speedup at 4+ threads; on machines with >= 4 hardware cores missing it is
-// a hard failure, on smaller runners it reports WARN. Every parallel run is
-// also checked bit-for-bit against its serial twin, and a mismatch is a hard
-// failure anywhere (determinism is the engine's contract, not an aspiration).
+// LocateAllProfile, and the parallel Monte-Carlo / AP-Rad kernels. The
+// acceptance bar is a >= 4x locate_all speedup at 4+ threads; on machines
+// with >= 4 hardware cores missing it is a hard failure, on smaller runners
+// it reports WARN. Every parallel run is also checked bit-for-bit against
+// its serial twin, and a mismatch is a hard failure anywhere (determinism is
+// the engine's contract, not an aspiration).
 //
 //   bench_offline_throughput [--smoke] [--devices N] [--clusters C]
 //                            [--aps-per-device K] [--reps R] [--threads T]
@@ -13,15 +13,15 @@
 //
 // --smoke shrinks the workload for CI (fewer devices / reps / MC trials);
 // explicit flags still win. Devices are grouped into clusters that share one
-// Gamma (phones in the same room hear the same APs), so the duplicate
-// fraction — and hence the cache hit rate — is (devices - clusters) / devices
-// by construction.
+// Gamma (phones in the same room hear the same APs), so locate_all's
+// grouping localizes at most `clusters` unique disc sets per call.
 #include <algorithm>
 #include <bit>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -108,16 +108,13 @@ struct LocateRun {
   std::size_t threads = 1;
   double best_s = 0.0;
   double devices_per_sec = 0.0;
-  marauder::GammaCacheStats cache;
   marauder::LocateAllProfile profile;  ///< per-stage breakdown of the best rep
   ResultMap results;
 };
 
-/// Times locate_all on a fresh tracker per rep (cold cache each time, so the
-/// reported hit rate is the intra-run duplicate fraction, not rep warm-up).
+/// Times locate_all on a fresh tracker per rep.
 LocateRun run_locate(const marauder::ApDatabase& db,
-                     const capture::ObservationStore& store, std::size_t threads,
-                     bool gamma_cache, int reps) {
+                     const capture::ObservationStore& store, std::size_t threads, int reps) {
   LocateRun run;
   run.threads = threads;
   run.best_s = 1e300;
@@ -125,7 +122,6 @@ LocateRun run_locate(const marauder::ApDatabase& db,
     marauder::TrackerOptions options;
     options.algorithm = marauder::Algorithm::kMLoc;
     options.threads = threads;
-    options.gamma_cache = gamma_cache;
     marauder::Tracker tracker(db, options);
     marauder::LocateAllProfile profile;
     const double t0 = now_seconds();
@@ -135,7 +131,6 @@ LocateRun run_locate(const marauder::ApDatabase& db,
       run.best_s = elapsed;
       run.profile = profile;
     }
-    run.cache = tracker.gamma_cache_stats();
     run.results = std::move(results);
   }
   run.devices_per_sec =
@@ -172,27 +167,14 @@ int main(int argc, char** argv) {
             << clusters << " clusters, " << hw_cores << " hw cores"
             << (smoke ? ", smoke" : "") << ")\n\n";
 
-  // locate_all baselines: serial without the Gamma cache, serial with it.
-  const LocateRun serial_nocache = run_locate(db, store, 1, false, reps);
-  const LocateRun serial = run_locate(db, store, 1, true, reps);
-  const double cache_speedup =
-      serial.best_s > 0.0 ? serial_nocache.best_s / serial.best_s : 0.0;
-  const double hit_rate =
-      serial.cache.hits + serial.cache.misses > 0
-          ? static_cast<double>(serial.cache.hits) /
-                static_cast<double>(serial.cache.hits + serial.cache.misses)
-          : 0.0;
-  std::cout << "locate_all serial (no cache): "
-            << static_cast<std::uint64_t>(serial_nocache.devices_per_sec)
-            << " devices/s\n"
-            << "locate_all serial (cache):    "
-            << static_cast<std::uint64_t>(serial.devices_per_sec) << " devices/s  ("
-            << cache_speedup << "x, hit rate " << hit_rate << ", duplicate ratio "
-            << serial.profile.duplicate_ratio
-            << (serial.profile.cache_engaged ? ", memo engaged" : ", memo off")
-            << ")\n\n";
+  // locate_all baseline: serial, timed after one untimed pass so that it
+  // runs as warm as the sweep points it is the speedup baseline for.
+  (void)run_locate(db, store, 1, 1);
+  const LocateRun serial = run_locate(db, store, 1, reps);
+  std::cout << "locate_all serial: " << static_cast<std::uint64_t>(serial.devices_per_sec)
+            << " devices/s (" << serial.profile.unique_gammas << " unique gammas)\n\n";
 
-  // Thread sweep: cache on, each point bit-compared against the serial run.
+  // Thread sweep: each point bit-compared against the serial run.
   // Per-stage timings come from LocateAllProfile (plan = Gamma gather + key
   // build + grouping, locate = parallel localization of unique disc sets,
   // merge = fan-out + ordered map fold).
@@ -200,11 +182,11 @@ int main(int argc, char** argv) {
   std::vector<LocateRun> sweep;
   std::vector<double> sweep_speedup;
   std::vector<bool> sweep_identical;
-  bool locate_identical = same_results(serial_nocache.results, serial.results);
+  bool locate_identical = true;
   double locate_speedup = 0.0;  // best speedup among 4+ thread points
-  std::cout << "thread sweep (cache on):\n";
+  std::cout << "thread sweep:\n";
   for (const std::size_t t : sweep_threads) {
-    LocateRun run = run_locate(db, store, t, true, reps);
+    LocateRun run = run_locate(db, store, t, reps);
     const double speedup = run.best_s > 0.0 ? serial.best_s / run.best_s : 0.0;
     const bool identical = same_results(serial.results, run.results);
     locate_identical = locate_identical && identical;
@@ -236,7 +218,11 @@ int main(int argc, char** argv) {
             << " s, threaded " << mc_threaded_s << " s (" << mc_speedup << "x)\n";
 
   // Parallel AP-Rad constraint generation.
-  const auto gammas = store.all_gammas();
+  std::vector<std::set<net80211::MacAddress>> gammas;
+  for (const net80211::MacAddress& mac : store.devices()) {
+    std::set<net80211::MacAddress> gamma = store.gamma(mac);
+    if (!gamma.empty()) gammas.push_back(std::move(gamma));
+  }
   const auto aprad_db = marauder::ApDatabase::from_truth(truth, false);
   marauder::ApRadOptions aprad_serial_opts;
   aprad_serial_opts.threads = 1;
@@ -273,15 +259,9 @@ int main(int argc, char** argv) {
       << "  \"devices\": " << devices << ",\n"
       << "  \"clusters\": " << clusters << ",\n"
       << "  \"reps\": " << reps << ",\n"
-      << "  \"serial_nocache_devices_per_sec\": " << serial_nocache.devices_per_sec << ",\n"
       << "  \"serial_devices_per_sec\": " << serial.devices_per_sec << ",\n"
-      << "  \"duplicate_ratio\": " << serial.profile.duplicate_ratio << ",\n"
-      << "  \"cache_engaged\": " << (serial.profile.cache_engaged ? "true" : "false")
-      << ",\n"
       << "  \"unique_gammas\": " << serial.profile.unique_gammas << ",\n"
       << "  \"outlier_devices\": " << serial.profile.outlier_devices << ",\n"
-      << "  \"cache_speedup\": " << cache_speedup << ",\n"
-      << "  \"cache_hit_rate\": " << hit_rate << ",\n"
       << "  \"threads_sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const LocateRun& run = sweep[i];
@@ -312,7 +292,7 @@ int main(int argc, char** argv) {
   // Determinism is a hard failure everywhere. The >= 4x locate target is a
   // hard failure only where it is provable — machines with >= 4 hardware
   // cores; oversubscribed sweep points on a small runner can't hit it, so
-  // those report WARN. The cache target stays advisory (machine-dependent).
+  // those report WARN.
   bool failed = false;
   const bool identical = locate_identical && mc_identical && aprad_identical;
   if (!identical) failed = true;
@@ -328,8 +308,5 @@ int main(int argc, char** argv) {
               << "x at 4+ threads (target gated: only " << hw_cores
               << " hw cores)\n";
   }
-  const bool cache_met = cache_speedup >= 1.3;
-  std::cout << (cache_met ? "PASS" : "WARN") << ": Gamma-cache speedup " << cache_speedup
-            << "x (target >= 1.3x at 75% duplicate Gammas)\n";
   return failed ? 1 : 0;
 }

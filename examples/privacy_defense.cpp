@@ -17,7 +17,7 @@
 #include <memory>
 
 #include "capture/sniffer.h"
-#include "marauder/linker.h"
+#include "marauder/identity.h"
 #include "marauder/tracker.h"
 #include "marauder/trajectory.h"
 #include "sim/mobile.h"
@@ -79,14 +79,15 @@ RunResult run_walk(std::uint64_t seed, bool rotate, bool leak_ssids, bool link_b
   marauder::Tracker tracker(marauder::ApDatabase::from_truth(truth, true),
                             {.algorithm = marauder::Algorithm::kMLoc});
 
-  // Identity view: cluster the observed MACs with the implicit-identifier
-  // linker (SSID fingerprints), then build a movement track per identity.
-  marauder::LinkerOptions linker_options;
-  linker_options.min_overlap = link_by_ssid ? 1 : 1000;  // effectively off when not linking
+  // Identity view: cluster the observed MACs by their implicit identifier
+  // (SSID fingerprints) — or not at all — then build a movement track per
+  // identity.
+  marauder::ResolverOptions resolver_options;
+  if (!link_by_ssid) resolver_options.signals = marauder::ResolverSignals::none();
   // A rotating victim probes the same SSIDs under many MACs; do not let the
   // popularity guard discard its own fingerprint in this small scene.
-  linker_options.max_ssid_popularity = 100;
-  const auto identities = marauder::link_identities(store, linker_options);
+  resolver_options.max_ssid_popularity = 100;
+  const marauder::IdentityMap identities = marauder::resolve_identities(store, resolver_options);
 
   RunResult out;
   out.identities = store.device_count();
@@ -95,7 +96,7 @@ RunResult run_walk(std::uint64_t seed, bool rotate, bool leak_ssids, bool link_b
   std::size_t best = 0;
   double best_error_sum = 0.0;
   std::size_t best_points = 0;
-  for (const auto& identity : identities) {
+  for (const marauder::ResolvedIdentity& identity : identities.identities) {
     const auto track = marauder::build_trajectory(tracker, store, identity.macs);
     if (track.size() > best) {
       best = track.size();

@@ -54,7 +54,6 @@ void ObservationStore::record_contact(const net80211::MacAddress& ap,
 }
 
 void ObservationStore::cap_contact_history(ApContact& contact) const {
-  if (options_.unbounded_contact_history) return;
   const std::size_t cap = std::max<std::size_t>(options_.contact_history_cap, 4);
   if (contact.times.size() <= cap) return;
   // Compact the oldest quarter in one move; amortized O(1) per recorded
@@ -104,39 +103,19 @@ const DeviceRecord* ObservationStore::device(const net80211::MacAddress& mac) co
   return it == devices_.end() ? nullptr : &it->second;
 }
 
-std::set<net80211::MacAddress> ObservationStore::gamma(
-    const net80211::MacAddress& device, const ObservationWindow& window) const {
-  std::set<net80211::MacAddress> aps;
-  const DeviceRecord* rec = this->device(device);
-  if (rec == nullptr) return aps;
-  for (const auto& [ap, contact] : rec->contacts) {
-    const bool in_window = std::any_of(contact.times.begin(), contact.times.end(),
-                                       [&](sim::SimTime t) { return window.contains(t); });
-    if (in_window) aps.insert(ap);
-  }
-  return aps;
-}
-
-std::vector<net80211::MacAddress> ObservationStore::gamma_sorted(
-    const net80211::MacAddress& device, const ObservationWindow& window) const {
-  std::vector<net80211::MacAddress> aps;
-  gamma_append(device, window, aps);
-  return aps;
-}
-
 void ObservationStore::gamma_append(const net80211::MacAddress& device,
                                     const ObservationWindow& window,
                                     std::vector<net80211::MacAddress>& out) const {
   const DeviceRecord* rec = this->device(device);
   if (rec == nullptr) return;
   out.reserve(out.size() + rec->contacts.size());
-  // contacts is an ordered map, so appending in iteration order yields the
-  // ascending-BSSID order gamma() produces.
+  // contacts is an ordered map, so appending in iteration order yields
+  // ascending BSSIDs.
   for (const auto& [ap, contact] : rec->contacts) {
     // First/last retained instants are genuine members of `times`, so hitting
     // either settles the any-member-in-window question in O(1) — the common
-    // case for the default whole-capture window. Only stores whose window
-    // clips both ends fall back to the linear membership scan.
+    // case for the default whole-capture window. Only windows that clip both
+    // ends fall back to the linear membership scan.
     const bool in_window =
         (!contact.times.empty() && (window.contains(contact.times.front()) ||
                                     window.contains(contact.times.back()))) ||
@@ -146,15 +125,11 @@ void ObservationStore::gamma_append(const net80211::MacAddress& device,
   }
 }
 
-std::vector<std::set<net80211::MacAddress>> ObservationStore::all_gammas(
-    const ObservationWindow& window) const {
-  std::vector<std::set<net80211::MacAddress>> gammas;
-  gammas.reserve(devices_.size());
-  for (const auto& mac : devices()) {
-    auto g = gamma(mac, window);
-    if (!g.empty()) gammas.push_back(std::move(g));
-  }
-  return gammas;
+std::set<net80211::MacAddress> ObservationStore::gamma(
+    const net80211::MacAddress& device, const ObservationWindow& window) const {
+  std::vector<net80211::MacAddress> aps;
+  gamma_append(device, window, aps);
+  return {aps.begin(), aps.end()};
 }
 
 std::vector<std::set<net80211::MacAddress>> ObservationStore::session_gammas(

@@ -32,11 +32,11 @@ struct ApContact {
   sim::SimTime last_seen = 0.0;
   std::uint64_t count = 0;
   double last_rssi_dbm = -200.0;
-  /// Observation instants. Bounded by the store's contact_history_cap unless
-  /// unbounded_contact_history is set: once the cap is reached the oldest
-  /// instants are compacted away (first_seen/last_seen/count always remain
-  /// exact), so a long-running stream holds bounded memory per device while
-  /// recent-window queries stay exact.
+  /// Observation instants. Bounded by the store's contact_history_cap: once
+  /// the cap is reached the oldest instants are compacted away
+  /// (first_seen/last_seen/count always remain exact), so a long-running
+  /// stream holds bounded memory per device while recent-window queries stay
+  /// exact.
   std::vector<sim::SimTime> times;
 };
 
@@ -76,9 +76,6 @@ struct ObservationStoreOptions {
   /// ObservationWindow queries remain exact over the retained suffix; the
   /// aggregate fields (first_seen/last_seen/count) are always exact.
   std::size_t contact_history_cap = 4096;
-  /// Opt-in: retain every observation instant (the pre-streaming behaviour;
-  /// memory grows without bound on a long capture).
-  bool unbounded_contact_history = false;
 };
 
 class ObservationStore {
@@ -108,27 +105,16 @@ class ObservationStore {
   [[nodiscard]] std::vector<net80211::MacAddress> devices() const;
   [[nodiscard]] const DeviceRecord* device(const net80211::MacAddress& mac) const;
 
-  /// Gamma: APs observed communicating with the device inside the window.
-  [[nodiscard]] std::set<net80211::MacAddress> gamma(
-      const net80211::MacAddress& device, const ObservationWindow& window = {}) const;
-
-  /// Gamma as a sorted vector — the same members in the same ascending order
-  /// as gamma(), without the per-member red-black-tree node allocations (the
-  /// contact map is already ordered, so this is one linear pass). The locate
-  /// hot paths consume this; gamma() remains for set-algebra callers.
-  [[nodiscard]] std::vector<net80211::MacAddress> gamma_sorted(
-      const net80211::MacAddress& device, const ObservationWindow& window = {}) const;
-
-  /// Appends the device's Gamma (same members and order as gamma_sorted) to
-  /// `out` without clearing it. Slipstream's locate arena builds every
-  /// device's Gamma through one reused buffer, so the per-device vector
-  /// allocation of gamma_sorted disappears from the hot path.
+  /// Appends the device's Gamma to `out` without clearing it: the APs with
+  /// at least one retained contact instant t inside the window
+  /// (begin <= t <= end), in ascending BSSID order. This is the one Gamma
+  /// membership rule; the locate paths fill one reused buffer through it.
   void gamma_append(const net80211::MacAddress& device, const ObservationWindow& window,
                     std::vector<net80211::MacAddress>& out) const;
 
-  /// Gamma sets of all devices (input to AP-Rad's co-observation constraints).
-  [[nodiscard]] std::vector<std::set<net80211::MacAddress>> all_gammas(
-      const ObservationWindow& window = {}) const;
+  /// gamma_append as a set, for callers that need set algebra.
+  [[nodiscard]] std::set<net80211::MacAddress> gamma(
+      const net80211::MacAddress& device, const ObservationWindow& window = {}) const;
 
   /// Session-split Gamma sets: each device's contact timeline is partitioned
   /// wherever consecutive observations are more than `session_gap_s` apart,

@@ -231,8 +231,8 @@ void ApDatabase::strip_radii() {
   }
 }
 
-std::vector<geo::Circle> ApDatabase::discs_for(
-    const std::set<net80211::MacAddress>& gamma, double default_radius_m) const {
+std::vector<geo::Circle> ApDatabase::discs_for(std::span<const net80211::MacAddress> gamma,
+                                                double default_radius_m) const {
   std::vector<geo::Circle> discs;
   discs.reserve(gamma.size());
   for (const auto& mac : gamma) {
@@ -243,34 +243,11 @@ std::vector<geo::Circle> ApDatabase::discs_for(
   return discs;
 }
 
-std::vector<geo::Circle> ApDatabase::discs_for(
-    std::span<const net80211::MacAddress> gamma_sorted, double default_radius_m) const {
-  std::vector<geo::Circle> discs;
-  discs.reserve(gamma_sorted.size());
-  for (const auto& mac : gamma_sorted) {
-    const KnownAp* ap = find(mac);
-    if (ap == nullptr) continue;
-    discs.push_back({ap->position, ap->radius_m.value_or(default_radius_m)});
-  }
-  return discs;
-}
-
 std::vector<geo::Vec2> ApDatabase::positions_for(
-    const std::set<net80211::MacAddress>& gamma) const {
+    std::span<const net80211::MacAddress> gamma) const {
   std::vector<geo::Vec2> positions;
   positions.reserve(gamma.size());
   for (const auto& mac : gamma) {
-    const KnownAp* ap = find(mac);
-    if (ap != nullptr) positions.push_back(ap->position);
-  }
-  return positions;
-}
-
-std::vector<geo::Vec2> ApDatabase::positions_for(
-    std::span<const net80211::MacAddress> gamma_sorted) const {
-  std::vector<geo::Vec2> positions;
-  positions.reserve(gamma_sorted.size());
-  for (const auto& mac : gamma_sorted) {
     const KnownAp* ap = find(mac);
     if (ap != nullptr) positions.push_back(ap->position);
   }

@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -104,20 +103,15 @@ class ApDatabase {
   /// Drops all radius knowledge (simulating location-only WiGLE data).
   void strip_radii();
 
-  /// Discs for the subset of Gamma present in the database; APs with unknown
-  /// radius use `default_radius_m`. Unknown BSSIDs are skipped.
-  [[nodiscard]] std::vector<geo::Circle> discs_for(
-      const std::set<net80211::MacAddress>& gamma, double default_radius_m) const;
-  /// Same over a sorted MAC vector (the allocation-free Gamma produced by
-  /// ObservationStore::gamma_sorted); identical output for identical input.
-  [[nodiscard]] std::vector<geo::Circle> discs_for(
-      std::span<const net80211::MacAddress> gamma_sorted, double default_radius_m) const;
+  /// Discs for the members of Gamma present in the database, in Gamma's
+  /// order; APs with unknown radius use `default_radius_m`. Unknown BSSIDs
+  /// are skipped.
+  [[nodiscard]] std::vector<geo::Circle> discs_for(std::span<const net80211::MacAddress> gamma,
+                                                   double default_radius_m) const;
 
-  /// Positions of Gamma's members known to the database.
+  /// Positions of Gamma's members known to the database, in Gamma's order.
   [[nodiscard]] std::vector<geo::Vec2> positions_for(
-      const std::set<net80211::MacAddress>& gamma) const;
-  [[nodiscard]] std::vector<geo::Vec2> positions_for(
-      std::span<const net80211::MacAddress> gamma_sorted) const;
+      std::span<const net80211::MacAddress> gamma) const;
 
   /// Builds the ground-truth database from a simulated deployment; radii are
   /// included only when `include_radii` (M-Loc scenario) and dropped

@@ -12,8 +12,7 @@
 // individually-toggleable evidence signals:
 //
 //   (a) SSID fingerprint — the directed-probe SSID overlap of Pang et al.
-//       (the original marauder::linker signal, strongest when devices leak
-//       remembered networks);
+//       (strongest when devices leak remembered networks);
 //   (b) sequence continuity — the 12-bit 802.11 sequence counter keeps
 //       counting across a rotation, so a fresh MAC whose first frames pick
 //       up (mod 4096) where a vanished MAC stopped shares its radio;
@@ -25,8 +24,9 @@
 // Each signal contributes scored edges to an evidence graph; pairs whose
 // accumulated score clears `link_threshold` are merged by union-find. With
 // every signal disabled the resolver degenerates to one singleton identity
-// per MAC — the exact pre-Chimera behaviour — and with only (a) enabled it
-// reproduces the legacy linker bit for bit.
+// per MAC — the exact pre-Chimera behaviour — and with only (a) enabled (the
+// default) it is plain SSID-fingerprint linking: fingerprints overlapping by
+// min_overlap SSIDs link, transitively.
 //
 // Resolution is a pure function of the ingested per-device summaries, which
 // are themselves pure functions of DeviceRecords. That is what makes the
@@ -76,8 +76,8 @@ struct DeviceSummary {
 /// shared by batch and live ingestion).
 [[nodiscard]] DeviceSummary summarize_device(const capture::DeviceRecord& record);
 
-/// Which evidence signals the attacker is capable of. Everything defaults to
-/// the legacy linker: SSID fingerprints only.
+/// Which evidence signals the attacker is capable of. The default is SSID
+/// fingerprints only.
 struct ResolverSignals {
   bool ssid_fingerprint = true;
   bool sequence_continuity = false;
@@ -102,9 +102,9 @@ struct ResolverOptions {
   /// Absolute popularity floor: SSIDs probed by more than
   /// max(this, ceil(fraction * population)) distinct MACs identify a crowd,
   /// not a user, and are dropped from every fingerprint. The absolute value
-  /// keeps tiny captures behaving exactly as the legacy linker did; the
-  /// fraction makes the cutoff scale to city-sized populations, where an
-  /// absolute 3 would throw away genuinely identifying rare SSIDs.
+  /// sets the cutoff on tiny captures; the fraction makes it scale to
+  /// city-sized populations, where an absolute 3 would throw away genuinely
+  /// identifying rare SSIDs.
   std::size_t max_ssid_popularity = 3;
   double max_ssid_popularity_fraction = 0.01;
 

@@ -1,17 +1,13 @@
 #include "marauder/tracker.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
-#include "util/hash.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -19,139 +15,12 @@ namespace mm::marauder {
 
 namespace {
 
-/// Method tags mixed into the Gamma-cache key so the M-Loc and AP-Rad
-/// keyspaces cannot collide (their MLocOptions differ).
-constexpr std::uint64_t kCacheTagMLoc = 0x4d2d4c6f63ULL;    // "M-Loc"
-constexpr std::uint64_t kCacheTagApRad = 0x41502d526164ULL; // "AP-Rad"
-
-/// Key of a disc set: every coordinate enters the hash through its exact bit
-/// pattern, so two Gammas collide only when their discs are identical to the
-/// last bit (and a full equality check below rules out hash collisions).
-std::uint64_t disc_set_key(const std::vector<geo::Circle>& discs, std::uint64_t tag) {
-  std::uint64_t h = util::hash_combine(tag, discs.size());
-  for (const geo::Circle& disc : discs) {
-    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(disc.center.x));
-    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(disc.center.y));
-    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(disc.radius));
-  }
-  return h;
-}
-
-bool same_discs(const std::vector<geo::Circle>& a, const std::vector<geo::Circle>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::bit_cast<std::uint64_t>(a[i].center.x) !=
-            std::bit_cast<std::uint64_t>(b[i].center.x) ||
-        std::bit_cast<std::uint64_t>(a[i].center.y) !=
-            std::bit_cast<std::uint64_t>(b[i].center.y) ||
-        std::bit_cast<std::uint64_t>(a[i].radius) !=
-            std::bit_cast<std::uint64_t>(b[i].radius)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
 }  // namespace
-
-/// Thread-safe memo of mloc_locate by disc set, sharded by key so concurrent
-/// locate_all workers contend on 1/16th of a mutex instead of one (the
-/// Afterburner single-mutex cache serialized the whole parallel batch at
-/// high hit rates). Entries keep their full disc vector: the 64-bit key is
-/// only a bucket address, equality is exact, so a hit returns precisely what
-/// recomputing would have. Shard choice depends only on the key, never on
-/// scheduling, so contents and counters are deterministic.
-struct Tracker::GammaCache {
-  static constexpr std::size_t kShards = 16;
-
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<std::uint64_t,
-                       std::vector<std::pair<std::vector<geo::Circle>, LocalizationResult>>>
-        entries;
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-  };
-  std::array<Shard, kShards> shards;
-
-  /// Last locate_all batch's measured duplication (guarded by meta_mutex).
-  std::mutex meta_mutex;
-  double duplicate_ratio = 0.0;
-  bool engaged = false;
-
-  Shard& shard_for(std::uint64_t key) { return shards[util::shard_of(key, kShards)]; }
-
-  /// Copies the memoized result into `out` and credits `hit_count` hits
-  /// (the number of devices this lookup answered for). False on absence —
-  /// counters untouched; the later put() records the miss.
-  bool try_get(std::uint64_t key, const std::vector<geo::Circle>& discs,
-               std::size_t hit_count, LocalizationResult& out) {
-    Shard& s = shard_for(key);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.entries.find(key);
-    if (it == s.entries.end()) return false;
-    for (const auto& [cached_discs, cached_result] : it->second) {
-      if (same_discs(cached_discs, discs)) {
-        s.hits += hit_count;
-        out = cached_result;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Records one computed disc set: `miss_count` misses (the compute) plus
-  /// `hit_count` hits (duplicate devices the one compute covered). A racing
-  /// thread may have inserted the same Gamma meanwhile; the localization is
-  /// deterministic, so either copy is the same answer.
-  void put(std::uint64_t key, const std::vector<geo::Circle>& discs,
-           const LocalizationResult& result, std::size_t miss_count,
-           std::size_t hit_count) {
-    Shard& s = shard_for(key);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.misses += miss_count;
-    s.hits += hit_count;
-    auto& bucket = s.entries[key];
-    for (const auto& [cached_discs, cached_result] : bucket) {
-      if (same_discs(cached_discs, discs)) return;
-    }
-    bucket.emplace_back(discs, result);
-  }
-
-  void set_meta(double ratio, bool engaged_now) {
-    std::lock_guard<std::mutex> lock(meta_mutex);
-    duplicate_ratio = ratio;
-    engaged = engaged_now;
-  }
-
-  [[nodiscard]] GammaCacheStats stats() {
-    GammaCacheStats out;
-    for (Shard& s : shards) {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      out.hits += s.hits;
-      out.misses += s.misses;
-    }
-    std::lock_guard<std::mutex> lock(meta_mutex);
-    out.duplicate_ratio = duplicate_ratio;
-    out.engaged = engaged;
-    return out;
-  }
-
-  void clear() {
-    for (Shard& s : shards) {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      s.entries.clear();
-      s.hits = 0;
-      s.misses = 0;
-    }
-    set_meta(0.0, false);
-  }
-};
 
 const char* to_string(Algorithm algorithm) noexcept {
   switch (algorithm) {
@@ -172,9 +41,7 @@ const char* to_string(Algorithm algorithm) noexcept {
 }
 
 Tracker::Tracker(ApDatabase db, TrackerOptions options)
-    : db_(std::move(db)),
-      options_(std::move(options)),
-      cache_(std::make_shared<GammaCache>()) {
+    : db_(std::move(db)), options_(std::move(options)) {
   if (options_.algorithm == Algorithm::kApLoc) {
     throw std::invalid_argument("Tracker: AP-Loc requires from_training()");
   }
@@ -216,42 +83,31 @@ void Tracker::prepare(const capture::ObservationStore& store,
     if (radius > 0.0) db_.set_radius(mac, radius);
   }
   prepared_ = true;
-  // The LP just rewrote the radii, so every memoized disc set is stale.
-  cache_->clear();
 }
 
 LocalizationResult Tracker::locate(const capture::ObservationStore& store,
                                    const net80211::MacAddress& device,
                                    const capture::ObservationWindow& window) const {
-  // The sorted-vector Gamma: same members, same ascending order as gamma(),
-  // without a red-black-tree allocation per member on the hot path.
-  const std::vector<net80211::MacAddress> gamma = store.gamma_sorted(device, window);
+  std::vector<net80211::MacAddress> gamma;
+  store.gamma_append(device, window, gamma);
   switch (options_.algorithm) {
     case Algorithm::kMLoc: {
-      LocalizationResult result = cached_mloc(
-          db_.discs_for(gamma, options_.default_radius_m), options_.mloc, kCacheTagMLoc);
+      LocalizationResult result =
+          mloc_locate(db_.discs_for(gamma, options_.default_radius_m), options_.mloc);
       result.method = "M-Loc";
       return result;
     }
     case Algorithm::kApRad: {
-      if (!prepared_) {
-        // Faultline convention: degrade, don't throw. Without the LP radii
-        // the defensible disc set is the Theorem-1 cap for every heard AP —
-        // a coarse but covering region — and the result is flagged so the
-        // display can grey it out.
-        LocalizationResult result =
-            cached_mloc(db_.discs_for(gamma, options_.aprad.max_radius_m),
-                        options_.aprad.mloc, kCacheTagApRad);
-        result.method = "AP-Rad";
-        result.used_fallback = true;
-        return result;
-      }
       // Radii were materialized into db_ by prepare(); unknown ones fall
       // back to the cap (overestimates preferred, Theorem 3).
       LocalizationResult result =
-          cached_mloc(db_.discs_for(gamma, options_.aprad.max_radius_m),
-                      options_.aprad.mloc, kCacheTagApRad);
+          mloc_locate(db_.discs_for(gamma, options_.aprad.max_radius_m), options_.aprad.mloc);
       result.method = "AP-Rad";
+      // Faultline convention: degrade, don't throw. Without the LP radii
+      // the defensible disc set is the Theorem-1 cap for every heard AP —
+      // a coarse but covering region — and the result is flagged so the
+      // display can grey it out.
+      if (!prepared_) result.used_fallback = true;
       return result;
     }
     case Algorithm::kApLoc:
@@ -281,9 +137,8 @@ LocalizationResult Tracker::locate(const capture::ObservationStore& store,
 std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all(
     const capture::ObservationStore& store, const capture::ObservationWindow& window,
     LocateAllProfile* profile) const {
-  if (options_.soa_arena && (options_.algorithm == Algorithm::kMLoc ||
-                             options_.algorithm == Algorithm::kApRad)) {
-    return locate_all_arena(store, window, profile);
+  if (options_.algorithm == Algorithm::kMLoc || options_.algorithm == Algorithm::kApRad) {
+    return locate_all_grouped(store, window, profile);
   }
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -314,14 +169,11 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all(
     profile->devices = devices.size();
     profile->unique_gammas = devices.size();
     profile->outlier_devices = outliers;
-    profile->cache_engaged = options_.gamma_cache &&
-                             (options_.algorithm == Algorithm::kMLoc ||
-                              options_.algorithm == Algorithm::kApRad);
   }
   return results;
 }
 
-std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
+std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
     const capture::ObservationStore& store, const capture::ObservationWindow& window,
     LocateAllProfile* profile) const {
   const auto t0 = std::chrono::steady_clock::now();
@@ -337,17 +189,14 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
   const double default_radius =
       aprad ? options_.aprad.max_radius_m : options_.default_radius_m;
   const MLocOptions& mloc_opts = aprad ? options_.aprad.mloc : options_.mloc;
-  const std::uint64_t tag = aprad ? kCacheTagApRad : kCacheTagMLoc;
   const char* method = aprad ? "AP-Rad" : "M-Loc";
 
   util::ThreadPool& pool = util::ThreadPool::shared();
 
-  // Plan: per-device disc ranks (ascending, because Gamma is sorted and the
-  // slab is BSSID-ordered) and the exact disc-set key. Both are slotted by
-  // device index, so the plan is identical at any parallelism. The key hash
-  // sequence matches disc_set_key(discs_for(gamma, default), tag) bit for
-  // bit — the slab holds the same doubles discs_for copies out of KnownAp —
-  // so the arena and the per-device locate() path share one memo keyspace.
+  // Plan: per-device slab ranks (ascending, because Gamma is sorted and the
+  // slab is BSSID-ordered) and a hash of them. Both are slotted by device
+  // index, so the plan is identical at any parallelism. The ranks are the
+  // ones discs_for(gamma, default_radius) would look up, in the same order.
   std::vector<std::vector<std::uint32_t>> device_ranks(n);
   std::vector<std::uint64_t> keys(n);
   pool.run_chunks(
@@ -363,29 +212,20 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
             const auto it = ranks.find(mac);
             if (it != ranks.end()) dr.push_back(it->second);
           }
-          std::uint64_t h = util::hash_combine(tag, dr.size());
-          for (const std::uint32_t r : dr) {
-            const double radius =
-                std::isnan(slab.radius[r]) ? default_radius : slab.radius[r];
-            h = util::hash_combine(h, std::bit_cast<std::uint64_t>(slab.x[r]));
-            h = util::hash_combine(h, std::bit_cast<std::uint64_t>(slab.y[r]));
-            h = util::hash_combine(h, std::bit_cast<std::uint64_t>(radius));
-          }
+          std::uint64_t h = dr.size();
+          for (const std::uint32_t r : dr) h = util::hash_combine(h, r);
           keys[i] = h;
         }
       });
 
-  // Group identical disc sets, walking devices in index (= ascending MAC)
-  // order so group numbering is deterministic. Equality is rank-sequence
-  // equality: within one call the slab is fixed, so equal ranks mean equal
-  // discs; a cross-sequence hash collision merely splits a group (correct,
-  // just one extra compute). Grouping is skipped entirely with the cache
-  // off — that path is the true per-device baseline.
+  // Group identical rank sequences, walking devices in index (= ascending
+  // MAC) order so group numbering is deterministic. Within one call the slab
+  // is fixed, so equal ranks mean equal discs and one localization serves
+  // the whole group; a hash collision only lands in the candidate scan.
   constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> group_of(n, 0);
-  std::vector<std::uint32_t> rep;         // group -> representative device
-  std::vector<std::uint32_t> group_size;  // group -> member count
-  if (options_.gamma_cache) {
+  std::vector<std::uint32_t> rep;  // group -> representative device
+  {
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index;
     index.reserve(n * 2);
     for (std::size_t i = 0; i < n; ++i) {
@@ -400,29 +240,11 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
       if (g == kNoGroup) {
         g = static_cast<std::uint32_t>(rep.size());
         rep.push_back(static_cast<std::uint32_t>(i));
-        group_size.push_back(0);
         candidates.push_back(g);
       }
       group_of[i] = g;
-      ++group_size[g];
-    }
-  } else {
-    rep.resize(n);
-    group_size.assign(n, 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      rep[i] = static_cast<std::uint32_t>(i);
-      group_of[i] = static_cast<std::uint32_t>(i);
     }
   }
-
-  const double duplicate_ratio =
-      n == 0 ? 0.0 : static_cast<double>(n - rep.size()) / static_cast<double>(n);
-  // The cross-call memo engages only when the measured duplication clears
-  // the bar; below it the memo would be a locked insert per unique Gamma
-  // with nothing amortizing it. Within-batch grouping above already
-  // captured whatever duplication exists.
-  const bool engaged = options_.gamma_cache && n > 0 &&
-                       duplicate_ratio >= options_.gamma_cache_min_duplicate_ratio;
 
   const auto t1 = std::chrono::steady_clock::now();
 
@@ -437,20 +259,13 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
         std::vector<geo::Circle> discs;
         MLocScratch scratch;
         for (std::size_t g = begin; g < end; ++g) {
-          const std::uint32_t d = rep[g];
           discs.clear();
-          for (const std::uint32_t r : device_ranks[d]) {
+          for (const std::uint32_t r : device_ranks[rep[g]]) {
             const double radius =
                 std::isnan(slab.radius[r]) ? default_radius : slab.radius[r];
             discs.push_back({{slab.x[r], slab.y[r]}, radius});
           }
-          if (engaged && cache_->try_get(keys[d], discs, group_size[g], group_results[g])) {
-            continue;
-          }
           group_results[g] = mloc_locate(discs, mloc_opts, scratch);
-          if (engaged) {
-            cache_->put(keys[d], discs, group_results[g], 1, group_size[g] - 1);
-          }
         }
       });
 
@@ -474,7 +289,6 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
   }
   const auto t3 = std::chrono::steady_clock::now();
 
-  cache_->set_meta(duplicate_ratio, engaged);
   if (profile != nullptr) {
     *profile = {};
     profile->plan_s = seconds_between(t0, t1);
@@ -483,24 +297,8 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
     profile->devices = n;
     profile->unique_gammas = groups;
     profile->outlier_devices = outliers;
-    profile->duplicate_ratio = duplicate_ratio;
-    profile->cache_engaged = engaged;
   }
   return results;
 }
-
-LocalizationResult Tracker::cached_mloc(std::vector<geo::Circle> discs,
-                                        const MLocOptions& mloc,
-                                        std::uint64_t method_tag) const {
-  if (!options_.gamma_cache) return mloc_locate(discs, mloc);
-  const std::uint64_t key = disc_set_key(discs, method_tag);
-  LocalizationResult result;
-  if (cache_->try_get(key, discs, /*hit_count=*/1, result)) return result;
-  result = mloc_locate(discs, mloc);
-  cache_->put(key, discs, result, /*miss_count=*/1, /*hit_count=*/0);
-  return result;
-}
-
-GammaCacheStats Tracker::gamma_cache_stats() const { return cache_->stats(); }
 
 }  // namespace mm::marauder

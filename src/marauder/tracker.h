@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "capture/observation_store.h"
@@ -36,50 +35,30 @@ struct TrackerOptions {
   /// merged in ascending-MAC order, so the result map is identical — bit for
   /// bit — at any setting.
   std::size_t threads = 1;
-  /// Memoize localization by Gamma disc set. Co-located devices (same room,
-  /// same AP contacts) share identical disc sets, and M-Loc / AP-Rad are
-  /// pure functions of those discs — so repeats cost one hash + compare.
-  bool gamma_cache = true;
-  /// locate_all() measures the duplicate-Gamma ratio of each batch and only
-  /// engages the cross-call memo when it clears this bar. Afterburner
-  /// shipped the memo unconditionally; on low-duplication captures it was a
-  /// mutex + map insert per device for nothing (and the single mutex
-  /// serialized the whole parallel batch). Within-batch duplicate *grouping*
-  /// is always on when gamma_cache is — only the shared memo is gated.
-  double gamma_cache_min_duplicate_ratio = 0.05;
-  /// Slipstream arena path for locate_all (M-Loc / AP-Rad): Gammas stream
-  /// through the database's SoA disc slab, duplicates are grouped before any
-  /// localization runs, and per-worker scratch makes the locate loop
-  /// allocation-free. false = Afterburner's per-device loop (A/B reference;
-  /// bit-identical results either way).
-  bool soa_arena = true;
   ApRadOptions aprad;
   ApLocOptions aploc;
   MLocOptions mloc;
 };
 
-/// Counters for the Gamma-memo cache (cumulative since the last prepare()).
-/// duplicate_ratio / engaged describe the most recent locate_all batch: the
-/// measured fraction of devices whose disc set duplicated an earlier
-/// device's, and whether that cleared gamma_cache_min_duplicate_ratio.
+/// Always zero: the Tracker keeps no cross-call state. The struct and
+/// Tracker::gamma_cache_stats() remain only because the perfbench
+/// offline_city workload still reads them; they go with its next change.
 struct GammaCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
-  double duplicate_ratio = 0.0;
-  bool engaged = false;
 };
 
 /// Per-stage wall-clock breakdown of one locate_all() call (filled when the
-/// caller passes a profile pointer; used by bench_offline_throughput).
+/// caller passes a profile pointer; used by bench_offline_throughput). The
+/// stages are those of M-Loc / AP-Rad; the baselines report only locate_s
+/// and merge_s.
 struct LocateAllProfile {
-  double plan_s = 0.0;    ///< Gamma gather + slab key build + duplicate grouping
+  double plan_s = 0.0;    ///< Gamma gather + duplicate grouping
   double locate_s = 0.0;  ///< parallel localization of unique disc sets
   double merge_s = 0.0;   ///< fan-out to devices + ordered map fold
   std::size_t devices = 0;
   std::size_t unique_gammas = 0;    ///< disc sets actually localized
   std::size_t outlier_devices = 0;  ///< results that rejected >= 1 disc
-  double duplicate_ratio = 0.0;     ///< (devices - unique_gammas) / devices
-  bool cache_engaged = false;       ///< cross-call memo used for this batch
 };
 
 class Tracker {
@@ -102,11 +81,12 @@ class Tracker {
                                           const net80211::MacAddress& device,
                                           const capture::ObservationWindow& window = {}) const;
 
-  /// Locates every monitored device. With soa_arena (M-Loc / AP-Rad) the
-  /// batch runs plan -> group -> locate-unique -> fan-out; otherwise one
-  /// locate() per device. Either way the result map is bit-identical to the
-  /// serial per-device loop at any thread count. `profile`, when non-null,
-  /// receives the per-stage timing breakdown.
+  /// Locates every monitored device and keeps the results that are ok.
+  /// M-Loc and AP-Rad run plan -> group -> locate-unique -> fan-out: devices
+  /// with identical disc sets in this batch share one localization. The
+  /// baselines run one locate() per device. Either way each result is
+  /// bit-identical to locate() for that device, at any thread count.
+  /// `profile`, when non-null, receives the per-stage timing breakdown.
   [[nodiscard]] std::map<net80211::MacAddress, LocalizationResult> locate_all(
       const capture::ObservationStore& store,
       const capture::ObservationWindow& window = {},
@@ -115,20 +95,12 @@ class Tracker {
   [[nodiscard]] const ApDatabase& database() const noexcept { return db_; }
   [[nodiscard]] const TrackerOptions& options() const noexcept { return options_; }
 
-  /// Hit/miss counters of the Gamma-memo cache (zeros when disabled).
-  [[nodiscard]] GammaCacheStats gamma_cache_stats() const;
+  /// Zeros (see GammaCacheStats).
+  [[nodiscard]] GammaCacheStats gamma_cache_stats() const { return {}; }
 
  private:
-  struct GammaCache;  ///< sharded, keyed by hashed disc set; thread-safe
-
-  /// M-Loc through the Gamma-memo cache. `method_tag` distinguishes the
-  /// M-Loc and AP-Rad keyspaces; `mloc` must be the per-algorithm options.
-  [[nodiscard]] LocalizationResult cached_mloc(std::vector<geo::Circle> discs,
-                                               const MLocOptions& mloc,
-                                               std::uint64_t method_tag) const;
-
-  /// Slipstream batch path for M-Loc / AP-Rad (see locate_all).
-  [[nodiscard]] std::map<net80211::MacAddress, LocalizationResult> locate_all_arena(
+  /// The grouped batch path for M-Loc / AP-Rad (see locate_all).
+  [[nodiscard]] std::map<net80211::MacAddress, LocalizationResult> locate_all_grouped(
       const capture::ObservationStore& store, const capture::ObservationWindow& window,
       LocateAllProfile* profile) const;
 
@@ -136,7 +108,6 @@ class Tracker {
   TrackerOptions options_;
   std::vector<std::set<net80211::MacAddress>> training_evidence_;
   bool prepared_ = false;
-  std::shared_ptr<GammaCache> cache_;  ///< shared_ptr keeps Tracker movable
 };
 
 }  // namespace mm::marauder

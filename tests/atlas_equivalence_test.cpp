@@ -3,12 +3,16 @@
 // end — the medium's delivery culling (kScan vs kIndexed worlds running the
 // same scenario, clean and under a fault plan), AP-Rad's grid neighbour scan
 // vs the O(n^2) oracle across thread counts, and ApDatabase's grid queries
-// vs brute force over sorted_records().
+// vs brute force over sorted_records(). It also holds the store's Gamma
+// membership (first/last-instant shortcut, then a scan) to the rule written
+// out as a brute-force loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -481,19 +485,90 @@ TEST(AtlasEquivalence, ApDatabaseCachesInvalidateOnAddOnly) {
   EXPECT_EQ(moved.sorted_records()[0]->bssid, c.bssid);
 }
 
-TEST(AtlasEquivalence, GammaSortedMatchesGamma) {
+/// The Gamma membership rule written out: an AP is in the device's Gamma
+/// when any retained contact instant t has begin <= t <= end. Contacts are a
+/// std::map, so members come out in ascending BSSID order.
+std::vector<net80211::MacAddress> brute_force_gamma(const capture::ObservationStore& store,
+                                                    const net80211::MacAddress& device,
+                                                    const capture::ObservationWindow& window) {
+  std::vector<net80211::MacAddress> out;
+  const capture::DeviceRecord* rec = store.device(device);
+  if (rec == nullptr) return out;
+  for (const auto& [ap, contact] : rec->contacts) {
+    bool member = false;
+    for (const sim::SimTime t : contact.times) {
+      member = member || (window.begin <= t && t <= window.end);
+    }
+    if (member) out.push_back(ap);
+  }
+  return out;
+}
+
+/// gamma_append (which must keep what `out` already held) and the gamma()
+/// set adapter both equal the brute-force rule.
+void expect_gamma_matches_rule(const capture::ObservationStore& store,
+                               const net80211::MacAddress& device,
+                               const capture::ObservationWindow& window) {
+  SCOPED_TRACE(device.to_string() + " [" + std::to_string(window.begin) + ", " +
+               std::to_string(window.end) + "]");
+  const std::vector<net80211::MacAddress> expected = brute_force_gamma(store, device, window);
+  const net80211::MacAddress kept = net80211::MacAddress::from_u64(0xffffffffffffULL);
+  std::vector<net80211::MacAddress> appended{kept};
+  store.gamma_append(device, window, appended);
+  ASSERT_FALSE(appended.empty());
+  EXPECT_EQ(appended.front(), kept);
+  EXPECT_EQ(std::vector<net80211::MacAddress>(appended.begin() + 1, appended.end()), expected);
+  const std::set<net80211::MacAddress> as_set = store.gamma(device, window);
+  EXPECT_EQ(std::vector<net80211::MacAddress>(as_set.begin(), as_set.end()), expected);
+}
+
+TEST(AtlasEquivalence, GammaMatchesBruteForceMembership) {
+  const auto ap = [](std::uint64_t i) {
+    return net80211::MacAddress::from_u64(0x001a2b000000ULL + i);
+  };
+  const auto dev = [](std::uint64_t i) {
+    return net80211::MacAddress::from_u64(0x00166f000000ULL + i);
+  };
+
+  capture::ObservationStoreOptions options;
+  options.contact_history_cap = 8;
+  capture::ObservationStore store(options);
+  // Instants 10, 20, 30 in order; and 50, 25, 5 recorded out of order, so
+  // the front and back instants bracket a middle one.
+  for (const double t : {10.0, 20.0, 30.0}) store.record_contact(ap(1), dev(1), t, -60.0);
+  for (const double t : {50.0, 25.0, 5.0}) store.record_contact(ap(2), dev(1), t, -60.0);
+  // A busy contact whose old instants the cap compacted away.
+  for (int t = 0; t < 100; ++t) store.record_contact(ap(3), dev(2), t, -60.0);
+  store.record_contact(ap(4), dev(2), 3.0, -60.0);
+  ASSERT_GT(store.device(dev(2))->contacts.at(ap(3)).times.front(), 10.0);
+
+  const capture::ObservationWindow windows[] = {
+      {},            // whole capture
+      {10.0, 10.0},  // exactly one instant, at both edges
+      {0.0, 10.0},   // first instant at the inclusive end edge
+      {30.0, 40.0},  // last instant at the inclusive begin edge
+      {20.0, 20.0},  // only a middle instant of ap(1)
+      {12.0, 18.0},  // a gap between instants
+      {20.0, 30.0},  // ap(2)'s middle instant only (front 50 and back 5 outside)
+      {0.0, 4.0},    // ap(3)'s compacted instants and ap(4)'s one instant
+      {95.0, 99.0},  // ap(3)'s retained suffix
+      {200.0, 300.0},
+  };
+  for (const auto& window : windows) {
+    expect_gamma_matches_rule(store, dev(1), window);
+    expect_gamma_matches_rule(store, dev(2), window);
+    expect_gamma_matches_rule(store, dev(3), window);  // never seen
+  }
+  // Spot checks of the rule itself.
+  EXPECT_EQ(store.gamma(dev(1), {20.0, 30.0}), (std::set<net80211::MacAddress>{ap(1), ap(2)}));
+  EXPECT_TRUE(store.gamma(dev(1), {12.0, 18.0}).empty());
+  EXPECT_TRUE(store.gamma(dev(2), {0.0, 2.0}).empty());
+
   const RunResult run = run_campus(sim::DeliveryMode::kIndexed, {});
   ASSERT_GT(run.store.device_count(), 0u);
-  const capture::ObservationWindow windows[] = {{}, {20.0, 60.0}, {89.0, 90.0}};
+  const capture::ObservationWindow campus_windows[] = {{}, {20.0, 60.0}, {89.0, 90.0}};
   for (const auto& mac : run.store.devices()) {
-    for (const auto& window : windows) {
-      const auto set_gamma = run.store.gamma(mac, window);
-      const auto vec_gamma = run.store.gamma_sorted(mac, window);
-      EXPECT_EQ(std::vector<net80211::MacAddress>(set_gamma.begin(), set_gamma.end()),
-                vec_gamma)
-          << mac.to_string();
-      EXPECT_TRUE(std::is_sorted(vec_gamma.begin(), vec_gamma.end()));
-    }
+    for (const auto& window : campus_windows) expect_gamma_matches_rule(run.store, mac, window);
   }
 }
 

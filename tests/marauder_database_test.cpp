@@ -51,7 +51,8 @@ TEST(ApDatabase, DiscsForUsesDefaultWhenRadiusUnknown) {
   ApDatabase db;
   db.add({mac(1), "a", {0.0, 0.0}, 70.0});
   db.add({mac(2), "b", {100.0, 0.0}, std::nullopt});
-  const auto discs = db.discs_for({mac(1), mac(2), mac(3)}, 125.0);
+  const std::vector<net80211::MacAddress> gamma{mac(1), mac(2), mac(3)};
+  const auto discs = db.discs_for(gamma, 125.0);
   ASSERT_EQ(discs.size(), 2u);  // mac(3) unknown -> skipped
   EXPECT_DOUBLE_EQ(discs[0].radius, 70.0);
   EXPECT_DOUBLE_EQ(discs[1].radius, 125.0);
@@ -60,7 +61,8 @@ TEST(ApDatabase, DiscsForUsesDefaultWhenRadiusUnknown) {
 TEST(ApDatabase, PositionsFor) {
   ApDatabase db;
   db.add({mac(1), "a", {1.0, 2.0}, std::nullopt});
-  const auto positions = db.positions_for({mac(1), mac(7)});
+  const std::vector<net80211::MacAddress> gamma{mac(1), mac(7)};
+  const auto positions = db.positions_for(gamma);
   ASSERT_EQ(positions.size(), 1u);
   EXPECT_EQ(positions[0], geo::Vec2(1.0, 2.0));
 }

@@ -1,8 +1,8 @@
 // Chimera IdentityResolver: the two-level pseudonym -> identity model.
 //
 // Covers the refactor's acceptance contract: the null point (no signals =
-// one singleton per MAC, the pre-Chimera behaviour), bit-equivalence with
-// the legacy SSID linker, thread-count independence of resolution, the
+// one singleton per MAC, the pre-Chimera behaviour), SSID-only linking with
+// the default options, thread-count independence of resolution, the
 // sequence/Gamma signals re-linking rotations the SSID fingerprint misses,
 // and the adversarial cases — coincident fingerprints, rotation inside a
 // silent gap, counter wraparound at 4096, ambiguous seams.
@@ -14,11 +14,11 @@
 #include <array>
 #include <cstdint>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "marauder/linker.h"
 #include "util/rng.h"
 
 namespace mm::marauder {
@@ -75,27 +75,128 @@ TEST(IdentityResolver, NoSignalsYieldsOneSingletonPerMac) {
   }
 }
 
-// --- legacy linker equivalence ----------------------------------------
+// --- SSID-only linking (the default signals) ----------------------------
 
-TEST(IdentityResolver, SsidOnlyMatchesLegacyLinkerExactly) {
+TEST(Linker, EmptyStoreNoIdentities) {
+  const capture::ObservationStore store;
+  EXPECT_EQ(resolve_identities(store).size(), 0u);
+}
+
+TEST(Linker, SingletonWithoutFingerprint) {
+  capture::ObservationStore store;
+  probe(store, 0, 1.0, {});
+  const IdentityMap identities = resolve_identities(store);
+  ASSERT_EQ(identities.size(), 1u);
+  EXPECT_EQ(identities.identities[0].macs.size(), 1u);
+  EXPECT_FALSE(identities.identities[0].pseudonymous());
+  EXPECT_TRUE(identities.identities[0].fingerprint.empty());
+}
+
+TEST(Linker, SharedSsidLinksTwoMacs) {
+  capture::ObservationStore store;
+  probe(store, 0, 1.0, {"home-wifi-2819"});
+  probe(store, 1, 60.0, {"home-wifi-2819"});
+  const IdentityMap identities = resolve_identities(store);
+  ASSERT_EQ(identities.size(), 1u);
+  EXPECT_TRUE(identities.identities[0].pseudonymous());
+  ASSERT_EQ(identities.identities[0].macs.size(), 2u);
+  // First-seen order: mac(0) before mac(1).
+  EXPECT_EQ(identities.identities[0].macs[0], mac(0));
+  EXPECT_EQ(identities.identities[0].macs[1], mac(1));
+  EXPECT_EQ(identities.identities[0].fingerprint.count("home-wifi-2819"), 1u);
+}
+
+TEST(Linker, DistinctFingerprintsStaySeparate) {
+  capture::ObservationStore store;
+  probe(store, 0, 1.0, {"alices-net"});
+  probe(store, 1, 2.0, {"bobs-net"});
+  EXPECT_EQ(resolve_identities(store).size(), 2u);
+}
+
+TEST(Linker, TransitiveLinking) {
   capture::ObservationStore store;
   probe(store, 0, 1.0, {"net-a"});
   probe(store, 1, 2.0, {"net-a", "net-b"});
   probe(store, 2, 3.0, {"net-b"});
+  const IdentityMap identities = resolve_identities(store);
+  ASSERT_EQ(identities.size(), 1u);
+  EXPECT_EQ(identities.identities[0].macs.size(), 3u);
+  EXPECT_EQ(identities.identities[0].fingerprint.size(), 2u);
+
+  // The same chain beside a loner with its own SSID, one with no SSID and
+  // a crowd of six on one SSID (above the popularity cutoff of 3): every
+  // identity, in order.
   probe(store, 3, 4.0, {"solo-net"});
   probe(store, 4, 5.0, {});
   for (int i = 10; i < 16; ++i) probe(store, i, 6.0, {"crowded-net"});
-
-  const std::vector<LinkedIdentity> legacy = link_identities(store);
-
-  ResolverOptions options;  // defaults == legacy linker defaults
-  const IdentityMap map = resolve_identities(store, options);
-
-  ASSERT_EQ(map.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(map.identities[i].macs, legacy[i].macs) << "group " << i;
-    EXPECT_EQ(map.identities[i].fingerprint, legacy[i].fingerprint) << "group " << i;
+  const IdentityMap mixed = resolve_identities(store);
+  ASSERT_EQ(mixed.size(), 9u);
+  EXPECT_EQ(mixed.identities[0].macs, (std::vector<net80211::MacAddress>{mac(0), mac(1), mac(2)}));
+  EXPECT_EQ(mixed.identities[0].fingerprint, (std::set<std::string>{"net-a", "net-b"}));
+  EXPECT_EQ(mixed.identities[1].macs, (std::vector<net80211::MacAddress>{mac(3)}));
+  EXPECT_EQ(mixed.identities[1].fingerprint, (std::set<std::string>{"solo-net"}));
+  EXPECT_EQ(mixed.identities[2].macs, (std::vector<net80211::MacAddress>{mac(4)}));
+  for (std::size_t i = 3; i < mixed.size(); ++i) {
+    EXPECT_EQ(mixed.identities[i].macs,
+              (std::vector<net80211::MacAddress>{mac(10 + static_cast<int>(i) - 3)}));
   }
+  for (std::size_t i = 2; i < mixed.size(); ++i) {
+    EXPECT_TRUE(mixed.identities[i].fingerprint.empty()) << "identity " << i;
+  }
+}
+
+TEST(Linker, PopularSsidDoesNotLink) {
+  capture::ObservationStore store;
+  // Five unrelated devices probing for the same campus network.
+  for (int i = 0; i < 5; ++i) probe(store, i, static_cast<double>(i), {"eduroam"});
+  ResolverOptions options;
+  options.max_ssid_popularity = 3;
+  const IdentityMap identities = resolve_identities(store, options);
+  EXPECT_EQ(identities.size(), 5u);  // nobody merged
+}
+
+TEST(Linker, MinOverlapTwoRequiresTwoSharedSsids) {
+  capture::ObservationStore store;
+  probe(store, 0, 1.0, {"net-a", "net-b"});
+  probe(store, 1, 2.0, {"net-a"});              // only one shared
+  probe(store, 2, 3.0, {"net-a", "net-b"});     // both shared
+  ResolverOptions options;
+  options.min_overlap = 2;
+  const IdentityMap identities = resolve_identities(store, options);
+  EXPECT_EQ(identities.size(), 2u);
+  const auto linked =
+      std::find_if(identities.identities.begin(), identities.identities.end(),
+                   [](const ResolvedIdentity& id) { return id.macs.size() == 2; });
+  ASSERT_NE(linked, identities.identities.end());
+  EXPECT_EQ(linked->macs[0], mac(0));
+  EXPECT_EQ(linked->macs[1], mac(2));
+}
+
+TEST(Linker, DevicesSeenOnlyViaContactsAreSingletons) {
+  capture::ObservationStore store;
+  store.record_contact(mac(10), mac(0), 1.0, -70.0);  // device 0 never probed
+  const IdentityMap identities = resolve_identities(store);
+  ASSERT_EQ(identities.size(), 1u);
+  EXPECT_EQ(identities.identities[0].macs[0], mac(0));
+}
+
+TEST(Linker, EveryMacAppearsExactlyOnce) {
+  capture::ObservationStore store;
+  probe(store, 0, 1.0, {"x"});
+  probe(store, 1, 2.0, {"x"});
+  probe(store, 2, 3.0, {"y"});
+  probe(store, 3, 4.0, {});
+  const IdentityMap identities = resolve_identities(store);
+  std::size_t total = 0;
+  std::set<net80211::MacAddress> seen;
+  for (const ResolvedIdentity& identity : identities.identities) {
+    for (const auto& m : identity.macs) {
+      ++total;
+      seen.insert(m);
+    }
+  }
+  EXPECT_EQ(total, 4u);
+  EXPECT_EQ(seen.size(), 4u);
 }
 
 // --- thread-count independence ----------------------------------------

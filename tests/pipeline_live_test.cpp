@@ -200,7 +200,8 @@ void expect_live_matches_batch(const LiveScenario& s, const marauder::ApDatabase
   std::size_t devices_located = 0;
   for (const auto& mac : batch_store.devices()) {
     SCOPED_TRACE(mac.to_string());
-    const auto gamma = batch_store.gamma(mac);
+    std::vector<net80211::MacAddress> gamma;
+    batch_store.gamma_append(mac, {}, gamma);
     const auto discs = db.discs_for(gamma, 100.0);
     const auto live = tracker.locate(mac);
     if (discs.empty()) {

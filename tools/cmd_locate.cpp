@@ -5,7 +5,7 @@
 #include "commands.h"
 #include "fault/fault_plan.h"
 #include "maps/html_map.h"
-#include "marauder/linker.h"
+#include "marauder/identity.h"
 #include "marauder/tracker.h"
 #include "marauder/trajectory.h"
 #include "sim/scenario.h"
@@ -102,7 +102,8 @@ int cmd_locate(const util::Flags& flags) {
   marauder::Tracker tracker(std::move(db), options);
   tracker.prepare(store);
 
-  const auto identities = marauder::link_identities(store);
+  // SSID-fingerprint linking (the resolver's default signals).
+  const marauder::IdentityMap identities = marauder::resolve_identities(store);
   util::Table table({"identity (first MAC)", "aliases", "track pts", "last x (m)",
                      "last y (m)", "lat", "lon", "|Gamma|", "nearest AP", "degraded"});
   maps::MarauderMap map("mmctl locate — " + algorithm_name, frame);
@@ -112,7 +113,7 @@ int cmd_locate(const util::Flags& flags) {
 
   std::size_t located = 0;
   std::size_t degraded = 0;
-  for (const auto& identity : identities) {
+  for (const marauder::ResolvedIdentity& identity : identities.identities) {
     // Assemble the identity's full movement track (per scan burst, across
     // MAC rotations); report the latest position — what the Marauder's Map
     // display shows for a moving tag.
