@@ -33,6 +33,7 @@
 #include "net80211/mac_address.h"
 #include "util/flags.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "wps/remote.h"
 #include "wps/service.h"
 #include "wps/snapshot_writer.h"
@@ -119,14 +120,6 @@ bool same_response(const wps::QueryResponse& got, const wps::QueryResponse& want
   return true;
 }
 
-double percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const auto idx =
-      static_cast<std::size_t>(p * static_cast<double>(samples.size() - 1));
-  return samples[idx];
-}
-
 struct CellResult {
   double loss = 0.0;
   double burst = 0.0;
@@ -199,8 +192,7 @@ CellResult run_cell(const wps::Service& service,
   const std::size_t total = requests.size();
   std::size_t issued = 0;
   std::size_t completed = 0;
-  std::vector<double> answer_ms;
-  answer_ms.reserve(total);
+  util::SampleSet answer_ms;
 
   // Request ids are monotone from 1, so id-1 indexes back into `requests`.
   for (std::uint64_t guard = 0; completed < total && guard < 500'000; ++guard) {
@@ -218,8 +210,7 @@ CellResult run_cell(const wps::Service& service,
           if (!same_response(o.response, wps::execute_query(service, request))) {
             ++r.mismatches;
           }
-          answer_ms.push_back(
-              static_cast<double>(o.completed_ms - o.issued_ms));
+          answer_ms.add(static_cast<double>(o.completed_ms - o.issued_ms));
           break;
         }
         case wps::OutcomeKind::kShed: ++r.shed; break;
@@ -246,8 +237,10 @@ CellResult run_cell(const wps::Service& service,
       cs.answered + cs.shed + cs.timed_out + cs.circuit_open != cs.issued;
   r.up_dropped = loop.up_stats().dropped + loop.up_stats().burst_dropped;
   r.down_dropped = loop.down_stats().dropped + loop.down_stats().burst_dropped;
-  r.p50_ms = percentile(answer_ms, 0.50);
-  r.p99_ms = percentile(answer_ms, 0.99);
+  if (!answer_ms.empty()) {
+    r.p50_ms = answer_ms.percentile(50.0);
+    r.p99_ms = answer_ms.percentile(99.0);
+  }
   return r;
 }
 

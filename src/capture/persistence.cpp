@@ -108,16 +108,6 @@ std::string write_and_sync(const std::filesystem::path& tmp,
   return "";
 }
 
-bool parse_double_field(const std::string& text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 bool parse_u64_field(const std::string& text, std::uint64_t& out) {
   try {
     std::size_t used = 0;
@@ -218,8 +208,8 @@ util::Result<LoadResult> load_observations(const std::filesystem::path& path,
     }
     const auto mac = net80211::MacAddress::parse(row[1]);
     DeviceRecord rec;
-    if (!mac || !parse_double_field(row[2], rec.first_seen) ||
-        !parse_double_field(row[3], rec.last_seen) ||
+    if (!mac || !util::parse_double_field(row[2], rec.first_seen) ||
+        !util::parse_double_field(row[3], rec.last_seen) ||
         !parse_u64_field(row[4], rec.probe_requests)) {
       quarantine(stats, i, "malformed device row");
       continue;
@@ -232,9 +222,9 @@ util::Result<LoadResult> load_observations(const std::filesystem::path& path,
       std::uint64_t first_seq = 0;
       std::uint64_t last_seq = 0;
       if (!parse_u64_field(row[6], rec.seq_frames) || !parse_u64_field(row[7], first_seq) ||
-          !parse_double_field(row[8], rec.first_seq_time) ||
+          !util::parse_double_field(row[8], rec.first_seq_time) ||
           !parse_u64_field(row[9], last_seq) ||
-          !parse_double_field(row[10], rec.last_seq_time) || first_seq > 0x0FFF ||
+          !util::parse_double_field(row[10], rec.last_seq_time) || first_seq > 0x0FFF ||
           last_seq > 0x0FFF) {
         quarantine(stats, i, "malformed device seq trace");
         continue;
@@ -268,17 +258,17 @@ util::Result<LoadResult> load_observations(const std::filesystem::path& path,
         continue;
       }
       ApContact contact;
-      if (!parse_double_field(row[3], contact.first_seen) ||
-          !parse_double_field(row[4], contact.last_seen) ||
+      if (!util::parse_double_field(row[3], contact.first_seen) ||
+          !util::parse_double_field(row[4], contact.last_seen) ||
           !parse_u64_field(row[5], contact.count) ||
-          !parse_double_field(row[6], contact.last_rssi_dbm)) {
+          !util::parse_double_field(row[6], contact.last_rssi_dbm)) {
         quarantine(stats, i, "malformed contact row");
         continue;
       }
       bool times_ok = true;
       for (const std::string& t : split(row[7], ';')) {
         double value = 0.0;
-        if (!parse_double_field(t, value)) {
+        if (!util::parse_double_field(t, value)) {
           times_ok = false;
           break;
         }
@@ -299,7 +289,7 @@ util::Result<LoadResult> load_observations(const std::filesystem::path& path,
       ApSighting sighting;
       if (!bssid || !parse_int_field(row[3], sighting.channel) ||
           !parse_u64_field(row[4], sighting.beacons) ||
-          !parse_double_field(row[5], sighting.last_rssi_dbm)) {
+          !util::parse_double_field(row[5], sighting.last_rssi_dbm)) {
         quarantine(stats, i, "malformed sighting row");
         continue;
       }

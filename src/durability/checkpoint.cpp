@@ -113,35 +113,6 @@ bool parse_meta_text(const std::string& text, CheckpointMeta& out) {
   return true;
 }
 
-/// Atomic small-file write: tmp + fsync + rename (the same contract as
-/// save_observations, without the retry machinery — the caller retries at
-/// the checkpoint cadence anyway).
-util::Result<bool> write_atomic(const std::filesystem::path& path,
-                                const std::string& text, bool do_fsync) {
-  using R = util::Result<bool>;
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd < 0) return R::failure("checkpoint: cannot create " + tmp.string());
-  std::size_t done = 0;
-  while (done < text.size()) {
-    const ::ssize_t n = ::write(fd, text.data() + done, text.size() - done);
-    if (n < 0) {
-      ::close(fd);
-      return R::failure("checkpoint: write failed on " + tmp.string());
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  if (do_fsync && ::fsync(fd) != 0) {
-    ::close(fd);
-    return R::failure("checkpoint: fsync failed on " + tmp.string());
-  }
-  ::close(fd);
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return R::failure("checkpoint: rename failed on " + path.string());
-  return true;
-}
-
 void prune_checkpoints(const std::filesystem::path& dir) {
   std::vector<std::filesystem::path> metas = list_checkpoint_metas(dir);
   if (metas.size() <= kCheckpointsKept) return;
@@ -157,6 +128,32 @@ void prune_checkpoints(const std::filesystem::path& dir) {
 }
 
 }  // namespace
+
+util::Result<bool> write_file_atomic(const std::filesystem::path& path,
+                                     std::span<const std::byte> bytes, bool do_fsync) {
+  using R = util::Result<bool>;
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (fd < 0) return R::failure("cannot create " + tmp.string());
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ::ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0) {
+      ::close(fd);
+      return R::failure("write failed on " + tmp.string());
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  if (do_fsync && ::fsync(fd) != 0) {
+    ::close(fd);
+    return R::failure("fsync failed on " + tmp.string());
+  }
+  ::close(fd);
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) return R::failure("rename failed on " + path.string());
+  return true;
+}
 
 std::vector<std::filesystem::path> list_checkpoint_metas(
     const std::filesystem::path& dir) {
@@ -183,9 +180,12 @@ util::Result<bool> write_checkpoint(const std::filesystem::path& dir,
   auto saved = capture::save_observations(store, obs_path(dir, meta.applied_seq),
                                           save_options);
   if (!saved.ok()) return R::failure(saved.error());
-  auto marked = write_atomic(meta_path(dir, meta.applied_seq), render_meta(meta),
-                             save_options.fsync);
-  if (!marked.ok()) return marked;
+  // The meta is the commit marker, written without save_observations' retry
+  // machinery: the caller retries at the checkpoint cadence anyway.
+  const std::string meta_text = render_meta(meta);
+  auto marked = write_file_atomic(meta_path(dir, meta.applied_seq),
+                                  std::as_bytes(std::span(meta_text)), save_options.fsync);
+  if (!marked.ok()) return R::failure("checkpoint: " + marked.error());
   prune_checkpoints(dir);
   return true;
 }

@@ -19,9 +19,11 @@
 // estimates bit-for-bit equal to the uninterrupted run's.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "capture/observation_store.h"
@@ -70,5 +72,12 @@ struct LoadedCheckpoint {
 /// Meta files in `dir`, sorted ascending by applied sequence.
 [[nodiscard]] std::vector<std::filesystem::path> list_checkpoint_metas(
     const std::filesystem::path& dir);
+
+/// Atomic file write: `bytes` go to `<path>.tmp`, are fsync'ed when
+/// `do_fsync`, and are renamed over `path`, so a reader finds the old file
+/// or the new one, never a torn one. Checkpoint metas and WPS snapshots
+/// both commit this way.
+util::Result<bool> write_file_atomic(const std::filesystem::path& path,
+                                     std::span<const std::byte> bytes, bool do_fsync);
 
 }  // namespace mm::durability

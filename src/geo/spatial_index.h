@@ -115,4 +115,34 @@ class SpatialIndex {
   bool has_bounds_ = false;
 };
 
+/// The density-derived cell of an adaptive grid (ApDatabase's lazy grid, the
+/// sim World's delivery grid, incremental M-Loc's center grid): ~1 point per
+/// cell over the bounding box of the points `point_of` maps the non-empty
+/// `items` to, clamped to [1 m, 1 km]; a box under 1 m² counts as 1 m².
+template <typename Range, typename PointOf>
+[[nodiscard]] double density_cell_m(const Range& items, PointOf point_of) {
+  Vec2 lo = point_of(*std::begin(items));
+  Vec2 hi = lo;
+  std::size_t n = 0;
+  for (const auto& item : items) {
+    const Vec2 p = point_of(item);
+    lo.x = std::min(lo.x, p.x);
+    lo.y = std::min(lo.y, p.y);
+    hi.x = std::max(hi.x, p.x);
+    hi.y = std::max(hi.y, p.y);
+    ++n;
+  }
+  const double area = std::max(1.0, (hi.x - lo.x) * (hi.y - lo.y));
+  return std::clamp(std::sqrt(area / static_cast<double>(n)), 1.0, 1000.0);
+}
+
+/// Whether an adaptive grid with cell `current_m` is worth rebuilding for
+/// the density cell `wanted_m`: only outside (0.5x, 2x) of the current one.
+/// Cell size never changes a query's answer (the contract above), only its
+/// speed, so a small drift is not worth the churn.
+[[nodiscard]] inline bool cell_change_is_material(double current_m,
+                                                  double wanted_m) noexcept {
+  return !(wanted_m > current_m * 0.5 && wanted_m < current_m * 2.0);
+}
+
 }  // namespace mm::geo

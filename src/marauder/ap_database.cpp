@@ -28,6 +28,9 @@ struct ApDatabase::Caches {
   std::unordered_map<net80211::MacAddress, std::uint32_t, net80211::MacHasher> rank;
   bool grid_valid = false;
   std::optional<geo::SpatialIndex> grid;
+
+  /// The grid over `records` (= `sorted`), built on first use.
+  const geo::SpatialIndex& grid_over(const std::vector<const KnownAp*>& records);
 };
 
 ApDatabase::ApDatabase() : caches_(std::make_unique<Caches>()) {}
@@ -144,42 +147,27 @@ const ApDatabase::RankMap& ApDatabase::rank_index() const {
   return c.rank;
 }
 
-namespace {
-
-/// Cell sized for ~1 record per cell over the sorted records' bounding box
-/// (clamped to [1 m, 1 km]); an empty or single-point database gets 100 m.
-double pick_cell_m(const std::vector<const KnownAp*>& records) {
-  if (records.size() < 2) return 100.0;
-  geo::Vec2 lo = records.front()->position;
-  geo::Vec2 hi = lo;
-  for (const KnownAp* ap : records) {
-    lo.x = std::min(lo.x, ap->position.x);
-    lo.y = std::min(lo.y, ap->position.y);
-    hi.x = std::max(hi.x, ap->position.x);
-    hi.y = std::max(hi.y, ap->position.y);
+const geo::SpatialIndex& ApDatabase::Caches::grid_over(
+    const std::vector<const KnownAp*>& records) {
+  std::lock_guard<std::mutex> lock(mutex);
+  if (!grid_valid) {
+    // ~1 record per cell; an empty or single-point database gets 100 m.
+    const double cell =
+        records.size() < 2
+            ? 100.0
+            : geo::density_cell_m(records, [](const KnownAp* ap) { return ap->position; });
+    grid.emplace(cell);
+    for (std::size_t i = 0; i < records.size(); ++i) grid->insert(i, records[i]->position);
+    grid_valid = true;
   }
-  const double area = std::max(1.0, (hi.x - lo.x) * (hi.y - lo.y));
-  const double cell = std::sqrt(area / static_cast<double>(records.size()));
-  return std::clamp(cell, 1.0, 1000.0);
+  return *grid;
 }
-
-}  // namespace
 
 std::vector<const KnownAp*> ApDatabase::aps_in_range(geo::Vec2 center,
                                                      double radius_m) const {
   const std::vector<const KnownAp*>& sorted = sorted_records();
-  Caches& c = caches();
-  {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    if (!c.grid_valid) {
-      geo::SpatialIndex grid(pick_cell_m(sorted));
-      for (std::size_t i = 0; i < sorted.size(); ++i) grid.insert(i, sorted[i]->position);
-      c.grid.emplace(std::move(grid));
-      c.grid_valid = true;
-    }
-  }
   std::vector<const KnownAp*> out;
-  for (const geo::SpatialIndex::Id id : c.grid->query_disc(center, radius_m)) {
+  for (const geo::SpatialIndex::Id id : caches().grid_over(sorted).query_disc(center, radius_m)) {
     out.push_back(sorted[id]);
   }
   return out;
@@ -188,20 +176,10 @@ std::vector<const KnownAp*> ApDatabase::aps_in_range(geo::Vec2 center,
 std::vector<const KnownAp*> ApDatabase::nearest_aps(geo::Vec2 center,
                                                     std::size_t k) const {
   const std::vector<const KnownAp*>& sorted = sorted_records();
-  Caches& c = caches();
-  {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    if (!c.grid_valid) {
-      geo::SpatialIndex grid(pick_cell_m(sorted));
-      for (std::size_t i = 0; i < sorted.size(); ++i) grid.insert(i, sorted[i]->position);
-      c.grid.emplace(std::move(grid));
-      c.grid_valid = true;
-    }
-  }
   // nearest_k breaks distance ties by ascending id = ascending BSSID, so the
   // documented (distance, BSSID) order falls out directly.
   std::vector<const KnownAp*> out;
-  for (const geo::SpatialIndex::Id id : c.grid->nearest_k(center, k)) {
+  for (const geo::SpatialIndex::Id id : caches().grid_over(sorted).nearest_k(center, k)) {
     out.push_back(sorted[id]);
   }
   return out;
@@ -269,14 +247,10 @@ ApDatabase ApDatabase::from_truth(std::span<const sim::ApTruth> truth, bool incl
 
 namespace {
 
-bool parse_double_field(const std::string& text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+/// A latitude/longitude field that parses to a finite number. NaN or an
+/// infinity would reach every disc built on that AP.
+bool parse_coordinate(const std::string& field, double& out) {
+  return util::parse_double_field(field, out) && std::isfinite(out);
 }
 
 util::Result<std::vector<util::CsvRow>> read_rows(const std::filesystem::path& path) {
@@ -305,8 +279,8 @@ util::Result<ApDatabase> ApDatabase::from_csv(const std::filesystem::path& path,
     if (!row.empty()) mac = net80211::MacAddress::parse(row[0]);
     double lat = 0.0;
     double lon = 0.0;
-    if (row.size() < 4 || !mac || !parse_double_field(row[2], lat) ||
-        !parse_double_field(row[3], lon)) {
+    if (row.size() < 4 || !mac || !parse_coordinate(row[2], lat) ||
+        !parse_coordinate(row[3], lon)) {
       ++local.quarantined;
       continue;
     }
@@ -315,8 +289,11 @@ util::Result<ApDatabase> ApDatabase::from_csv(const std::filesystem::path& path,
     ap.ssid = row[1];
     ap.position = frame.to_enu({lat, lon, frame.origin().alt_m});
     if (row.size() >= 5 && !row[4].empty()) {
+      // A disc needs a finite positive radius; NaN would also read as the
+      // slab's "unknown radius" sentinel and take the default instead.
       double radius = 0.0;
-      if (!parse_double_field(row[4], radius)) {
+      if (!util::parse_double_field(row[4], radius) || !std::isfinite(radius) ||
+          !(radius > 0.0)) {
         ++local.quarantined;
         continue;
       }
@@ -351,7 +328,7 @@ util::Result<ApDatabase> ApDatabase::from_wigle_csv(const std::filesystem::path&
     const auto mac = net80211::MacAddress::parse(row[0]);
     double lat = 0.0;
     double lon = 0.0;
-    if (!mac || !parse_double_field(row[6], lat) || !parse_double_field(row[7], lon)) {
+    if (!mac || !parse_coordinate(row[6], lat) || !parse_coordinate(row[7], lon)) {
       ++local.quarantined;
       continue;
     }

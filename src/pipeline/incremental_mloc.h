@@ -65,7 +65,7 @@ class IncrementalDeviceLocator {
   /// no-op proof: only discs within r_new + r_max of the newcomer can prune,
   /// be pruned by, or fail to intersect it, so the per-arrival check touches
   /// a neighbourhood instead of rescanning all O(k^2) pairs. The cell starts
-  /// at 100 m and adapts to disc-center density (the ApDatabase::pick_cell_m
+  /// at 100 m and adapts to disc-center density (the geo::density_cell_m
   /// formula) at doubling counts — performance-only per the Atlas contract.
   geo::SpatialIndex center_grid_{100.0};
   std::size_t next_grid_rebuild_ = 32;   ///< disc count of the next resize check

@@ -59,37 +59,24 @@ void World::register_receiver(FrameReceiver* receiver) {
 }
 
 void World::maybe_resize_grid() {
-  // Density-derived cell, ApDatabase::pick_cell_m style: ~1 receiver per
-  // cell over the registered positions' bounding box. Cell size is a
-  // performance-only knob (the Atlas contract), so resizing mid-run can
-  // never change which frames are delivered — only how fast we decide.
-  // Checked at doubling registration counts to amortize the rebuild.
+  // Density-derived cell: ~1 receiver per cell over the registered
+  // positions. Cell size is a performance-only knob (the Atlas contract), so
+  // resizing mid-run can never change which frames are delivered — only how
+  // fast we decide. Checked at doubling registration counts to amortize the
+  // rebuild.
   if (grid_.size() < next_grid_rebuild_) return;
   next_grid_rebuild_ *= 2;
   std::vector<std::pair<std::size_t, geo::Vec2>> entries;
   entries.reserve(grid_.size());
-  geo::Vec2 lo{0.0, 0.0};
-  geo::Vec2 hi{0.0, 0.0};
   for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
     const ReceiverSlot& s = slots_[slot];
     if (!s.active || !s.interest.fixed_position || !s.interest.max_distance_m) continue;
-    const geo::Vec2 p = *s.interest.fixed_position;
-    if (entries.empty()) {
-      lo = hi = p;
-    } else {
-      lo.x = std::min(lo.x, p.x);
-      lo.y = std::min(lo.y, p.y);
-      hi.x = std::max(hi.x, p.x);
-      hi.y = std::max(hi.y, p.y);
-    }
-    entries.emplace_back(slot, p);
+    entries.emplace_back(slot, *s.interest.fixed_position);
   }
   if (entries.size() < 2) return;
-  const double area = std::max(1.0, (hi.x - lo.x) * (hi.y - lo.y));
   const double cell =
-      std::clamp(std::sqrt(area / static_cast<double>(entries.size())), 1.0, 1000.0);
-  // Rebuild only on a material change; small drifts aren't worth the churn.
-  if (cell > grid_.cell_size_m() * 0.5 && cell < grid_.cell_size_m() * 2.0) return;
+      geo::density_cell_m(entries, [](const auto& entry) { return entry.second; });
+  if (!geo::cell_change_is_material(grid_.cell_size_m(), cell)) return;
   geo::SpatialIndex rebuilt(cell);
   for (const auto& [slot, p] : entries) rebuilt.insert(slot, p);
   grid_ = std::move(rebuilt);

@@ -95,7 +95,7 @@ class World {
     /// Cell size of the receiver grid — a performance-only knob (the Atlas
     /// contract: cell size never changes query results). Non-positive =
     /// adaptive: the grid re-derives its cell from receiver density (the
-    /// ApDatabase::pick_cell_m formula) as registrations grow.
+    /// geo::density_cell_m formula) as registrations grow.
     double delivery_cell_m = 0.0;
   };
 

@@ -6,6 +6,16 @@
 
 namespace mm::util {
 
+bool parse_double_field(const std::string& field, double& out) {
+  try {
+    std::size_t used = 0;
+    out = std::stod(field, &used);
+    return used == field.size();
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
 std::string csv_escape(const std::string& field) {
   const bool needs_quotes =
       field.find_first_of(",\"\n\r") != std::string::npos;

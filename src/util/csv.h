@@ -22,6 +22,12 @@ using CsvRow = std::vector<std::string>;
 /// commas and doubled quotes. Throws std::runtime_error on unterminated quotes.
 [[nodiscard]] CsvRow csv_parse_line(const std::string& line);
 
+/// Parses a whole field as a double with std::stod's syntax ("nan", "inf"
+/// and hex floats included). False for an empty field, trailing characters
+/// or an out-of-range value; which finite values make sense is the caller's
+/// call.
+[[nodiscard]] bool parse_double_field(const std::string& field, double& out);
+
 /// Writes rows (with optional header as first row) to a file.
 void csv_write_file(const std::filesystem::path& path, const std::vector<CsvRow>& rows);
 

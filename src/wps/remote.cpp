@@ -62,6 +62,11 @@ void RemoteServer::on_bytes(std::span<const std::uint8_t> bytes,
     const std::optional<QueryRequest> req = decode_request(frame.payload);
     if (req.has_value()) {
       ++stats_.requests_decoded;
+      switch (req->op) {
+        case QueryOp::kLookup: ++stats_.lookup_requests; break;
+        case QueryOp::kNearest: ++stats_.nearest_requests; break;
+        case QueryOp::kRange: ++stats_.range_requests; break;
+      }
     } else {
       ++stats_.bad_requests;
     }
@@ -107,6 +112,7 @@ void RemoteServer::drain(std::vector<std::vector<std::uint8_t>>& frames_out) {
       });
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     if (!queue_[i].bad) ++stats_.executed;
+    stats_.records_returned += responses[i].aps.size();
     emit(responses[i], queue_[i].key, /*cache=*/true, frames_out);
   }
   queue_.clear();

@@ -26,8 +26,8 @@
 // Everything here is event-driven on caller-supplied milliseconds and
 // per-frame byte vectors (one frame == one UDP datagram in mmctl), so the
 // same state machines run under virtual time in tests and wall-clock time in
-// `mmctl wps-serve --udp` / `wps-query send` — and a given (seed, plan,
-// workload) triple replays byte-identically.
+// `mmctl wps-serve` (over UDP or a byte stream) / `wps-query send` — and a
+// given (seed, plan, workload) triple replays byte-identically.
 #pragma once
 
 #include <cstdint>
@@ -60,12 +60,17 @@ struct RemoteServerStats {
   std::uint64_t frames_seen = 0;       ///< well-formed wire frames decoded
   std::uint64_t non_data_frames = 0;   ///< parity/unknown frames ignored
   std::uint64_t requests_decoded = 0;  ///< parseable request payloads
+  std::uint64_t lookup_requests = 0;   ///< requests_decoded, split by op
+  std::uint64_t nearest_requests = 0;
+  std::uint64_t range_requests = 0;
   std::uint64_t bad_requests = 0;      ///< undecodable payloads (answered kBadRequest)
   std::uint64_t executed = 0;          ///< queries actually run against the Service
   std::uint64_t shed = 0;              ///< kRetryAfter refusals (queue full)
   std::uint64_t replayed = 0;          ///< responses re-sent from the dedup cache
   std::uint64_t absorbed_inflight = 0; ///< retransmits swallowed while queued
   std::uint64_t responses_sent = 0;    ///< responses emitted (incl. replays + sheds)
+  std::uint64_t records_returned = 0;  ///< AP records in executed responses
+                                       ///< (a replay is not counted again)
 };
 
 /// One serving endpoint over a Service. Feed it upstream bytes in any
@@ -94,6 +99,9 @@ class RemoteServer {
   [[nodiscard]] const net::WireDecoderStats& decoder_stats() const noexcept {
     return decoder_.stats();
   }
+  /// Upstream bytes held back as an incomplete frame (at the end of a byte
+  /// stream: its torn tail).
+  [[nodiscard]] std::size_t buffered() const noexcept { return decoder_.buffered(); }
 
  private:
   struct Pending {

@@ -1,12 +1,11 @@
 #include "wps/snapshot_writer.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 
+#include "durability/checkpoint.h"
 #include "durability/crc32c.h"
 
 namespace mm::wps {
@@ -75,33 +74,6 @@ void append_record(std::vector<std::uint8_t>& out, const PackedRecord& r) {
   put_f64(out, r.x);
   put_f64(out, r.y);
   put_f64(out, r.radius_m);
-}
-
-util::Result<bool> write_atomic(const std::filesystem::path& path,
-                                const std::vector<std::uint8_t>& bytes, bool do_fsync) {
-  using R = util::Result<bool>;
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd < 0) return R::failure("wps snapshot: cannot create " + tmp.string());
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ::ssize_t n =
-        ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      ::close(fd);
-      return R::failure("wps snapshot: write failed on " + tmp.string());
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  if (do_fsync && ::fsync(fd) != 0) {
-    ::close(fd);
-    return R::failure("wps snapshot: fsync failed on " + tmp.string());
-  }
-  ::close(fd);
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return R::failure("wps snapshot: rename failed on " + path.string());
-  return true;
 }
 
 }  // namespace
@@ -207,8 +179,9 @@ util::Result<SnapshotBuildStats> write_snapshot(std::vector<PackedRecord>& recor
   put_u32(out, 0);
   out.insert(out.end(), kTrailerMagic.begin(), kTrailerMagic.end());
 
-  auto written = write_atomic(path, out, options.fsync);
-  if (!written.ok()) return R::failure(written.error());
+  auto written =
+      durability::write_file_atomic(path, std::as_bytes(std::span(out)), options.fsync);
+  if (!written.ok()) return R::failure("wps snapshot: " + written.error());
 
   SnapshotBuildStats stats;
   stats.records = records.size();

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
+#include "capture/frame_event.h"
+#include "capture/observation_store.h"
+#include "marauder/tracker.h"
+#include "pipeline/live_tracker.h"
 #include "sim/scenario.h"
 
 namespace mm::marauder {
@@ -171,6 +179,112 @@ TEST(ApDatabase, FromCsvQuarantinesMalformedRows) {
   EXPECT_NE(imported.value().find(*net80211::MacAddress::parse("00:1a:2b:00:02:01")),
             nullptr);
   std::filesystem::remove(path);
+}
+
+// A row whose coordinates are not finite, or whose radius is not a finite
+// positive number, is quarantined by both importers. Loaded, such an AP made
+// Tracker::locate throw ("radii must be positive"), let locate_all swap the
+// default radius in for a NaN one, and killed a live shard's worker on its
+// first contact, so no later event on that shard was applied.
+TEST(ApDatabase, NonFiniteOrNonPositiveRowsAreQuarantinedAndEveryDeviceLocates) {
+  const geo::EnuFrame frame(sim::uml_north_campus());
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto csv_path = dir / "mm_apdb_nonfinite.csv";
+  {
+    std::ofstream out(csv_path);
+    out << "bssid,ssid,lat,lon,radius_m\n";
+    out << "00:1a:2b:00:06:01,good,42.65600,-71.32500,120\n";
+    out << "00:1a:2b:00:06:02,good,42.65610,-71.32490,\n";  // default radius
+    out << "00:1a:2b:00:06:03,nanpos,nan,nan,120\n";
+    out << "00:1a:2b:00:06:04,infpos,42.65600,inf,120\n";
+    out << "00:1a:2b:00:06:05,nanrad,42.65605,-71.32495,nan\n";
+    out << "00:1a:2b:00:06:06,infrad,42.65605,-71.32495,inf\n";
+    out << "00:1a:2b:00:06:07,zerorad,42.65605,-71.32495,0\n";
+    out << "00:1a:2b:00:06:08,negrad,42.65605,-71.32495,-40\n";
+  }
+  CsvImportStats stats;
+  auto imported = ApDatabase::from_csv(csv_path, frame, &stats);
+  std::filesystem::remove(csv_path);
+  ASSERT_TRUE(imported.ok()) << imported.error();
+  EXPECT_EQ(stats.rows_total, 8u);
+  EXPECT_EQ(stats.rows_loaded, 2u);
+  EXPECT_EQ(stats.quarantined, 6u);
+  const ApDatabase db = std::move(imported).value();
+  ASSERT_EQ(db.size(), 2u);
+
+  const auto wigle_path = dir / "mm_wigle_nonfinite.csv";
+  {
+    std::ofstream out(wigle_path);
+    out << "netid,ssid,authmode,firstseen,channel,rssi,currentlatitude,"
+           "currentlongitude,altitudemeters,accuracymeters,type\n";
+    out << "00:1a:2b:00:06:11,good,[WPA2],2008-10-24 10:00:00,6,-70,"
+           "42.6560,-71.3250,30,5,WIFI\n";
+    out << "00:1a:2b:00:06:12,nanlat,[WPA2],2008-10-24 10:00:00,6,-70,"
+           "nan,-71.3250,30,5,WIFI\n";
+    out << "00:1a:2b:00:06:13,inflon,[WPA2],2008-10-24 10:00:00,6,-70,"
+           "42.6560,-inf,30,5,WIFI\n";
+  }
+  CsvImportStats wigle_stats;
+  const auto wigle = ApDatabase::from_wigle_csv(wigle_path, frame, &wigle_stats);
+  std::filesystem::remove(wigle_path);
+  ASSERT_TRUE(wigle.ok()) << wigle.error();
+  EXPECT_EQ(wigle.value().size(), 1u);
+  EXPECT_EQ(wigle_stats.rows_total, 3u);
+  EXPECT_EQ(wigle_stats.quarantined, 2u);
+
+  // Device i hears both good APs and the bad AP of row i.
+  std::vector<capture::FrameEvent> events;
+  std::vector<net80211::MacAddress> devices;
+  for (int i = 3; i <= 8; ++i) {
+    devices.push_back(*net80211::MacAddress::parse("00:16:6f:00:06:0" + std::to_string(i)));
+    for (const int ap : {i, 1, 2}) {
+      capture::FrameEvent event;
+      event.kind = capture::FrameEventKind::kContact;
+      event.stream_seq = events.size() + 1;
+      event.device = devices.back();
+      event.ap = *net80211::MacAddress::parse("00:1a:2b:00:06:0" + std::to_string(ap));
+      event.time_s = static_cast<double>(events.size());
+      event.rssi_dbm = -50.0;
+      events.push_back(event);
+    }
+  }
+  capture::ObservationStore store;
+  for (const capture::FrameEvent& event : events) capture::apply_event(event, store);
+
+  const Tracker tracker(db, TrackerOptions{});
+  const auto all = tracker.locate_all(store);
+  EXPECT_EQ(all.size(), devices.size());
+  for (const auto& device : devices) {
+    SCOPED_TRACE(device.to_string());
+    LocalizationResult one;
+    ASSERT_NO_THROW(one = tracker.locate(store, device));
+    EXPECT_TRUE(one.ok);
+    EXPECT_EQ(one.num_aps, 2u);
+    const auto it = all.find(device);
+    ASSERT_NE(it, all.end());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(it->second.estimate.x),
+              std::bit_cast<std::uint64_t>(one.estimate.x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(it->second.estimate.y),
+              std::bit_cast<std::uint64_t>(one.estimate.y));
+  }
+
+  pipeline::LiveTrackerConfig config;
+  config.shards = 1;
+  config.drop_policy = pipeline::DropPolicy::kBlock;
+  pipeline::LiveTracker live(db, config);
+  live.start();
+  for (const capture::FrameEvent& event : events) ASSERT_TRUE(live.push(event));
+  live.stop();
+  const pipeline::PipelineStats live_stats = live.stats();
+  ASSERT_EQ(live_stats.shards.size(), 1u);
+  EXPECT_EQ(live_stats.shards[0].frames, events.size());
+  for (const auto& device : devices) {
+    SCOPED_TRACE(device.to_string());
+    const auto position = live.locate(device);
+    ASSERT_TRUE(position.has_value());
+    EXPECT_EQ(position->ok, 1);
+    EXPECT_EQ(position->gamma_size, 2u);
+  }
 }
 
 TEST(ApDatabase, FromCsvMissingFileIsFailure) {

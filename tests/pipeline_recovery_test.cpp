@@ -1,5 +1,5 @@
 // Phoenix crash recovery, end to end: a child process ingests a capture with
-// durability on and _exit()s mid-ingest at a randomized offset (the hook
+// durability on and SIGKILLs itself mid-ingest at a randomized offset (the hook
 // fires between the WAL append of the previous event and the apply of the
 // next — the worst places a crash can land). The parent then recovers from
 // whatever the corpse left on disk — checkpoint + WAL tail, possibly with a
@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -98,7 +99,7 @@ LiveTrackerConfig base_config(const fs::path& wal_dir) {
   config.drop_policy = DropPolicy::kBlock;  // lossless: equality must be exact
   config.durability.dir = wal_dir;
   config.durability.wal.commit_every_records = 4;
-  config.durability.wal.fsync_on_commit = false;  // _exit keeps OS-buffered writes
+  config.durability.wal.fsync_on_commit = false;  // a killed process keeps OS-buffered writes
   config.durability.checkpoint_interval_s = 0.0;  // checkpoints forced by tests
   config.durability.checkpoint_save.fsync = false;
   return config;
@@ -116,8 +117,8 @@ void run_uninterrupted(const RecoveryScenario& s, const fault::FaultPlan& plan,
   tracker.stop();
 }
 
-/// Forks a child that ingests with the same config but _exit(42)s when the
-/// hook has seen `kill_after` events. Returns after reaping the child.
+/// Forks a child that ingests with the same config but SIGKILLs itself when
+/// the hook has seen `kill_after` events. Returns after reaping the child.
 void crash_mid_ingest(const RecoveryScenario& s, const marauder::ApDatabase& db,
                       const fs::path& wal_dir, const fault::FaultPlan& plan,
                       std::uint64_t kill_after) {
@@ -125,13 +126,16 @@ void crash_mid_ingest(const RecoveryScenario& s, const marauder::ApDatabase& db,
   ASSERT_GE(pid, 0) << "fork failed";
   if (pid == 0) {
     // Child: no gtest assertions (they would confuse the parent's report) —
-    // any outcome other than _exit(42) shows up as a wait-status mismatch.
+    // any outcome other than death by SIGKILL shows up as a wait-status
+    // mismatch. SIGKILL is a real crash and runs no exit hooks, so a
+    // sanitizer's at-exit report (TSan's leak of the still-running shard
+    // threads) cannot turn it into an ordinary exit.
     static std::atomic<std::uint64_t> seen{0};
     LiveTrackerConfig config = base_config(wal_dir);
     config.durability.checkpoint_interval_s = 0.001;  // checkpoint aggressively
     config.ingest_hook = [kill_after](std::size_t, const capture::FrameEvent&) {
       if (seen.fetch_add(1, std::memory_order_relaxed) + 1 == kill_after) {
-        _exit(42);  // crash point: mid-event, WAL tail uncommitted
+        kill(getpid(), SIGKILL);  // crash point: mid-event, WAL tail uncommitted
       }
     };
     LiveTracker tracker(db, config);
@@ -144,8 +148,11 @@ void crash_mid_ingest(const RecoveryScenario& s, const marauder::ApDatabase& db,
   }
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 42) << "child did not die at the crash point";
+  ASSERT_FALSE(WIFEXITED(status))
+      << "child exited with " << WEXITSTATUS(status)
+      << " instead of dying at the crash point (7: capture too short)";
+  ASSERT_TRUE(WIFSIGNALED(status));
+  ASSERT_EQ(WTERMSIG(status), SIGKILL) << "child died of another signal";
 }
 
 /// The headline assertion: identical store slices and published positions.

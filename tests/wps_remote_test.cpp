@@ -218,6 +218,64 @@ TEST(WpsRemote, OverloadShedsExplicitly) {
   EXPECT_EQ(server.stats().executed, 1u);
 }
 
+// The counters `mmctl wps-serve` reports: requests split by op, and the AP
+// records of executed responses — a dedup replay re-sends a response without
+// counting its records again, and an undecodable payload counts under no op.
+TEST(WpsRemote, ServerCountsRequestsByOpAndRecordsReturned) {
+  const Service service = open_city("mm_remote_counts.wps", 600, 61);
+  const auto requests = mixed_requests(50, 600, 62);
+
+  std::vector<std::uint8_t> upstream;
+  std::vector<std::uint8_t> first;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    net::WireFrame frame;
+    frame.type = net::WireFrameType::kData;
+    frame.stream_id = 1;
+    frame.seq = i + 1;
+    frame.payload = encode_request(requests[i]);
+    net::append_wire_frame(frame, upstream);
+    if (i == 0) first = upstream;
+  }
+  net::WireFrame garbage;
+  garbage.type = net::WireFrameType::kData;
+  garbage.stream_id = 1;
+  garbage.seq = requests.size() + 1;
+  garbage.payload = {0xff, 0x00, 0x01};
+  net::append_wire_frame(garbage, upstream);
+
+  RemoteServer server(service, {});
+  std::vector<std::vector<std::uint8_t>> frames;
+  server.on_bytes(upstream, frames);
+  server.drain(frames);
+  server.on_bytes(first, frames);  // a retransmit of request 1: replayed
+
+  std::uint64_t lookups = 0;
+  std::uint64_t nearests = 0;
+  std::uint64_t ranges = 0;
+  std::uint64_t records = 0;
+  for (const QueryRequest& q : requests) {
+    lookups += q.op == QueryOp::kLookup;
+    nearests += q.op == QueryOp::kNearest;
+    ranges += q.op == QueryOp::kRange;
+    records += execute_query(service, q).aps.size();
+  }
+  const RemoteServerStats& st = server.stats();
+  EXPECT_GT(lookups, 0u);
+  EXPECT_GT(nearests, 0u);
+  EXPECT_GT(ranges, 0u);
+  EXPECT_GT(records, 0u);
+  EXPECT_EQ(st.requests_decoded, requests.size());
+  EXPECT_EQ(st.lookup_requests, lookups);
+  EXPECT_EQ(st.nearest_requests, nearests);
+  EXPECT_EQ(st.range_requests, ranges);
+  EXPECT_EQ(st.bad_requests, 1u);
+  EXPECT_EQ(st.executed, requests.size());
+  EXPECT_EQ(st.replayed, 1u);
+  EXPECT_EQ(st.responses_sent, requests.size() + 2);
+  EXPECT_EQ(st.records_returned, records);
+  EXPECT_EQ(server.buffered(), 0u);
+}
+
 TEST(WpsRemote, ShedRequestsRecoverThroughRetry) {
   const Service service = open_city("mm_remote_shedretry.wps", 400, 53);
   const auto requests = mixed_requests(40, 400, 54);

@@ -6,8 +6,9 @@
 //   (possibly damaged) stream to a file or pipe.
 //
 //   mmctl net-recv: the central engine — pump one or more recorded streams
-//   through the SnifferFeedMux into Riptide and print the same tables
-//   `mmctl live` does, plus the per-feed fabric health.
+//   through the SnifferFeedMux into Riptide. The engine around the feed is
+//   `mmctl live`'s (live_engine.h); the feed adds its per-feed fabric
+//   health table and the `net` stats-JSON block.
 //
 // The two ends meet over any dumb byte transport; a mkfifo between two
 // terminals is the README's demo rig, and --udp/--udp-listen runs the same
@@ -17,12 +18,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -31,25 +29,18 @@
 #include "commands.h"
 #include "capture/replay.h"
 #include "fault/fault_plan.h"
-#include "geo/geodetic.h"
-#include "marauder/ap_database.h"
+#include "live_engine.h"
 #include "net/fec.h"
 #include "net/link_sim.h"
 #include "net/udp.h"
 #include "net/wire_codec.h"
 #include "net80211/pcap.h"
 #include "pipeline/feed_mux.h"
-#include "pipeline/live_tracker.h"
-#include "sim/scenario.h"
 #include "util/table.h"
 
 namespace mm::tools {
 
 namespace {
-
-std::atomic<bool> g_net_interrupted{false};
-
-extern "C" void net_signal_handler(int) { g_net_interrupted.store(true); }
 
 /// Splits a comma-separated flag value ("a.bin,b.bin") into its parts.
 std::vector<std::string> split_list(const std::string& value) {
@@ -65,68 +56,6 @@ std::vector<std::string> split_list(const std::string& value) {
 void send_through_link(net::LinkSimulator& link, std::span<const std::uint8_t> bytes) {
   net::for_each_wire_frame(
       bytes, [&](std::span<const std::uint8_t> frame) { link.send(frame); });
-}
-
-void write_net_stats_json(const std::string& path, const pipeline::PipelineStats& stats,
-                          const pipeline::FeedMuxStats& net) {
-  std::ofstream out(path);
-  out << "{\n";
-  out << "  \"elapsed_s\": " << stats.elapsed_s << ",\n";
-  out << "  \"total_frames\": " << stats.total_frames << ",\n";
-  out << "  \"total_dropped\": " << stats.total_dropped << ",\n";
-  out << "  \"frames_per_sec\": " << stats.frames_per_sec << ",\n";
-  out << "  \"directory_size\": " << stats.directory_size << ",\n";
-  out << "  \"locate\": {\"count\": " << stats.locate_count
-      << ", \"p50_us\": " << stats.locate_p50_us << ", \"p95_us\": " << stats.locate_p95_us
-      << ", \"p99_us\": " << stats.locate_p99_us << ", \"max_us\": " << stats.locate_max_us
-      << "},\n";
-  out << "  \"durability\": {\"enabled\": "
-      << (stats.durability_enabled ? "true" : "false")
-      << ", \"wal_records\": " << stats.total_wal_records
-      << ", \"checkpoints\": " << stats.total_checkpoints << "},\n";
-  out << "  \"net\": {\n";
-  out << "    \"events_delivered\": " << net.events_delivered << ",\n";
-  out << "    \"events_dropped\": " << net.events_dropped << ",\n";
-  out << "    \"last_stream_seq\": " << net.last_stream_seq << ",\n";
-  out << "    \"feeds\": [\n";
-  for (std::size_t i = 0; i < net.feeds.size(); ++i) {
-    const pipeline::FeedStats& f = net.feeds[i];
-    out << "      {\"stream_id\": " << f.stream_id
-        << ", \"bytes_fed\": " << f.wire.bytes_fed
-        << ", \"frames_decoded\": " << f.wire.frames_decoded
-        << ", \"resync_bytes\": " << f.wire.resync_bytes
-        << ", \"crc_failures\": " << f.wire.crc_failures
-        << ", \"bad_version\": " << f.wire.bad_version
-        << ", \"bad_length\": " << f.wire.bad_length
-        << ", \"data_frames\": " << f.fec.data_frames
-        << ", \"parity_frames\": " << f.fec.parity_frames
-        << ", \"duplicates\": " << f.fec.duplicates
-        << ", \"out_of_order\": " << f.fec.out_of_order
-        << ", \"recovered\": " << f.fec.recovered
-        << ", \"unrecoverable_gaps\": " << f.fec.unrecoverable_gaps
-        << ", \"recoveries_late\": " << f.fec.recoveries_late
-        << ", \"bad_payloads\": " << f.fec.bad_payloads
-        << ", \"stream_mismatches\": " << f.stream_mismatches
-        << ", \"events_delivered\": " << f.events_delivered
-        << ", \"events_dropped\": " << f.events_dropped
-        << ", \"degraded\": " << (f.degraded() ? "true" : "false") << "}"
-        << (i + 1 < net.feeds.size() ? "," : "") << "\n";
-  }
-  out << "    ]\n  },\n";
-  out << "  \"shards\": [\n";
-  for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-    const pipeline::ShardStats& s = stats.shards[i];
-    out << "    {\"frames\": " << s.frames << ", \"contacts\": " << s.contacts
-        << ", \"publishes\": " << s.publishes << ", \"devices\": " << s.devices
-        << ", \"ring_dropped\": " << s.ring_dropped
-        << ", \"applied_seq\": " << s.applied_seq
-        << ", \"wal_records\": " << s.wal_records
-        << ", \"checkpoints\": " << s.checkpoints
-        << ", \"dedup_skipped\": " << s.dedup_skipped
-        << ", \"degraded\": " << (s.degraded ? "true" : "false") << "}"
-        << (i + 1 < stats.shards.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
 }
 
 }  // namespace
@@ -284,9 +213,8 @@ int cmd_net_send(const util::Flags& flags) {
 
 int cmd_net_recv(const util::Flags& flags) {
   const std::string in_list = flags.get("in", "");
-  const std::string apdb_path = flags.get("apdb", "");
   const bool udp_mode = flags.has("udp-listen");
-  if (apdb_path.empty() || (in_list.empty() == !udp_mode)) {
+  if (flags.get("apdb", "").empty() || (in_list.empty() == !udp_mode)) {
     std::cerr << "mmctl net-recv: --apdb and exactly one of --in/--udp-listen are required\n";
     return 2;
   }
@@ -314,44 +242,9 @@ int cmd_net_recv(const util::Flags& flags) {
       stream_ids.push_back(static_cast<std::uint32_t>(i + 1));
     }
   }
-
-  const geo::EnuFrame frame(sim::uml_north_campus());
-  marauder::CsvImportStats apdb_stats;
-  auto db_result = marauder::ApDatabase::from_csv(apdb_path, frame, &apdb_stats);
-  if (!db_result.ok()) {
-    std::cerr << "mmctl net-recv: --apdb: " << db_result.error() << "\n";
-    return 1;
-  }
-  const marauder::ApDatabase db = std::move(db_result.value());
-  if (apdb_stats.quarantined > 0) {
-    std::cerr << "apdb: quarantined " << apdb_stats.quarantined << "/"
-              << apdb_stats.rows_total << " malformed rows\n";
-  }
-
-  pipeline::LiveTrackerConfig config;
-  config.shards = static_cast<std::size_t>(flags.get_int("shards", 4));
-  config.ring_capacity =
-      static_cast<std::size_t>(flags.get_int("ring-capacity", 1 << 14));
-  config.default_radius_m = flags.get_double("default-radius", 100.0);
-  config.mloc.reject_outliers = flags.has("reject-outliers");
-  const std::string policy = flags.get("drop-policy", "drop");
-  if (policy == "drop") {
-    config.drop_policy = pipeline::DropPolicy::kDropNewest;
-  } else if (policy == "block") {
-    config.drop_policy = pipeline::DropPolicy::kBlock;
-  } else {
-    std::cerr << "mmctl net-recv: unknown --drop-policy '" << policy << "' (drop|block)\n";
-    return 2;
-  }
-  const std::string wal_dir = flags.get("wal-dir", "");
-  if (!wal_dir.empty()) {
-    config.durability.dir = wal_dir;
-    config.durability.checkpoint_interval_s = flags.get_double("checkpoint-secs", 30.0);
-    config.durability.wal.fsync_on_commit = !flags.has("no-fsync");
-  }
-  const bool do_recover = flags.has("recover");
-  if (do_recover && wal_dir.empty()) {
-    std::cerr << "mmctl net-recv: --recover requires --wal-dir\n";
+  const auto port = flags.get_int("udp-listen", 0);
+  if (udp_mode && (port <= 0 || port > 65535)) {
+    std::cerr << "mmctl net-recv: --udp-listen needs a port in [1, 65535]\n";
     return 2;
   }
 
@@ -359,13 +252,11 @@ int cmd_net_recv(const util::Flags& flags) {
   fec_options.reorder_window =
       static_cast<std::size_t>(flags.get_int("fec-window", 256));
 
+  LiveEngine engine("mmctl net-recv");
+  if (const int rc = engine.open(flags); rc != 0) return rc;
+
   int udp_fd = -1;
   if (udp_mode) {
-    const auto port = flags.get_int("udp-listen", 0);
-    if (port <= 0 || port > 65535) {
-      std::cerr << "mmctl net-recv: --udp-listen needs a port in [1, 65535]\n";
-      return 2;
-    }
     net::UdpListenerOptions listener;
     listener.rcvbuf_bytes = net::clamp_rcvbuf_bytes(
         flags.get_int("rcvbuf", net::kDefaultRcvbufBytes));
@@ -385,46 +276,25 @@ int cmd_net_recv(const util::Flags& flags) {
     inputs.emplace_back(path, std::ios::binary);
     if (!inputs.back()) {
       std::cerr << "mmctl net-recv: cannot open --in " << path << "\n";
-      if (udp_fd >= 0) ::close(udp_fd);
       return 1;
     }
   }
 
-  pipeline::LiveTracker tracker(db, config);
-  if (do_recover) {
-    auto recovered = tracker.recover();
-    if (!recovered.ok()) {
-      std::cerr << "mmctl net-recv: --recover: " << recovered.error() << "\n";
-      return 1;
-    }
-    const pipeline::RecoveryStats& r = recovered.value();
-    std::cout << "recovered " << r.checkpoints_loaded << " checkpoints, "
-              << r.wal_records_replayed << " WAL records replayed ("
-              << r.wal_records_skipped << " skipped), " << r.devices_restored
-              << " devices\n";
-  }
-
-  std::signal(SIGINT, net_signal_handler);
-  std::signal(SIGTERM, net_signal_handler);
-  tracker.start();
-
-  pipeline::SnifferFeedMux mux(tracker, fec_options);
+  engine.start();
+  pipeline::SnifferFeedMux mux(engine.tracker(), fec_options);
   for (const std::uint32_t id : stream_ids) mux.add_feed(id);
+  const std::atomic<bool>& stop = LiveEngine::stop_flag();
 
   std::uint64_t datagrams = 0;
   if (udp_mode) {
     // Datagram pump: each recv is one sender frame (or whatever loss and
-    // reordering left of it); the stream ends after the idle timeout of
-    // silence — a datagram socket has no EOF. --idle-timeout-ms is the
-    // canonical flag; --udp-idle-secs predates it and still works.
-    const long long idle_ms_raw =
-        flags.has("idle-timeout-ms")
-            ? static_cast<long long>(flags.get_int("idle-timeout-ms", 5000))
-            : static_cast<long long>(flags.get_double("udp-idle-secs", 5.0) * 1000.0);
-    const double idle_secs = net::clamp_idle_timeout_ms(idle_ms_raw) / 1000.0;
+    // reordering left of it); the stream ends after --idle-timeout-ms of
+    // silence — a datagram socket has no EOF.
+    const double idle_secs =
+        net::clamp_idle_timeout_ms(flags.get_int("idle-timeout-ms", 5000)) / 1000.0;
     std::vector<std::uint8_t> datagram(1 << 16);
     auto last_data = std::chrono::steady_clock::now();
-    while (!g_net_interrupted.load()) {
+    while (!stop.load()) {
       const ssize_t got = ::recv(udp_fd, datagram.data(), datagram.size(), 0);
       if (got > 0) {
         ++datagrams;
@@ -445,14 +315,9 @@ int cmd_net_recv(const util::Flags& flags) {
     constexpr std::size_t kChunkBytes = 4096;
     std::vector<std::uint8_t> chunk(kChunkBytes);
     bool any_open = true;
-    bool interrupted = false;
-    while (any_open && !interrupted) {
+    while (any_open && !stop.load()) {
       any_open = false;
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (g_net_interrupted.load()) {
-          interrupted = true;
-          break;
-        }
+      for (std::size_t i = 0; i < inputs.size() && !stop.load(); ++i) {
         if (!inputs[i]) continue;
         inputs[i].read(reinterpret_cast<char*>(chunk.data()),
                        static_cast<std::streamsize>(kChunkBytes));
@@ -465,13 +330,9 @@ int cmd_net_recv(const util::Flags& flags) {
     }
   }
   mux.finish();
-  tracker.stop();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  engine.stop();
 
   const pipeline::FeedMuxStats net_stats = mux.stats();
-  const pipeline::PipelineStats stats = tracker.stats();
-
   util::Table feed_table({"feed", "stream", "bytes", "frames", "resync", "crc fail",
                           "events", "recovered", "dup", "gaps", "health"});
   for (std::size_t i = 0; i < net_stats.feeds.size(); ++i) {
@@ -486,45 +347,47 @@ int cmd_net_recv(const util::Flags& flags) {
   }
   feed_table.print(std::cout);
   if (udp_mode) std::cout << datagrams << " datagrams received\n";
-  std::cout << "\n" << net_stats.events_delivered << " events into Riptide ("
-            << net_stats.events_dropped << " ring-dropped), " << stats.total_frames
-            << " processed in " << util::Table::fmt(stats.elapsed_s, 3) << " s ("
-            << util::Table::fmt(stats.frames_per_sec, 0) << " frames/s)\n\n";
-
-  util::Table shard_table(
-      {"shard", "frames", "contacts", "publishes", "devices", "ring drop", "wal",
-       "ckpt", "health"});
-  for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-    const pipeline::ShardStats& s = stats.shards[i];
-    shard_table.add_row(
-        {std::to_string(i), std::to_string(s.frames), std::to_string(s.contacts),
-         std::to_string(s.publishes), std::to_string(s.devices),
-         std::to_string(s.ring_dropped), std::to_string(s.wal_records),
-         std::to_string(s.checkpoints), s.degraded ? "DEGRADED" : "ok"});
-  }
-  shard_table.print(std::cout);
-
-  auto snapshot = tracker.snapshot();
-  std::sort(snapshot.begin(), snapshot.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  util::Table device_table({"device", "x (m)", "y (m)", "lat", "lon", "|Gamma|", "updates"});
-  for (const auto& [mac, pos] : snapshot) {
-    const geo::Geodetic g = frame.to_geodetic({pos.x_m, pos.y_m});
-    device_table.add_row(
-        {mac.to_string(), util::Table::fmt(pos.x_m, 1), util::Table::fmt(pos.y_m, 1),
-         util::Table::fmt(g.lat_deg, 6), util::Table::fmt(g.lon_deg, 6),
-         std::to_string(pos.gamma_size), std::to_string(pos.updates)});
-  }
   std::cout << "\n";
-  device_table.print(std::cout);
-  std::cout << "\ntracking " << snapshot.size() << " devices live\n";
 
-  const std::string json_path = flags.get("stats-json", "");
-  if (!json_path.empty()) {
-    write_net_stats_json(json_path, stats, net_stats);
-    std::cout << "wrote " << json_path << "\n";
-  }
-  return g_net_interrupted.load() ? 130 : 0;
+  FeedReport report;
+  std::ostringstream summary;
+  summary << net_stats.events_delivered << " events into Riptide ("
+          << net_stats.events_dropped << " ring-dropped), ";
+  report.summary = summary.str();
+  report.dropped = net_stats.events_dropped;
+  for (const pipeline::FeedStats& f : net_stats.feeds) report.quarantined += f.fec.bad_payloads;
+  report.write_json = [&](std::ostream& out) {
+    out << "  \"net\": {\n";
+    out << "    \"events_delivered\": " << net_stats.events_delivered << ",\n";
+    out << "    \"events_dropped\": " << net_stats.events_dropped << ",\n";
+    out << "    \"last_stream_seq\": " << net_stats.last_stream_seq << ",\n";
+    out << "    \"feeds\": [\n";
+    for (std::size_t i = 0; i < net_stats.feeds.size(); ++i) {
+      const pipeline::FeedStats& f = net_stats.feeds[i];
+      out << "      {\"stream_id\": " << f.stream_id
+          << ", \"bytes_fed\": " << f.wire.bytes_fed
+          << ", \"frames_decoded\": " << f.wire.frames_decoded
+          << ", \"resync_bytes\": " << f.wire.resync_bytes
+          << ", \"crc_failures\": " << f.wire.crc_failures
+          << ", \"bad_version\": " << f.wire.bad_version
+          << ", \"bad_length\": " << f.wire.bad_length
+          << ", \"data_frames\": " << f.fec.data_frames
+          << ", \"parity_frames\": " << f.fec.parity_frames
+          << ", \"duplicates\": " << f.fec.duplicates
+          << ", \"out_of_order\": " << f.fec.out_of_order
+          << ", \"recovered\": " << f.fec.recovered
+          << ", \"unrecoverable_gaps\": " << f.fec.unrecoverable_gaps
+          << ", \"recoveries_late\": " << f.fec.recoveries_late
+          << ", \"bad_payloads\": " << f.fec.bad_payloads
+          << ", \"stream_mismatches\": " << f.stream_mismatches
+          << ", \"events_delivered\": " << f.events_delivered
+          << ", \"events_dropped\": " << f.events_dropped
+          << ", \"degraded\": " << (f.degraded() ? "true" : "false") << "}"
+          << (i + 1 < net_stats.feeds.size() ? "," : "") << "\n";
+    }
+    out << "    ]\n  },\n";
+  };
+  return engine.report(flags, report);
 }
 
 }  // namespace mm::tools

@@ -6,10 +6,11 @@
 //
 //   mmctl wps-serve:   the positioning service — answer lookup / nearest /
 //   range requests carried as Lattice wire frames over any dumb byte pipe
-//   (a file, a mkfifo between two terminals), or — with --udp — over a real
-//   datagram socket through the Aegis fault-tolerant tier: request-id dedup,
-//   bounded queue with explicit load shedding, SIGHUP snapshot hot-swap.
-//   Batches decode concurrently; responses leave in request order.
+//   (a file, a mkfifo between two terminals) or — with --udp — over a real
+//   datagram socket. Both transports run the Aegis tier (wps::RemoteServer):
+//   request-id dedup, bounded queue with explicit load shedding, batches
+//   executed concurrently with responses in request order; SIGHUP
+//   hot-swaps the snapshot.
 //
 //   mmctl wps-query:   the client end — encode request frames onto a
 //   stream, decode a response stream and print what the service said, or
@@ -32,6 +33,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,8 +46,8 @@
 #include "net/wire_codec.h"
 #include "net80211/mac_address.h"
 #include "sim/scenario.h"
+#include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "wps/query_codec.h"
 #include "wps/remote.h"
 #include "wps/reliability.h"
@@ -64,17 +66,6 @@ std::atomic<bool> g_wps_reload{false};
 
 extern "C" void wps_signal_handler(int) { g_wps_interrupted.store(true); }
 extern "C" void wps_hup_handler(int) { g_wps_reload.store(true); }
-
-/// Sorted-percentile helper over recorded per-request handling times.
-double percentile_us(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = p * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] + (samples[hi] - samples[lo]) * frac;
-}
 
 const char* op_name(wps::QueryOp op) {
   switch (op) {
@@ -102,61 +93,6 @@ void print_service_stats(const wps::ServiceStats& stats) {
   }
   if (stats.mac_index_damaged) std::cout << ", MAC index damaged (tile fallback)";
   std::cout << "\n";
-}
-
-/// Serving-tier additions riding along in the stats JSON (Aegis, prewarm).
-struct ServeJsonExtras {
-  bool prewarmed = false;
-  double prewarm_s = 0.0;
-  double p50_us = 0.0;  ///< per-request handling latency (post-prewarm)
-  double p99_us = 0.0;
-  const wps::RemoteServerStats* aegis = nullptr;  ///< UDP mode only
-  const wps::DedupStats* dedup = nullptr;
-};
-
-void write_serve_stats_json(const std::string& path, std::uint64_t requests,
-                            std::uint64_t bad_requests, std::uint64_t undecodable,
-                            std::uint64_t records_returned,
-                            std::uint64_t response_frames,
-                            const net::WireDecoderStats& wire,
-                            const wps::ServiceStats& service,
-                            const ServeJsonExtras& extras) {
-  std::ofstream out(path);
-  out << "{\n";
-  out << "  \"requests\": " << requests << ",\n";
-  out << "  \"bad_requests\": " << bad_requests << ",\n";
-  out << "  \"undecodable_frames\": " << undecodable << ",\n";
-  out << "  \"records_returned\": " << records_returned << ",\n";
-  out << "  \"response_frames\": " << response_frames << ",\n";
-  out << "  \"prewarm\": {\"enabled\": " << (extras.prewarmed ? "true" : "false")
-      << ", \"prewarm_s\": " << extras.prewarm_s << "},\n";
-  out << "  \"latency\": {\"p50_us\": " << extras.p50_us
-      << ", \"p99_us\": " << extras.p99_us << "},\n";
-  if (extras.aegis != nullptr && extras.dedup != nullptr) {
-    out << "  \"aegis\": {\"executed\": " << extras.aegis->executed
-        << ", \"shed\": " << extras.aegis->shed
-        << ", \"replayed\": " << extras.aegis->replayed
-        << ", \"absorbed_inflight\": " << extras.aegis->absorbed_inflight
-        << ", \"responses_sent\": " << extras.aegis->responses_sent
-        << ", \"dedup_hits\": " << extras.dedup->hits
-        << ", \"dedup_misses\": " << extras.dedup->misses
-        << ", \"dedup_evictions\": " << extras.dedup->evictions << "},\n";
-  }
-  out << "  \"wire\": {\"bytes_fed\": " << wire.bytes_fed
-      << ", \"frames_decoded\": " << wire.frames_decoded
-      << ", \"resync_bytes\": " << wire.resync_bytes
-      << ", \"crc_failures\": " << wire.crc_failures << "},\n";
-  out << "  \"snapshot\": {\"records\": " << service.records_total
-      << ", \"tiles\": " << service.tiles_total
-      << ", \"sections_rejected\": " << service.sections_rejected
-      << ", \"tiles_quarantined\": " << service.tiles_quarantined
-      << ", \"records_quarantined\": " << service.records_quarantined
-      << ", \"footer_recovered\": " << (service.footer_recovered ? "true" : "false")
-      << ", \"mac_index_damaged\": " << (service.mac_index_damaged ? "true" : "false")
-      << ", \"epoch\": " << service.epoch
-      << ", \"reloads\": " << service.reloads
-      << ", \"reloads_rejected\": " << service.reloads_rejected
-      << "}\n}\n";
 }
 
 }  // namespace
@@ -228,12 +164,52 @@ void wps_maybe_reload(wps::Service& service, const std::string& snapshot_path) {
   }
 }
 
+/// The serving core both transports run. Each upstream chunk — a read from
+/// --in, or one datagram — goes through RemoteServer::on_bytes and then
+/// drain(), so the dedup window, the bounded queue and the ordered parallel
+/// batch apply alike, and responses leave in request order at any
+/// --threads. A chunk's wall time is split evenly over the responses it
+/// produced, so the latency percentiles stay per-response quantities.
+class ServeCore {
+ public:
+  ServeCore(const wps::Service& service, const wps::RemoteServerOptions& options)
+      : server_(service, options) {}
+
+  /// The response frames (one wire frame each) answering one chunk.
+  const std::vector<std::vector<std::uint8_t>>& handle(
+      std::span<const std::uint8_t> bytes) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t before = server_.stats().responses_sent;
+    frames_.clear();
+    server_.on_bytes(bytes, frames_);
+    server_.drain(frames_);
+    const std::uint64_t responses = server_.stats().responses_sent - before;
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    for (std::uint64_t i = 0; i < responses; ++i) {
+      handle_us_.add(us / static_cast<double>(responses));
+    }
+    return frames_;
+  }
+
+  [[nodiscard]] const wps::RemoteServer& server() const { return server_; }
+  /// Per-response handling time at percentile p in [0, 100]; 0 when idle.
+  [[nodiscard]] double handle_us(double p) const {
+    return handle_us_.empty() ? 0.0 : handle_us_.percentile(p);
+  }
+
+ private:
+  wps::RemoteServer server_;
+  std::vector<std::vector<std::uint8_t>> frames_;
+  util::SampleSet handle_us_;
+};
+
 /// The Aegis UDP tier: one datagram in = one upstream chunk, one wire frame
-/// out = one datagram back. Single-threaded datagram pump; batch execution
-/// inside RemoteServer::drain() is where --threads applies.
-int wps_serve_udp_loop(const util::Flags& flags, wps::Service& service,
-                       const std::string& snapshot_path, std::size_t threads,
-                       ServeJsonExtras extras) {
+/// out = one datagram back to the sender.
+int serve_udp(const util::Flags& flags, wps::Service& service,
+              const std::string& snapshot_path,
+              const wps::RemoteServerOptions& options, ServeCore& core) {
   using clock = std::chrono::steady_clock;
   net::UdpListenerOptions listener;
   listener.rcvbuf_bytes =
@@ -249,30 +225,14 @@ int wps_serve_udp_loop(const util::Flags& flags, wps::Service& service,
     std::cerr << "mmctl wps-serve: " << error << "\n";
     return 1;
   }
-
-  wps::RemoteServerOptions server_options;
-  server_options.max_queue =
-      static_cast<std::size_t>(flags.get_int("max-queue", 256));
-  server_options.dedup_window =
-      static_cast<std::size_t>(flags.get_int("dedup-window", 4096));
-  server_options.threads = threads;
-  wps::RemoteServer server(service, server_options);
-
   std::cout << "listening on 127.0.0.1:" << bound_port << " (udp), queue "
-            << server_options.max_queue << ", dedup window "
-            << server_options.dedup_window << "\n"
+            << options.max_queue << ", dedup window " << options.dedup_window
+            << "\n"
             << std::flush;
 
-  std::signal(SIGINT, wps_signal_handler);
-  std::signal(SIGTERM, wps_signal_handler);
-  std::signal(SIGHUP, wps_hup_handler);
-
   std::vector<std::uint8_t> datagram(65536);
-  std::vector<std::vector<std::uint8_t>> frames_out;
-  std::vector<double> handle_us;
-  std::uint64_t datagrams_in = 0;
+  std::uint64_t datagrams = 0;
   auto last_traffic = clock::now();
-
   while (!g_wps_interrupted.load()) {
     wps_maybe_reload(service, snapshot_path);
     sockaddr_in src{};
@@ -288,52 +248,100 @@ int wps_serve_udp_loop(const util::Flags& flags, wps::Service& service,
       continue;  // poll quantum elapsed (EAGAIN) or EINTR
     }
     last_traffic = clock::now();
-    ++datagrams_in;
-    const auto t0 = last_traffic;
-    frames_out.clear();
+    ++datagrams;
     // One datagram handled at a time, so every frame emitted this round —
     // fresh responses, dedup replays, shed refusals alike — answers the
     // sender that just spoke; replies go straight back to `src`.
-    server.on_bytes({datagram.data(), static_cast<std::size_t>(got)},
-                    frames_out);
-    server.drain(frames_out);
-    for (const auto& f : frames_out) {
+    for (const auto& f : core.handle({datagram.data(), static_cast<std::size_t>(got)})) {
       (void)::sendto(fd, f.data(), f.size(), 0,
                      reinterpret_cast<const sockaddr*>(&src), srclen);
     }
-    handle_us.push_back(
-        std::chrono::duration<double, std::micro>(clock::now() - t0).count());
   }
   ::close(fd);
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGHUP, SIG_DFL);
+  std::cout << datagrams << " datagrams received\n";
+  return 0;
+}
 
-  const wps::RemoteServerStats& st = server.stats();
-  extras.p50_us = percentile_us(handle_us, 0.50);
-  extras.p99_us = percentile_us(handle_us, 0.99);
-  extras.aegis = &st;
-  extras.dedup = &server.dedup_stats();
-
-  util::Table table({"datagrams", "requests", "executed", "shed", "replayed",
-                     "absorbed", "bad", "resp frames", "p99 us"});
-  table.add_row(
-      {std::to_string(datagrams_in), std::to_string(st.requests_decoded),
-       std::to_string(st.executed), std::to_string(st.shed),
-       std::to_string(st.replayed), std::to_string(st.absorbed_inflight),
-       std::to_string(st.bad_requests), std::to_string(st.responses_sent),
-       util::Table::fmt(extras.p99_us, 1)});
-  table.print(std::cout);
-
-  const std::string json_path = flags.get("stats-json", "");
-  if (!json_path.empty()) {
-    write_serve_stats_json(json_path, st.requests_decoded, st.bad_requests,
-                           /*undecodable=*/0, /*records_returned=*/0,
-                           st.responses_sent, server.decoder_stats(),
-                           service.stats(), extras);
-    std::cout << "wrote " << json_path << "\n";
+/// The byte-stream tier: --in is read in 4 KiB chunks, and each chunk's
+/// response frames are appended to --out and flushed (a FIFO client is
+/// waiting on them).
+int serve_stream(const std::string& in_path, const std::string& out_path,
+                 wps::Service& service, const std::string& snapshot_path,
+                 ServeCore& core) {
+  std::ifstream in(in_path, std::ios::binary);
+  if (!in) {
+    std::cerr << "mmctl wps-serve: cannot open --in " << in_path << "\n";
+    return 1;
   }
-  return g_wps_interrupted.load() ? 130 : 0;
+  std::ofstream out(out_path, std::ios::binary);
+  if (!out) {
+    std::cerr << "mmctl wps-serve: cannot open --out " << out_path << "\n";
+    return 1;
+  }
+  constexpr std::size_t kChunkBytes = 4096;
+  std::vector<std::uint8_t> chunk(kChunkBytes);
+  while (!g_wps_interrupted.load()) {
+    wps_maybe_reload(service, snapshot_path);
+    in.read(reinterpret_cast<char*>(chunk.data()),
+            static_cast<std::streamsize>(kChunkBytes));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (got == 0) break;
+    for (const auto& f : core.handle({chunk.data(), got})) {
+      out.write(reinterpret_cast<const char*>(f.data()),
+                static_cast<std::streamsize>(f.size()));
+    }
+    out.flush();
+  }
+  if (!out) {
+    std::cerr << "mmctl wps-serve: write failed for " << out_path << "\n";
+    return 1;
+  }
+  if (core.server().buffered() > 0) {
+    std::cout << core.server().buffered()
+              << " bytes of torn tail left in the request stream\n";
+  }
+  return 0;
+}
+
+void write_serve_stats_json(const std::string& path, const ServeCore& core,
+                            const wps::ServiceStats& service, bool prewarmed,
+                            double prewarm_s) {
+  const wps::RemoteServerStats& st = core.server().stats();
+  const wps::DedupStats& dedup = core.server().dedup_stats();
+  const net::WireDecoderStats& wire = core.server().decoder_stats();
+  std::ofstream out(path);
+  out << "{\n";
+  out << "  \"requests\": " << st.requests_decoded << ",\n";
+  out << "  \"lookup_requests\": " << st.lookup_requests << ",\n";
+  out << "  \"nearest_requests\": " << st.nearest_requests << ",\n";
+  out << "  \"range_requests\": " << st.range_requests << ",\n";
+  out << "  \"bad_requests\": " << st.bad_requests << ",\n";
+  out << "  \"records_returned\": " << st.records_returned << ",\n";
+  out << "  \"responses_sent\": " << st.responses_sent << ",\n";
+  out << "  \"prewarm\": {\"enabled\": " << (prewarmed ? "true" : "false")
+      << ", \"prewarm_s\": " << prewarm_s << "},\n";
+  out << "  \"latency\": {\"p50_us\": " << core.handle_us(50.0)
+      << ", \"p99_us\": " << core.handle_us(99.0) << "},\n";
+  out << "  \"aegis\": {\"executed\": " << st.executed << ", \"shed\": " << st.shed
+      << ", \"replayed\": " << st.replayed
+      << ", \"absorbed_inflight\": " << st.absorbed_inflight
+      << ", \"dedup_hits\": " << dedup.hits << ", \"dedup_misses\": " << dedup.misses
+      << ", \"dedup_evictions\": " << dedup.evictions << "},\n";
+  out << "  \"wire\": {\"bytes_fed\": " << wire.bytes_fed
+      << ", \"frames_decoded\": " << wire.frames_decoded
+      << ", \"resync_bytes\": " << wire.resync_bytes
+      << ", \"crc_failures\": " << wire.crc_failures << "},\n";
+  out << "  \"snapshot\": {\"records\": " << service.records_total
+      << ", \"tiles\": " << service.tiles_total
+      << ", \"sections_rejected\": " << service.sections_rejected
+      << ", \"tiles_quarantined\": " << service.tiles_quarantined
+      << ", \"records_quarantined\": " << service.records_quarantined
+      << ", \"footer_recovered\": " << (service.footer_recovered ? "true" : "false")
+      << ", \"mac_index_damaged\": " << (service.mac_index_damaged ? "true" : "false")
+      << ", \"epoch\": " << service.epoch
+      << ", \"reloads\": " << service.reloads
+      << ", \"reloads_rejected\": " << service.reloads_rejected
+      << "}\n}\n";
 }
 
 }  // namespace
@@ -349,7 +357,11 @@ int cmd_wps_serve(const util::Flags& flags) {
                  "--in/--out are required\n";
     return 2;
   }
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 1));
+  wps::RemoteServerOptions options;
+  options.max_queue = static_cast<std::size_t>(flags.get_int("max-queue", 256));
+  options.dedup_window =
+      static_cast<std::size_t>(flags.get_int("dedup-window", 4096));
+  options.threads = static_cast<std::size_t>(flags.get_int("threads", 1));
 
   auto opened = wps::Service::open(snapshot_path);
   if (!opened.ok()) {
@@ -359,140 +371,45 @@ int cmd_wps_serve(const util::Flags& flags) {
   wps::Service service = std::move(opened).value();
   print_service_stats(service.stats());
 
-  ServeJsonExtras extras;
-  if (flags.has("prewarm")) {
+  const bool prewarmed = flags.has("prewarm");
+  double prewarm_s = 0.0;
+  if (prewarmed) {
     const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t usable = service.prewarm(threads);
-    extras.prewarmed = true;
-    extras.prewarm_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const std::uint64_t usable = service.prewarm(options.threads);
+    prewarm_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                    .count();
     std::cout << "prewarm: " << usable << " tiles verified+indexed in "
-              << util::Table::fmt(extras.prewarm_s, 3) << " s\n";
+              << util::Table::fmt(prewarm_s, 3) << " s\n";
   }
 
-  if (udp_mode) {
-    return wps_serve_udp_loop(flags, service, snapshot_path, threads, extras);
-  }
-
-  std::ifstream in(in_path, std::ios::binary);
-  if (!in) {
-    std::cerr << "mmctl wps-serve: cannot open --in " << in_path << "\n";
-    return 1;
-  }
-  std::ofstream out(out_path, std::ios::binary);
-  if (!out) {
-    std::cerr << "mmctl wps-serve: cannot open --out " << out_path << "\n";
-    return 1;
-  }
-
+  ServeCore core(service, options);
   std::signal(SIGINT, wps_signal_handler);
   std::signal(SIGTERM, wps_signal_handler);
   std::signal(SIGHUP, wps_hup_handler);
-
-  struct PendingRequest {
-    std::uint32_t stream_id = 0;
-    std::uint64_t seq = 0;
-    wps::QueryRequest request;
-  };
-
-  net::WireDecoder decoder;
-  std::uint64_t requests = 0;
-  std::uint64_t bad_requests = 0;
-  std::uint64_t undecodable = 0;
-  std::uint64_t records_returned = 0;
-  std::uint64_t response_frames = 0;
-  std::uint64_t op_counts[4] = {0, 0, 0, 0};
-  std::vector<double> handle_us;
-
-  constexpr std::size_t kChunkBytes = 4096;
-  std::vector<std::uint8_t> chunk(kChunkBytes);
-  std::vector<std::uint8_t> wire_out;
-  std::vector<PendingRequest> batch;
-  std::vector<wps::QueryResponse> responses;
-  net::WireFrame frame;
-
-  // Each read's worth of requests executes as one concurrent batch, but the
-  // responses are written back in request order — a client replaying the
-  // same request stream reads a byte-identical response stream at any
-  // --threads.
-  while (!g_wps_interrupted.load()) {
-    wps_maybe_reload(service, snapshot_path);
-    in.read(reinterpret_cast<char*>(chunk.data()),
-            static_cast<std::streamsize>(kChunkBytes));
-    const auto got = static_cast<std::size_t>(in.gcount());
-    if (got == 0) break;
-    decoder.feed({chunk.data(), got});
-
-    batch.clear();
-    while (decoder.next(frame)) {
-      if (frame.type != net::WireFrameType::kData) continue;  // parity: not ours
-      const auto request = wps::decode_request(frame.payload);
-      if (!request) {
-        ++undecodable;
-        continue;
-      }
-      batch.push_back({frame.stream_id, frame.seq, *request});
-    }
-    if (batch.empty()) continue;
-
-    responses.assign(batch.size(), wps::QueryResponse{});
-    const auto batch_t0 = std::chrono::steady_clock::now();
-    util::parallel_map_into(util::ThreadPool::shared(), threads, responses,
-                            [&](std::size_t i) {
-                              return wps::execute_query(service, batch[i].request);
-                            });
-    // Batches execute as a unit; attribute the wall time evenly so the
-    // latency percentiles in the stats JSON stay per-request quantities.
-    const double batch_us = std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - batch_t0)
-                                .count();
-    handle_us.insert(handle_us.end(), batch.size(),
-                     batch_us / static_cast<double>(batch.size()));
-
-    wire_out.clear();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ++requests;
-      ++op_counts[static_cast<std::size_t>(batch[i].request.op) & 3];
-      if (responses[i].status != wps::QueryStatus::kOk) ++bad_requests;
-      records_returned += responses[i].aps.size();
-      const auto frames =
-          wps::encode_response(responses[i], batch[i].stream_id, batch[i].seq);
-      response_frames += frames.size();
-      for (const net::WireFrame& f : frames) net::append_wire_frame(f, wire_out);
-    }
-    out.write(reinterpret_cast<const char*>(wire_out.data()),
-              static_cast<std::streamsize>(wire_out.size()));
-    out.flush();  // a FIFO client is waiting on these bytes
-  }
+  const int rc = udp_mode ? serve_udp(flags, service, snapshot_path, options, core)
+                          : serve_stream(in_path, out_path, service, snapshot_path, core);
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
   std::signal(SIGHUP, SIG_DFL);
-  if (!out) {
-    std::cerr << "mmctl wps-serve: write failed for " << out_path << "\n";
-    return 1;
-  }
+  if (rc != 0) return rc;
 
-  const net::WireDecoderStats& wire = decoder.stats();
-  util::Table table({"requests", "lookup", "nearest", "range", "bad", "undecodable",
-                     "records out", "resp frames", "resync B", "crc fail"});
-  table.add_row({std::to_string(requests), std::to_string(op_counts[1]),
-                 std::to_string(op_counts[2]), std::to_string(op_counts[3]),
-                 std::to_string(bad_requests), std::to_string(undecodable),
-                 std::to_string(records_returned), std::to_string(response_frames),
-                 std::to_string(wire.resync_bytes), std::to_string(wire.crc_failures)});
+  const wps::RemoteServerStats& st = core.server().stats();
+  util::Table table({"requests", "lookup", "nearest", "range", "bad", "executed",
+                     "shed", "replayed", "absorbed", "records out", "responses",
+                     "crc fail", "p99 us"});
+  table.add_row({std::to_string(st.requests_decoded), std::to_string(st.lookup_requests),
+                 std::to_string(st.nearest_requests), std::to_string(st.range_requests),
+                 std::to_string(st.bad_requests), std::to_string(st.executed),
+                 std::to_string(st.shed), std::to_string(st.replayed),
+                 std::to_string(st.absorbed_inflight), std::to_string(st.records_returned),
+                 std::to_string(st.responses_sent),
+                 std::to_string(core.server().decoder_stats().crc_failures),
+                 util::Table::fmt(core.handle_us(99.0), 1)});
   table.print(std::cout);
-  if (decoder.buffered() > 0) {
-    std::cout << decoder.buffered() << " bytes of torn tail left in the request stream\n";
-  }
 
   const std::string json_path = flags.get("stats-json", "");
   if (!json_path.empty()) {
-    extras.p50_us = percentile_us(handle_us, 0.50);
-    extras.p99_us = percentile_us(handle_us, 0.99);
-    write_serve_stats_json(json_path, requests, bad_requests, undecodable,
-                           records_returned, response_frames, wire,
-                           service.stats(), extras);
+    write_serve_stats_json(json_path, core, service.stats(), prewarmed, prewarm_s);
     std::cout << "wrote " << json_path << "\n";
   }
   return g_wps_interrupted.load() ? 130 : 0;

@@ -28,9 +28,8 @@ int cmd_wigle(const util::Flags& flags);
 /// sighted, channel distribution.
 int cmd_info(const util::Flags& flags);
 
-/// `mmctl live --pcap cap.pcap --apdb apdb.csv [--shards N] [--speed X]
-///        [--ring-capacity N] [--drop-policy drop|block] [--fault-plan spec]
-///        [--reject-outliers] [--stats-json out.json]`
+/// `mmctl live --pcap cap.pcap --apdb apdb.csv [--speed X] [--fault-plan spec]
+///        [--supervise]` plus the engine flags of live_engine.h
 /// Streams the capture through Riptide (the sharded live-tracking engine)
 /// and prints per-shard throughput stats plus the live position snapshot.
 int cmd_live(const util::Flags& flags);
@@ -41,11 +40,11 @@ int cmd_live(const util::Flags& flags);
 /// parity), optionally dragging it through the seeded lossy-link simulator.
 int cmd_net_send(const util::Flags& flags);
 
-/// `mmctl net-recv --in s1.bin[,s2.bin...] --apdb apdb.csv [--stream-ids 1,2]
-///        [--shards N] [--fec-window W] [--wal-dir dir] [--recover]
-///        [--stats-json out.json]`
+/// `mmctl net-recv (--in s1.bin[,s2.bin...] | --udp-listen port) --apdb apdb.csv
+///        [--stream-ids 1,2] [--fec-window W]` plus the engine flags of
+///        live_engine.h
 /// Reassembles one or more Lattice streams through the SnifferFeedMux into
-/// Riptide and prints throughput, per-feed fabric health, and positions.
+/// Riptide and prints live's report plus per-feed fabric health.
 int cmd_net_recv(const util::Flags& flags);
 
 /// `mmctl wps-build (--apdb apdb.csv | --wigle wigle.csv) --out snap.wps
@@ -58,7 +57,7 @@ int cmd_wps_build(const util::Flags& flags);
 ///        [--dedup-window N] [--rcvbuf B] [--idle-timeout-ms T]
 ///        [--stats-json out.json]`
 /// Answers lookup/nearest/range requests carried as Lattice wire frames —
-/// from a file/FIFO byte stream, or over loopback UDP through the Aegis
+/// from a file/FIFO byte stream or over loopback UDP, both through the Aegis
 /// fault-tolerant tier (request-id dedup, bounded queue with explicit load
 /// shedding). SIGHUP hot-swaps the snapshot with validation and rollback.
 int cmd_wps_serve(const util::Flags& flags);

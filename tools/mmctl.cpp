@@ -79,17 +79,18 @@ commands:
              --apdb <apdb.csv>         (required)
              --in <s1.bin[,s2.bin...]> recorded streams to replay
              --udp-listen <port>       ... or receive datagrams on loopback
-             --udp-idle-secs <s>       end-of-stream silence (default: 5)
-             --idle-timeout-ms <ms>    same, in ms (clamped 100..600000;
-                                       wins over --udp-idle-secs)
+             --idle-timeout-ms <ms>    end-of-stream silence (default: 5000,
+                                       clamped 100..600000)
              --rcvbuf <bytes>          SO_RCVBUF request (default: 4 MiB,
                                        clamped 64 KiB..64 MiB)
              --stream-ids <1,2,...>    per-file stream ids (default: 1..N)
              --fec-window <W>          reassembly window in sequences
                                        (default: 256)
-             plus live's --shards/--ring-capacity/--drop-policy/
-             --reject-outliers/--wal-dir/--checkpoint-secs/--no-fsync/
-             --recover/--stats-json
+             plus live's engine flags --shards/--ring-capacity/
+             --drop-policy/--reject-outliers/--wal-dir/--checkpoint-secs/
+             --no-fsync/--recover/--stats-json (none of its pcap-feed
+             flags); prints live's tables and JSON plus a per-feed table
+             and a "net" JSON block
   wps-build  freeze an AP database into Basilisk, the tile-sharded
              mmap-backed WPS snapshot format
              --apdb <apdb.csv> | --wigle <wigle.csv>   (one required)
@@ -98,14 +99,17 @@ commands:
              --no-mac-index            skip the O(log n) BSSID index section
              --no-fsync                skip fsync before the atomic rename
   wps-serve  answer WPS lookup/nearest/range requests carried as Lattice
-             wire frames over a file/FIFO, or over UDP through the Aegis
-             fault-tolerant tier (dedup, load shedding, SIGHUP hot-swap)
+             wire frames over a file/FIFO or over UDP; both go through the
+             Aegis fault-tolerant tier (dedup, load shedding, SIGHUP hot-swap)
              --snapshot <snap.wps>     (required)
              --in <req> --out <resp>   byte-stream mode (required sans --udp)
              --udp <port>              ... or serve datagrams on loopback
                                        (port 0 = kernel-assigned, printed)
-             --max-queue <N>           shed beyond this backlog (default: 256)
-             --dedup-window <N>        replayable responses (default: 4096)
+             --max-queue <N>           shed beyond this backlog per read or
+                                       datagram (default: 256)
+             --dedup-window <N>        replayable responses (default: 4096);
+                                       a repeated stream id + seq is answered
+                                       from the cache, on either transport
              --rcvbuf <bytes> / --idle-timeout-ms <ms>   as in net-recv
              --prewarm                 verify+index every tile eagerly at
                                        open; prewarm_s lands in the JSON
@@ -118,7 +122,8 @@ commands:
              encode --op lookup --bssid <mac> --out <req>
              encode --op nearest --x <m> --y <m> --k <N> --out <req>
              encode --op range --x <m> --y <m> --radius <m> --out <req>
-                    [--stream-id N] [--seq N]   (appends one frame per call)
+                    [--stream-id N] [--seq N]   (appends one frame per call;
+                    give each request its own --seq, the server dedups on it)
              decode --in <resp> [--max-rows N] [--expect N]
              send   --udp <host:port> --op ... [--count N] [--retries N]
                     [--timeout-ms T] [--seed S] [--link-plan <spec>]
