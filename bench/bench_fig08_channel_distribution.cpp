@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   world.run_until(88.0);
 
   std::map<int, int> histogram;
-  for (const auto& [mac, sighting] : store.ap_sightings()) {
+  for (const capture::ApSighting& sighting : store.ap_sightings()) {
     histogram[sighting.channel]++;
   }
   const auto total = static_cast<double>(store.ap_sightings().size());

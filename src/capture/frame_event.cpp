@@ -111,8 +111,8 @@ void apply_event(const FrameEvent& event, ObservationStore& store) {
       store.record_contact(event.ap, event.device, event.time_s, event.rssi_dbm);
       break;
     case FrameEventKind::kBeacon:
-      store.record_beacon(event.ap, event.ssid_str().value_or(""), event.channel,
-                          event.time_s, event.rssi_dbm);
+      store.record_beacon(event.ap, event.ssid_view(), event.channel, event.time_s,
+                          event.rssi_dbm);
       break;
   }
   if (event.device_seq >= 0 && event.kind != FrameEventKind::kBeacon) {

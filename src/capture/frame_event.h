@@ -65,9 +65,13 @@ struct FrameEvent {
     return kind == FrameEventKind::kBeacon ? ap : device;
   }
 
+  /// The SSID bytes in place ("" when absent).
+  [[nodiscard]] std::string_view ssid_view() const noexcept {
+    return has_ssid ? std::string_view(ssid, ssid_len) : std::string_view();
+  }
   [[nodiscard]] std::optional<std::string> ssid_str() const {
     if (!has_ssid) return std::nullopt;
-    return std::string(ssid, ssid_len);
+    return std::string(ssid_view());
   }
   void set_ssid(std::optional<std::string_view> s);
 };

@@ -8,6 +8,10 @@ namespace {
 using DeviceMap =
     std::unordered_map<net80211::MacAddress, DeviceRecord, net80211::MacHasher>;
 
+// The aggregates below are order-independent: first_seen is the earliest
+// instant and last_seen the latest, whatever order events arrive in (the feed
+// mux interleaves sites by chunk, not by time). A tie keeps the choice a
+// stream in time order makes, so such a stream yields the bits it always did.
 DeviceRecord& touch_device(DeviceMap& devices, const net80211::MacAddress& mac,
                            sim::SimTime time) {
   auto [it, inserted] = devices.try_emplace(mac);
@@ -15,9 +19,20 @@ DeviceRecord& touch_device(DeviceMap& devices, const net80211::MacAddress& mac,
   if (inserted) {
     rec.mac = mac;
     rec.first_seen = time;
+  } else if (time < rec.first_seen) {
+    rec.first_seen = time;
   }
   rec.last_seen = std::max(rec.last_seen, time);
   return rec;
+}
+
+/// Where `bssid`'s sighting is, or would be inserted (sightings are sorted by
+/// BSSID).
+template <typename Sightings>
+auto sighting_slot(Sightings& sightings, const net80211::MacAddress& bssid) {
+  return std::lower_bound(
+      sightings.begin(), sightings.end(), bssid,
+      [](const ApSighting& s, const net80211::MacAddress& key) { return s.bssid < key; });
 }
 }  // namespace
 
@@ -46,7 +61,7 @@ void ObservationStore::record_contact(const net80211::MacAddress& ap,
   auto [it, inserted] = rec.contacts.try_emplace(ap);
   ApContact& contact = it->second;
   if (inserted) contact.first_seen = time;
-  contact.last_seen = time;
+  if (inserted || !(time < contact.last_seen)) contact.last_seen = time;
   ++contact.count;
   contact.last_rssi_dbm = rssi_dbm;
   contact.times.push_back(time);
@@ -67,27 +82,31 @@ void ObservationStore::record_device_seq(const net80211::MacAddress& device,
                                          sim::SimTime time, std::uint16_t seq) {
   DeviceRecord& rec = touch_device(devices_, device, time);
   seq &= 0x0FFF;
-  if (rec.seq_frames == 0) {
+  if (rec.seq_frames == 0 || time < rec.first_seq_time) {
     rec.first_seq = seq;
     rec.first_seq_time = time;
   }
-  rec.last_seq = seq;
-  rec.last_seq_time = time;
+  if (rec.seq_frames == 0 || !(time < rec.last_seq_time)) {
+    rec.last_seq = seq;
+    rec.last_seq_time = time;
+  }
   ++rec.seq_frames;
 }
 
 void ObservationStore::record_beacon(const net80211::MacAddress& bssid,
-                                     const std::string& ssid, int channel,
+                                     std::string_view ssid, int channel,
                                      sim::SimTime /*time*/, double rssi_dbm) {
-  auto [it, inserted] = sightings_.try_emplace(bssid);
-  ApSighting& s = it->second;
-  if (inserted) {
-    s.bssid = bssid;
-    s.ssid = ssid;
-    s.channel = channel;
+  auto it = sighting_slot(sightings_, bssid);
+  if (it == sightings_.end() || it->bssid != bssid) {
+    it = sightings_.insert(it, ApSighting{bssid, std::string(ssid), channel});
   }
-  ++s.beacons;
-  s.last_rssi_dbm = rssi_dbm;
+  ++it->beacons;
+  it->last_rssi_dbm = rssi_dbm;
+}
+
+const ApSighting* ObservationStore::sighting(const net80211::MacAddress& bssid) const {
+  const auto it = sighting_slot(sightings_, bssid);
+  return it == sightings_.end() || it->bssid != bssid ? nullptr : &*it;
 }
 
 std::vector<net80211::MacAddress> ObservationStore::devices() const {
@@ -103,15 +122,30 @@ const DeviceRecord* ObservationStore::device(const net80211::MacAddress& mac) co
   return it == devices_.end() ? nullptr : &it->second;
 }
 
+std::vector<const DeviceRecord*> ObservationStore::records() const {
+  std::vector<const DeviceRecord*> out;
+  out.reserve(devices_.size());
+  for (const auto& [mac, rec] : devices_) out.push_back(&rec);
+  return out;
+}
+
 void ObservationStore::gamma_append(const net80211::MacAddress& device,
                                     const ObservationWindow& window,
                                     std::vector<net80211::MacAddress>& out) const {
   const DeviceRecord* rec = this->device(device);
-  if (rec == nullptr) return;
-  out.reserve(out.size() + rec->contacts.size());
+  if (rec != nullptr) gamma_append(*rec, window, out);
+}
+
+void ObservationStore::gamma_append(const DeviceRecord& rec, const ObservationWindow& window,
+                                    std::vector<net80211::MacAddress>& out) {
+  // Every contact instant lies in [first_seen, last_seen] (the store keeps
+  // the span order-independent and restore_device widens it), so a device
+  // whose span misses the window has no instant in it.
+  if (rec.last_seen < window.begin || rec.first_seen > window.end) return;
+  out.reserve(out.size() + rec.contacts.size());
   // contacts is an ordered map, so appending in iteration order yields
   // ascending BSSIDs.
-  for (const auto& [ap, contact] : rec->contacts) {
+  for (const auto& [ap, contact] : rec.contacts) {
     // First/last retained instants are genuine members of `times`, so hitting
     // either settles the any-member-in-window question in O(1) — the common
     // case for the default whole-capture window. Only windows that clip both
@@ -174,13 +208,23 @@ void ObservationStore::clear() {
 }
 
 void ObservationStore::restore_device(DeviceRecord record) {
+  for (const auto& [ap, contact] : record.contacts) {
+    for (const sim::SimTime t : contact.times) {
+      if (t < record.first_seen) record.first_seen = t;
+      if (t > record.last_seen) record.last_seen = t;
+    }
+  }
   const net80211::MacAddress mac = record.mac;
   devices_[mac] = std::move(record);
 }
 
 void ObservationStore::restore_sighting(ApSighting sighting) {
-  const net80211::MacAddress bssid = sighting.bssid;
-  sightings_[bssid] = std::move(sighting);
+  const auto it = sighting_slot(sightings_, sighting.bssid);
+  if (it != sightings_.end() && it->bssid == sighting.bssid) {
+    *it = std::move(sighting);
+  } else {
+    sightings_.insert(it, std::move(sighting));
+  }
 }
 
 }  // namespace mm::capture

@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -28,8 +29,12 @@ struct ObservationWindow {
 
 /// Evidence that one AP communicated with one device.
 struct ApContact {
+  /// The first instant *applied*, which is not the earliest one when events
+  /// arrive out of time order: LiveTracker::rebuild_live_state re-derives a
+  /// restored device's `updated_at_s` from it, so it must mean what the live
+  /// path saw first.
   sim::SimTime first_seen = 0.0;
-  sim::SimTime last_seen = 0.0;
+  sim::SimTime last_seen = 0.0;  ///< the latest instant, in any arrival order
   std::uint64_t count = 0;
   double last_rssi_dbm = -200.0;
   /// Observation instants. Bounded by the store's contact_history_cap: once
@@ -42,6 +47,9 @@ struct ApContact {
 
 struct DeviceRecord {
   net80211::MacAddress mac;
+  /// The earliest and latest instant of any event applied to the device, in
+  /// any arrival order. [first_seen, last_seen] covers every contact instant,
+  /// which is what lets gamma_append reject an idle device in O(1).
   sim::SimTime first_seen = 0.0;
   sim::SimTime last_seen = 0.0;
   std::uint64_t probe_requests = 0;
@@ -52,7 +60,9 @@ struct DeviceRecord {
   /// across a MAC rotation, so the first sequence a fresh pseudonym shows
   /// (relative to the last sequence a vanished one showed) is linking
   /// evidence for Chimera's IdentityResolver. seq_frames == 0 means the
-  /// device was never caught transmitting a sequence-bearing frame.
+  /// device was never caught transmitting a sequence-bearing frame. The
+  /// first/last pair is the seq of the earliest/latest instant (on a tie,
+  /// the first/last applied), so it too is independent of arrival order.
   std::uint64_t seq_frames = 0;
   std::uint16_t first_seq = 0;          ///< 0..4095
   std::uint16_t last_seq = 0;           ///< 0..4095
@@ -90,8 +100,10 @@ class ObservationStore {
   void record_presence(const net80211::MacAddress& device, sim::SimTime time);
   void record_contact(const net80211::MacAddress& ap, const net80211::MacAddress& device,
                       sim::SimTime time, double rssi_dbm);
-  void record_beacon(const net80211::MacAddress& bssid, const std::string& ssid,
-                     int channel, sim::SimTime time, double rssi_dbm);
+  /// Counts one beacon. The first beacon of a BSSID fixes its sighting's SSID
+  /// and channel; every beacon updates the last RSSI.
+  void record_beacon(const net80211::MacAddress& bssid, std::string_view ssid, int channel,
+                     sim::SimTime time, double rssi_dbm);
   /// Notes the 12-bit 802.11 sequence number of one device-transmitted frame
   /// (see DeviceRecord's seq trace). Called by apply_event alongside the
   /// per-kind record above, so batch and live ingestion stay identical.
@@ -104,11 +116,20 @@ class ObservationStore {
   /// sorted view keeps exports, tables, and locate_all deterministic).
   [[nodiscard]] std::vector<net80211::MacAddress> devices() const;
   [[nodiscard]] const DeviceRecord* device(const net80211::MacAddress& mac) const;
+  /// Every device record, in the index's own order: fixed for a given store,
+  /// but neither sorted nor insertion order. For one pass over all devices
+  /// that does not need MAC order; a pointer stays valid until clear().
+  [[nodiscard]] std::vector<const DeviceRecord*> records() const;
 
   /// Appends the device's Gamma to `out` without clearing it: the APs with
   /// at least one retained contact instant t inside the window
   /// (begin <= t <= end), in ascending BSSID order. This is the one Gamma
   /// membership rule; the locate paths fill one reused buffer through it.
+  /// A device whose [first_seen, last_seen] misses the window is rejected
+  /// in O(1) without reading its contacts.
+  static void gamma_append(const DeviceRecord& record, const ObservationWindow& window,
+                           std::vector<net80211::MacAddress>& out);
+  /// The same rule by MAC; an unknown device has an empty Gamma.
   void gamma_append(const net80211::MacAddress& device, const ObservationWindow& window,
                     std::vector<net80211::MacAddress>& out) const;
 
@@ -129,14 +150,17 @@ class ObservationStore {
   /// Devices that sent at least one probe request (the Fig 10/11 statistic).
   [[nodiscard]] std::size_t probing_device_count() const;
 
-  [[nodiscard]] const std::map<net80211::MacAddress, ApSighting>& ap_sightings() const {
-    return sightings_;
-  }
+  /// One sighting per BSSID, in ascending BSSID order.
+  [[nodiscard]] const std::vector<ApSighting>& ap_sightings() const { return sightings_; }
+  /// The sighting of `bssid`, or nullptr (binary search).
+  [[nodiscard]] const ApSighting* sighting(const net80211::MacAddress& bssid) const;
 
   void clear();
 
   /// Wholesale state restoration (used by the persistence layer; see
   /// capture/persistence.h). Replaces any existing record with the same key.
+  /// A restored device's [first_seen, last_seen] is widened over its
+  /// contact instants, so the idle test in gamma_append stays exact.
   void restore_device(DeviceRecord record);
   void restore_sighting(ApSighting sighting);
 
@@ -145,7 +169,10 @@ class ObservationStore {
 
   ObservationStoreOptions options_;
   std::unordered_map<net80211::MacAddress, DeviceRecord, net80211::MacHasher> devices_;
-  std::map<net80211::MacAddress, ApSighting> sightings_;
+  /// Sorted by BSSID. A capture hears a few hundred APs and sends ~10 beacons
+  /// a second for each, so a binary search per beacon beats a tree walk, and
+  /// the rare insert's move is cheap.
+  std::vector<ApSighting> sightings_;
 };
 
 }  // namespace mm::capture

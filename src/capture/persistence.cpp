@@ -68,8 +68,8 @@ std::vector<util::CsvRow> serialize_store(const ObservationStore& store) {
                       fmt(contact.last_rssi_dbm), join(times, ';')});
     }
   }
-  for (const auto& [bssid, sighting] : store.ap_sightings()) {
-    rows.push_back({"sighting", bssid.to_string(), sighting.ssid,
+  for (const ApSighting& sighting : store.ap_sightings()) {
+    rows.push_back({"sighting", sighting.bssid.to_string(), sighting.ssid,
                     std::to_string(sighting.channel), std::to_string(sighting.beacons),
                     fmt(sighting.last_rssi_dbm)});
   }

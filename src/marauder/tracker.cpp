@@ -1,11 +1,12 @@
 #include "marauder/tracker.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "util/rng.h"
@@ -177,8 +178,10 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
     const capture::ObservationStore& store, const capture::ObservationWindow& window,
     LocateAllProfile* profile) const {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<net80211::MacAddress> devices = store.devices();
-  const std::size_t n = devices.size();
+  // The store's records in its own order: every stage below is slotted by
+  // device index and the result map is keyed by MAC, so no sort is needed.
+  const std::vector<const capture::DeviceRecord*> records = store.records();
+  const std::size_t n = records.size();
 
   // Force the database's lazy views once, up front: the workers below only
   // ever read them (no per-probe mutex).
@@ -193,56 +196,87 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
 
   util::ThreadPool& pool = util::ThreadPool::shared();
 
-  // Plan: per-device slab ranks (ascending, because Gamma is sorted and the
-  // slab is BSSID-ordered) and a hash of them. Both are slotted by device
-  // index, so the plan is identical at any parallelism. The ranks are the
-  // ones discs_for(gamma, default_radius) would look up, in the same order.
-  std::vector<std::vector<std::uint32_t>> device_ranks(n);
-  std::vector<std::uint64_t> keys(n);
+  // Plan: each device's slab ranks, ascending because Gamma is sorted and the
+  // slab is BSSID-ordered: the ones discs_for(gamma, default_radius) would
+  // look up, in the same order. An idle device costs gamma_append one
+  // comparison and adds no ranks. A device without ranks has no disc, and
+  // M-Loc locates nothing from no disc (locate() reports it not ok), so only
+  // the devices with ranks are planned. Each chunk appends to its own
+  // ranks run; the runs laid end to end in chunk order are one arena, and
+  // the plan is the same at any parallelism.
+  struct Planned {
+    std::uint64_t mac = 0;  ///< MacAddress::to_u64(), which sorts as the MAC does
+    std::uint32_t group = 0;
+    std::size_t begin = 0;  ///< the device's ranks are arena[begin, end)
+    std::size_t end = 0;
+  };
+  struct ChunkPlan {
+    std::vector<std::uint32_t> ranks;
+    std::vector<Planned> devices;  ///< offsets into `ranks`
+  };
+  const std::size_t chunk = util::ThreadPool::balanced_chunk(n, options_.threads);
+  std::vector<ChunkPlan> chunk_plans((n + chunk - 1) / chunk);
   pool.run_chunks(
-      n, util::ThreadPool::balanced_chunk(n, options_.threads), options_.threads,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
+      n, chunk, options_.threads, [&](std::size_t c, std::size_t begin, std::size_t end) {
         std::vector<net80211::MacAddress> gamma;  // reused across the chunk
+        ChunkPlan& plan = chunk_plans[c];
         for (std::size_t i = begin; i < end; ++i) {
           gamma.clear();
-          store.gamma_append(devices[i], window, gamma);
-          std::vector<std::uint32_t>& dr = device_ranks[i];
-          dr.reserve(gamma.size());
+          capture::ObservationStore::gamma_append(*records[i], window, gamma);
+          const std::size_t first = plan.ranks.size();
           for (const net80211::MacAddress& mac : gamma) {
             const auto it = ranks.find(mac);
-            if (it != ranks.end()) dr.push_back(it->second);
+            if (it != ranks.end()) plan.ranks.push_back(it->second);
           }
-          std::uint64_t h = dr.size();
-          for (const std::uint32_t r : dr) h = util::hash_combine(h, r);
-          keys[i] = h;
+          if (plan.ranks.size() > first) {
+            plan.devices.push_back({records[i]->mac.to_u64(), 0, first, plan.ranks.size()});
+          }
         }
       });
+  std::vector<std::uint32_t> arena;
+  std::vector<Planned> planned;
+  for (const ChunkPlan& plan : chunk_plans) {
+    const std::size_t base = arena.size();
+    arena.insert(arena.end(), plan.ranks.begin(), plan.ranks.end());
+    for (Planned p : plan.devices) {
+      p.begin += base;
+      p.end += base;
+      planned.push_back(p);
+    }
+  }
+  const auto ranks_of = [&](const Planned& p) {
+    return std::span<const std::uint32_t>(arena.data() + p.begin, p.end - p.begin);
+  };
 
-  // Group identical rank sequences, walking devices in index (= ascending
-  // MAC) order so group numbering is deterministic. Within one call the slab
-  // is fixed, so equal ranks mean equal discs and one localization serves
-  // the whole group; a hash collision only lands in the candidate scan.
-  constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> group_of(n, 0);
-  std::vector<std::uint32_t> rep;  // group -> representative device
+  // Group identical rank sequences, numbering groups in plan order. Within
+  // one call the slab is fixed, so equal ranks mean equal discs and one
+  // localization serves the whole group. Sequences are hashed into an
+  // open-addressing table probed linearly; a hash match is confirmed rank by
+  // rank, so a collision costs a comparison, never a merge of different disc
+  // sets.
+  std::vector<std::uint32_t> rep;  // group -> representative planned device
   {
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index;
-    index.reserve(n * 2);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::vector<std::uint32_t>& candidates = index[keys[i]];
-      std::uint32_t g = kNoGroup;
-      for (const std::uint32_t cand : candidates) {
-        if (device_ranks[rep[cand]] == device_ranks[i]) {
-          g = cand;
-          break;
-        }
+    constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
+    struct Slot {
+      std::uint64_t hash = 0;
+      std::uint32_t group = kNoGroup;
+    };
+    const std::size_t mask = std::bit_ceil(2 * planned.size() + 1) - 1;
+    std::vector<Slot> table(mask + 1);
+    for (std::size_t k = 0; k < planned.size(); ++k) {
+      const std::span<const std::uint32_t> mine = ranks_of(planned[k]);
+      std::uint64_t h = mine.size();
+      for (const std::uint32_t r : mine) h = util::hash_combine(h, r);
+      const auto other_group = [&](const Slot& slot) {
+        return slot.hash != h || !std::ranges::equal(ranks_of(planned[rep[slot.group]]), mine);
+      };
+      std::size_t at = h & mask;
+      while (table[at].group != kNoGroup && other_group(table[at])) at = (at + 1) & mask;
+      if (table[at].group == kNoGroup) {
+        table[at] = {h, static_cast<std::uint32_t>(rep.size())};
+        rep.push_back(static_cast<std::uint32_t>(k));
       }
-      if (g == kNoGroup) {
-        g = static_cast<std::uint32_t>(rep.size());
-        rep.push_back(static_cast<std::uint32_t>(i));
-        candidates.push_back(g);
-      }
-      group_of[i] = g;
+      planned[k].group = table[at].group;
     }
   }
 
@@ -260,7 +294,7 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
         MLocScratch scratch;
         for (std::size_t g = begin; g < end; ++g) {
           discs.clear();
-          for (const std::uint32_t r : device_ranks[rep[g]]) {
+          for (const std::uint32_t r : ranks_of(planned[rep[g]])) {
             const double radius =
                 std::isnan(slab.radius[r]) ? default_radius : slab.radius[r];
             discs.push_back({{slab.x[r], slab.y[r]}, radius});
@@ -271,21 +305,21 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
 
   const auto t2 = std::chrono::steady_clock::now();
 
-  // Fan the group results back out to their devices and fold into the map in
-  // ascending-MAC order — the exact sequence the serial per-device loop
-  // produced. Unprepared AP-Rad results carry the Faultline fallback flag,
-  // matching locate().
+  // Fan the group results back out to their devices in MAC order, so each
+  // result lands at the end of the map. Unprepared AP-Rad results carry the
+  // Faultline fallback flag, matching locate().
   const bool force_fallback = aprad && !prepared_;
+  std::sort(planned.begin(), planned.end(),
+            [](const Planned& a, const Planned& b) { return a.mac < b.mac; });
   std::map<net80211::MacAddress, LocalizationResult> results;
   std::size_t outliers = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const LocalizationResult& group_result = group_results[group_of[i]];
-    if (!group_result.ok) continue;
-    LocalizationResult r = group_result;
+  for (const Planned& p : planned) {
+    if (!group_results[p.group].ok) continue;
+    LocalizationResult r = group_results[p.group];
     r.method = method;
     if (force_fallback) r.used_fallback = true;
     if (r.discs_rejected > 0) ++outliers;
-    results.emplace(devices[i], std::move(r));
+    results.emplace_hint(results.end(), net80211::MacAddress::from_u64(p.mac), std::move(r));
   }
   const auto t3 = std::chrono::steady_clock::now();
 
@@ -295,7 +329,8 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
     profile->locate_s = seconds_between(t1, t2);
     profile->merge_s = seconds_between(t2, t3);
     profile->devices = n;
-    profile->unique_gammas = groups;
+    // The devices without ranks count as the one group of the empty disc set.
+    profile->unique_gammas = groups + (planned.size() < n ? 1 : 0);
     profile->outlier_devices = outliers;
   }
   return results;

@@ -57,7 +57,9 @@ struct LocateAllProfile {
   double locate_s = 0.0;  ///< parallel localization of unique disc sets
   double merge_s = 0.0;   ///< fan-out to devices + ordered map fold
   std::size_t devices = 0;
-  std::size_t unique_gammas = 0;    ///< disc sets actually localized
+  /// Distinct disc sets in the call; the empty set (devices that hear no
+  /// known AP in the window, which are not localized) counts once.
+  std::size_t unique_gammas = 0;
   std::size_t outlier_devices = 0;  ///< results that rejected >= 1 disc
 };
 

@@ -7,8 +7,11 @@
 // contract tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -16,6 +19,8 @@
 #include <vector>
 
 #include "analysis/theorems.h"
+#include "capture/frame_event.h"
+#include "capture/persistence.h"
 #include "capture/sniffer.h"
 #include "capture/wardrive.h"
 #include "marauder/aprad.h"
@@ -23,6 +28,7 @@
 #include "sim/mobile.h"
 #include "sim/mobility.h"
 #include "sim/scenario.h"
+#include "util/rng.h"
 
 namespace mm {
 namespace {
@@ -326,6 +332,278 @@ TEST(LocateAllOracle, ApLocMatchesPerDeviceLocate) {
       tracker.prepare(c.store);
       return tracker;
     });
+  }
+}
+
+/// A city-like capture for the windowed cases: each of 300 pseudonyms lives
+/// for 5-40 s of a 600 s capture in one of ten neighbourhoods of a 60-AP
+/// campus (so neighbours often share a Gamma), and hears 2-4 of its APs in
+/// each of 1..`max_scans` scans. Each device also probes a second before its
+/// life and shows presence two seconds after it. Events are in time order.
+struct CityStream {
+  std::vector<sim::ApTruth> truth;
+  std::vector<capture::FrameEvent> events;
+};
+
+CityStream city_stream(std::int64_t max_scans = 3) {
+  sim::CampusConfig campus;
+  campus.seed = 4242;
+  campus.num_aps = 60;
+  campus.half_extent_m = 280.0;
+  CityStream c{sim::generate_campus_aps(campus), {}};
+  util::Rng rng(77);
+  for (std::uint64_t d = 0; d < 300; ++d) {
+    const auto mac = net80211::MacAddress::from_u64(0x0216f0000000ULL + d);
+    const double born = rng.uniform(0.0, 560.0);
+    const double life = rng.uniform(5.0, 40.0);
+    const auto base = static_cast<std::size_t>(6 * rng.uniform_int(0, 9));
+    const auto heard = static_cast<std::size_t>(rng.uniform_int(2, 4));
+    auto seq = static_cast<std::int32_t>(rng.uniform_int(0, 4095));
+    const auto event = [&](capture::FrameEventKind kind, double t) {
+      capture::FrameEvent e;
+      e.kind = kind;
+      e.device = mac;
+      e.time_s = t;
+      e.device_seq = seq;
+      seq = (seq + 1) & 0x0FFF;
+      return e;
+    };
+    c.events.push_back(event(capture::FrameEventKind::kProbeRequest, born - 1.0));
+    const std::int64_t scans = rng.uniform_int(1, max_scans);
+    for (std::int64_t s = 0; s < scans; ++s) {
+      const double t = born + life * rng.uniform();
+      for (std::size_t k = 0; k < heard; ++k) {
+        capture::FrameEvent e =
+            event(capture::FrameEventKind::kContact, t + 0.01 * static_cast<double>(k));
+        e.ap = c.truth[base + k].bssid;
+        e.rssi_dbm = -60.0 - static_cast<double>(k);
+        c.events.push_back(e);
+      }
+    }
+    c.events.push_back(event(capture::FrameEventKind::kPresence, born + life + 2.0));
+  }
+  std::stable_sort(c.events.begin(), c.events.end(),
+                   [](const auto& a, const auto& b) { return a.time_s < b.time_s; });
+  return c;
+}
+
+capture::ObservationStore apply_all(const std::vector<capture::FrameEvent>& events,
+                                    capture::ObservationStoreOptions options = {}) {
+  capture::ObservationStore store(options);
+  for (const capture::FrameEvent& e : events) capture::apply_event(e, store);
+  return store;
+}
+
+std::vector<capture::ObservationWindow> thirty_second_windows() {
+  std::vector<capture::ObservationWindow> out;
+  for (double begin = 0.0; begin < 600.0; begin += 30.0) out.push_back({begin, begin + 30.0});
+  return out;
+}
+
+/// The Gamma rule written out: every AP with a retained instant in the window.
+std::vector<net80211::MacAddress> brute_force_gamma(const capture::DeviceRecord& rec,
+                                                    const capture::ObservationWindow& w) {
+  std::vector<net80211::MacAddress> out;
+  for (const auto& [ap, contact] : rec.contacts) {
+    if (std::any_of(contact.times.begin(), contact.times.end(),
+                    [&](double t) { return t >= w.begin && t <= w.end; })) {
+      out.push_back(ap);
+    }
+  }
+  return out;
+}
+
+bool idle_in(const capture::DeviceRecord& rec, const capture::ObservationWindow& w) {
+  return rec.last_seen < w.begin || rec.first_seen > w.end;
+}
+
+/// For every window: each device's Gamma equals the rule written out, and
+/// M-Loc's locate_all at 1, 2 and 8 threads equals one locate() per device
+/// bit for bit, with the profile counting every device and one group per
+/// distinct non-empty Gamma plus one for the empty Gamma. Returns the number
+/// of idle device-windows (the device's span misses the window).
+std::size_t expect_windowed_oracle(const std::vector<sim::ApTruth>& truth,
+                                   const capture::ObservationStore& store,
+                                   const std::vector<capture::ObservationWindow>& windows) {
+  const auto db = marauder::ApDatabase::from_truth(truth, true);
+  std::size_t idle = 0;
+  std::vector<ResultMap> reference;
+  std::vector<std::size_t> groups;
+  {
+    const marauder::Tracker serial(db, {.algorithm = marauder::Algorithm::kMLoc});
+    for (const capture::ObservationWindow& window : windows) {
+      std::set<std::vector<net80211::MacAddress>> distinct;
+      bool any_empty = false;
+      for (const net80211::MacAddress& mac : store.devices()) {
+        const capture::DeviceRecord& rec = *store.device(mac);
+        std::vector<net80211::MacAddress> gamma;
+        store.gamma_append(mac, window, gamma);
+        EXPECT_EQ(gamma, brute_force_gamma(rec, window))
+            << mac.to_string() << " in [" << window.begin << ", " << window.end << "]";
+        idle += idle_in(rec, window) ? 1 : 0;
+        if (gamma.empty()) {
+          any_empty = true;
+        } else {
+          distinct.insert(gamma);
+        }
+      }
+      reference.push_back(per_device_reference(serial, store, window));
+      groups.push_back(distinct.size() + (any_empty ? 1 : 0));
+    }
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    const marauder::Tracker tracker(db, {.algorithm = marauder::Algorithm::kMLoc,
+                                         .threads = threads});
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " window=" + std::to_string(w));
+      marauder::LocateAllProfile profile;
+      expect_same_results(reference[w], tracker.locate_all(store, windows[w], &profile));
+      EXPECT_EQ(profile.devices, store.device_count());
+      EXPECT_EQ(profile.unique_gammas, groups[w]);
+    }
+  }
+  return idle;
+}
+
+TEST(LocateAllOracle, MostlyIdleDevicesInEachWindow) {
+  const CityStream c = city_stream();
+  const capture::ObservationStore store = apply_all(c.events);
+  std::vector<capture::ObservationWindow> windows = thirty_second_windows();
+  const std::size_t idle = expect_windowed_oracle(c.truth, store, windows);
+  // A device's span is at most 43 s, so it meets at most 3 of the 20 windows.
+  EXPECT_GE(idle, store.device_count() * 17);
+  // The whole capture, where no device is idle.
+  EXPECT_EQ(expect_windowed_oracle(c.truth, store, {{}}), 0u);
+}
+
+TEST(LocateAllOracle, WindowsClipContactHistoriesAtBothEnds) {
+  const CityStream c = city_stream(/*max_scans=*/5);
+  const capture::ObservationStore store = apply_all(c.events);
+  // Around the middle instant of contacts heard three or more times, clear
+  // of both neighbours: the AP is in Gamma only through that instant.
+  std::vector<capture::ObservationWindow> windows;
+  for (const net80211::MacAddress& mac : store.devices()) {
+    for (const auto& [ap, contact] : store.device(mac)->contacts) {
+      if (contact.times.size() < 3 || windows.size() >= 12) continue;
+      std::vector<double> times = contact.times;
+      std::sort(times.begin(), times.end());
+      const double half = std::min(times[1] - times[0], times[2] - times[1]) / 2.0;
+      if (!(half > 0.0)) continue;
+      windows.push_back({times[1] - half, times[1] + half});
+      EXPECT_EQ(store.gamma(mac, windows.back()).count(ap), 1u);
+    }
+  }
+  ASSERT_GE(windows.size(), 6u);
+  expect_windowed_oracle(c.truth, store, windows);
+}
+
+TEST(LocateAllOracle, DevicesWithOnlyProbesOrPresenceInWindow) {
+  const CityStream c = city_stream();
+  const capture::ObservationStore store = apply_all(c.events);
+  // Windows around devices' probes (a second before their first contact)
+  // and presence (two seconds after their last): those devices are not
+  // idle, but their Gamma is empty.
+  std::vector<capture::ObservationWindow> windows;
+  for (const net80211::MacAddress& mac : store.devices()) {
+    if (windows.size() >= 12) break;
+    const capture::DeviceRecord& rec = *store.device(mac);
+    for (const double t : {rec.first_seen, rec.last_seen}) {
+      windows.push_back({t - 0.05, t + 0.05});
+      EXPECT_FALSE(idle_in(rec, windows.back()));
+      EXPECT_TRUE(store.gamma(mac, windows.back()).empty());
+    }
+  }
+  expect_windowed_oracle(c.truth, store, windows);
+}
+
+TEST(LocateAllOracle, HistoriesCompactedBySmallCap) {
+  const CityStream c = city_stream(/*max_scans=*/12);
+  const capture::ObservationStore full = apply_all(c.events);
+  const capture::ObservationStore capped = apply_all(c.events, {.contact_history_cap = 4});
+  // Narrow windows around instants the cap compacted away: the device's span
+  // still meets them, but the AP has left its Gamma.
+  std::vector<capture::ObservationWindow> windows = thirty_second_windows();
+  std::size_t compacted = 0;
+  for (const net80211::MacAddress& mac : capped.devices()) {
+    for (const auto& [ap, contact] : capped.device(mac)->contacts) {
+      if (contact.count == contact.times.size()) continue;
+      if (++compacted > 12) continue;
+      const double lost = full.device(mac)->contacts.at(ap).times.front();
+      windows.push_back({lost - 0.004, lost + 0.004});
+      EXPECT_EQ(full.gamma(mac, windows.back()).count(ap), 1u);
+      EXPECT_EQ(capped.gamma(mac, windows.back()).count(ap), 0u);
+    }
+  }
+  ASSERT_GT(compacted, 0u);
+  expect_windowed_oracle(c.truth, capped, windows);
+}
+
+TEST(LocateAllOracle, OutOfOrderArrivals) {
+  const CityStream c = city_stream();
+  // Three sites, each hearing a random share of the events in time order,
+  // interleaved 64 events at a time: the order a feed mux applies them in.
+  util::Rng rng(31);
+  std::vector<capture::FrameEvent> sites[3];
+  for (const capture::FrameEvent& e : c.events) sites[rng.uniform_int(0, 2)].push_back(e);
+  std::vector<capture::FrameEvent> arrivals;
+  for (std::size_t at = 0; arrivals.size() < c.events.size(); at += 64) {
+    for (const auto& site : sites) {
+      for (std::size_t i = at; i < std::min(at + 64, site.size()); ++i) {
+        arrivals.push_back(site[i]);
+      }
+    }
+  }
+  std::map<net80211::MacAddress, double> latest;
+  std::size_t late = 0;
+  for (const capture::FrameEvent& e : arrivals) {
+    auto [it, inserted] = latest.try_emplace(e.device, e.time_s);
+    if (!inserted && e.time_s < it->second) ++late;
+    it->second = std::max(it->second, e.time_s);
+  }
+  ASSERT_GT(late, 0u);
+
+  const capture::ObservationStore ordered = apply_all(c.events);
+  const capture::ObservationStore mixed = apply_all(arrivals);
+  std::vector<capture::ObservationWindow> windows = thirty_second_windows();
+  windows.push_back({});
+  expect_windowed_oracle(c.truth, mixed, windows);
+  // Arrival order changes nothing a window's map shows.
+  const marauder::Tracker tracker(marauder::ApDatabase::from_truth(c.truth, true),
+                                  {.algorithm = marauder::Algorithm::kMLoc, .threads = 2});
+  for (const capture::ObservationWindow& window : windows) {
+    expect_same_results(tracker.locate_all(ordered, window), tracker.locate_all(mixed, window));
+  }
+}
+
+TEST(LocateAllOracle, RecordsRestoredFromStoreCsv) {
+  const CityStream c = city_stream();
+  const capture::ObservationStore original = apply_all(c.events);
+  const auto path = std::filesystem::temp_directory_path() / "mm_locate_all_oracle.csv";
+  ASSERT_TRUE(capture::save_observations(original, path).ok());
+  // Plus a hand-edited device whose saved span misses its contact instants.
+  const auto edited = net80211::MacAddress::from_u64(0x0216f0ff0001ULL);
+  {
+    std::ofstream out(path, std::ios::app);
+    out << "device," << edited.to_string() << ",50,60,0,,0,0,0,0,0\n"
+        << "contact," << edited.to_string() << "," << c.truth[0].bssid.to_string()
+        << ",10,70,2,-50,10;70\n";
+  }
+  auto loaded = capture::load_observations(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.value().stats.quarantined, 0u);
+  const capture::ObservationStore& restored = loaded.value().store;
+  ASSERT_EQ(restored.device_count(), original.device_count() + 1);
+
+  const std::vector<capture::ObservationWindow> windows = thirty_second_windows();
+  expect_windowed_oracle(c.truth, restored, windows);
+  const marauder::Tracker tracker(marauder::ApDatabase::from_truth(c.truth, true),
+                                  {.algorithm = marauder::Algorithm::kMLoc});
+  for (const capture::ObservationWindow& window : windows) {
+    ResultMap got = tracker.locate_all(restored, window);
+    // The edited device is located exactly in the windows of its instants.
+    EXPECT_EQ(got.erase(edited), window.contains(10.0) || window.contains(70.0) ? 1u : 0u);
+    expect_same_results(tracker.locate_all(original, window), got);
   }
 }
 

@@ -126,12 +126,12 @@ void expect_stores_equal(const capture::ObservationStore& a,
   }
   ASSERT_EQ(a.ap_sightings().size(), b.ap_sightings().size());
   auto itb = b.ap_sightings().begin();
-  for (const auto& [bssid, sa] : a.ap_sightings()) {
-    ASSERT_EQ(bssid, itb->first);
-    EXPECT_EQ(sa.ssid, itb->second.ssid);
-    EXPECT_EQ(sa.channel, itb->second.channel);
-    EXPECT_EQ(sa.beacons, itb->second.beacons);
-    EXPECT_EQ(sa.last_rssi_dbm, itb->second.last_rssi_dbm);
+  for (const capture::ApSighting& sa : a.ap_sightings()) {
+    ASSERT_EQ(sa.bssid, itb->bssid);
+    EXPECT_EQ(sa.ssid, itb->ssid);
+    EXPECT_EQ(sa.channel, itb->channel);
+    EXPECT_EQ(sa.beacons, itb->beacons);
+    EXPECT_EQ(sa.last_rssi_dbm, itb->last_rssi_dbm);
     ++itb;
   }
 }

@@ -66,8 +66,9 @@ TEST(Persistence, ExactRoundtrip) {
 
   // Sightings too.
   ASSERT_EQ(loaded.ap_sightings().size(), 1u);
-  EXPECT_EQ(loaded.ap_sightings().at(kAp1).beacons, 2u);
-  EXPECT_EQ(loaded.ap_sightings().at(kAp1).ssid, "NetOne");
+  ASSERT_NE(loaded.sighting(kAp1), nullptr);
+  EXPECT_EQ(loaded.sighting(kAp1)->beacons, 2u);
+  EXPECT_EQ(loaded.sighting(kAp1)->ssid, "NetOne");
 
   // Atomicity: no leftover temp file after a successful save.
   EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
@@ -91,7 +92,8 @@ TEST(Persistence, SsidWithCommaSurvives) {
   ASSERT_TRUE(save_observations(store, path).ok());
   auto loaded = load_observations(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().store.ap_sightings().at(kAp1).ssid, "Cafe, The \"Best\"");
+  ASSERT_NE(loaded.value().store.sighting(kAp1), nullptr);
+  EXPECT_EQ(loaded.value().store.sighting(kAp1)->ssid, "Cafe, The \"Best\"");
   std::filesystem::remove(path);
 }
 

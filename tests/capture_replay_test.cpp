@@ -73,9 +73,10 @@ TEST(Replay, RebuildsObservationsFromPcap) {
   ASSERT_NE(rec, nullptr);
   EXPECT_GT(rec->probe_requests, 0u);
   // Beacon sightings recovered too (channel survey works offline).
-  ASSERT_EQ(offline.ap_sightings().count(kApMac), 1u);
-  EXPECT_EQ(offline.ap_sightings().at(kApMac).ssid, "ReplayNet");
-  EXPECT_EQ(offline.ap_sightings().at(kApMac).channel, 6);
+  const ApSighting* sighting = offline.sighting(kApMac);
+  ASSERT_NE(sighting, nullptr);
+  EXPECT_EQ(sighting->ssid, "ReplayNet");
+  EXPECT_EQ(sighting->channel, 6);
   std::filesystem::remove(path);
 }
 

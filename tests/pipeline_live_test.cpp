@@ -134,14 +134,14 @@ void expect_stores_equal(const LiveTracker& tracker,
     live_sightings += tracker.shard_store(i).ap_sightings().size();
   }
   EXPECT_EQ(live_sightings, batch.ap_sightings().size());
-  for (const auto& [bssid, want] : batch.ap_sightings()) {
-    const auto& shard = tracker.shard_store(tracker.shard_for(bssid));
-    const auto it = shard.ap_sightings().find(bssid);
-    ASSERT_NE(it, shard.ap_sightings().end()) << bssid.to_string();
-    EXPECT_EQ(it->second.ssid, want.ssid);
-    EXPECT_EQ(it->second.channel, want.channel);
-    EXPECT_EQ(it->second.beacons, want.beacons);
-    EXPECT_TRUE(bits_equal(it->second.last_rssi_dbm, want.last_rssi_dbm));
+  for (const capture::ApSighting& want : batch.ap_sightings()) {
+    const auto& shard = tracker.shard_store(tracker.shard_for(want.bssid));
+    const capture::ApSighting* got = shard.sighting(want.bssid);
+    ASSERT_NE(got, nullptr) << want.bssid.to_string();
+    EXPECT_EQ(got->ssid, want.ssid);
+    EXPECT_EQ(got->channel, want.channel);
+    EXPECT_EQ(got->beacons, want.beacons);
+    EXPECT_TRUE(bits_equal(got->last_rssi_dbm, want.last_rssi_dbm));
   }
 }
 

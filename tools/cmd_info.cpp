@@ -36,7 +36,7 @@ int cmd_info(const util::Flags& flags) {
 
   if (!store.ap_sightings().empty()) {
     std::map<int, int> channels;
-    for (const auto& [mac, sighting] : store.ap_sightings()) channels[sighting.channel]++;
+    for (const capture::ApSighting& sighting : store.ap_sightings()) channels[sighting.channel]++;
     std::cout << "\nAP channel distribution:\n";
     util::Table dist({"channel", "APs"});
     for (const auto& [channel, count] : channels) {
