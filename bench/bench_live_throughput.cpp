@@ -1,6 +1,6 @@
 // Riptide ingest throughput: multi-producer push of pre-generated FrameEvents
-// through the full live path (ring -> shard worker -> store -> incremental
-// M-Loc -> seqlock publish), swept across shard counts. The acceptance bar
+// through the full live path (ring -> shard worker -> store -> M-Loc ->
+// seqlock publish), swept across shard counts. The acceptance bar
 // for the engine is >= 500k frames/sec sustained on 4 shards.
 //
 //   bench_live_throughput [--events N] [--producers P] [--devices D]
@@ -9,8 +9,8 @@
 //
 // Events model steady campus traffic: each device keeps hearing the same
 // small set of nearby APs, so most contacts are Gamma duplicates (the cheap
-// path) and a minority grow the disc set and trigger an incremental locate —
-// the same mix a replayed capture produces.
+// path) and a minority grow the disc set and trigger an M-Loc publish — the
+// same mix a replayed capture produces.
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -66,8 +66,6 @@ struct RunResult {
   double frames_per_sec = 0.0;
   std::uint64_t frames = 0;
   std::uint64_t publishes = 0;
-  std::uint64_t incremental_updates = 0;
-  std::uint64_t full_recomputes = 0;
   std::uint64_t ring_high_water = 0;
   std::uint64_t wal_records = 0;
 };
@@ -125,8 +123,6 @@ RunResult run_once(const marauder::ApDatabase& db,
   r.frames_per_sec = elapsed > 0.0 ? static_cast<double>(r.frames) / elapsed : 0.0;
   for (const auto& s : stats.shards) {
     r.publishes += s.publishes;
-    r.incremental_updates += s.incremental_updates;
-    r.full_recomputes += s.full_recomputes;
     r.ring_high_water = std::max(r.ring_high_water, s.ring_high_water);
     r.wal_records += s.wal_records;
   }
@@ -149,8 +145,6 @@ void write_json(const std::string& path, std::size_t events, std::size_t produce
         << ", \"stop_s\": " << r.stop_s
         << ", \"frames_per_sec\": " << r.frames_per_sec << ", \"frames\": " << r.frames
         << ", \"publishes\": " << r.publishes
-        << ", \"incremental_updates\": " << r.incremental_updates
-        << ", \"full_recomputes\": " << r.full_recomputes
         << ", \"ring_high_water\": " << r.ring_high_water
         << ", \"wal_records\": " << r.wal_records << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
@@ -183,8 +177,7 @@ int main(int argc, char** argv) {
     results.push_back(r);
     std::cout << "shards=" << r.shards << "  " << static_cast<std::uint64_t>(r.frames_per_sec)
               << " frames/s  (" << r.frames << " frames in " << r.elapsed_s << " s, "
-              << r.publishes << " publishes, " << r.incremental_updates << " incr / "
-              << r.full_recomputes << " full, ring hwm " << r.ring_high_water << ")\n";
+              << r.publishes << " publishes, ring hwm " << r.ring_high_water << ")\n";
   }
   const RunResult no_wal = results.back();
 

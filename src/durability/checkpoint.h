@@ -12,11 +12,11 @@
 // Loading walks metas newest-first and falls back to an older checkpoint when
 // the newest pair is damaged.
 //
-// Live M-Loc state is deliberately NOT serialized: IncrementalDeviceLocator
-// inserts discovered APs in sorted order, so its state is a pure function of
-// the store's Gamma sets and the AP database — recovery rebuilds it and the
-// incremental-M-Loc invariant (pipeline/incremental_mloc.h) makes the rebuilt
-// estimates bit-for-bit equal to the uninterrupted run's.
+// Live M-Loc state is deliberately NOT serialized: a device's live state is
+// its known-AP discs in AP-MAC order, a pure function of the store's Gamma
+// sets and the AP database. Recovery rebuilds it and publishes mloc_locate
+// over those discs, the same call the uninterrupted run's last publish made,
+// so the rebuilt estimates are bit-for-bit equal to that run's.
 #pragma once
 
 #include <cstddef>

@@ -16,9 +16,9 @@ constexpr double kTwoPi = 2.0 * std::numbers::pi;
 constexpr double kEps = 1e-9;
 constexpr double kMinArcSpan = 1e-10;
 
-/// Containment test equivalent to a.inside_of(b, eps), same treatment as the
-/// soa_any_pair_disjoint kernel: a
-/// lies inside b iff |a.center - b.center| <= b.radius - a.radius + eps.
+/// Containment test equivalent to a.inside_of(b, eps), same treatment as
+/// any_pair_disjoint: a lies inside b iff |a.center - b.center| <=
+/// b.radius - a.radius + eps.
 bool inside_prefiltered(const Circle& a, const Circle& b, double eps) {
   const double slack = b.radius - a.radius + eps;
   if (slack < 0.0) return false;  // a is too big to fit regardless of position
@@ -41,12 +41,6 @@ class IntervalSet {
   static IntervalSet full() {
     IntervalSet s;
     s.intervals_.push_back({0.0, kTwoPi});
-    return s;
-  }
-
-  static IntervalSet from(std::vector<Interval> intervals) {
-    IntervalSet s;
-    s.intervals_ = std::move(intervals);
     return s;
   }
 
@@ -91,10 +85,6 @@ class IntervalSet {
 };
 
 /// Clips circle `i`'s boundary interval set by the constraint of disc `j`.
-/// This is the one per-pair arithmetic both compute() and incremental_add()
-/// run, which is what makes the incremental path bit-identical to a full
-/// recompute: angular-interval intersection is an exact max/min lattice over
-/// per-pair endpoint values, so clipping order cannot change the result.
 void clip_circle_by_disc(IntervalSet& set, const Circle& ci, const Circle& cj) {
   const Vec2 delta = cj.center - ci.center;
   const double d = delta.norm();
@@ -172,19 +162,17 @@ void arc_moment_terms(const Circle& c, double t0, double t1, double& mx, double&
 
 }  // namespace
 
-bool soa_any_pair_disjoint(const DiscSlab& slab, double eps) {
-  for (std::size_t i = 0; i + 1 < slab.n; ++i) {
-    const double xi = slab.x[i];
-    const double yi = slab.y[i];
-    const double ri = slab.r[i];
+bool any_pair_disjoint(std::span<const Circle> discs, double eps) {
+  for (std::size_t i = 0; i + 1 < discs.size(); ++i) {
+    const Circle& a = discs[i];
     // Branch-free inner loop: accumulate how many pairs exceed their reach.
     // A disjoint pair anywhere means an empty intersection, so existence is
     // all compute() needs — which pair fired never affects the result.
     std::size_t found = 0;
-    for (std::size_t j = i + 1; j < slab.n; ++j) {
-      const double dx = slab.x[j] - xi;
-      const double dy = slab.y[j] - yi;
-      const double reach = slab.r[j] + ri + eps;
+    for (std::size_t j = i + 1; j < discs.size(); ++j) {
+      const double dx = discs[j].center.x - a.center.x;
+      const double dy = discs[j].center.y - a.center.y;
+      const double reach = discs[j].radius + a.radius + eps;
       // A negative reach means nothing can touch (the scalar predicate's
       // degenerate-eps early-out); squaring would lose its sign, so test it
       // explicitly — bitwise-or keeps the loop branch-free.
@@ -194,24 +182,6 @@ bool soa_any_pair_disjoint(const DiscSlab& slab, double eps) {
     if (found != 0) return true;
   }
   return false;
-}
-
-bool any_pair_disjoint(std::span<const Circle> discs, double eps) {
-  // Gather once into per-thread SoA scratch; the kernel then streams three
-  // contiguous double arrays instead of striding through 24-byte structs.
-  static thread_local std::vector<double> sx;
-  static thread_local std::vector<double> sy;
-  static thread_local std::vector<double> sr;
-  const std::size_t n = discs.size();
-  sx.resize(n);
-  sy.resize(n);
-  sr.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sx[i] = discs[i].center.x;
-    sy[i] = discs[i].center.y;
-    sr[i] = discs[i].radius;
-  }
-  return soa_any_pair_disjoint({sx.data(), sy.data(), sr.data(), n}, eps);
 }
 
 DiscIntersection DiscIntersection::compute(std::span<const Circle> discs) {
@@ -224,9 +194,9 @@ DiscIntersection DiscIntersection::compute(std::span<const Circle> discs) {
 
   DiscIntersection result;
 
-  // Early exit: any two discs disjoint => empty intersection. The SoA kernel
-  // makes the same squared-distance decision the scalar predicate would for
-  // every pair, so which path detects it cannot change the result.
+  // Early exit: any two discs disjoint => empty intersection. The squared
+  // scan makes the same decision the scalar predicate would for every pair,
+  // so which path detects it cannot change the result.
   if (any_pair_disjoint(discs, -kEps)) {
     result.empty_ = true;
     result.discs_.assign(discs.begin(), discs.end());
@@ -260,74 +230,7 @@ DiscIntersection DiscIntersection::compute(std::span<const Circle> discs) {
       if (j == i) continue;
       clip_circle_by_disc(set, discs[i], discs[j]);
     }
-    for (const Interval& iv : set.intervals()) {
-      result.raw_arcs_.push_back({i, iv.lo, iv.hi});
-    }
     for (const Interval& iv : rejoin_wrap(set.intervals())) {
-      result.arcs_.push_back({i, iv.lo, iv.hi});
-    }
-  }
-
-  if (result.arcs_.empty()) {
-    result.resolve_arcless();
-    return result;
-  }
-
-  result.empty_ = false;
-  result.finalize_measures();
-  return result;
-}
-
-std::optional<DiscIntersection> DiscIntersection::incremental_add(
-    const DiscIntersection& base, const Circle& add, std::size_t insert_pos) {
-  // States the cached boundary cannot extend exactly: an empty region (the
-  // batch path's early exits differ), the nested full-disc case (no interval
-  // sets were materialized), and out-of-range positions.
-  if (base.empty_ || base.full_disc_ || base.raw_arcs_.empty() ||
-      insert_pos > base.discs_.size() || !(add.radius > 0.0)) {
-    return std::nullopt;
-  }
-
-  DiscIntersection result;
-  result.discs_.reserve(base.discs_.size() + 1);
-  result.discs_.assign(base.discs_.begin(), base.discs_.end());
-  result.discs_.insert(result.discs_.begin() + static_cast<std::ptrdiff_t>(insert_pos),
-                       add);
-
-  // Per-circle split interval lists of the cached base, indexed by the *new*
-  // circle numbering (old circles at or past insert_pos shift up by one).
-  std::vector<std::vector<Interval>> sets(result.discs_.size());
-  for (const BoundaryArc& arc : base.raw_arcs_) {
-    const std::size_t idx =
-        arc.circle_index < insert_pos ? arc.circle_index : arc.circle_index + 1;
-    sets[idx].push_back({arc.theta_begin, arc.theta_end});
-  }
-
-  // Old circles: one extra clip against the new disc. A circle whose cached
-  // interval set is already empty stays empty (constraints only shrink it).
-  for (std::size_t i = 0; i < result.discs_.size(); ++i) {
-    if (i == insert_pos || sets[i].empty()) continue;
-    IntervalSet set = IntervalSet::from(std::move(sets[i]));
-    clip_circle_by_disc(set, result.discs_[i], add);
-    sets[i] = set.intervals();
-  }
-
-  // The new circle: clipped by every retained disc, exactly as compute()
-  // would in its inner loop.
-  {
-    IntervalSet set = IntervalSet::full();
-    for (std::size_t j = 0; j < result.discs_.size() && !set.empty(); ++j) {
-      if (j == insert_pos) continue;
-      clip_circle_by_disc(set, add, result.discs_[j]);
-    }
-    sets[insert_pos] = set.intervals();
-  }
-
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    for (const Interval& iv : sets[i]) {
-      result.raw_arcs_.push_back({i, iv.lo, iv.hi});
-    }
-    for (const Interval& iv : rejoin_wrap(sets[i])) {
       result.arcs_.push_back({i, iv.lo, iv.hi});
     }
   }
@@ -358,37 +261,38 @@ void DiscIntersection::resolve_arcless() {
     empty_ = false;
     full_disc_ = true;
     arcs_.clear();
-    raw_arcs_.clear();
     arcs_.push_back({smallest, 0.0, kTwoPi});
     area_ = discs_[smallest].area();
-    centroid_ = discs_[smallest].center;
     return;
   }
   empty_ = true;
   arcs_.clear();
-  raw_arcs_.clear();
 }
 
 void DiscIntersection::finalize_measures() {
   double area = 0.0;
-  double mx = 0.0;
-  double my = 0.0;
   for (const BoundaryArc& arc : arcs_) {
-    const Circle& c = discs_[arc.circle_index];
-    area += arc_area_term(c, arc.theta_begin, arc.theta_end);
-    arc_moment_terms(c, arc.theta_begin, arc.theta_end, mx, my);
+    area += arc_area_term(discs_[arc.circle_index], arc.theta_begin, arc.theta_end);
   }
   area_ = std::max(area, 0.0);
+}
+
+Vec2 DiscIntersection::centroid() const {
+  if (empty_) return {};
+  if (full_disc_) return discs_[arcs_.front().circle_index].center;
   if (area_ > 1e-12) {
-    centroid_ = {mx / area_, my / area_};
-  } else {
-    // Degenerate (near-point) region: fall back to the mean of the vertices.
-    const auto verts = vertices();
-    Vec2 acc;
-    for (const Vec2& v : verts) acc += v;
-    centroid_ = verts.empty() ? discs_.front().center
-                              : acc / static_cast<double>(verts.size());
+    double mx = 0.0;
+    double my = 0.0;
+    for (const BoundaryArc& arc : arcs_) {
+      arc_moment_terms(discs_[arc.circle_index], arc.theta_begin, arc.theta_end, mx, my);
+    }
+    return {mx / area_, my / area_};
   }
+  // Degenerate (near-point) region: fall back to the mean of the vertices.
+  const auto verts = vertices();
+  Vec2 acc;
+  for (const Vec2& v : verts) acc += v;
+  return verts.empty() ? discs_.front().center : acc / static_cast<double>(verts.size());
 }
 
 bool DiscIntersection::contains(Vec2 p, double eps) const {

@@ -4,15 +4,14 @@
 // algorithms in the paper (M-Loc, AP-Rad, AP-Loc). The intersection of discs
 // is a convex region bounded by circular arcs; this class computes that
 // boundary exactly, and from it the region's area (Green's theorem, closed
-// form per arc) and centroid (per-arc Gauss-Legendre quadrature). The paper's
-// M-Loc pseudo-code approximates the centroid by averaging the arc *vertices*;
-// `vertices()` exposes those so the faithful variant and the exact variant can
-// be compared (see bench_ablation).
+// form per arc) and, when asked, its centroid (per-arc Gauss-Legendre
+// quadrature). The paper's M-Loc pseudo-code approximates the centroid by
+// averaging the arc *vertices*; `vertices()` exposes those so the faithful
+// variant and the exact variant can be compared (see bench_ablation).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -21,31 +20,14 @@
 
 namespace mm::geo {
 
-/// Flat SoA view of a disc slab: x[i], y[i], r[i] describe disc i. This is
-/// the memory layout Slipstream's locate arena stores per-device Gamma discs
-/// in — three contiguous double streams that the prefilter kernels below (and
-/// M-Loc's pairwise-distance fill) consume linearly, so the compiler can
-/// auto-vectorize the inner loops instead of gathering through Circle structs.
-struct DiscSlab {
-  const double* x = nullptr;
-  const double* y = nullptr;
-  const double* r = nullptr;
-  std::size_t n = 0;
-};
-
-/// Squared-distance disjointness prefilter over a SoA slab: true iff some
-/// pair (i, j) of discs is disjoint under `eps`, i.e. |c_i - c_j| >
-/// r_i + r_j + eps. Decision-identical to testing Circle::disjoint_from-style
-/// predicates over every pair (asserted by a randomized oracle test): the
-/// comparison runs on squared values, a monotone transform of both sides, the
-/// bounding-box early-outs of the scalar predicate are implied by it, and a
-/// negative reach (degenerate eps) is tested explicitly before squaring. The
-/// inner loop is branch-free over contiguous doubles, so it streams and
-/// vectorizes.
-[[nodiscard]] bool soa_any_pair_disjoint(const DiscSlab& slab, double eps);
-
-/// Same kernel over an AoS Circle span (gathers into thread-local SoA scratch
-/// first); the early-exit pass of DiscIntersection::compute runs through this.
+/// True iff some pair (i, j) of discs is disjoint under `eps`, i.e.
+/// |c_i - c_j| > r_i + r_j + eps. Decision-identical to testing
+/// Circle::disjoint_from-style predicates over every pair (asserted by a
+/// randomized oracle test): the comparison runs on squared values, a monotone
+/// transform of both sides, the bounding-box early-outs of the scalar
+/// predicate are implied by it, and a negative reach (degenerate eps) is
+/// tested explicitly before squaring. The early-exit pass of
+/// DiscIntersection::compute runs through this.
 [[nodiscard]] bool any_pair_disjoint(std::span<const Circle> discs, double eps);
 
 /// One boundary arc: the piece of circle `circle_index` from `theta_begin` to
@@ -65,30 +47,15 @@ class DiscIntersection {
   /// Throws std::invalid_argument on an empty input or a non-positive radius.
   static DiscIntersection compute(std::span<const Circle> discs);
 
-  /// Incremental variant for streaming Gamma growth (Riptide's M-Loc hot
-  /// path): given `base` == compute(S) and one additional disc, produces
-  /// compute(S') for S' = S with `add` inserted at `insert_pos` of the
-  /// *retained* disc list — by clipping the cached boundary arcs against the
-  /// new disc instead of redoing the O(k^2) pairwise pass.
-  ///
-  /// The result is bit-identical to a full recompute because both paths run
-  /// the same per-pair clipping arithmetic and angular-interval intersection
-  /// is an exact max/min lattice — provided the caller guarantees `add`
-  /// neither prunes nor is pruned by a retained disc and is not disjoint
-  /// from any disc of the full input (those cases change the retained set or
-  /// the early-exit path). Returns nullopt whenever the cached state cannot
-  /// guarantee equality (empty or nested/full-disc base); the caller then
-  /// falls back to a full compute().
-  static std::optional<DiscIntersection> incremental_add(const DiscIntersection& base,
-                                                         const Circle& add,
-                                                         std::size_t insert_pos);
-
   [[nodiscard]] bool empty() const noexcept { return empty_; }
   /// True when the region is exactly one input disc (nested-discs case).
   [[nodiscard]] bool is_full_disc() const noexcept { return full_disc_; }
   [[nodiscard]] double area() const noexcept { return area_; }
-  /// Centroid of the region; only meaningful when !empty().
-  [[nodiscard]] Vec2 centroid() const noexcept { return centroid_; }
+  /// Centroid of the region; only meaningful when !empty(). A full-disc
+  /// region returns its disc's centre; otherwise every call runs one moment
+  /// quadrature over the boundary arcs (16 Gauss-Legendre nodes per pi/8 of
+  /// arc, two trig calls per node), so a caller that needs it twice keeps it.
+  [[nodiscard]] Vec2 centroid() const;
   /// Membership test against the defining discs.
   [[nodiscard]] bool contains(Vec2 p, double eps = 1e-9) const;
   [[nodiscard]] const std::vector<BoundaryArc>& arcs() const noexcept { return arcs_; }
@@ -106,19 +73,14 @@ class DiscIntersection {
   /// Decides the arcs_-empty endgame (nested discs -> one full disc, or
   /// pairwise overlap without a common point -> empty) over discs_.
   void resolve_arcless();
+  /// Area from the closed-form per-arc terms (the centroid is on demand).
   void finalize_measures();
 
   std::vector<Circle> discs_;
   std::vector<BoundaryArc> arcs_;
-  /// Pre-rejoin boundary arcs: per-circle angular intervals still split at
-  /// the 0/2*pi cut, exactly as the interval clipper produced them. The
-  /// incremental path clips these (re-deriving them from the rejoined arcs_
-  /// would round-trip through +-2*pi and lose the last ulp).
-  std::vector<BoundaryArc> raw_arcs_;
   bool empty_ = true;
   bool full_disc_ = false;
   double area_ = 0.0;
-  Vec2 centroid_;
 };
 
 }  // namespace mm::geo

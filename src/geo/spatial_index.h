@@ -3,7 +3,7 @@
 // A uniform hash grid over geo::Vec2. Every layer of the system asks the
 // same question — "which points lie within range of here?" — and before
 // Atlas each layer answered it with its own linear scan (sim delivery,
-// AP-Rad's neighbour pass, ApDatabase lookups, incremental M-Loc pruning).
+// AP-Rad's neighbour pass, ApDatabase lookups).
 // The index buckets points into square cells keyed by the floor of their
 // coordinates over the cell size; a disc or rect query visits only the
 // overlapping cells.
@@ -116,9 +116,9 @@ class SpatialIndex {
 };
 
 /// The density-derived cell of an adaptive grid (ApDatabase's lazy grid, the
-/// sim World's delivery grid, incremental M-Loc's center grid): ~1 point per
-/// cell over the bounding box of the points `point_of` maps the non-empty
-/// `items` to, clamped to [1 m, 1 km]; a box under 1 m² counts as 1 m².
+/// sim World's delivery grid): ~1 point per cell over the bounding box of the
+/// points `point_of` maps the non-empty `items` to, clamped to [1 m, 1 km]; a
+/// box under 1 m² counts as 1 m².
 template <typename Range, typename PointOf>
 [[nodiscard]] double density_cell_m(const Range& items, PointOf point_of) {
   Vec2 lo = point_of(*std::begin(items));

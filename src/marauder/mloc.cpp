@@ -124,55 +124,6 @@ std::optional<std::size_t> reject_outliers(MLocScratch& s, std::size_t max_outli
   return std::nullopt;
 }
 
-LocalizationResult locate_prepared_impl(std::span<const geo::Circle> discs,
-                                        const geo::DiscIntersection& prepared,
-                                        const MLocOptions& options, MLocScratch& scratch) {
-  LocalizationResult result;
-  result.method = "M-Loc";
-  result.num_aps = discs.size();
-  result.discs.assign(discs.begin(), discs.end());
-  if (discs.empty()) return result;
-  if (discs.size() == 1) {
-    result.ok = true;
-    result.estimate = discs.front().center;
-    return result;
-  }
-
-  geo::DiscIntersection region = prepared;
-
-  if (region.empty() && options.reject_outliers) {
-    // Inconsistent evidence (corrupted RSSI/radius rows, ghost APs from
-    // bit-flipped BSSIDs, underestimated radii): discard the fewest discs
-    // that restore a non-empty intersection so the estimate degrades
-    // instead of collapsing to the centroid fallback.
-    scratch.retained.assign(result.discs.begin(), result.discs.end());
-    if (const auto rejected = reject_outliers(scratch, options.max_outliers)) {
-      result.discs_rejected = *rejected;
-      result.discs = scratch.retained;
-      if (result.discs.size() == 1) {
-        result.ok = true;
-        result.estimate = result.discs.front().center;
-        return result;
-      }
-      region = geo::DiscIntersection::compute(result.discs);
-    }
-  }
-
-  if (region.empty()) {
-    // Inconsistent discs (underestimated radii). Fall back to the centroid
-    // of AP positions so the attack still produces an answer.
-    geo::Vec2 acc;
-    for (const geo::Circle& disc : result.discs) acc += disc.center;
-    result.ok = true;
-    result.used_fallback = true;
-    result.estimate = acc / static_cast<double>(result.discs.size());
-    return result;
-  }
-
-  estimate_from_region(result, region, options);
-  return result;
-}
-
 /// Per-thread scratch for the overloads that don't take one; keeps the
 /// public convenience API allocation-free on repeat calls without changing
 /// its signature or results.
@@ -218,14 +169,39 @@ LocalizationResult mloc_locate(std::span<const geo::Circle> discs,
     return result;
   }
 
-  return locate_prepared_impl(discs, geo::DiscIntersection::compute(discs), options,
-                              scratch);
-}
+  geo::DiscIntersection region = geo::DiscIntersection::compute(discs);
 
-LocalizationResult mloc_locate_prepared(std::span<const geo::Circle> discs,
-                                        const geo::DiscIntersection& prepared,
-                                        const MLocOptions& options) {
-  return locate_prepared_impl(discs, prepared, options, local_scratch());
+  if (region.empty() && options.reject_outliers) {
+    // Inconsistent evidence (corrupted RSSI/radius rows, ghost APs from
+    // bit-flipped BSSIDs, underestimated radii): discard the fewest discs
+    // that restore a non-empty intersection so the estimate degrades
+    // instead of collapsing to the centroid fallback.
+    scratch.retained.assign(result.discs.begin(), result.discs.end());
+    if (const auto rejected = reject_outliers(scratch, options.max_outliers)) {
+      result.discs_rejected = *rejected;
+      result.discs = scratch.retained;
+      if (result.discs.size() == 1) {
+        result.ok = true;
+        result.estimate = result.discs.front().center;
+        return result;
+      }
+      region = geo::DiscIntersection::compute(result.discs);
+    }
+  }
+
+  if (region.empty()) {
+    // Inconsistent discs (underestimated radii). Fall back to the centroid
+    // of AP positions so the attack still produces an answer.
+    geo::Vec2 acc;
+    for (const geo::Circle& disc : result.discs) acc += disc.center;
+    result.ok = true;
+    result.used_fallback = true;
+    result.estimate = acc / static_cast<double>(result.discs.size());
+    return result;
+  }
+
+  estimate_from_region(result, region, options);
+  return result;
 }
 
 }  // namespace mm::marauder

@@ -55,13 +55,4 @@ struct MLocScratch {
                                              const MLocOptions& options,
                                              MLocScratch& scratch);
 
-/// M-Loc with a precomputed intersection region for `discs` (Riptide's
-/// incremental path: the region was maintained arc-by-arc as Gamma grew).
-/// `region` must equal DiscIntersection::compute(discs); given that, the
-/// result is bit-for-bit what mloc_locate(discs, options) returns — the
-/// outlier-rejection and fallback branches run the same full recomputes.
-[[nodiscard]] LocalizationResult mloc_locate_prepared(std::span<const geo::Circle> discs,
-                                                      const geo::DiscIntersection& region,
-                                                      const MLocOptions& options = {});
-
 }  // namespace mm::marauder

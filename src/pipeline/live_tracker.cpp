@@ -11,6 +11,14 @@
 
 namespace mm::pipeline {
 
+/// A device's known-AP discs in AP-MAC order, the order batch M-Loc takes
+/// them in; every publish is mloc_locate over `discs`.
+struct LiveTracker::DeviceState {
+  std::vector<net80211::MacAddress> aps;  ///< ascending
+  std::vector<geo::Circle> discs;         ///< aligned with aps
+  SeqlockSlot* slot = nullptr;
+};
+
 /// One *generation* of a shard: a ring, a worker thread, and the state only
 /// that worker touches. Counters the stats()/supervision surfaces read while
 /// the engine runs are atomics; everything else is worker-private by the
@@ -27,13 +35,7 @@ struct LiveTracker::ShardState {
   // Worker-private (single writer; external reads only after stop(), or by
   // restart_shard after the worker is fenced/joined).
   capture::ObservationStore store;
-  struct DeviceState {
-    IncrementalDeviceLocator locator;
-    SeqlockSlot* slot = nullptr;
-    std::uint64_t publishes = 0;
-  };
   std::unordered_map<net80211::MacAddress, DeviceState, net80211::MacHasher> devices;
-  IncrementalStats inc;  ///< staging; mirrored into the atomics below
   /// Devices whose records changed since the last summary flush
   /// (worker-private; drained by flush_summaries).
   std::unordered_set<net80211::MacAddress, net80211::MacHasher> summary_dirty;
@@ -56,8 +58,6 @@ struct LiveTracker::ShardState {
   std::atomic<std::uint64_t> frames{0};
   std::atomic<std::uint64_t> contacts{0};
   std::atomic<std::uint64_t> publishes{0};
-  std::atomic<std::uint64_t> incremental_updates{0};
-  std::atomic<std::uint64_t> full_recomputes{0};
   std::atomic<std::uint64_t> device_count{0};
   std::atomic<std::uint64_t> applied_seq_pub{0};
   std::atomic<std::uint64_t> dedup_skipped{0};
@@ -191,38 +191,34 @@ util::Result<bool> LiveTracker::recover_state(std::size_t shard, ShardState& sta
 
 void LiveTracker::rebuild_live_state(ShardState& state, RecoveryStats* stats) {
   // The live M-Loc state is a pure function of the restored store: per
-  // device, add the disc of every database-known contact AP in ascending MAC
-  // order — exactly the order IncrementalDeviceLocator keeps internally — and
-  // publish once. The incremental-M-Loc invariant makes locate() bit-identical
-  // to the uninterrupted run's last publish; `updates` equals the disc count
-  // because every Gamma growth published exactly once; `updated_at_s` is the
-  // first_seen of the newest-contacted known AP, which is the capture time of
-  // the event that produced the uninterrupted run's last publish.
-  std::uint64_t total_publishes = 0;
+  // device, the discs of its database-known contact APs in ascending MAC
+  // order (the contact map's order), published once. That publish is
+  // mloc_locate over the very discs the uninterrupted run's last publish
+  // used, so it is bit-identical; `updates` is the disc count because every
+  // Gamma growth published exactly once; `updated_at_s` is the first_seen of
+  // the newest-contacted known AP, which is the capture time of the event
+  // that produced the uninterrupted run's last publish.
+  std::uint64_t earlier_publishes = 0;
   for (const net80211::MacAddress& mac : state.store.devices()) {
     const capture::DeviceRecord* rec = state.store.device(mac);
-    ShardState::DeviceState* device = nullptr;
+    DeviceState* device = nullptr;
     double updated_at_s = 0.0;
     for (const auto& [ap, contact] : rec->contacts) {
       const marauder::KnownAp* known = db_.find(ap);
       if (known == nullptr) continue;
       if (device == nullptr) device = &state.devices[mac];
-      const geo::Circle disc{known->position,
-                             known->radius_m.value_or(config_.default_radius_m)};
-      if (device->locator.add(ap, disc)) {
-        updated_at_s = std::max(updated_at_s, contact.first_seen);
-      }
+      device->aps.push_back(ap);
+      device->discs.push_back(disc_of(*known));
+      updated_at_s = std::max(updated_at_s, contact.first_seen);
     }
-    if (device == nullptr || device->locator.disc_count() == 0) continue;
-    device->publishes = device->locator.disc_count() - 1;
-    publish_device(state, mac, updated_at_s);
-    total_publishes += device->publishes;
+    if (device == nullptr) continue;
+    // The uninterrupted run published once per disc; the last of those is
+    // the one below, which counts itself.
+    earlier_publishes += device->discs.size() - 1;
+    publish_device(state, mac, *device, updated_at_s);
     if (stats != nullptr && device->slot != nullptr) ++stats->positions_republished;
   }
-  state.publishes.store(total_publishes, std::memory_order_relaxed);
-  state.incremental_updates.store(state.inc.incremental_updates,
-                                  std::memory_order_relaxed);
-  state.full_recomputes.store(state.inc.full_recomputes, std::memory_order_relaxed);
+  state.publishes.fetch_add(earlier_publishes, std::memory_order_relaxed);
 
   // The summary board is a pure function of the restored store too.
   for (const net80211::MacAddress& mac : state.store.devices()) {
@@ -393,26 +389,25 @@ void LiveTracker::process_event(std::size_t shard, ShardState& state,
     // set may grow, which is the only thing that can move its M-Loc estimate.
     const marauder::KnownAp* ap = db_.find(event.ap);
     if (ap != nullptr) {
-      ShardState::DeviceState& device = state.devices[event.device];
-      const geo::Circle disc{ap->position,
-                             ap->radius_m.value_or(config_.default_radius_m)};
-      if (device.locator.add(event.ap, disc)) {
-        publish_device(state, event.device, event.time_s);
+      DeviceState& device = state.devices[event.device];
+      const auto it = std::lower_bound(device.aps.begin(), device.aps.end(), event.ap);
+      if (it == device.aps.end() || *it != event.ap) {
+        const auto pos = it - device.aps.begin();
+        device.aps.insert(it, event.ap);
+        device.discs.insert(device.discs.begin() + pos, disc_of(*ap));
+        publish_device(state, event.device, device, event.time_s);
       }
     }
   }
   state.in_event.store(false, std::memory_order_relaxed);
 }
 
-void LiveTracker::publish_device(ShardState& state, const net80211::MacAddress& mac,
-                                 double event_time_s) {
-  ShardState::DeviceState& device = state.devices[mac];
-  const marauder::LocalizationResult& result =
-      device.locator.locate(config_.mloc, state.inc);
-  state.incremental_updates.store(state.inc.incremental_updates,
-                                  std::memory_order_relaxed);
-  state.full_recomputes.store(state.inc.full_recomputes, std::memory_order_relaxed);
+geo::Circle LiveTracker::disc_of(const marauder::KnownAp& ap) const {
+  return {ap.position, ap.radius_m.value_or(config_.default_radius_m)};
+}
 
+void LiveTracker::publish_device(ShardState& state, const net80211::MacAddress& mac,
+                                 DeviceState& device, double event_time_s) {
   if (device.slot == nullptr) {
     device.slot = directory_.insert(mac);
     if (device.slot == nullptr) {
@@ -420,15 +415,17 @@ void LiveTracker::publish_device(ShardState& state, const net80211::MacAddress& 
       return;
     }
   }
+  const marauder::LocalizationResult result =
+      marauder::mloc_locate(device.discs, config_.mloc);
   LivePosition position;
   position.x_m = result.estimate.x;
   position.y_m = result.estimate.y;
   position.updated_at_s = event_time_s;
-  position.gamma_size = static_cast<std::uint32_t>(device.locator.disc_count());
+  position.gamma_size = static_cast<std::uint32_t>(device.discs.size());
   position.ok = result.ok ? 1 : 0;
   position.used_fallback = result.used_fallback ? 1 : 0;
   position.discs_rejected = static_cast<std::uint16_t>(result.discs_rejected);
-  position.updates = ++device.publishes;
+  position.updates = device.discs.size();
   device.slot->publish(position);
   state.publishes.fetch_add(1, std::memory_order_relaxed);
 }
@@ -584,24 +581,12 @@ bool LiveTracker::shard_degraded(std::size_t shard) const noexcept {
   return shards_[shard]->degraded.load(std::memory_order_acquire);
 }
 
-std::optional<LivePosition> LiveTracker::locate(const net80211::MacAddress& mac) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::optional<LivePosition> out;
-  if (const SeqlockSlot* slot = directory_.find(mac)) {
-    LivePosition position;
-    if (slot->read(position)) out = position;
-  }
-  if (out.has_value()) {
-    out->shard_degraded = shard_degraded(shard_for(mac)) ? 1 : 0;
-  }
-  const double us =
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
-          .count();
-  {
-    const std::lock_guard<std::mutex> lock(latency_mutex_);
-    locate_latency_us_.add(us);
-  }
-  return out;
+std::optional<LivePosition> LiveTracker::locate(const net80211::MacAddress& mac) const {
+  const SeqlockSlot* slot = directory_.find(mac);
+  LivePosition position;
+  if (slot == nullptr || !slot->read(position)) return std::nullopt;
+  position.shard_degraded = shard_degraded(shard_for(mac)) ? 1 : 0;
+  return position;
 }
 
 std::vector<std::pair<net80211::MacAddress, LivePosition>> LiveTracker::snapshot()
@@ -629,7 +614,7 @@ marauder::IdentityMap LiveTracker::resolve_identities(
 }
 
 std::optional<LivePosition> LiveTracker::locate_identity(
-    const marauder::ResolvedIdentity& identity) {
+    const marauder::ResolvedIdentity& identity) const {
   std::optional<LivePosition> best;
   for (const net80211::MacAddress& mac : identity.macs) {
     std::optional<LivePosition> position = locate(mac);
@@ -660,8 +645,6 @@ PipelineStats LiveTracker::stats() const {
     s.frames = state->frames.load(std::memory_order_relaxed);
     s.contacts = state->contacts.load(std::memory_order_relaxed);
     s.publishes = state->publishes.load(std::memory_order_relaxed);
-    s.incremental_updates = state->incremental_updates.load(std::memory_order_relaxed);
-    s.full_recomputes = state->full_recomputes.load(std::memory_order_relaxed);
     s.devices = state->device_count.load(std::memory_order_relaxed);
     s.ring_pushed = state->ring.pushed();
     s.ring_dropped = state->ring.dropped();
@@ -694,16 +677,6 @@ PipelineStats LiveTracker::stats() const {
       elapsed > 0.0 ? static_cast<double>(out.total_frames) / elapsed : 0.0;
   out.directory_size = directory_.size();
   out.directory_overflows = directory_overflows_.load(std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(latency_mutex_);
-    out.locate_count = locate_latency_us_.count();
-    if (!locate_latency_us_.empty()) {
-      out.locate_p50_us = locate_latency_us_.percentile(50.0);
-      out.locate_p95_us = locate_latency_us_.percentile(95.0);
-      out.locate_p99_us = locate_latency_us_.percentile(99.0);
-      out.locate_max_us = locate_latency_us_.max();
-    }
-  }
   return out;
 }
 

@@ -3,8 +3,8 @@
 // Threading model (DESIGN.md section 8):
 //   producers (capture threads / the pcap feed)
 //        --push()-->  per-shard FrameRing (lock-free MPSC)
-//        --worker-->  shard-private ObservationStore + IncrementalDeviceLocator
-//        --publish--> shared DeviceDirectory of seqlock slots
+//        --worker-->  shard-private ObservationStore + per-device known-AP discs
+//        --publish--> mloc_locate into the shared DeviceDirectory of seqlock slots
 //        <--read----  locate() / snapshot() from any thread, never blocking ingest
 //
 // Devices are hash-partitioned by MAC (the same util::mix64 the store's
@@ -45,10 +45,8 @@
 #include "marauder/mloc.h"
 #include "net80211/mac_address.h"
 #include "pipeline/frame_ring.h"
-#include "pipeline/incremental_mloc.h"
 #include "pipeline/pipeline_stats.h"
 #include "pipeline/seqlock.h"
-#include "util/stats.h"
 
 namespace mm::pipeline {
 
@@ -104,8 +102,9 @@ class LiveTracker {
   LiveTracker& operator=(const LiveTracker&) = delete;
 
   /// Rebuilds every shard from its durability directory: latest valid
-  /// checkpoint, then the WAL tail through the normal ingest path, then the
-  /// live M-Loc state (bit-for-bit, per the incremental-M-Loc invariant).
+  /// checkpoint, then the WAL tail through the normal ingest path, then each
+  /// device's known-AP discs and one publish (bit-for-bit what the
+  /// uninterrupted run last published: both are mloc_locate over those discs).
   /// Must be called before start(); a cold directory is not an error.
   util::Result<RecoveryStats> recover();
 
@@ -127,10 +126,10 @@ class LiveTracker {
   [[nodiscard]] std::size_t shard_for(const net80211::MacAddress& key) const noexcept;
 
   /// Latest published position of one device; nullopt when never located.
-  /// Wait-free against ingest (seqlock read); latency is sampled into the
-  /// stats surface. `shard_degraded` is stamped at read time from the owning
-  /// shard's circuit-breaker flag.
-  [[nodiscard]] std::optional<LivePosition> locate(const net80211::MacAddress& mac);
+  /// Wait-free against ingest (seqlock read; no lock, no allocation).
+  /// `shard_degraded` is stamped at read time from the owning shard's
+  /// circuit-breaker flag.
+  [[nodiscard]] std::optional<LivePosition> locate(const net80211::MacAddress& mac) const;
 
   /// All published positions, each entry torn-free (epoch-consistent per
   /// device; the set is whatever was claimed when the scan passed).
@@ -158,7 +157,7 @@ class LiveTracker {
   /// identity's alias MACs (seqlock reads; wait-free against ingest). This
   /// is what keeps the map pointing at a victim through pseudonym rotation.
   [[nodiscard]] std::optional<LivePosition> locate_identity(
-      const marauder::ResolvedIdentity& identity);
+      const marauder::ResolvedIdentity& identity) const;
 
   [[nodiscard]] PipelineStats stats() const;
 
@@ -181,6 +180,7 @@ class LiveTracker {
   [[nodiscard]] bool shard_degraded(std::size_t shard) const noexcept;
 
  private:
+  struct DeviceState;
   struct ShardState;
   struct Shard;
 
@@ -190,8 +190,11 @@ class LiveTracker {
   void worker_loop(std::size_t shard, ShardState& state);
   void process_event(std::size_t shard, ShardState& state,
                      const capture::FrameEvent& event);
+  /// The disc batch M-Loc builds for `ap` (ApDatabase::discs_for's rule).
+  [[nodiscard]] geo::Circle disc_of(const marauder::KnownAp& ap) const;
+  /// mloc_locate over the device's discs, published to its directory slot.
   void publish_device(ShardState& state, const net80211::MacAddress& mac,
-                      double event_time_s);
+                      DeviceState& device, double event_time_s);
   void idle_maintenance(std::size_t shard, ShardState& state);
   /// Re-summarizes dirty devices from the shard's store slice onto its
   /// summary board (worker thread only; board mutex held for the move).
@@ -217,8 +220,6 @@ class LiveTracker {
   double elapsed_s_ = 0.0;  ///< frozen at stop()
 
   std::atomic<std::uint64_t> directory_overflows_{0};
-  mutable std::mutex latency_mutex_;
-  util::SampleSet locate_latency_us_;
 };
 
 }  // namespace mm::pipeline

@@ -14,8 +14,11 @@ struct ShardStats {
   std::uint64_t frames = 0;               ///< events popped and applied
   std::uint64_t contacts = 0;             ///< Gamma-building events among them
   std::uint64_t publishes = 0;            ///< seqlock position publishes
-  std::uint64_t incremental_updates = 0;  ///< region extended from cached arcs
-  std::uint64_t full_recomputes = 0;      ///< DiscIntersection::compute fallbacks
+  /// Always zero: a publish is one mloc_locate, with no cached region to
+  /// extend or recompute. These two remain only because the perfbench
+  /// live_fabric workload still reads them; they go with its next change.
+  std::uint64_t incremental_updates = 0;
+  std::uint64_t full_recomputes = 0;
   std::uint64_t devices = 0;              ///< devices owned by this shard's store
   std::uint64_t ring_pushed = 0;
   std::uint64_t ring_dropped = 0;
@@ -78,12 +81,12 @@ struct PipelineStats {
   std::uint64_t degraded_shards = 0;
   RecoveryStats recovery{};  ///< zeroed when recover() never ran
 
-  // locate() latency over the engine's lifetime, microseconds.
+  /// Always zero: locate() takes no lock and keeps no latency samples.
+  /// These remain only because the perfbench live_fabric trace still reads
+  /// them; they go with its next change.
   std::uint64_t locate_count = 0;
   double locate_p50_us = 0.0;
-  double locate_p95_us = 0.0;
   double locate_p99_us = 0.0;
-  double locate_max_us = 0.0;
 };
 
 }  // namespace mm::pipeline

@@ -1,6 +1,7 @@
 #include "live_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -57,8 +58,7 @@ void write_stats_json(const std::string& path, const pipeline::PipelineStats& st
     const pipeline::ShardStats& s = stats.shards[i];
     out << "    {\"frames\": " << s.frames << ", \"frames_per_sec\": " << s.frames_per_sec
         << ", \"contacts\": " << s.contacts << ", \"publishes\": " << s.publishes
-        << ", \"incremental_updates\": " << s.incremental_updates
-        << ", \"full_recomputes\": " << s.full_recomputes << ", \"devices\": " << s.devices
+        << ", \"devices\": " << s.devices
         << ", \"ring_dropped\": " << s.ring_dropped
         << ", \"ring_high_water\": " << s.ring_high_water
         << ", \"ring_capacity\": " << s.ring_capacity
@@ -90,6 +90,11 @@ int LiveEngine::open(const util::Flags& flags) {
   config.ring_capacity =
       static_cast<std::size_t>(flags.get_int("ring-capacity", 1 << 14));
   config.default_radius_m = flags.get_double("default-radius", 100.0);
+  if (!(std::isfinite(config.default_radius_m) && config.default_radius_m > 0.0)) {
+    // A shard worker would throw at its first multi-disc locate and exit.
+    std::cerr << who_ << ": --default-radius must be a finite number > 0\n";
+    return 2;
+  }
   config.mloc.reject_outliers = flags.has("reject-outliers");
   const std::string policy = flags.get("drop-policy", "drop");
   if (policy == "drop") {
@@ -166,8 +171,7 @@ int LiveEngine::report(const util::Flags& flags, const FeedReport& feed) const {
   }
 
   util::Table shard_table({"shard", "frames", "frames/s", "contacts", "publishes",
-                           "incr", "full", "devices", "ring drop", "ring hwm", "wal",
-                           "ckpt", "health"});
+                           "devices", "ring drop", "ring hwm", "wal", "ckpt", "health"});
   for (std::size_t i = 0; i < stats_.shards.size(); ++i) {
     const pipeline::ShardStats& s = stats_.shards[i];
     std::string health = s.degraded ? "DEGRADED"
@@ -178,7 +182,6 @@ int LiveEngine::report(const util::Flags& flags, const FeedReport& feed) const {
     shard_table.add_row(
         {std::to_string(i), std::to_string(s.frames), util::Table::fmt(s.frames_per_sec, 0),
          std::to_string(s.contacts), std::to_string(s.publishes),
-         std::to_string(s.incremental_updates), std::to_string(s.full_recomputes),
          std::to_string(s.devices), std::to_string(s.ring_dropped),
          std::to_string(s.ring_high_water) + "/" + std::to_string(s.ring_capacity),
          std::to_string(s.wal_records), std::to_string(s.checkpoints), health});
