@@ -1,6 +1,6 @@
 // Slipstream offline throughput: Tracker::locate_all over a synthetic
 // capture (serial vs a 1/2/4/8 thread sweep), per-stage timings from
-// LocateAllProfile, and the parallel Monte-Carlo / AP-Rad kernels. The
+// LocateAllProfile, and the parallel Monte-Carlo kernel. The
 // acceptance bar is a >= 4x locate_all speedup at 4+ threads; on machines
 // with >= 4 hardware cores missing it is a hard failure, on smaller runners
 // it reports WARN. Every parallel run is also checked bit-for-bit against
@@ -21,14 +21,12 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/theorems.h"
 #include "capture/observation_store.h"
 #include "marauder/ap_database.h"
-#include "marauder/aprad.h"
 #include "marauder/tracker.h"
 #include "sim/scenario.h"
 #include "util/flags.h"
@@ -215,42 +213,7 @@ int main(int argc, char** argv) {
   const bool mc_identical = std::bit_cast<std::uint64_t>(mc_serial) ==
                             std::bit_cast<std::uint64_t>(mc_threaded);
   std::cout << "thm2 Monte Carlo (" << mc_trials << " trials): serial " << mc_serial_s
-            << " s, threaded " << mc_threaded_s << " s (" << mc_speedup << "x)\n";
-
-  // Parallel AP-Rad constraint generation.
-  std::vector<std::set<net80211::MacAddress>> gammas;
-  for (const net80211::MacAddress& mac : store.devices()) {
-    std::set<net80211::MacAddress> gamma = store.gamma(mac);
-    if (!gamma.empty()) gammas.push_back(std::move(gamma));
-  }
-  const auto aprad_db = marauder::ApDatabase::from_truth(truth, false);
-  marauder::ApRadOptions aprad_serial_opts;
-  aprad_serial_opts.threads = 1;
-  marauder::ApRadOptions aprad_threaded_opts;
-  aprad_threaded_opts.threads = threads;
-  const double ar_t0 = now_seconds();
-  const auto radii_serial = marauder::aprad_estimate_radii(aprad_db, gammas, aprad_serial_opts);
-  const double aprad_serial_s = now_seconds() - ar_t0;
-  const double ar_t1 = now_seconds();
-  const auto radii_threaded =
-      marauder::aprad_estimate_radii(aprad_db, gammas, aprad_threaded_opts);
-  const double aprad_threaded_s = now_seconds() - ar_t1;
-  const double aprad_speedup =
-      aprad_threaded_s > 0.0 ? aprad_serial_s / aprad_threaded_s : 0.0;
-  bool aprad_identical = radii_serial.size() == radii_threaded.size();
-  if (aprad_identical) {
-    auto its = radii_serial.begin();
-    auto itt = radii_threaded.begin();
-    for (; its != radii_serial.end(); ++its, ++itt) {
-      if (its->first != itt->first || std::bit_cast<std::uint64_t>(its->second) !=
-                                          std::bit_cast<std::uint64_t>(itt->second)) {
-        aprad_identical = false;
-        break;
-      }
-    }
-  }
-  std::cout << "AP-Rad radii (" << gammas.size() << " gammas): serial " << aprad_serial_s
-            << " s, threaded " << aprad_threaded_s << " s (" << aprad_speedup << "x)\n\n";
+            << " s, threaded " << mc_threaded_s << " s (" << mc_speedup << "x)\n\n";
 
   std::ofstream out(out_path);
   out << "{\n  \"benchmark\": \"offline_throughput\",\n"
@@ -281,11 +244,7 @@ int main(int argc, char** argv) {
       << "  \"mc_serial_s\": " << mc_serial_s << ",\n"
       << "  \"mc_threaded_s\": " << mc_threaded_s << ",\n"
       << "  \"mc_speedup\": " << mc_speedup << ",\n"
-      << "  \"mc_identical\": " << (mc_identical ? "true" : "false") << ",\n"
-      << "  \"aprad_serial_s\": " << aprad_serial_s << ",\n"
-      << "  \"aprad_threaded_s\": " << aprad_threaded_s << ",\n"
-      << "  \"aprad_speedup\": " << aprad_speedup << ",\n"
-      << "  \"aprad_identical\": " << (aprad_identical ? "true" : "false") << "\n"
+      << "  \"mc_identical\": " << (mc_identical ? "true" : "false") << "\n"
       << "}\n";
   std::cout << "wrote " << out_path << "\n";
 
@@ -294,7 +253,7 @@ int main(int argc, char** argv) {
   // cores; oversubscribed sweep points on a small runner can't hit it, so
   // those report WARN.
   bool failed = false;
-  const bool identical = locate_identical && mc_identical && aprad_identical;
+  const bool identical = locate_identical && mc_identical;
   if (!identical) failed = true;
   std::cout << (identical ? "PASS" : "FAIL")
             << ": parallel results bit-identical to serial\n";

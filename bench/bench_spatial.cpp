@@ -6,8 +6,9 @@
 //                 [--out BENCH_spatial.json]
 //
 // Two experiments per size:
-//   * AP-Rad constraint generation (aprad_prepare_constraints) with the
-//     Atlas grid vs the O(n^2) all-pairs neighbour scan;
+//   * AP-Rad constraint generation (aprad_prepare_constraints, which runs
+//     through the Atlas grid) vs a bench-local copy of the O(n^2) all-pairs
+//     neighbour scan it replaced;
 //   * simulated delivery: the same probing scenario through a kIndexed world
 //     vs a kScan world.
 // Equivalence is a hard failure (exit 1): any bit difference between the
@@ -15,14 +16,18 @@
 // machine-dependent and only WARN when missed (CI runs the --smoke variant
 // on whatever cores it gets); the headline target is >= 5x on the AP-Rad
 // prepare at 10k APs.
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capture/sniffer.h"
@@ -83,6 +88,62 @@ std::vector<std::set<net80211::MacAddress>> make_gammas(
   return gammas;
 }
 
+/// aprad_prepare_constraints with the "<" neighbour scan written as the
+/// O(n^2) all-pairs loop: the timing oracle for the library's grid path.
+marauder::ApRadConstraints scan_prepare_constraints(
+    const marauder::ApDatabase& db, const std::vector<std::set<net80211::MacAddress>>& gammas,
+    const marauder::ApRadOptions& options) {
+  marauder::ApRadConstraints out;
+  const marauder::ApDatabase::RankMap& rank = db.rank_index();
+  const marauder::ApDatabase::DiscSlabView slab = db.disc_slab();
+  std::map<net80211::MacAddress, std::size_t> index;
+  for (const auto& gamma : gammas) {
+    for (const auto& mac : gamma) {
+      const auto rit = rank.find(mac);
+      if (rit == rank.end()) continue;
+      if (index.emplace(mac, out.observed.size()).second) {
+        out.observed.push_back(mac);
+        out.position.push_back({slab.x[rit->second], slab.y[rit->second]});
+      }
+    }
+  }
+  std::set<std::pair<std::size_t, std::size_t>> co_observed;
+  std::vector<std::size_t> members;
+  for (const auto& gamma : gammas) {
+    members.clear();
+    for (const auto& mac : gamma) {
+      const auto it = index.find(mac);
+      if (it != index.end()) members.push_back(it->second);
+    }
+    for (std::size_t a = 0; a < members.size(); ++a) {
+      for (std::size_t b = a + 1; b < members.size(); ++b) {
+        co_observed.emplace(std::minmax(members[a], members[b]));
+      }
+    }
+  }
+  const std::vector<geo::Vec2>& position = out.position;
+  const double interest_radius = 2.0 * options.max_radius_m;
+  std::vector<std::pair<double, std::size_t>> candidates;
+  for (std::size_t i = 0; i < position.size(); ++i) {
+    candidates.clear();
+    for (std::size_t j = 0; j < position.size(); ++j) {
+      if (j == i || co_observed.count(std::minmax(i, j)) != 0) continue;
+      const double d = position[i].distance_to(position[j]);
+      if (d < interest_radius) candidates.emplace_back(d, j);
+    }
+    std::sort(candidates.begin(), candidates.end());
+    const std::size_t take = std::min(options.max_less_neighbors, candidates.size());
+    for (std::size_t c = 0; c < take; ++c) {
+      out.less_rows.emplace(std::minmax(i, candidates[c].second), candidates[c].first);
+    }
+  }
+  out.co_pairs.assign(co_observed.begin(), co_observed.end());
+  for (const auto& [i, j] : out.co_pairs) {
+    out.co_dist.push_back(position[i].distance_to(position[j]));
+  }
+  return out;
+}
+
 bool same_constraints(const marauder::ApRadConstraints& a,
                       const marauder::ApRadConstraints& b) {
   if (a.observed != b.observed || a.co_pairs != b.co_pairs) return false;
@@ -129,21 +190,17 @@ ApRadRow bench_aprad(std::size_t num_aps, int reps) {
   const auto db = marauder::ApDatabase::from_truth(truth, false);
   const auto gammas = make_gammas(truth);
 
-  marauder::ApRadOptions scan_opts;
-  scan_opts.spatial_index = false;
-  marauder::ApRadOptions grid_opts;
-  grid_opts.spatial_index = true;
-
+  const marauder::ApRadOptions options;
   marauder::ApRadConstraints scan_out;
   marauder::ApRadConstraints grid_out;
   row.scan_s = 1e300;
   row.grid_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     double t0 = now_seconds();
-    scan_out = marauder::aprad_prepare_constraints(db, gammas, scan_opts);
+    scan_out = scan_prepare_constraints(db, gammas, options);
     row.scan_s = std::min(row.scan_s, now_seconds() - t0);
     t0 = now_seconds();
-    grid_out = marauder::aprad_prepare_constraints(db, gammas, grid_opts);
+    grid_out = marauder::aprad_prepare_constraints(db, gammas, options);
     row.grid_s = std::min(row.grid_s, now_seconds() - t0);
   }
   row.identical = same_constraints(scan_out, grid_out);

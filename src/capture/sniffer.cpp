@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <stdexcept>
 
 #include "net80211/radiotap.h"
-#include "util/logging.h"
 
 namespace mm::capture {
 
@@ -40,7 +40,7 @@ Sniffer::Sniffer(SnifferConfig config, ObservationStore* store)
     if (!pcap_->ok()) {
       // Degraded operation: keep capturing into the store; the writer
       // counts the failed appends.
-      util::log_warn() << "sniffer: pcap disabled, " << pcap_->error();
+      std::cerr << "[WARN] sniffer: pcap disabled, " << pcap_->error() << '\n';
     }
   }
   if (config_.checkpoint_path) {

@@ -134,12 +134,6 @@ ApDatabase::DiscSlabView ApDatabase::disc_slab() const {
   return {c.slab_x, c.slab_y, c.slab_r};
 }
 
-std::uint32_t ApDatabase::rank_of(const net80211::MacAddress& bssid) const {
-  const RankMap& rank = rank_index();
-  const auto it = rank.find(bssid);
-  return it == rank.end() ? kNoRank : it->second;
-}
-
 const ApDatabase::RankMap& ApDatabase::rank_index() const {
   Caches& c = caches();
   std::lock_guard<std::mutex> lock(c.mutex);

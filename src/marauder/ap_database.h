@@ -75,15 +75,10 @@ class ApDatabase {
   };
   [[nodiscard]] DiscSlabView disc_slab() const;
 
-  /// Rank of a BSSID in sorted_records() (= its index into the slab), or
-  /// kNoRank when unknown. One mixed-u64 hash probe, same cost as find().
-  static constexpr std::uint32_t kNoRank = 0xffffffffu;
-  [[nodiscard]] std::uint32_t rank_of(const net80211::MacAddress& bssid) const;
-
-  /// The BSSID -> rank map behind rank_of, returned by reference after the
-  /// one locked lazy build (same read-only concurrency contract as
-  /// sorted_records). Hot loops probe this directly so a million Gamma
-  /// members don't take a mutex each.
+  /// BSSID -> rank in sorted_records() (= its index into the slab),
+  /// returned by reference after the one locked lazy build (same read-only
+  /// concurrency contract as sorted_records). Hot loops probe this directly
+  /// so a million Gamma members don't take a mutex each.
   using RankMap =
       std::unordered_map<net80211::MacAddress, std::uint32_t, net80211::MacHasher>;
   [[nodiscard]] const RankMap& rank_index() const;

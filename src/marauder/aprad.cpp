@@ -2,20 +2,17 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "geo/spatial_index.h"
 #include "lp/simplex.h"
-#include "util/thread_pool.h"
 
 namespace mm::marauder {
 
 namespace {
 
 using IndexPair = std::pair<std::size_t, std::size_t>;
-using PairSet = std::set<IndexPair>;
 
 }  // namespace
 
@@ -28,9 +25,9 @@ ApRadConstraints aprad_prepare_constraints(
   // member, no lazy-build mutex inside the scans below.
   const ApDatabase::RankMap& rank = db.rank_index();
   const ApDatabase::DiscSlabView slab = db.disc_slab();
-  // Observed APs (known to the database) become LP variables. This scan
-  // stays serial: variable indices follow first-appearance order across the
-  // gamma list, and that order feeds everything downstream.
+  // Observed APs (known to the database) become LP variables. Variable
+  // indices follow first-appearance order across the gamma list, and that
+  // order feeds everything downstream.
   std::vector<net80211::MacAddress>& observed = out.observed;
   std::vector<std::uint32_t> observed_rank;
   std::map<net80211::MacAddress, std::size_t> index;
@@ -46,37 +43,21 @@ ApRadConstraints aprad_prepare_constraints(
   }
   if (observed.empty()) return out;
 
-  util::ThreadPool& pool = util::ThreadPool::shared();
-  const std::size_t par = options.threads;  // run_chunks maps 0 to all cores
-
-  // Co-observation matrix: pairs that appear together in some Gamma. Gammas
-  // are scanned in fixed chunks; each chunk emits a local pair set and the
-  // sets are unioned in chunk order (a set union is order-insensitive anyway,
-  // so any thread count yields the same matrix).
-  const PairSet co_observed = util::parallel_reduce(
-      pool, gammas.size(), /*chunk_size=*/16, par, PairSet{},
-      [&](std::size_t begin, std::size_t end) {
-        PairSet local;
-        std::vector<std::size_t> members;
-        for (std::size_t g = begin; g < end; ++g) {
-          members.clear();
-          for (const auto& mac : gammas[g]) {
-            const auto it = index.find(mac);
-            if (it != index.end()) members.push_back(it->second);
-          }
-          for (std::size_t a = 0; a < members.size(); ++a) {
-            for (std::size_t b = a + 1; b < members.size(); ++b) {
-              local.emplace(std::min(members[a], members[b]),
-                            std::max(members[a], members[b]));
-            }
-          }
-        }
-        return local;
-      },
-      [](PairSet acc, const PairSet& part) {
-        acc.insert(part.begin(), part.end());
-        return acc;
-      });
+  // Co-observation matrix: pairs that appear together in some Gamma.
+  std::set<IndexPair> co_observed;
+  std::vector<std::size_t> members;
+  for (const auto& gamma : gammas) {
+    members.clear();
+    for (const auto& mac : gamma) {
+      const auto it = index.find(mac);
+      if (it != index.end()) members.push_back(it->second);
+    }
+    for (std::size_t a = 0; a < members.size(); ++a) {
+      for (std::size_t b = a + 1; b < members.size(); ++b) {
+        co_observed.emplace(std::minmax(members[a], members[b]));
+      }
+    }
+  }
 
   // Positions from the slab (the same doubles db.find(...)->position holds).
   std::vector<geo::Vec2>& position = out.position;
@@ -87,70 +68,41 @@ ApRadConstraints aprad_prepare_constraints(
 
   // Soft "<" upper bounds against each AP's nearest non-co-observed
   // neighbours (the binding pressure is local; an unlimited O(n^2) set of
-  // soft rows would swamp the solver on a dense campus). This per-AP
-  // neighbour scan used to be the self-documented O(n^2) hot spot; it now
-  // runs through an Atlas grid over the observed positions — only APs within
-  // the 2R interest disc are candidates at all. The grid returns ascending
-  // indices (exactly the old j-loop order) and the original strict
-  // d < 2R predicate re-filters its inclusive boundary, so the candidate
-  // list, its (d, j) sort, and every LP row are bit-identical to the scan.
-  // Each AP's scan is independent, so rows of `selected` fill in parallel
-  // and are folded in i order below. Selected distances are kept alongside
-  // the pairs: the LP rounds used to re-derive every "<" row's distance per
-  // round.
+  // soft rows would swamp the solver on a dense campus). Candidates come
+  // from an Atlas grid over the observed positions: only APs within the 2R
+  // interest disc can qualify. The grid returns ascending indices and its
+  // disc is inclusive, so the strict d < 2R predicate re-filters the
+  // boundary; candidates sort by (d, j), and rows enter in ascending i with
+  // the first row for a pair kept. Selected distances are kept alongside
+  // the pairs so the LP rounds never re-derive them.
   const double interest_radius = 2.0 * options.max_radius_m;
-  std::optional<geo::SpatialIndex> grid;
-  if (options.spatial_index) {
-    geo::SpatialIndex built(std::max(1.0, options.max_radius_m));
-    for (std::size_t i = 0; i < position.size(); ++i) built.insert(i, position[i]);
-    grid.emplace(std::move(built));
-  }
-  std::vector<std::vector<std::pair<IndexPair, double>>> selected(observed.size());
-  util::parallel_map_into(
-      pool, par, selected,
-      [&](std::size_t i) {
-        std::vector<std::pair<double, std::size_t>> candidates;
-        const auto consider = [&](std::size_t j) {
-          if (j == i) return;
-          const auto key = std::minmax(i, j);
-          if (co_observed.count({key.first, key.second}) != 0) return;
-          const double d = position[i].distance_to(position[j]);
-          if (d < interest_radius) candidates.emplace_back(d, j);
-        };
-        if (grid) {
-          for (const geo::SpatialIndex::Id j : grid->query_disc(position[i], interest_radius)) {
-            consider(j);
-          }
-        } else {
-          for (std::size_t j = 0; j < observed.size(); ++j) consider(j);
-        }
-        std::sort(candidates.begin(), candidates.end());
-        const std::size_t take = std::min(options.max_less_neighbors, candidates.size());
-        std::vector<std::pair<IndexPair, double>> rows;
-        rows.reserve(take);
-        for (std::size_t c = 0; c < take; ++c) {
-          const auto key = std::minmax(i, candidates[c].second);
-          rows.push_back({{key.first, key.second}, candidates[c].first});
-        }
-        return rows;
-      },
-      /*chunk_size=*/8);
-  std::map<IndexPair, double>& less_rows = out.less_rows;  // pair -> distance, deduped
-  for (const auto& rows : selected) {
-    for (const auto& [pair, d] : rows) less_rows.emplace(pair, d);
+  geo::SpatialIndex grid(std::max(1.0, options.max_radius_m));
+  for (std::size_t i = 0; i < position.size(); ++i) grid.insert(i, position[i]);
+  std::vector<geo::SpatialIndex::Id> near;
+  std::vector<std::pair<double, std::size_t>> candidates;
+  for (std::size_t i = 0; i < observed.size(); ++i) {
+    grid.query_disc(position[i], interest_radius, near);
+    candidates.clear();
+    for (const geo::SpatialIndex::Id id : near) {
+      const auto j = static_cast<std::size_t>(id);
+      if (j == i || co_observed.count(std::minmax(i, j)) != 0) continue;
+      const double d = position[i].distance_to(position[j]);
+      if (d < interest_radius) candidates.emplace_back(d, j);
+    }
+    std::sort(candidates.begin(), candidates.end());
+    const std::size_t take = std::min(options.max_less_neighbors, candidates.size());
+    for (std::size_t c = 0; c < take; ++c) {
+      out.less_rows.emplace(std::minmax(i, candidates[c].second), candidates[c].first);
+    }
   }
 
   // Flatten the co-observation matrix and precompute its distances once —
-  // the LP's row-generation loop re-scans these per round. Ascending
-  // co_pairs order is exactly the old set-iteration order.
+  // the LP's row-generation loop re-scans these per round.
   out.co_pairs.assign(co_observed.begin(), co_observed.end());
-  out.co_dist.resize(out.co_pairs.size());
-  util::parallel_map_into(
-      pool, par, out.co_dist,
-      [&](std::size_t k) {
-        return position[out.co_pairs[k].first].distance_to(position[out.co_pairs[k].second]);
-      },
-      /*chunk_size=*/64);
+  out.co_dist.reserve(out.co_pairs.size());
+  for (const auto& [i, j] : out.co_pairs) {
+    out.co_dist.push_back(position[i].distance_to(position[j]));
+  }
   return out;
 }
 

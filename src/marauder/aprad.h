@@ -45,16 +45,6 @@ struct ApRadOptions {
   /// coverage guarantee exponentially in k, so residual noise in the
   /// co-observation evidence is absorbed upward.
   double overestimate_bias_m = 10.0;
-  /// Parallelism for constraint generation (co-observation pairs and the
-  /// "<" neighbour scan): 1 = serial, 0 = one per hardware core.
-  /// Output is bit-identical at any setting (fixed chunks, ordered merge).
-  std::size_t threads = 1;
-  /// Route the "<" neighbour scan through an Atlas grid over the observed AP
-  /// positions (query radius 2x the cap) instead of the O(n^2) all-pairs
-  /// loop. Candidate sets, LP rows, and radii are bit-identical either way
-  /// (the grid returns ascending indices and the original strict predicate
-  /// re-filters them); the flag exists so benches can time the scan oracle.
-  bool spatial_index = true;
   MLocOptions mloc;
 };
 

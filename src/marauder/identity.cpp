@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <cstddef>
 #include <map>
 #include <numeric>
 #include <span>
 #include <unordered_map>
 #include <utility>
-
-#include "util/thread_pool.h"
 
 namespace mm::marauder {
 
@@ -38,31 +37,18 @@ class DisjointSets {
   std::vector<std::size_t> parent_;
 };
 
-enum class Signal : std::uint8_t { kSsid = 0, kSeq = 1, kGamma = 2 };
-
 /// One piece of linking evidence between two devices (indices into the
 /// MAC-sorted working array, a < b).
 struct Edge {
   std::uint32_t a = 0;
   std::uint32_t b = 0;
-  Signal signal = Signal::kSsid;
 
-  friend bool operator<(const Edge& x, const Edge& y) noexcept {
-    if (x.a != y.a) return x.a < y.a;
-    if (x.b != y.b) return x.b < y.b;
-    return static_cast<std::uint8_t>(x.signal) < static_cast<std::uint8_t>(y.signal);
-  }
-  friend bool operator==(const Edge& x, const Edge& y) noexcept {
-    return x.a == y.a && x.b == y.b && x.signal == y.signal;
-  }
+  friend auto operator<=>(const Edge&, const Edge&) = default;
 };
 
-Edge make_edge(std::size_t i, std::size_t j, Signal signal) noexcept {
-  Edge e;
-  e.a = static_cast<std::uint32_t>(std::min(i, j));
-  e.b = static_cast<std::uint32_t>(std::max(i, j));
-  e.signal = signal;
-  return e;
+Edge make_edge(std::size_t i, std::size_t j) noexcept {
+  return {static_cast<std::uint32_t>(std::min(i, j)),
+          static_cast<std::uint32_t>(std::max(i, j))};
 }
 
 /// Forward distance of the 12-bit sequence counter from `last` to `first`
@@ -213,7 +199,7 @@ void gamma_edges(const std::vector<const DeviceSummary*>& devices,
   for (std::size_t a = 0; a < n; ++a) {
     const std::size_t b = best_successor[a];
     if (b != kUnmatched && best_predecessor[b] == a) {
-      edges.push_back(make_edge(a, b, Signal::kGamma));
+      edges.push_back(make_edge(a, b));
     }
   }
 }
@@ -259,8 +245,8 @@ void IdentityResolver::upsert(DeviceSummary summary) {
 }
 
 void IdentityResolver::ingest_store(const capture::ObservationStore& store) {
-  for (const net80211::MacAddress& mac : store.devices()) {
-    upsert(summarize_device(*store.device(mac)));
+  for (const capture::DeviceRecord* record : store.records()) {
+    upsert(summarize_device(*record));
   }
 }
 
@@ -268,9 +254,9 @@ IdentityMap IdentityResolver::resolve() const {
   stats_ = ResolverStats{};
   stats_.devices = summaries_.size();
 
-  // Working order: ascending MAC, independent of upsert order. This is the
-  // order store.devices() hands the batch path, so live ingestion (which
-  // upserts in shard-merge order) resolves to the identical map.
+  // Working order: ascending MAC, independent of upsert order, so ingesting
+  // a store's records in any order — or shard by shard — resolves to the
+  // identical map.
   std::vector<std::size_t> order(summaries_.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -316,38 +302,19 @@ IdentityMap IdentityResolver::resolve() const {
 
   std::vector<Edge> edges;
 
-  // --- (a) SSID fingerprint overlap (the legacy linker's pairwise scan,
-  // chunk-parallel over the outer index; chunk-ordered concatenation keeps
-  // the edge list — and everything downstream — identical at any thread
-  // count).
+  // --- (a) SSID fingerprint overlap (the legacy linker's pairwise scan).
   if (options_.signals.ssid_fingerprint && n > 1) {
-    const std::size_t parallelism = options_.threads == 0
-                                        ? util::ThreadPool::default_parallelism()
-                                        : options_.threads;
-    const std::size_t chunk =
-        util::ThreadPool::balanced_chunk(n, parallelism, /*min_chunk=*/16);
-    const std::size_t chunks = (n + chunk - 1) / chunk;
-    std::vector<std::vector<Edge>> partials(chunks);
-    util::ThreadPool::shared().run_chunks(
-        n, chunk, parallelism, [&](std::size_t c, std::size_t begin, std::size_t end) {
-          std::vector<Edge>& out = partials[c];
-          for (std::size_t i = begin; i < end; ++i) {
-            if (fingerprints[i].empty()) continue;
-            for (std::size_t j = i + 1; j < n; ++j) {
-              std::size_t overlap = 0;
-              for (const std::string& ssid : fingerprints[j]) {
-                overlap += fingerprints[i].count(ssid);
-              }
-              if (overlap >= options_.min_overlap) {
-                out.push_back(make_edge(i, j, Signal::kSsid));
-              }
-            }
-          }
-        });
-    for (std::vector<Edge>& part : partials) {
-      edges.insert(edges.end(), part.begin(), part.end());
-      stats_.ssid_edges += part.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (fingerprints[i].empty()) continue;
+      for (std::size_t j = i + 1; j < n; ++j) {
+        std::size_t overlap = 0;
+        for (const std::string& ssid : fingerprints[j]) {
+          overlap += fingerprints[i].count(ssid);
+        }
+        if (overlap >= options_.min_overlap) edges.push_back(make_edge(i, j));
+      }
     }
+    stats_.ssid_edges = edges.size();
   }
 
   // --- (b) sequence continuity across rotation: the vanished device's
@@ -378,7 +345,7 @@ IdentityMap IdentityResolver::resolve() const {
     // false identity the moment two unrelated counters drift within
     // seq_max_delta of each other. Ties keep the first candidate in
     // deterministic scan order (a ascending by MAC, b ascending by
-    // first_seq_time), so resolution stays order- and thread-independent.
+    // first_seq_time), so resolution stays order-independent.
     const std::size_t before = edges.size();
     constexpr std::size_t kUnmatched = static_cast<std::size_t>(-1);
     std::vector<std::size_t> best_successor(n, kUnmatched);
@@ -413,7 +380,7 @@ IdentityMap IdentityResolver::resolve() const {
     for (std::size_t a = 0; a < n; ++a) {
       const std::size_t b = best_successor[a];
       if (b != kUnmatched && best_predecessor[b] == a) {
-        edges.push_back(make_edge(a, b, Signal::kSeq));
+        edges.push_back(make_edge(a, b));
       }
     }
     stats_.seq_edges = edges.size() - before;
@@ -426,29 +393,13 @@ IdentityMap IdentityResolver::resolve() const {
     stats_.gamma_edges = edges.size() - before;
   }
 
-  // --- evidence accumulation: per-pair score over deduplicated edges, then
-  // union in ascending (i, j) order (the legacy unite sequence).
+  // --- every pair with any edge links: union over the distinct pairs in
+  // ascending (i, j) order (the legacy unite sequence).
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
   DisjointSets sets(n);
-  std::size_t e = 0;
-  while (e < edges.size()) {
-    const std::uint32_t a = edges[e].a;
-    const std::uint32_t b = edges[e].b;
-    double score = 0.0;
-    for (; e < edges.size() && edges[e].a == a && edges[e].b == b; ++e) {
-      switch (edges[e].signal) {
-        case Signal::kSsid: score += options_.ssid_weight; break;
-        case Signal::kSeq: score += options_.seq_weight; break;
-        case Signal::kGamma: score += options_.gamma_weight; break;
-      }
-    }
-    if (score + 1e-9 >= options_.link_threshold) {
-      sets.unite(a, b);
-      ++stats_.linked_pairs;
-    }
-  }
+  for (const Edge& edge : edges) sets.unite(edge.a, edge.b);
+  stats_.linked_pairs = edges.size();
 
   // --- assembly, exactly as the legacy linker: members in first-seen order,
   // groups in ascending union-find root order.

@@ -21,17 +21,18 @@
 //       (the Sapiezynski et al. observation that mobility itself tracks
 //       through randomization).
 //
-// Each signal contributes scored edges to an evidence graph; pairs whose
-// accumulated score clears `link_threshold` are merged by union-find. With
-// every signal disabled the resolver degenerates to one singleton identity
-// per MAC — the exact pre-Chimera behaviour — and with only (a) enabled (the
-// default) it is plain SSID-fingerprint linking: fingerprints overlapping by
-// min_overlap SSIDs link, transitively.
+// Each signal contributes edges to an evidence graph, and every pair joined
+// by an edge is merged by union-find. With every signal disabled the
+// resolver degenerates to one singleton identity per MAC — the exact
+// pre-Chimera behaviour — and with only (a) enabled (the default) it is
+// plain SSID-fingerprint linking: fingerprints overlapping by min_overlap
+// SSIDs link, transitively.
 //
 // Resolution is a pure function of the ingested per-device summaries, which
-// are themselves pure functions of DeviceRecords. That is what makes the
-// live pipeline's incremental path (per-shard summaries merged into one
-// resolver) provably equal to batch resolution over the union store.
+// are themselves pure functions of DeviceRecords, and it does not depend on
+// ingestion order. That is what makes the live pipeline's resolution (every
+// shard's store slice ingested into one resolver) equal to batch resolution
+// over the union store.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +55,8 @@ struct ContactSpan {
   sim::SimTime last_seen = 0.0;
 };
 
-/// Everything the resolver needs to know about one pseudonym — a compact,
-/// mergeable projection of a DeviceRecord. Built identically by the batch
-/// path (from a whole store) and the live path (per shard, per device).
+/// Everything the resolver needs to know about one pseudonym — a compact
+/// projection of a DeviceRecord.
 struct DeviceSummary {
   net80211::MacAddress mac;
   sim::SimTime first_seen = 0.0;
@@ -72,8 +72,7 @@ struct DeviceSummary {
   [[nodiscard]] bool has_seq() const noexcept { return seq_frames > 0; }
 };
 
-/// Pure projection DeviceRecord -> DeviceSummary (the one summary policy
-/// shared by batch and live ingestion).
+/// Pure projection DeviceRecord -> DeviceSummary (the one summary policy).
 [[nodiscard]] DeviceSummary summarize_device(const capture::DeviceRecord& record);
 
 /// Which evidence signals the attacker is capable of. The default is SSID
@@ -128,20 +127,6 @@ struct ResolverOptions {
   /// ... and at least this many APs in common (a 1-element Jaccard of 1.0
   /// is coincidence, not evidence).
   std::size_t gamma_min_common = 2;
-
-  // --- evidence-graph scoring ---
-  /// Per-signal edge scores; a pair links when its accumulated score reaches
-  /// link_threshold. Defaults make each signal individually sufficient while
-  /// still letting sub-threshold weights model corroboration-only regimes.
-  double ssid_weight = 1.0;
-  double seq_weight = 1.0;
-  double gamma_weight = 1.0;
-  double link_threshold = 1.0;
-
-  /// Parallelism for the pairwise SSID fingerprint scan (1 = serial, 0 = one
-  /// per hardware core). Edge emission is chunk-ordered, so the resolved
-  /// identities are identical — bit for bit — at any setting.
-  std::size_t threads = 1;
 };
 
 /// One resolved identity: the pseudonyms attributed to a single device.
@@ -173,21 +158,22 @@ struct ResolverStats {
   std::size_t ssid_edges = 0;
   std::size_t seq_edges = 0;
   std::size_t gamma_edges = 0;
-  std::size_t linked_pairs = 0;  ///< pairs whose score cleared the threshold
+  std::size_t linked_pairs = 0;  ///< distinct device pairs joined by an edge
   std::size_t identities = 0;
 };
 
-/// Clusters pseudonyms into identities. Ingestion is incremental — upsert()
-/// replaces a pseudonym's summary wherever it comes from (a batch store, a
-/// live shard slice, a re-fed WAL) — and resolve() is a pure function of the
-/// current summary set, independent of ingestion order.
+/// Clusters pseudonyms into identities. upsert() replaces a pseudonym's
+/// summary wherever it comes from (a batch store, a live shard slice), and
+/// resolve() is a pure function of the current summary set, independent of
+/// ingestion order.
 class IdentityResolver {
  public:
   explicit IdentityResolver(ResolverOptions options = {});
 
   /// Inserts or replaces the summary for summary.mac.
   void upsert(DeviceSummary summary);
-  /// Summarizes and upserts every device in the store.
+  /// Summarizes and upserts every device in the store (in the store's record
+  /// order; resolve() sorts by MAC).
   void ingest_store(const capture::ObservationStore& store);
 
   [[nodiscard]] std::size_t device_count() const noexcept { return summaries_.size(); }

@@ -75,11 +75,7 @@ void Tracker::prepare(const capture::ObservationStore& store,
   std::vector<std::set<net80211::MacAddress>> gammas =
       store.session_gammas(options_.session_gap_s, window);
   gammas.insert(gammas.end(), training_evidence_.begin(), training_evidence_.end());
-  // One parallelism knob for the whole tracker: the constraint-generation
-  // scans inherit locate_all's thread budget.
-  ApRadOptions aprad = options_.aprad;
-  aprad.threads = options_.threads;
-  const auto radii = aprad_estimate_radii(db_, gammas, aprad);
+  const auto radii = aprad_estimate_radii(db_, gammas, options_.aprad);
   for (const auto& [mac, radius] : radii) {
     if (radius > 0.0) db_.set_radius(mac, radius);
   }

@@ -30,10 +30,9 @@ struct TrackerOptions {
   /// one device further apart than this are separate Gamma sessions (the
   /// paper's "within a short period of time").
   double session_gap_s = 5.0;
-  /// Parallelism for locate_all() and prepare()'s AP-Rad constraint
-  /// generation: 1 = serial, 0 = one per hardware core. Per-device tasks are
-  /// merged in ascending-MAC order, so the result map is identical — bit for
-  /// bit — at any setting.
+  /// Parallelism for locate_all(): 1 = serial, 0 = one per hardware core.
+  /// Per-device tasks are merged in ascending-MAC order, so the result map
+  /// is identical — bit for bit — at any setting.
   std::size_t threads = 1;
   ApRadOptions aprad;
   ApLocOptions aploc;

@@ -103,7 +103,6 @@ class FecDecoder {
   void finish();
 
   [[nodiscard]] const FecDecoderStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::uint64_t next_expected() const noexcept { return next_expected_; }
 
  private:
   struct ParityBlock {

@@ -69,7 +69,6 @@ class SnifferFeedMux {
   void finish();
 
   [[nodiscard]] FeedMuxStats stats() const;
-  [[nodiscard]] std::size_t feed_count() const noexcept { return feeds_.size(); }
 
  private:
   struct Feed {

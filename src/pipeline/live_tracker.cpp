@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
-#include <unordered_set>
 
 #include "durability/checkpoint.h"
 #include "util/counters.h"
@@ -36,16 +35,6 @@ struct LiveTracker::ShardState {
   // restart_shard after the worker is fenced/joined).
   capture::ObservationStore store;
   std::unordered_map<net80211::MacAddress, DeviceState, net80211::MacHasher> devices;
-  /// Devices whose records changed since the last summary flush
-  /// (worker-private; drained by flush_summaries).
-  std::unordered_set<net80211::MacAddress, net80211::MacHasher> summary_dirty;
-  /// Chimera summary board: DeviceSummary of every device this shard owns.
-  /// The one shard structure read cross-thread while running — guarded by
-  /// its mutex, written only on ring-idle/shutdown flushes so the ingest hot
-  /// path never touches the lock.
-  mutable std::mutex summary_mutex;
-  std::unordered_map<net80211::MacAddress, marauder::DeviceSummary, net80211::MacHasher>
-      summaries;  // guarded by summary_mutex
   std::unique_ptr<durability::WalWriter> wal;
   std::uint64_t applied_seq = 0;  ///< exactly-once high-water mark
   std::uint64_t checkpointed_seq = 0;
@@ -219,12 +208,6 @@ void LiveTracker::rebuild_live_state(ShardState& state, RecoveryStats* stats) {
     if (stats != nullptr && device->slot != nullptr) ++stats->positions_republished;
   }
   state.publishes.fetch_add(earlier_publishes, std::memory_order_relaxed);
-
-  // The summary board is a pure function of the restored store too.
-  for (const net80211::MacAddress& mac : state.store.devices()) {
-    state.summary_dirty.insert(mac);
-  }
-  flush_summaries(state);
 }
 
 void LiveTracker::start() {
@@ -328,7 +311,6 @@ void LiveTracker::worker_loop(std::size_t shard, ShardState& state) {
       (void)state.wal->seal();
       mirror_wal_stats(state);
     }
-    flush_summaries(state);
     maybe_checkpoint(shard, state, /*force=*/true);
   } catch (...) {
     // The supervisor sees `dead` and swaps in a fresh generation recovered
@@ -376,9 +358,6 @@ void LiveTracker::process_event(std::size_t shard, ShardState& state,
   }
 
   capture::apply_event(event, state.store);
-  if (event.kind != capture::FrameEventKind::kBeacon) {
-    state.summary_dirty.insert(event.device);
-  }
   state.applied_seq = seq;
   state.applied_seq_pub.store(seq, std::memory_order_relaxed);
   state.frames.fetch_add(1, std::memory_order_relaxed);
@@ -438,25 +417,7 @@ void LiveTracker::idle_maintenance(std::size_t shard, ShardState& state) {
     (void)state.wal->commit();
     mirror_wal_stats(state);
   }
-  flush_summaries(state);
   maybe_checkpoint(shard, state, /*force=*/false);
-}
-
-void LiveTracker::flush_summaries(ShardState& state) {
-  if (state.summary_dirty.empty()) return;
-  // Summarize outside the lock (store reads are worker-private), then move
-  // the batch onto the board in one short critical section.
-  std::vector<marauder::DeviceSummary> fresh;
-  fresh.reserve(state.summary_dirty.size());
-  for (const net80211::MacAddress& mac : state.summary_dirty) {
-    const capture::DeviceRecord* rec = state.store.device(mac);
-    if (rec != nullptr) fresh.push_back(marauder::summarize_device(*rec));
-  }
-  state.summary_dirty.clear();
-  const std::lock_guard<std::mutex> lock(state.summary_mutex);
-  for (marauder::DeviceSummary& summary : fresh) {
-    state.summaries[summary.mac] = std::move(summary);
-  }
 }
 
 void LiveTracker::maybe_checkpoint(std::size_t shard, ShardState& state, bool force) {
@@ -600,16 +561,11 @@ std::vector<std::pair<net80211::MacAddress, LivePosition>> LiveTracker::snapshot
 
 marauder::IdentityMap LiveTracker::resolve_identities(
     const marauder::ResolverOptions& options) const {
+  if (running_) return {};
+  // Each MAC lives in exactly one shard, so the slices are disjoint, and
+  // resolve() does not depend on ingestion order.
   marauder::IdentityResolver resolver(options);
-  for (const auto& shard : shards_) {
-    // Each MAC lives in exactly one shard, so merging the boards is a
-    // disjoint union; upsert order is irrelevant (resolve() sorts by MAC).
-    ShardState* state = shard->state.load(std::memory_order_acquire);
-    const std::lock_guard<std::mutex> lock(state->summary_mutex);
-    for (const auto& [mac, summary] : state->summaries) {
-      resolver.upsert(summary);
-    }
-  }
+  for (std::size_t i = 0; i < shards_.size(); ++i) resolver.ingest_store(shard_store(i));
   return resolver.resolve();
 }
 
@@ -665,6 +621,7 @@ PipelineStats LiveTracker::stats() const {
     s.restarts = shard->restarts.load(std::memory_order_relaxed);
     s.lost_events = shard->lost_events.load(std::memory_order_relaxed);
     s.degraded = shard->degraded.load(std::memory_order_relaxed);
+    s.dead = state->dead.load(std::memory_order_acquire);
     out.total_frames = util::sat_add(out.total_frames, s.frames);
     out.total_dropped = util::sat_add(out.total_dropped, s.ring_dropped);
     out.total_wal_records = util::sat_add(out.total_wal_records, s.wal_records);

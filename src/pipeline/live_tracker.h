@@ -137,19 +137,14 @@ class LiveTracker {
       const;
 
   // --- Chimera identity surface (DESIGN.md §16) ---
-  //
-  // Each shard worker keeps a mutex-guarded *summary board*: the
-  // marauder::DeviceSummary of every device it owns, refreshed from its
-  // store slice on ring-idle and at shutdown (summaries are pure functions
-  // of DeviceRecords, so the flush is incremental over dirty devices).
-  // Resolution merges the boards — each MAC lives in exactly one shard — and
-  // is therefore the same pure function the batch path computes: after
-  // stop(), resolve_identities() over a capture pushed through the live path
-  // equals marauder::resolve_identities() over the batch store, identically.
 
-  /// Resolves pseudonyms into identities over the merged per-shard summary
-  /// boards. Callable while running (boards lag ingest by at most one
-  /// idle/flush cycle) or after stop() (exact).
+  /// Resolves pseudonyms into identities over the shard store slices, the
+  /// same pure function the batch path computes: each MAC lives in exactly
+  /// one shard, so after stop() this equals marauder::resolve_identities()
+  /// over the batch store of the same capture, identity for identity. Like
+  /// shard_store(), it reads the slices only when the engine is stopped
+  /// (before start(), after recover(), or after stop()); while the engine
+  /// runs it returns an empty map.
   [[nodiscard]] marauder::IdentityMap resolve_identities(
       const marauder::ResolverOptions& options = {}) const;
 
@@ -162,7 +157,8 @@ class LiveTracker {
   [[nodiscard]] PipelineStats stats() const;
 
   /// Shard-private store slice. Safe to read only after stop() (the owning
-  /// worker mutates it while running).
+  /// worker mutates it while running); resolve_identities() keeps the same
+  /// rule.
   [[nodiscard]] const capture::ObservationStore& shard_store(std::size_t shard) const;
 
   // --- Supervision surface (ShardSupervisor; also usable from tests) ---
@@ -196,9 +192,6 @@ class LiveTracker {
   void publish_device(ShardState& state, const net80211::MacAddress& mac,
                       DeviceState& device, double event_time_s);
   void idle_maintenance(std::size_t shard, ShardState& state);
-  /// Re-summarizes dirty devices from the shard's store slice onto its
-  /// summary board (worker thread only; board mutex held for the move).
-  void flush_summaries(ShardState& state);
   void maybe_checkpoint(std::size_t shard, ShardState& state, bool force);
   void mirror_wal_stats(ShardState& state) const;
   /// Checkpoint + WAL tail -> store/counters; then live-state rebuild.

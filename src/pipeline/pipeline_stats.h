@@ -42,6 +42,9 @@ struct ShardStats {
   std::uint64_t restarts = 0;             ///< generations swapped in by the supervisor
   std::uint64_t lost_events = 0;          ///< ring events unrecoverable at restart
   bool degraded = false;                  ///< circuit-broken: partition has no worker
+  /// The current worker exited on an exception: the rest of its ring is
+  /// never applied unless a supervisor restarts the shard.
+  bool dead = false;
 };
 
 /// What recover() did — kept by the tracker and surfaced in `mmctl live

@@ -21,7 +21,6 @@ class Table {
   /// Convenience: formats doubles with the given precision.
   void add_row(const std::vector<double>& cells, int precision = 4);
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
   [[nodiscard]] std::string to_string() const;
   void print(std::ostream& out) const;
 

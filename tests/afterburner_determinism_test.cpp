@@ -1,7 +1,6 @@
 // Afterburner's core promise: the parallel offline stack is bit-for-bit
 // identical to its serial twin at any thread count — locate_all (clean and
-// under an active fault plan), AP-Rad's constraint generation and the
-// Monte-Carlo theorem kernels. Slipstream's: locate_all's grouped batch path
+// under an active fault plan) and the Monte-Carlo theorem kernels. Slipstream's: locate_all's grouped batch path
 // is bit-identical to one locate() per device (the reference below) for every
 // algorithm, window and thread count. Run under TSan in CI alongside the pool
 // contract tests.
@@ -192,35 +191,6 @@ TEST(AfterburnerDeterminism, LocateAllIdenticalUnderFaultPlan) {
   ASSERT_FALSE(serial.empty());
   expect_same_results(serial, locate_all_with(c, 2, true));
   expect_same_results(serial, locate_all_with(c, 8, true));
-}
-
-TEST(AfterburnerDeterminism, ApRadRadiiIdenticalAcrossThreadCounts) {
-  const Capture c = make_capture();
-  std::vector<std::set<net80211::MacAddress>> gammas;
-  for (const net80211::MacAddress& mac : c.store.devices()) {
-    std::set<net80211::MacAddress> gamma = c.store.gamma(mac);
-    if (!gamma.empty()) gammas.push_back(std::move(gamma));
-  }
-  ASSERT_FALSE(gammas.empty());
-  const auto db = marauder::ApDatabase::from_truth(c.truth, false);
-
-  auto radii_at = [&](std::size_t threads) {
-    marauder::ApRadOptions options;
-    options.threads = threads;
-    return marauder::aprad_estimate_radii(db, gammas, options);
-  };
-  const auto serial = radii_at(1);
-  ASSERT_FALSE(serial.empty());
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const auto parallel = radii_at(threads);
-    ASSERT_EQ(serial.size(), parallel.size());
-    auto its = serial.begin();
-    auto itp = parallel.begin();
-    for (; its != serial.end(); ++its, ++itp) {
-      EXPECT_EQ(its->first, itp->first);
-      EXPECT_TRUE(bit_equal(its->second, itp->second)) << its->first.to_string();
-    }
-  }
 }
 
 TEST(AfterburnerDeterminism, MonteCarloKernelsBitIdenticalAcrossThreadCounts) {

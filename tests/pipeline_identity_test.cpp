@@ -1,13 +1,14 @@
 // Chimera over Riptide: identity resolution on the live path must equal the
 // batch path exactly.
 //
-// The contract (live_tracker.h, "Chimera identity surface"): per-shard
-// summary boards are pure projections of the shard store slices, each MAC
-// lives in exactly one shard, and resolve() is ingestion-order-independent —
-// so after stop(), LiveTracker::resolve_identities() over a capture pushed
-// through the rings equals marauder::resolve_identities() over the batch
-// store, identity for identity. Holds clean and under a fault plan (same
-// plan + seed damages both paths identically).
+// The contract (live_tracker.h, "Chimera identity surface"): each MAC lives
+// in exactly one shard's store slice and resolve() is
+// ingestion-order-independent — so after stop(), LiveTracker::
+// resolve_identities() over a capture pushed through the rings equals
+// marauder::resolve_identities() over the batch store, identity for
+// identity. Holds clean, under a fault plan (same plan + seed damages both
+// paths identically) and for a tracker rebuilt by recover() from a stopped
+// run's durability directory. While the engine runs it resolves nothing.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -130,6 +131,8 @@ void expect_live_resolution_matches_batch(const RotatingScenario& s,
   LiveFeedOptions feed_options;
   feed_options.fault_plan = plan;
   const auto fed = feed_pcap(s.pcap_path, tracker, feed_options);
+  // The workers own the store slices until stop().
+  EXPECT_EQ(tracker.resolve_identities(full_resolver()).size(), 0u);
   tracker.stop();
   ASSERT_TRUE(fed.ok()) << fed.error();
   ASSERT_EQ(fed.value().dropped, 0u);
@@ -164,6 +167,46 @@ TEST(PipelineIdentity, LiveResolutionEqualsBatchUnderFaultPlan) {
     plan.seed = 77;
     expect_live_resolution_matches_batch(s, db, plan);
   }
+  std::filesystem::remove(s.pcap_path);
+}
+
+TEST(PipelineIdentity, ResolutionAfterRecoveryEqualsBatch) {
+  const RotatingScenario s = record_rotating_capture("mm_pipeline_identity_recover.pcap");
+  const auto db = marauder::ApDatabase::from_truth(s.truth, true);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "mm_pipeline_identity_recover";
+  std::filesystem::remove_all(dir);
+
+  capture::ObservationStore batch_store;
+  const auto replayed = capture::replay_pcap(s.pcap_path, batch_store);
+  ASSERT_TRUE(replayed.ok()) << replayed.error();
+  const marauder::IdentityMap batch =
+      marauder::resolve_identities(batch_store, full_resolver());
+
+  LiveTrackerConfig config;
+  config.shards = 4;
+  config.drop_policy = DropPolicy::kBlock;
+  config.durability.dir = dir;
+  config.durability.wal.fsync_on_commit = false;
+  config.durability.checkpoint_save.fsync = false;
+  {
+    LiveTracker first(db, config);
+    first.start();
+    const auto fed = feed_pcap(s.pcap_path, first);
+    first.stop();
+    ASSERT_TRUE(fed.ok()) << fed.error();
+  }
+
+  LiveTracker second(db, config);
+  const auto recovered = second.recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.error();
+  EXPECT_EQ(recovered.value().devices_restored, batch_store.device_count());
+  expect_maps_equal(second.resolve_identities(full_resolver()), batch);
+  std::size_t best = 0;
+  for (const auto& identity : batch.identities) best = std::max(best, identity.macs.size());
+  EXPECT_GE(best, 2u);
+
+  std::filesystem::remove_all(dir);
   std::filesystem::remove(s.pcap_path);
 }
 

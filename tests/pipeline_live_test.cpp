@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -266,6 +267,36 @@ TEST(PipelineLive, FaultPlanSoakQuarantinesIdenticallyToBatch) {
     }
   }
   EXPECT_GT(rejecting, 0u) << "no live estimate exercised outlier rejection";
+  std::filesystem::remove(s.pcap_path);
+}
+
+// A worker that dies on an exception with no supervisor to restart it must
+// show in stats(), and must not stall the other shard.
+TEST(PipelineLive, DeadWorkerIsReportedWithoutSupervisor) {
+  const LiveScenario s = record_capture("mm_pipeline_live_dead.pcap");
+  const auto db = marauder::ApDatabase::from_truth(s.truth, true);
+
+  LiveTrackerConfig config;
+  config.shards = 2;
+  config.drop_policy = DropPolicy::kDropNewest;
+  // Shard 0's worker dies at its first event; the hook never runs again.
+  config.ingest_hook = [](std::size_t shard, const capture::FrameEvent&) {
+    if (shard == 0) throw std::runtime_error("injected worker fault");
+  };
+  LiveTracker tracker(db, config);
+  tracker.start();
+  const auto fed = feed_pcap(s.pcap_path, tracker);
+  tracker.stop();
+  ASSERT_TRUE(fed.ok()) << fed.error();
+
+  const PipelineStats stats = tracker.stats();
+  ASSERT_EQ(stats.shards.size(), 2u);
+  EXPECT_TRUE(stats.shards[0].dead);
+  EXPECT_EQ(stats.shards[0].frames, 0u);
+  EXPECT_GT(stats.shards[0].ring_pushed, 0u);
+  EXPECT_FALSE(stats.shards[1].dead);
+  EXPECT_GT(stats.shards[1].frames, 0u);
+  EXPECT_EQ(stats.shards[1].frames, stats.shards[1].ring_pushed);
   std::filesystem::remove(s.pcap_path);
 }
 

@@ -71,7 +71,8 @@ void write_stats_json(const std::string& path, const pipeline::PipelineStats& st
         << ", \"checkpoint_failures\": " << s.checkpoint_failures
         << ", \"dedup_skipped\": " << s.dedup_skipped
         << ", \"restarts\": " << s.restarts << ", \"lost_events\": " << s.lost_events
-        << ", \"degraded\": " << (s.degraded ? "true" : "false") << "}"
+        << ", \"degraded\": " << (s.degraded ? "true" : "false")
+        << ", \"dead\": " << (s.dead ? "true" : "false") << "}"
         << (i + 1 < stats.shards.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -172,13 +173,15 @@ int LiveEngine::report(const util::Flags& flags, const FeedReport& feed) const {
 
   util::Table shard_table({"shard", "frames", "frames/s", "contacts", "publishes",
                            "devices", "ring drop", "ring hwm", "wal", "ckpt", "health"});
+  bool shard_dead = false;
   for (std::size_t i = 0; i < stats_.shards.size(); ++i) {
     const pipeline::ShardStats& s = stats_.shards[i];
-    std::string health = s.degraded ? "DEGRADED"
-                         : s.restarts > 0
-                             ? "restarted x" + std::to_string(s.restarts)
-                             : "ok";
+    std::string health = s.degraded       ? "DEGRADED"
+                         : s.dead         ? "dead"
+                         : s.restarts > 0 ? "restarted x" + std::to_string(s.restarts)
+                                          : "ok";
     if (s.wal_dead) health += ", wal dead";
+    shard_dead = shard_dead || s.dead;
     shard_table.add_row(
         {std::to_string(i), std::to_string(s.frames), util::Table::fmt(s.frames_per_sec, 0),
          std::to_string(s.contacts), std::to_string(s.publishes),
@@ -218,7 +221,12 @@ int LiveEngine::report(const util::Flags& flags, const FeedReport& feed) const {
     write_stats_json(json_path, stats_, feed, interrupted);
     std::cout << "wrote " << json_path << "\n";
   }
-  return interrupted ? 130 : 0;
+  if (interrupted) return 130;
+  if (shard_dead) {
+    std::cerr << who_ << ": a shard worker died; its unapplied events are lost\n";
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace mm::tools

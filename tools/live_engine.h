@@ -64,8 +64,8 @@ class LiveEngine {
   [[nodiscard]] const pipeline::PipelineStats& stats() const { return stats_; }
 
   /// Prints the shard table, the feed's throughput line and the device
-  /// table, writes --stats-json, and returns the exit code (130 after a
-  /// signal).
+  /// table, writes --stats-json, and returns the exit code: 130 after a
+  /// signal, else 1 when a shard's worker is dead at exit, else 0.
   [[nodiscard]] int report(const util::Flags& flags, const FeedReport& feed) const;
 
  private:
