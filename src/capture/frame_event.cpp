@@ -72,11 +72,13 @@ ClassifiedFrame classify(const Frame& frame, double time_s, double rssi_dbm) {
       }
       break;
     case net80211::ManagementSubtype::kDataNull:
-      // Ongoing data exchange: the client (addr2) talks to its AP (addr3).
+      // The client (addr2) keeps talking to its association (addr3), but
+      // that is one-way evidence: a device that walked out of its AP's disc
+      // keeps sending keep-alives to it. Gamma only takes frames an AP sent
+      // (probe / association responses), so this marks presence alone.
       out.cls = FrameClass::kOther;
       out.has_event = true;
-      out.event.kind = FrameEventKind::kContact;
-      out.event.ap = frame.addr3;
+      out.event.kind = FrameEventKind::kPresence;
       out.event.device = frame.addr2;
       out.event.device_seq = seq12;
       break;

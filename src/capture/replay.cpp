@@ -4,7 +4,6 @@
 #include "net80211/frames.h"
 #include "net80211/pcap.h"
 #include "net80211/radiotap.h"
-#include "util/counters.h"
 
 namespace mm::capture {
 
@@ -53,43 +52,25 @@ int RecordFaults::apply(net80211::PcapRecordView& record) {
   return 1;
 }
 
-namespace {
-
-/// Parses one record and, when intact, feeds it to the store.
-void ingest_record(const net80211::PcapRecordView& record, ObservationStore& store,
-                   ReplayStats& stats) {
-  const auto decoded = decode_record(record);
-  if (!decoded) {
-    util::sat_inc(stats.malformed);  // quarantine counters never wrap
-    return;
+std::optional<std::string> radiotap_error(const net80211::PcapReader& reader) {
+  if (!reader.ok()) return reader.error();
+  if (reader.linktype() != net80211::kLinktypeRadiotap) {
+    return "expected radiotap linktype 127, got " + std::to_string(reader.linktype());
   }
-  count_frame_class(decoded->cls, stats);
-  if (decoded->has_event) apply_event(decoded->event, store);
+  return std::nullopt;
 }
-
-}  // namespace
 
 util::Result<ReplayStats> replay_pcap(const std::filesystem::path& path,
                                       ObservationStore& store,
                                       const ReplayOptions& options) {
-  using R = util::Result<ReplayStats>;
   net80211::PcapReader reader(path);
-  if (!reader.ok()) return R::failure("replay_pcap: " + reader.error());
-  if (reader.linktype() != net80211::kLinktypeRadiotap) {
-    return R::failure("replay_pcap: expected radiotap linktype 127, got " +
-                      std::to_string(reader.linktype()));
+  if (const auto error = radiotap_error(reader)) {
+    return util::Result<ReplayStats>::failure("replay_pcap: " + *error);
   }
-
   RecordFaults faults(options.fault_plan);
   ReplayStats stats;
-  while (auto record = reader.next()) {
-    ++stats.records;
-    const int deliveries = faults.apply(*record);
-    for (int i = 0; i < deliveries; ++i) ingest_record(*record, store, stats);
-  }
-  stats.framing_quarantined = reader.quarantined();
-  stats.truncated_tail = reader.truncated();
-  stats.faults = faults.stats();
+  replay_records(reader, faults, stats,
+                 [&store](const FrameEvent& event) { apply_event(event, store); });
   return stats;
 }
 

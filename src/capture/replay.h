@@ -7,15 +7,18 @@
 // under a FaultPlan to soak the pipeline against transport damage.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "capture/frame_event.h"
 #include "capture/observation_store.h"
 #include "fault/fault_injector.h"
 #include "net80211/pcap.h"
+#include "util/counters.h"
 #include "util/result.h"
 
 namespace mm::capture {
@@ -53,17 +56,15 @@ util::Result<ReplayStats> replay_pcap(const std::filesystem::path& path,
                                       const ReplayOptions& options = {});
 
 /// Radiotap + 802.11 decode of one pcap record into its observation event;
-/// nullopt when the record is malformed. Shared by the batch replay above,
-/// the streaming feed (pipeline/live_feed.h) and `mmctl net-send`, so all of
-/// them quarantine exactly the same records. Zero-copy: the frame is
-/// validated and classified where it lies.
+/// nullopt when the record is malformed. Zero-copy: the frame is validated
+/// and classified where it lies.
 [[nodiscard]] std::optional<ClassifiedFrame> decode_record(
     const net80211::PcapRecordView& record);
 
-/// A FaultPlan applied to a capture's records in file order: the one place
-/// the batch replay and the streaming feed damage records, so a given plan
-/// and seed damage exactly the same records in the same way on both paths.
-/// Under an inactive plan records pass through untouched and uncopied.
+/// A FaultPlan applied to a capture's records in file order, by
+/// replay_records below: a given plan and seed damage exactly the same
+/// records in the same way on the batch and streaming paths. Under an
+/// inactive plan records pass through untouched and uncopied.
 class RecordFaults {
  public:
   explicit RecordFaults(const fault::FaultPlan& plan)
@@ -83,5 +84,44 @@ class RecordFaults {
 
 /// Bumps the ReplayStats subtype counter for one decoded frame.
 void count_frame_class(FrameClass cls, ReplayStats& stats);
+
+/// Why `reader` cannot feed a replay (it did not open as a pcap, or its
+/// frames are not radiotap, linktype 127); nullopt when it can.
+[[nodiscard]] std::optional<std::string> radiotap_error(const net80211::PcapReader& reader);
+
+/// The one pcap -> event loop, shared by replay_pcap, pipeline::feed_pcap
+/// and `mmctl net-send`, so all three damage, quarantine and count exactly
+/// the same records: each record passes through `faults` in file order,
+/// each delivery is decoded by decode_record and counted into `stats`, and
+/// each decoded event goes to `on_event(const FrameEvent&)`. A set `stop`
+/// ends the walk before the next record. The reader's framing counters and
+/// the fault counters are copied into `stats` either way. Returns true when
+/// `stop` ended the walk.
+template <typename OnEvent>
+bool replay_records(net80211::PcapReader& reader, RecordFaults& faults, ReplayStats& stats,
+                    OnEvent&& on_event, const std::atomic<bool>* stop = nullptr) {
+  bool interrupted = false;
+  while (auto record = reader.next()) {
+    if (stop != nullptr && stop->load(std::memory_order_acquire)) {
+      interrupted = true;
+      break;
+    }
+    ++stats.records;
+    const int deliveries = faults.apply(*record);
+    for (int i = 0; i < deliveries; ++i) {
+      const auto decoded = decode_record(*record);
+      if (!decoded) {
+        util::sat_inc(stats.malformed);  // quarantine counters never wrap
+        continue;
+      }
+      count_frame_class(decoded->cls, stats);
+      if (decoded->has_event) on_event(decoded->event);
+    }
+  }
+  stats.framing_quarantined = reader.quarantined();
+  stats.truncated_tail = reader.truncated();
+  stats.faults = faults.stats();
+  return interrupted;
+}
 
 }  // namespace mm::capture

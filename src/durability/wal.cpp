@@ -11,6 +11,7 @@
 #include "durability/crc32c.h"
 #include "fault/fault_injector.h"
 #include "net80211/mac_address.h"
+#include "util/bytes.h"
 #include "util/counters.h"
 
 namespace mm::durability {
@@ -21,47 +22,6 @@ constexpr std::array<std::uint8_t, 8> kMagic = {'M', 'M', 'W', 'A', 'L', 'S', 'E
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4;  // magic, ver, shard, seq, crc
 constexpr std::size_t kFrameHeaderBytes = 8;             // len + crc per record
-
-void put_u16(std::uint8_t* out, std::uint16_t v) noexcept {
-  out[0] = static_cast<std::uint8_t>(v);
-  out[1] = static_cast<std::uint8_t>(v >> 8);
-}
-
-void put_u32(std::uint8_t* out, std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void put_u64(std::uint8_t* out, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint16_t get_u16(const std::uint8_t* in) noexcept {
-  return static_cast<std::uint16_t>(in[0] | (in[1] << 8));
-}
-
-std::uint32_t get_u32(const std::uint8_t* in) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* in) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t bits_of(double v) noexcept {
-  std::uint64_t out = 0;
-  std::memcpy(&out, &v, sizeof(out));
-  return out;
-}
-
-double double_of(std::uint64_t v) noexcept {
-  double out = 0.0;
-  std::memcpy(&out, &v, sizeof(out));
-  return out;
-}
 
 std::string segment_name(std::uint64_t first_seq) {
   std::string digits = std::to_string(first_seq);
@@ -105,17 +65,17 @@ void encode_wal_payload(const WalRecord& record, std::uint8_t* out) noexcept {
 
 void encode_wal_payload(std::uint64_t seq, const capture::FrameEvent& e,
                         std::uint8_t* out) noexcept {
-  put_u64(out, seq);
+  util::store_u64(out, seq);
   out[8] = static_cast<std::uint8_t>(e.kind);
-  put_u64(out + 9, e.device.to_u64());
-  put_u64(out + 17, e.ap.to_u64());
-  put_u64(out + 25, bits_of(e.time_s));
-  put_u64(out + 33, bits_of(e.rssi_dbm));
-  put_u16(out + 41, static_cast<std::uint16_t>(e.channel));
+  util::store_u64(out + 9, e.device.to_u64());
+  util::store_u64(out + 17, e.ap.to_u64());
+  util::store_f64(out + 25, e.time_s);
+  util::store_f64(out + 33, e.rssi_dbm);
+  util::store_u16(out + 41, static_cast<std::uint16_t>(e.channel));
   out[43] = e.has_ssid ? 1 : 0;
   out[44] = e.ssid_len;
   std::memcpy(out + 45, e.ssid, capture::FrameEvent::kMaxSsid);
-  put_u32(out + 77, static_cast<std::uint32_t>(e.device_seq));
+  util::store_u32(out + 77, static_cast<std::uint32_t>(e.device_seq));
 }
 
 bool decode_wal_payload(std::span<const std::uint8_t> payload, WalRecord& out) noexcept {
@@ -126,17 +86,17 @@ bool decode_wal_payload(std::span<const std::uint8_t> payload, WalRecord& out) n
   const std::uint8_t has_ssid = p[43];
   const std::uint8_t ssid_len = p[44];
   if (has_ssid > 1 || ssid_len > capture::FrameEvent::kMaxSsid) return false;
-  const std::uint32_t device_seq = get_u32(p + 77);
+  const std::uint32_t device_seq = util::load_u32(p + 77);
   // device_seq is either "none" (-1) or a 12-bit on-air sequence number.
   if (device_seq != 0xFFFFFFFFu && device_seq > 0x0FFF) return false;
-  out.seq = get_u64(p);
+  out.seq = util::load_u64(p);
   capture::FrameEvent& e = out.event;
   e.kind = static_cast<capture::FrameEventKind>(kind);
-  e.device = net80211::MacAddress::from_u64(get_u64(p + 9));
-  e.ap = net80211::MacAddress::from_u64(get_u64(p + 17));
-  e.time_s = double_of(get_u64(p + 25));
-  e.rssi_dbm = double_of(get_u64(p + 33));
-  e.channel = static_cast<std::int16_t>(get_u16(p + 41));
+  e.device = net80211::MacAddress::from_u64(util::load_u64(p + 9));
+  e.ap = net80211::MacAddress::from_u64(util::load_u64(p + 17));
+  e.time_s = util::load_f64(p + 25);
+  e.rssi_dbm = util::load_f64(p + 33);
+  e.channel = static_cast<std::int16_t>(util::load_u16(p + 41));
   e.has_ssid = has_ssid != 0;
   e.ssid_len = ssid_len;
   std::memcpy(e.ssid, p + 45, capture::FrameEvent::kMaxSsid);
@@ -175,10 +135,10 @@ util::Result<bool> WalWriter::open_segment(std::uint64_t first_seq) {
   }
   std::array<std::uint8_t, kHeaderBytes> header{};
   std::memcpy(header.data(), kMagic.data(), kMagic.size());
-  put_u32(header.data() + 8, kVersion);
-  put_u32(header.data() + 12, shard_);
-  put_u64(header.data() + 16, first_seq);
-  put_u32(header.data() + 24, crc32c({header.data(), kHeaderBytes - 4}));
+  util::store_u32(header.data() + 8, kVersion);
+  util::store_u32(header.data() + 12, shard_);
+  util::store_u64(header.data() + 16, first_seq);
+  util::store_u32(header.data() + 24, crc32c({header.data(), kHeaderBytes - 4}));
   if (!write_all(fd_, header.data(), header.size())) {
     failed_ = true;
     close_fd();
@@ -212,8 +172,8 @@ util::Result<bool> WalWriter::append(std::uint64_t seq,
   std::uint8_t* frame = buffer_.data() + base;
   std::uint8_t* payload = frame + kFrameHeaderBytes;
   encode_wal_payload(seq, event, payload);
-  put_u32(frame, static_cast<std::uint32_t>(kWalPayloadBytes));
-  put_u32(frame + 4, crc32c({payload, kWalPayloadBytes}));
+  util::store_u32(frame, static_cast<std::uint32_t>(kWalPayloadBytes));
+  util::store_u32(frame + 4, crc32c({payload, kWalPayloadBytes}));
   ++buffered_records_;
   buffered_last_seq_ = seq;
   util::sat_inc(stats_.records);
@@ -279,27 +239,27 @@ SegmentReadResult read_wal_segment_bytes(std::span<const std::uint8_t> bytes) {
   SegmentReadResult out;
   if (bytes.size() < kHeaderBytes ||
       std::memcmp(bytes.data(), kMagic.data(), kMagic.size()) != 0 ||
-      get_u32(bytes.data() + 8) != kVersion ||
-      get_u32(bytes.data() + 24) != crc32c({bytes.data(), kHeaderBytes - 4})) {
+      util::load_u32(bytes.data() + 8) != kVersion ||
+      util::load_u32(bytes.data() + 24) != crc32c({bytes.data(), kHeaderBytes - 4})) {
     out.torn = bytes.size() > 0;
     out.discarded_bytes = bytes.size();
     return out;
   }
   out.header_ok = true;
-  out.shard = get_u32(bytes.data() + 12);
-  out.first_seq = get_u64(bytes.data() + 16);
+  out.shard = util::load_u32(bytes.data() + 12);
+  out.first_seq = util::load_u64(bytes.data() + 16);
 
   std::size_t pos = kHeaderBytes;
   while (pos < bytes.size()) {
     const std::size_t remaining = bytes.size() - pos;
     if (remaining < kFrameHeaderBytes) break;  // torn mid-frame-header
-    const std::uint32_t len = get_u32(bytes.data() + pos);
+    const std::uint32_t len = util::load_u32(bytes.data() + pos);
     if (len == 0 || len > kWalMaxPayloadBytes || remaining - kFrameHeaderBytes < len) {
       break;  // nonsense length or torn mid-payload
     }
     const std::span<const std::uint8_t> payload{bytes.data() + pos + kFrameHeaderBytes,
                                                 len};
-    if (get_u32(bytes.data() + pos + 4) != crc32c(payload)) break;
+    if (util::load_u32(bytes.data() + pos + 4) != crc32c(payload)) break;
     WalRecord record;
     if (!decode_wal_payload(payload, record)) break;
     out.records.push_back(record);

@@ -16,14 +16,34 @@
 // lossless stream — the invariant pipeline_net_test pins against Riptide.
 // Sequences that cannot be released within the reorder window (or by
 // stream end) are counted in unrecoverable_gaps and skipped.
+//
+// The decoder keeps one ring of 2 × reorder_window payload slots, tagged
+// with their sequence and indexed by it modulo the ring. Held sequences lie
+// in [cursor, cursor + window); slots behind the cursor are released history
+// that pending parity may still XOR. A frame beyond the window is stored
+// only after the window advances, so no store overwrites a payload that a
+// block of at most `window` members can still use. A jump of any size costs
+// O(window): the walk stops past the last slot that can be held and counts
+// the rest as gaps in one step. Three rules bound what the ring honours:
+//   * A CRC-clean frame whose payload is not kWalPayloadBytes long counts in
+//     bad_payloads and is dropped on arrival, before it can move the window;
+//     its sequence stays a hole that parity may fill or the window skips.
+//   * A parity block longer than the window XORs against what the ring
+//     still holds (a released payload stays until a sequence 2 × window
+//     later is stored over it). A member that is gone reads as missing, so
+//     the block then waits, as for a double loss, until the cursor passes.
+//   * Sequences above 2^64 - 1 - window (within one window of 2^64) are
+//     refused: such a data frame, or a parity block ending there, counts in
+//     bad_payloads and is dropped. No feed gets there (2^63 events at 10^9
+//     a second take 292 years), and no cursor + window sum can wrap.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <vector>
 
 #include "capture/frame_event.h"
+#include "durability/wal.h"
 #include "net/wire_codec.h"
 
 namespace mm::net {
@@ -36,10 +56,15 @@ struct FecEncoderStats {
   std::uint64_t parity_bytes = 0;  ///< wire bytes of redundancy
 };
 
+/// The largest block the wire's u16 block_k field can name.
+inline constexpr std::size_t kMaxFecBlockK = 65535;
+
 /// Frames one event stream for the wire. `block_k` data frames per parity
 /// frame; 0 disables parity entirely (framing + CRC only).
 class FecEncoder {
  public:
+  /// Throws std::invalid_argument when block_k exceeds kMaxFecBlockK — a
+  /// caller bug: the wire cannot carry the block size.
   FecEncoder(std::uint32_t stream_id, std::size_t block_k);
 
   /// Appends the data frame for (seq, event) — sequences must be handed in
@@ -63,12 +88,17 @@ class FecEncoder {
   FecEncoderStats stats_;
 };
 
+/// The largest reorder window: its ring of 2 × 65,536 slots of 96 bytes
+/// takes 12 MiB per feed, and a window this wide honours every block_k the
+/// wire can carry.
+inline constexpr std::size_t kMaxReorderWindow = std::size_t{1} << 16;
+
 struct FecDecoderOptions {
   /// Sequences the decoder will hold open waiting for a late or recovered
   /// frame. Once the newest seen sequence runs this far ahead of the release
   /// cursor, the cursor skips (counting gaps) — a dead feed position can
   /// delay the stream, never wedge it. Must comfortably exceed block_k +
-  /// the link's reorder depth.
+  /// the link's reorder depth. Clamped to [2, kMaxReorderWindow].
   std::size_t reorder_window = 256;
 };
 
@@ -105,25 +135,38 @@ class FecDecoder {
   [[nodiscard]] const FecDecoderStats& stats() const noexcept { return stats_; }
 
  private:
+  using Payload = std::array<std::uint8_t, durability::kWalPayloadBytes>;
+  /// A payload tagged with its sequence (0: the slot was never written).
+  struct Slot {
+    std::uint64_t seq = 0;
+    Payload payload{};
+  };
   struct ParityBlock {
-    std::uint16_t k = 0;
-    std::vector<std::uint8_t> payload;
+    std::uint64_t first = 0;  ///< first covered sequence
+    std::uint64_t k = 0;      ///< covered sequences
+    Payload payload{};
   };
 
-  [[nodiscard]] bool have_payload(std::uint64_t seq) const;
-  [[nodiscard]] const std::vector<std::uint8_t>* payload_of(std::uint64_t seq) const;
+  [[nodiscard]] Slot& slot(std::uint64_t seq) { return ring_[seq % ring_.size()]; }
+  [[nodiscard]] bool have(std::uint64_t seq) const {
+    return ring_[seq % ring_.size()].seq == seq;
+  }
+  void store(std::uint64_t seq, const std::uint8_t* payload);
+  [[nodiscard]] bool settle(const ParityBlock& block);
   void try_recover();
-  void release_ready();
-  void release_one(std::uint64_t seq, std::vector<std::uint8_t> payload);
-  void enforce_window();
+  /// Moves the cursor one sequence: releases the payload held there, or
+  /// counts a gap.
+  void pass_cursor();
+  void advance_window();
 
-  FecDecoderOptions options_;
+  std::uint64_t window_;
   std::uint64_t next_expected_ = 1;
   std::uint64_t max_seen_ = 0;
-  std::map<std::uint64_t, std::vector<std::uint8_t>> held_;    ///< undelivered payloads
-  std::map<std::uint64_t, std::vector<std::uint8_t>> recent_;  ///< released, kept for XOR
-  std::map<std::uint64_t, ParityBlock> parity_;                ///< pending blocks by first seq
-  std::deque<capture::FrameEvent> out_;
+  std::vector<Slot> ring_;                ///< 2 × window slots
+  Slot deferred_;                         ///< a store beyond the window, kept until it advances
+  std::vector<ParityBlock> parity_;       ///< pending blocks, ascending first sequence
+  std::vector<capture::FrameEvent> out_;  ///< released, drained by next() from out_head_
+  std::size_t out_head_ = 0;
   FecDecoderStats stats_;
 };
 

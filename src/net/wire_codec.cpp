@@ -5,39 +5,11 @@
 #include <stdexcept>
 
 #include "durability/crc32c.h"
+#include "util/bytes.h"
 
 namespace mm::net {
 
 namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 /// CRC-covered bytes: header fields [2, 20) immediately followed by the
 /// payload. The crc32c helper has no streaming seed, so the two spans are
@@ -61,13 +33,13 @@ void append_wire_frame(const WireFrame& frame, std::vector<std::uint8_t>& out) {
   out.push_back(kWireMagic1);
   out.push_back(kWireVersion);
   out.push_back(static_cast<std::uint8_t>(frame.type));
-  put_u32(out, frame.stream_id);
-  put_u64(out, frame.seq);
-  put_u16(out, frame.block_k);
-  put_u16(out, static_cast<std::uint16_t>(frame.payload.size()));
+  util::append_u32(out, frame.stream_id);
+  util::append_u64(out, frame.seq);
+  util::append_u16(out, frame.block_k);
+  util::append_u16(out, static_cast<std::uint16_t>(frame.payload.size()));
   // CRC over the header fields after the marker, then the payload — a frame
   // survives the wire iff the link delivered every covered byte intact.
-  put_u32(out, frame_crc(out.data() + start + 2, frame.payload.data(),
+  util::append_u32(out, frame_crc(out.data() + start + 2, frame.payload.data(),
                          frame.payload.size()));
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
 }
@@ -108,7 +80,7 @@ bool WireDecoder::next(WireFrame& out) {
       ++stats_.resync_bytes;
       continue;
     }
-    const std::size_t payload_len = get_u16(p + 18);
+    const std::size_t payload_len = util::load_u16(p + 18);
     if (payload_len > kMaxWirePayloadBytes) {
       ++stats_.bad_length;
       ++head_;
@@ -119,16 +91,16 @@ bool WireDecoder::next(WireFrame& out) {
       compact();
       return false;  // frame still in flight
     }
-    if (frame_crc(p + 2, p + kWireHeaderBytes, payload_len) != get_u32(p + 20)) {
+    if (frame_crc(p + 2, p + kWireHeaderBytes, payload_len) != util::load_u32(p + 20)) {
       ++stats_.crc_failures;
       ++head_;
       ++stats_.resync_bytes;
       continue;
     }
     out.type = static_cast<WireFrameType>(p[3]);
-    out.stream_id = get_u32(p + 4);
-    out.seq = get_u64(p + 8);
-    out.block_k = get_u16(p + 16);
+    out.stream_id = util::load_u32(p + 4);
+    out.seq = util::load_u64(p + 8);
+    out.block_k = util::load_u16(p + 16);
     out.payload.assign(p + kWireHeaderBytes, p + kWireHeaderBytes + payload_len);
     head_ += kWireHeaderBytes + payload_len;
     ++stats_.frames_decoded;

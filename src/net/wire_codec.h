@@ -28,6 +28,8 @@
 #include <span>
 #include <vector>
 
+#include "util/bytes.h"
+
 namespace mm::net {
 
 inline constexpr std::uint8_t kWireMagic0 = 'M';
@@ -100,8 +102,7 @@ template <typename Fn>
 void for_each_wire_frame(std::span<const std::uint8_t> bytes, Fn&& fn) {
   std::size_t off = 0;
   while (off + kWireHeaderBytes <= bytes.size()) {
-    const std::size_t len = static_cast<std::size_t>(bytes[off + 18]) |
-                            (static_cast<std::size_t>(bytes[off + 19]) << 8);
+    const std::size_t len = util::load_u16(bytes.data() + off + 18);
     const std::size_t frame_len = kWireHeaderBytes + len;
     if (off + frame_len > bytes.size()) break;  // unreachable for encoder output
     fn(bytes.subspan(off, frame_len));

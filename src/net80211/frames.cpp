@@ -3,25 +3,11 @@
 #include <algorithm>
 
 #include "net80211/crc32.h"
+#include "util/bytes.h"
 
 namespace mm::net80211 {
 
 namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xffffffff));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
 
 void put_mac(std::vector<std::uint8_t>& out, const MacAddress& mac) {
   out.insert(out.end(), mac.bytes().begin(), mac.bytes().end());
@@ -39,14 +25,13 @@ class Cursor {
   }
   [[nodiscard]] bool take_u16(std::uint16_t& v) noexcept {
     if (remaining() < 2) return false;
-    v = static_cast<std::uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
+    v = util::load_u16(data_.data() + pos_);
     pos_ += 2;
     return true;
   }
   [[nodiscard]] bool take_u64(std::uint64_t& v) noexcept {
     if (remaining() < 8) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
+    v = util::load_u64(data_.data() + pos_);
     pos_ += 8;
     return true;
   }
@@ -168,25 +153,25 @@ std::vector<std::uint8_t> ManagementFrame::serialize() const {
     out.push_back(static_cast<std::uint8_t>(static_cast<std::uint8_t>(subtype) << 4));
   }
   out.push_back(0x00);  // flags
-  put_u16(out, 0x0000);  // duration
+  util::append_u16(out, 0x0000);  // duration
   put_mac(out, addr1);
   put_mac(out, addr2);
   put_mac(out, addr3);
-  put_u16(out, static_cast<std::uint16_t>(sequence << 4));  // fragment 0
+  util::append_u16(out, static_cast<std::uint16_t>(sequence << 4));  // fragment 0
 
   if (has_fixed_beacon_fields(subtype)) {
-    put_u64(out, timestamp_us);
-    put_u16(out, beacon_interval_tu);
-    put_u16(out, capability);
+    util::append_u64(out, timestamp_us);
+    util::append_u16(out, beacon_interval_tu);
+    util::append_u16(out, capability);
   } else if (subtype == ManagementSubtype::kDeauthentication) {
-    put_u16(out, reason_code);
+    util::append_u16(out, reason_code);
   } else if (subtype == ManagementSubtype::kAssociationRequest) {
-    put_u16(out, capability);
-    put_u16(out, listen_interval);
+    util::append_u16(out, capability);
+    util::append_u16(out, listen_interval);
   } else if (subtype == ManagementSubtype::kAssociationResponse) {
-    put_u16(out, capability);
-    put_u16(out, status_code);
-    put_u16(out, association_id);
+    util::append_u16(out, capability);
+    util::append_u16(out, status_code);
+    util::append_u16(out, association_id);
   }
 
   for (const InformationElement& element : ies) {
@@ -195,7 +180,7 @@ std::vector<std::uint8_t> ManagementFrame::serialize() const {
     out.insert(out.end(), element.payload.begin(), element.payload.end());
   }
 
-  put_u32(out, crc32(out));
+  util::append_u32(out, crc32(out));
   return out;
 }
 
@@ -209,12 +194,7 @@ util::Result<FrameView> FrameView::parse(std::span<const std::uint8_t> bytes, bo
 
   if (verify_fcs) {
     const auto body = bytes.subspan(0, bytes.size() - kFcsLen);
-    const auto fcs_bytes = bytes.subspan(bytes.size() - kFcsLen);
-    const std::uint32_t stored = static_cast<std::uint32_t>(fcs_bytes[0]) |
-                                 (static_cast<std::uint32_t>(fcs_bytes[1]) << 8) |
-                                 (static_cast<std::uint32_t>(fcs_bytes[2]) << 16) |
-                                 (static_cast<std::uint32_t>(fcs_bytes[3]) << 24);
-    if (crc32(body) != stored) {
+    if (crc32(body) != util::load_u32(bytes.data() + bytes.size() - kFcsLen)) {
       return R::failure("FCS mismatch");
     }
   }
@@ -307,7 +287,6 @@ util::Result<ManagementFrame> ManagementFrame::parse(std::span<const std::uint8_
   });
   return frame;
 }
-
 
 ManagementFrame make_beacon(const MacAddress& bssid, std::string_view ssid, int channel,
                             std::uint64_t timestamp_us, std::uint16_t sequence) {

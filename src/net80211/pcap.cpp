@@ -4,6 +4,8 @@
 #include <array>
 #include <cstring>
 
+#include "util/bytes.h"
+
 namespace mm::net80211 {
 
 namespace {
@@ -11,35 +13,9 @@ constexpr std::uint32_t kMagicUsec = 0xa1b2c3d4;
 constexpr std::uint32_t kMagicUsecSwapped = 0xd4c3b2a1;
 constexpr std::uint32_t kMagicNsec = 0xa1b23c4d;
 
-void put_u32(std::ofstream& out, std::uint32_t v) {
-  std::array<char, 4> bytes{
-      static_cast<char>(v & 0xff),
-      static_cast<char>((v >> 8) & 0xff),
-      static_cast<char>((v >> 16) & 0xff),
-      static_cast<char>((v >> 24) & 0xff),
-  };
-  out.write(bytes.data(), bytes.size());
-}
-
-void put_u16(std::ofstream& out, std::uint16_t v) {
-  std::array<char, 2> bytes{
-      static_cast<char>(v & 0xff),
-      static_cast<char>((v >> 8) & 0xff),
-  };
-  out.write(bytes.data(), bytes.size());
-}
-
 constexpr std::size_t kGlobalHeaderBytes = 24;
 constexpr std::size_t kRecordHeaderBytes = 16;
 
-std::uint32_t get_u32(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
 }  // namespace
 
 PcapWriter::PcapWriter(const std::filesystem::path& path, std::uint32_t linktype,
@@ -49,13 +25,13 @@ PcapWriter::PcapWriter(const std::filesystem::path& path, std::uint32_t linktype
     error_ = "pcap: cannot create " + path.string();
     return;
   }
-  put_u32(out_, kMagicUsec);
-  put_u16(out_, 2);  // version major
-  put_u16(out_, 4);  // version minor
-  put_u32(out_, 0);  // thiszone
-  put_u32(out_, 0);  // sigfigs
-  put_u32(out_, snaplen_);
-  put_u32(out_, linktype);
+  std::array<std::uint8_t, kGlobalHeaderBytes> header{};  // thiszone, sigfigs: 0
+  util::store_u32(header.data(), kMagicUsec);
+  util::store_u16(header.data() + 4, 2);  // version major
+  util::store_u16(header.data() + 6, 4);  // version minor
+  util::store_u32(header.data() + 16, snaplen_);
+  util::store_u32(header.data() + 20, linktype);
+  out_.write(reinterpret_cast<const char*>(header.data()), header.size());
   if (!out_) error_ = "pcap: failed to write global header to " + path.string();
 }
 
@@ -65,10 +41,12 @@ bool PcapWriter::write(std::uint64_t timestamp_us, std::span<const std::uint8_t>
     return false;
   }
   const std::size_t incl = std::min<std::size_t>(frame.size(), snaplen_);
-  put_u32(out_, static_cast<std::uint32_t>(timestamp_us / 1000000));
-  put_u32(out_, static_cast<std::uint32_t>(timestamp_us % 1000000));
-  put_u32(out_, static_cast<std::uint32_t>(incl));
-  put_u32(out_, static_cast<std::uint32_t>(frame.size()));
+  std::array<std::uint8_t, kRecordHeaderBytes> header{};
+  util::store_u32(header.data(), static_cast<std::uint32_t>(timestamp_us / 1000000));
+  util::store_u32(header.data() + 4, static_cast<std::uint32_t>(timestamp_us % 1000000));
+  util::store_u32(header.data() + 8, static_cast<std::uint32_t>(incl));
+  util::store_u32(header.data() + 12, static_cast<std::uint32_t>(frame.size()));
+  out_.write(reinterpret_cast<const char*>(header.data()), header.size());
   out_.write(reinterpret_cast<const char*>(frame.data()),
              static_cast<std::streamsize>(incl));
   if (!out_) {
@@ -92,7 +70,7 @@ PcapReader::PcapReader(const std::filesystem::path& path)
     return;
   }
   const std::uint8_t* header = buf_.data() + pos_;
-  const std::uint32_t magic = get_u32(header);
+  const std::uint32_t magic = util::load_u32(header);
   if (magic == kMagicUsecSwapped) {
     error_ = "pcap: big-endian capture files are not supported";
     return;
@@ -110,9 +88,9 @@ PcapReader::PcapReader(const std::filesystem::path& path)
     return;
   }
   // header + 8: thiszone and sigfigs, unused.
-  const std::uint16_t major = get_u16(header + 4);
-  snaplen_ = get_u32(header + 16);
-  linktype_ = get_u32(header + 20);
+  const std::uint16_t major = util::load_u16(header + 4);
+  snaplen_ = util::load_u32(header + 16);
+  linktype_ = util::load_u32(header + 20);
   pos_ += kGlobalHeaderBytes;
   if (major != 2) error_ = "pcap: unsupported version";
 }
@@ -145,9 +123,9 @@ std::optional<PcapRecordView> PcapReader::next() {
     return std::nullopt;
   }
   const std::uint8_t* header = buf_.data() + pos_;
-  const std::uint32_t ts_sec = get_u32(header);
-  const std::uint32_t ts_usec = get_u32(header + 4);
-  const std::uint32_t incl_len = get_u32(header + 8);
+  const std::uint32_t ts_sec = util::load_u32(header);
+  const std::uint32_t ts_usec = util::load_u32(header + 4);
+  const std::uint32_t incl_len = util::load_u32(header + 8);
   if (incl_len > kMaxSaneRecordBytes) {
     // Corrupt framing: the length field itself is damaged, and without it
     // there is no way to find the next record boundary. Quarantine and end

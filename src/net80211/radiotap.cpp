@@ -1,5 +1,7 @@
 #include "net80211/radiotap.h"
 
+#include "util/bytes.h"
+
 namespace mm::net80211 {
 
 namespace {
@@ -15,15 +17,10 @@ std::vector<std::uint8_t> Radiotap::serialize() const {
   out.reserve(kHeaderLen);
   out.push_back(0);  // version
   out.push_back(0);  // pad
-  out.push_back(static_cast<std::uint8_t>(kHeaderLen & 0xff));
-  out.push_back(static_cast<std::uint8_t>(kHeaderLen >> 8));
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((kPresentMask >> (8 * i)) & 0xff));
-  }
-  out.push_back(static_cast<std::uint8_t>(channel_freq_mhz & 0xff));
-  out.push_back(static_cast<std::uint8_t>(channel_freq_mhz >> 8));
-  out.push_back(static_cast<std::uint8_t>(channel_flags & 0xff));
-  out.push_back(static_cast<std::uint8_t>(channel_flags >> 8));
+  util::append_u16(out, static_cast<std::uint16_t>(kHeaderLen));
+  util::append_u32(out, kPresentMask);
+  util::append_u16(out, channel_freq_mhz);
+  util::append_u16(out, channel_flags);
   out.push_back(static_cast<std::uint8_t>(antenna_signal_dbm));
   out.push_back(static_cast<std::uint8_t>(antenna_noise_dbm));
   return out;
@@ -32,12 +29,11 @@ std::vector<std::uint8_t> Radiotap::serialize() const {
 util::Result<Radiotap::Parsed> Radiotap::parse(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < 8) return util::Result<Parsed>::failure("radiotap: too short");
   if (bytes[0] != 0) return util::Result<Parsed>::failure("radiotap: unknown version");
-  const std::size_t length = bytes[2] | (static_cast<std::size_t>(bytes[3]) << 8);
+  const std::size_t length = util::load_u16(bytes.data() + 2);
   if (length < 8 || length > bytes.size()) {
     return util::Result<Parsed>::failure("radiotap: bad header length");
   }
-  std::uint32_t present = 0;
-  for (int i = 0; i < 4; ++i) present |= static_cast<std::uint32_t>(bytes[4 + i]) << (8 * i);
+  const std::uint32_t present = util::load_u32(bytes.data() + 4);
   if (present & ~kPresentMask) {
     return util::Result<Parsed>::failure("radiotap: unsupported present fields");
   }
@@ -49,10 +45,8 @@ util::Result<Radiotap::Parsed> Radiotap::parse(std::span<const std::uint8_t> byt
   if (present & kPresentChannel) {
     pos = (pos + 1) & ~std::size_t{1};  // 2-byte alignment
     if (!need(4)) return util::Result<Parsed>::failure("radiotap: truncated channel");
-    parsed.header.channel_freq_mhz =
-        static_cast<std::uint16_t>(bytes[pos] | (bytes[pos + 1] << 8));
-    parsed.header.channel_flags =
-        static_cast<std::uint16_t>(bytes[pos + 2] | (bytes[pos + 3] << 8));
+    parsed.header.channel_freq_mhz = util::load_u16(bytes.data() + pos);
+    parsed.header.channel_flags = util::load_u16(bytes.data() + pos + 2);
     pos += 4;
   }
   if (present & kPresentSignal) {

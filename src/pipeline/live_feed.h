@@ -1,14 +1,14 @@
 // Feeds a recorded pcap through the live pipeline: the capture-thread role
 // when Riptide is driven from a file instead of monitor-mode cards.
 //
-// The record loop is a mirror of capture::replay_pcap — same PcapReader, the
-// same capture::RecordFaults applied in the same order (so a given plan+seed
-// damages exactly the same records on both paths), the same decode_record
-// quarantine policy, the same stats counters — except that decoded events
-// are pushed into a LiveTracker instead of applied to a store inline. Under
-// the kBlock drop policy this makes the live run informationally identical
-// to a batch replay of the same file, which the live/batch equivalence test
-// pins bit-for-bit.
+// The record loop is capture::replay_pcap's own (capture::replay_records):
+// the same capture::RecordFaults applied in the same order (so a given
+// plan+seed damages exactly the same records on both paths), the same
+// decode_record quarantine policy, the same stats counters — except that
+// decoded events are pushed into a LiveTracker instead of applied to a store
+// inline. Under the kBlock drop policy this makes the live run
+// informationally identical to a batch replay of the same file, which the
+// live/batch equivalence test pins bit-for-bit.
 #pragma once
 
 #include <filesystem>

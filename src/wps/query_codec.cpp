@@ -1,66 +1,21 @@
 #include "wps/query_codec.h"
 
 #include <cmath>
-#include <cstring>
+
+#include "util/bytes.h"
 
 namespace mm::wps {
-
-namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-double get_f64(const std::uint8_t* p) {
-  const std::uint64_t bits = get_u64(p);
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_request(const QueryRequest& req) {
   std::vector<std::uint8_t> out;
   out.reserve(kRequestPayloadBytes);
   out.push_back(static_cast<std::uint8_t>(req.op));
   out.push_back(0);
-  put_u16(out, req.k);
-  put_u64(out, req.bssid);
-  put_f64(out, req.center.x);
-  put_f64(out, req.center.y);
-  put_f64(out, req.radius_m);
+  util::append_u16(out, req.k);
+  util::append_u64(out, req.bssid);
+  util::append_f64(out, req.center.x);
+  util::append_f64(out, req.center.y);
+  util::append_f64(out, req.radius_m);
   return out;
 }
 
@@ -70,11 +25,11 @@ std::optional<QueryRequest> decode_request(std::span<const std::uint8_t> payload
   if (op < 1 || op > 3) return std::nullopt;
   QueryRequest req;
   req.op = static_cast<QueryOp>(op);
-  req.k = get_u16(payload.data() + 2);
-  req.bssid = get_u64(payload.data() + 4);
-  req.center.x = get_f64(payload.data() + 12);
-  req.center.y = get_f64(payload.data() + 20);
-  req.radius_m = get_f64(payload.data() + 28);
+  req.k = util::load_u16(payload.data() + 2);
+  req.bssid = util::load_u64(payload.data() + 4);
+  req.center.x = util::load_f64(payload.data() + 12);
+  req.center.y = util::load_f64(payload.data() + 20);
+  req.radius_m = util::load_f64(payload.data() + 28);
   return req;
 }
 
@@ -129,16 +84,16 @@ std::vector<net::WireFrame> encode_response(const QueryResponse& response,
     out.reserve(kResponseHeaderBytes + (end - begin) * kRecordBytes);
     out.push_back(static_cast<std::uint8_t>(response.op));
     out.push_back(static_cast<std::uint8_t>(response.status));
-    put_u16(out, static_cast<std::uint16_t>(end - begin));
-    put_u32(out, static_cast<std::uint32_t>(total));
-    put_u32(out, static_cast<std::uint32_t>(part));
-    put_u32(out, static_cast<std::uint32_t>(parts));
+    util::append_u16(out, static_cast<std::uint16_t>(end - begin));
+    util::append_u32(out, static_cast<std::uint32_t>(total));
+    util::append_u32(out, static_cast<std::uint32_t>(part));
+    util::append_u32(out, static_cast<std::uint32_t>(parts));
     for (std::size_t i = begin; i < end; ++i) {
       const WpsAp& ap = response.aps[i];
-      put_u64(out, ap.bssid.to_u64());
-      put_f64(out, ap.position.x);
-      put_f64(out, ap.position.y);
-      put_f64(out, ap.radius_m ? *ap.radius_m : no_radius());
+      util::append_u64(out, ap.bssid.to_u64());
+      util::append_f64(out, ap.position.x);
+      util::append_f64(out, ap.position.y);
+      util::append_f64(out, ap.radius_m ? *ap.radius_m : no_radius());
     }
     frames.push_back(std::move(frame));
   }
@@ -153,10 +108,10 @@ std::optional<std::uint64_t> ResponseAssembler::feed(const net::WireFrame& frame
   }
   const std::uint8_t op = p[0];
   const std::uint8_t status = p[1];
-  const std::uint16_t count = get_u16(p.data() + 2);
-  const std::uint32_t total = get_u32(p.data() + 4);
-  const std::uint32_t part = get_u32(p.data() + 8);
-  const std::uint32_t parts = get_u32(p.data() + 12);
+  const std::uint16_t count = util::load_u16(p.data() + 2);
+  const std::uint32_t total = util::load_u32(p.data() + 4);
+  const std::uint32_t part = util::load_u32(p.data() + 8);
+  const std::uint32_t parts = util::load_u32(p.data() + 12);
   if (op < 1 || op > 3 || status > 2 || parts == 0 || part >= parts ||
       p.size() != kResponseHeaderBytes + static_cast<std::size_t>(count) * kRecordBytes) {
     ++rejected_;
@@ -194,10 +149,10 @@ std::optional<std::uint64_t> ResponseAssembler::feed(const net::WireFrame& frame
     const std::uint8_t* r = p.data() + kResponseHeaderBytes +
                             static_cast<std::size_t>(i) * kRecordBytes;
     WpsAp ap;
-    ap.bssid = net80211::MacAddress::from_u64(get_u64(r));
-    ap.position.x = get_f64(r + 8);
-    ap.position.y = get_f64(r + 16);
-    const double radius = get_f64(r + 24);
+    ap.bssid = net80211::MacAddress::from_u64(util::load_u64(r));
+    ap.position.x = util::load_f64(r + 8);
+    ap.position.y = util::load_f64(r + 16);
+    const double radius = util::load_f64(r + 24);
     if (!std::isnan(radius)) ap.radius_m = radius;
     aps.push_back(ap);
   }

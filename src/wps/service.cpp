@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -15,6 +14,7 @@
 
 #include "durability/crc32c.h"
 #include "geo/spatial_index.h"
+#include "util/bytes.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -22,27 +22,6 @@
 namespace mm::wps {
 
 namespace {
-
-static_assert(std::endian::native == std::endian::little,
-              "wps snapshots are little-endian on disk and read by memcpy");
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-double get_f64(const std::uint8_t* p) {
-  double v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 std::uint32_t crc_over(const std::uint8_t* p, std::size_t n) {
   return durability::crc32c({p, n});
@@ -60,18 +39,18 @@ struct SectionInfo {
 /// Validates the 48-byte header at `p` (magic + header CRC); false on damage.
 bool parse_section_header(const std::uint8_t* p, SectionInfo& out) {
   if (std::memcmp(p, kSectionMagic.data(), kSectionMagic.size()) != 0) return false;
-  if (crc_over(p, 44) != get_u32(p + 44)) return false;
+  if (crc_over(p, 44) != util::load_u32(p + 44)) return false;
   const std::uint8_t type = p[4];
   if (type != static_cast<std::uint8_t>(SectionType::kTileRecords) &&
       type != static_cast<std::uint8_t>(SectionType::kMacIndex)) {
     return false;
   }
   out.type = static_cast<SectionType>(type);
-  out.tile.x = static_cast<std::int64_t>(get_u64(p + 8));
-  out.tile.y = static_cast<std::int64_t>(get_u64(p + 16));
-  out.payload_bytes = get_u64(p + 24);
-  out.first_record = get_u64(p + 32);
-  out.payload_crc = get_u32(p + 40);
+  out.tile.x = static_cast<std::int64_t>(util::load_u64(p + 8));
+  out.tile.y = static_cast<std::int64_t>(util::load_u64(p + 16));
+  out.payload_bytes = util::load_u64(p + 24);
+  out.first_record = util::load_u64(p + 32);
+  out.payload_crc = util::load_u32(p + 40);
   return true;
 }
 
@@ -279,17 +258,17 @@ util::Result<std::shared_ptr<const Service::Impl>> Service::State::open_impl(
   if (std::memcmp(base, kFileMagic.data(), kFileMagic.size()) != 0) {
     return R::failure("wps: " + path.string() + " is not a snapshot (bad magic)");
   }
-  if (get_u32(base + 8) != kFormatVersion) {
+  if (util::load_u32(base + 8) != kFormatVersion) {
     return R::failure("wps: unsupported snapshot version in " + path.string());
   }
-  if (crc_over(base + 16, kFileHeaderBytes - 16) != get_u32(base + 12)) {
+  if (crc_over(base + 16, kFileHeaderBytes - 16) != util::load_u32(base + 12)) {
     return R::failure("wps: damaged snapshot header in " + path.string());
   }
-  impl->origin.lat_deg = get_f64(base + 16);
-  impl->origin.lon_deg = get_f64(base + 24);
-  impl->origin.alt_m = get_f64(base + 32);
-  impl->tile_size = get_f64(base + 40);
-  impl->declared_records = get_u64(base + 48);
+  impl->origin.lat_deg = util::load_f64(base + 16);
+  impl->origin.lon_deg = util::load_f64(base + 24);
+  impl->origin.alt_m = util::load_f64(base + 32);
+  impl->tile_size = util::load_f64(base + 40);
+  impl->declared_records = util::load_u64(base + 48);
   if (!(impl->tile_size > 0.0) || !std::isfinite(impl->tile_size)) {
     return R::failure("wps: invalid tile size in " + path.string());
   }
@@ -305,12 +284,12 @@ util::Result<std::shared_ptr<const Service::Impl>> Service::State::open_impl(
   if (size >= kFileHeaderBytes + kTrailerBytes) {
     const std::uint8_t* trailer = base + size - kTrailerBytes;
     if (std::memcmp(trailer + 16, kTrailerMagic.data(), kTrailerMagic.size()) == 0) {
-      const std::uint64_t footer_off = get_u64(trailer);
-      const std::uint32_t footer_crc = get_u32(trailer + 8);
+      const std::uint64_t footer_off = util::load_u64(trailer);
+      const std::uint32_t footer_crc = util::load_u32(trailer + 8);
       if (footer_off >= kFileHeaderBytes && footer_off + 8 <= size - kTrailerBytes &&
           crc_over(base + footer_off, size - kTrailerBytes - footer_off) == footer_crc &&
           std::memcmp(base + footer_off, kFooterMagic.data(), kFooterMagic.size()) == 0) {
-        const std::uint32_t entries = get_u32(base + footer_off + 4);
+        const std::uint32_t entries = util::load_u32(base + footer_off + 4);
         const std::uint64_t table_bytes =
             static_cast<std::uint64_t>(entries) * kFooterEntryBytes;
         if (footer_off + 8 + table_bytes == size - kTrailerBytes) {
@@ -318,7 +297,7 @@ util::Result<std::shared_ptr<const Service::Impl>> Service::State::open_impl(
           for (std::uint32_t e = 0; e < entries; ++e) {
             const std::uint8_t* row = base + footer_off + 8 +
                                       static_cast<std::uint64_t>(e) * kFooterEntryBytes;
-            const std::uint64_t off = get_u64(row);
+            const std::uint64_t off = util::load_u64(row);
             SectionInfo info;
             // A stale footer can point anywhere: entries whose header fails
             // its CRC, whose extent leaves the file, or whose on-disk header
@@ -517,7 +496,7 @@ std::optional<WpsAp> Service::lookup(const net80211::MacAddress& bssid) const {
     std::uint64_t hi = im.mac_index_count;
     while (lo < hi) {
       const std::uint64_t mid = lo + (hi - lo) / 2;
-      const std::uint64_t mac = get_u64(entries + mid * kMacIndexEntryBytes);
+      const std::uint64_t mac = util::load_u64(entries + mid * kMacIndexEntryBytes);
       if (mac < key) {
         lo = mid + 1;
       } else {
@@ -525,8 +504,8 @@ std::optional<WpsAp> Service::lookup(const net80211::MacAddress& bssid) const {
       }
     }
     if (lo < im.mac_index_count &&
-        get_u64(entries + lo * kMacIndexEntryBytes) == key) {
-      const std::uint64_t g = get_u64(entries + lo * kMacIndexEntryBytes + 8);
+        util::load_u64(entries + lo * kMacIndexEntryBytes) == key) {
+      const std::uint64_t g = util::load_u64(entries + lo * kMacIndexEntryBytes + 8);
       return im.record_by_global_index(g);
     }
     return std::nullopt;

@@ -1,35 +1,16 @@
 #include "wps/snapshot_writer.h"
 
 #include <algorithm>
-#include <cstring>
 #include <span>
 #include <string>
 
 #include "durability/checkpoint.h"
 #include "durability/crc32c.h"
+#include "util/bytes.h"
 
 namespace mm::wps {
 
 namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void patch_u32(std::vector<std::uint8_t>& out, std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[at + static_cast<std::size_t>(i)] =
-      static_cast<std::uint8_t>(v >> (8 * i));
-}
 
 std::uint32_t crc_of(const std::vector<std::uint8_t>& buf, std::size_t begin,
                      std::size_t end) {
@@ -52,28 +33,28 @@ SectionAt begin_section(std::vector<std::uint8_t>& out, SectionType type,
   out.push_back(0);
   out.push_back(0);
   out.push_back(0);
-  put_u64(out, static_cast<std::uint64_t>(tile.x));
-  put_u64(out, static_cast<std::uint64_t>(tile.y));
-  put_u64(out, payload_bytes);
-  put_u64(out, first_record);
-  put_u32(out, 0);  // payload CRC, patched once the payload is in place
-  put_u32(out, 0);  // header CRC, patched last
+  util::append_u64(out, static_cast<std::uint64_t>(tile.x));
+  util::append_u64(out, static_cast<std::uint64_t>(tile.y));
+  util::append_u64(out, payload_bytes);
+  util::append_u64(out, first_record);
+  util::append_u32(out, 0);  // payload CRC, patched once the payload is in place
+  util::append_u32(out, 0);  // header CRC, patched last
   at.payload_at = out.size();
   return at;
 }
 
 void end_section(std::vector<std::uint8_t>& out, const SectionAt& at) {
   const std::uint32_t payload_crc = crc_of(out, at.payload_at, out.size());
-  patch_u32(out, at.header_at + 40, payload_crc);
+  util::store_u32(out.data() + at.header_at + 40, payload_crc);
   const std::uint32_t header_crc = crc_of(out, at.header_at, at.header_at + 44);
-  patch_u32(out, at.header_at + 44, header_crc);
+  util::store_u32(out.data() + at.header_at + 44, header_crc);
 }
 
 void append_record(std::vector<std::uint8_t>& out, const PackedRecord& r) {
-  put_u64(out, r.bssid);
-  put_f64(out, r.x);
-  put_f64(out, r.y);
-  put_f64(out, r.radius_m);
+  util::append_u64(out, r.bssid);
+  util::append_f64(out, r.x);
+  util::append_f64(out, r.y);
+  util::append_f64(out, r.radius_m);
 }
 
 }  // namespace
@@ -106,15 +87,15 @@ util::Result<SnapshotBuildStats> write_snapshot(std::vector<PackedRecord>& recor
 
   // --- file header ---
   out.insert(out.end(), kFileMagic.begin(), kFileMagic.end());
-  put_u32(out, kFormatVersion);
-  put_u32(out, 0);  // header CRC, patched below
-  put_f64(out, origin.lat_deg);
-  put_f64(out, origin.lon_deg);
-  put_f64(out, origin.alt_m);
-  put_f64(out, tile);
-  put_u64(out, records.size());
-  put_u64(out, 0);  // reserved
-  patch_u32(out, 12, crc_of(out, 16, kFileHeaderBytes));
+  util::append_u32(out, kFormatVersion);
+  util::append_u32(out, 0);  // header CRC, patched below
+  util::append_f64(out, origin.lat_deg);
+  util::append_f64(out, origin.lon_deg);
+  util::append_f64(out, origin.alt_m);
+  util::append_f64(out, tile);
+  util::append_u64(out, records.size());
+  util::append_u64(out, 0);  // reserved
+  util::store_u32(out.data() + 12, crc_of(out, 16, kFileHeaderBytes));
 
   // --- tile sections ---
   struct FooterRow {
@@ -152,8 +133,8 @@ util::Result<SnapshotBuildStats> write_snapshot(std::vector<PackedRecord>& recor
         static_cast<std::uint64_t>(records.size()) * kMacIndexEntryBytes;
     const SectionAt at = begin_section(out, SectionType::kMacIndex, {}, payload, 0);
     for (const std::uint64_t r : order) {
-      put_u64(out, records[r].bssid);
-      put_u64(out, r);
+      util::append_u64(out, records[r].bssid);
+      util::append_u64(out, r);
     }
     end_section(out, at);
     footer_rows.push_back({static_cast<std::uint64_t>(at.header_at), at.header_at});
@@ -162,9 +143,9 @@ util::Result<SnapshotBuildStats> write_snapshot(std::vector<PackedRecord>& recor
   // --- footer: "WIDX" + count + (offset, section header) per section ---
   const std::size_t footer_at = out.size();
   out.insert(out.end(), kFooterMagic.begin(), kFooterMagic.end());
-  put_u32(out, static_cast<std::uint32_t>(footer_rows.size()));
+  util::append_u32(out, static_cast<std::uint32_t>(footer_rows.size()));
   for (const FooterRow& row : footer_rows) {
-    put_u64(out, row.offset);
+    util::append_u64(out, row.offset);
     // The footer entry is a verbatim copy of the section header, so one
     // header parser serves both the fast path and the recovery scan.
     out.insert(out.end(), out.begin() + static_cast<std::ptrdiff_t>(row.header_at),
@@ -174,9 +155,9 @@ util::Result<SnapshotBuildStats> write_snapshot(std::vector<PackedRecord>& recor
 
   // --- trailer ---
   const std::uint32_t footer_crc = crc_of(out, footer_at, out.size());
-  put_u64(out, static_cast<std::uint64_t>(footer_at));
-  put_u32(out, footer_crc);
-  put_u32(out, 0);
+  util::append_u64(out, static_cast<std::uint64_t>(footer_at));
+  util::append_u32(out, footer_crc);
+  util::append_u32(out, 0);
   out.insert(out.end(), kTrailerMagic.begin(), kTrailerMagic.end());
 
   auto written =

@@ -4,10 +4,12 @@
 // a (possibly empty, possibly torn) prefix of records, never a crash, an
 // over-read, or an allocation driven by a hostile length field.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "durability/wal.h"
@@ -22,9 +24,15 @@ std::vector<std::uint8_t> random_bytes(util::Rng& rng, std::size_t n) {
   return out;
 }
 
-/// Builds one genuine segment file through the writer and returns its bytes.
-std::vector<std::uint8_t> valid_segment_bytes(std::uint64_t records) {
-  const auto dir = std::filesystem::temp_directory_path() / "mm_wal_fuzz_seed";
+/// Builds one genuine segment file through the writer into `bytes`; callers
+/// wrap it in ASSERT_NO_FATAL_FAILURE. The directory is unique to this process and test case: ctest -j runs the
+/// cases as concurrent processes, and a shared one let one case's cleanup
+/// delete another's segment.
+void valid_segment_bytes(std::uint64_t records, std::vector<std::uint8_t>& bytes) {
+  const auto dir =
+      std::filesystem::temp_directory_path() /
+      ("mm_wal_fuzz_" + std::to_string(::getpid()) + "_" +
+       testing::UnitTest::GetInstance()->current_test_info()->name());
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   WalWriterOptions options;
@@ -43,12 +51,10 @@ std::vector<std::uint8_t> valid_segment_bytes(std::uint64_t records) {
   }
   EXPECT_TRUE(writer.seal().ok());
   const auto segments = list_wal_segments(dir);
-  EXPECT_EQ(segments.size(), 1u);
+  ASSERT_EQ(segments.size(), 1u);
   std::ifstream in(segments[0], std::ios::binary);
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
+  bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   std::filesystem::remove_all(dir);
-  return bytes;
 }
 
 TEST(WalFuzz, RandomBuffersNeverCrash) {
@@ -67,7 +73,8 @@ TEST(WalFuzz, RandomBuffersNeverCrash) {
 
 TEST(WalFuzz, MutatedValidSegmentsDecodeToAPrefix) {
   util::Rng rng(0x90e1fu);
-  const auto base = valid_segment_bytes(24);
+  std::vector<std::uint8_t> base;
+  ASSERT_NO_FATAL_FAILURE(valid_segment_bytes(24, base));
   // The mutated decode may keep only records the CRC still vouches for, and
   // whatever survives must be an untouched prefix: ascending seqs from 1.
   for (int trial = 0; trial < 2000; ++trial) {
@@ -91,7 +98,8 @@ TEST(WalFuzz, MutatedValidSegmentsDecodeToAPrefix) {
 }
 
 TEST(WalFuzz, TruncationSweepIsTotal) {
-  const auto full = valid_segment_bytes(6);
+  std::vector<std::uint8_t> full;
+  ASSERT_NO_FATAL_FAILURE(valid_segment_bytes(6, full));
   for (std::size_t len = 0; len <= full.size(); ++len) {
     const std::vector<std::uint8_t> prefix(
         full.begin(), full.begin() + static_cast<std::ptrdiff_t>(len));
@@ -110,7 +118,8 @@ TEST(WalFuzz, TruncationSweepIsTotal) {
 TEST(WalFuzz, HostileLengthFieldsAreFramesNotAllocations) {
   // A frame whose length field reads 0xffffffff (or anything past the
   // payload bound) must be treated as a torn tail, not a 4 GiB reserve.
-  auto bytes = valid_segment_bytes(3);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_NO_FATAL_FAILURE(valid_segment_bytes(3, bytes));
   const std::size_t header = 28;
   std::memset(bytes.data() + header, 0xff, 4);
   const SegmentReadResult result = read_wal_segment_bytes(bytes);
@@ -119,7 +128,8 @@ TEST(WalFuzz, HostileLengthFieldsAreFramesNotAllocations) {
   EXPECT_TRUE(result.records.empty());
 
   // Length zero is equally dead: progress must not stall into a spin.
-  auto zero = valid_segment_bytes(3);
+  std::vector<std::uint8_t> zero;
+  ASSERT_NO_FATAL_FAILURE(valid_segment_bytes(3, zero));
   std::memset(zero.data() + header, 0x00, 4);
   const SegmentReadResult zres = read_wal_segment_bytes(zero);
   EXPECT_TRUE(zres.torn);

@@ -1,7 +1,8 @@
 // Association + keep-alive behaviour: devices that never probe but stay
 // associated with their home network are still "found" by the sniffer (the
-// Fig 10/11 found-vs-probing distinction), and their data traffic provides
-// communicability evidence the tracker can localize from.
+// Fig 10/11 found-vs-probing distinction). Their association response is
+// communicability evidence; their own keep-alives are not, because a device
+// keeps sending them after it has walked out of its AP's disc.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -135,8 +136,37 @@ TEST(Association, SnifferFindsNonProbingAssociatedDevice) {
   EXPECT_EQ(rec->probe_requests, 0u);
   EXPECT_EQ(store.probing_device_count(), 0u);
   EXPECT_GE(store.device_count(), 1u);
-  // The association/data evidence supports localization: Gamma non-empty.
+  // The association response supports localization: Gamma non-empty.
   EXPECT_EQ(store.gamma(kClientMac).count(kApMac), 1u);
+}
+
+TEST(Association, KeepAlivesOutsideTheDiscAreNotGammaEvidence) {
+  // Associate at the origin, then walk 560 m past the AP's 120 m disc while
+  // the keep-alives to it go on. A sniffer at the far end hears every one.
+  auto scene = make_scene(/*beacons=*/true);
+  MobileConfig mc;
+  mc.mac = *net80211::MacAddress::parse("00:16:6f:00:0c:04");
+  mc.profile.probes = false;
+  mc.profile.home_ssid = "HomeNet";
+  mc.profile.keepalive_interval_s = 5.0;
+  mc.mobility = std::make_shared<RouteWalk>(
+      std::vector<geo::Vec2>{{0.0, 0.0}, {600.0, 0.0}}, 10.0, /*start_time=*/30.0);
+  MobileDevice* walker = scene->world.add_mobile(std::make_unique<MobileDevice>(mc));
+
+  capture::ObservationStore store;
+  capture::SnifferConfig sc;
+  sc.position = {600.0, 40.0};
+  capture::Sniffer sniffer(sc, &store);
+  sniffer.attach(scene->world);
+  scene->world.run_until(150.0);
+
+  ASSERT_TRUE(walker->associated_bssid().has_value());
+  const capture::ObservationWindow after_leaving{100.0, 150.0};
+  const capture::DeviceRecord* rec = store.device(mc.mac);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_GE(rec->last_seen, after_leaving.begin);  // still found out there
+  EXPECT_GT(sniffer.stats().data_frames, 5u);
+  EXPECT_EQ(store.gamma(mc.mac, after_leaving).count(kApMac), 0u);
 }
 
 }  // namespace

@@ -70,8 +70,9 @@ int cmd_net_send(const util::Flags& flags) {
   }
   const auto stream_id = static_cast<std::uint32_t>(flags.get_int("stream-id", 1));
   const auto fec_k = flags.get_int("fec-k", 8);
-  if (fec_k < 0) {
-    std::cerr << "mmctl net-send: --fec-k must be >= 0 (0 disables parity)\n";
+  if (fec_k < 0 || static_cast<std::uint64_t>(fec_k) > net::kMaxFecBlockK) {
+    std::cerr << "mmctl net-send: --fec-k must be in [0, " << net::kMaxFecBlockK
+              << "] (0 disables parity)\n";
     return 2;
   }
 
@@ -86,13 +87,8 @@ int cmd_net_send(const util::Flags& flags) {
   }
 
   net80211::PcapReader reader(pcap_path);
-  if (!reader.ok()) {
-    std::cerr << "mmctl net-send: --pcap: " << reader.error() << "\n";
-    return 1;
-  }
-  if (reader.linktype() != net80211::kLinktypeRadiotap) {
-    std::cerr << "mmctl net-send: expected radiotap linktype 127, got "
-              << reader.linktype() << "\n";
+  if (const auto error = capture::radiotap_error(reader)) {
+    std::cerr << "mmctl net-send: --pcap: " << *error << "\n";
     return 1;
   }
 
@@ -115,10 +111,7 @@ int cmd_net_send(const util::Flags& flags) {
 
   net::FecEncoder encoder(stream_id, static_cast<std::size_t>(fec_k));
   std::vector<std::uint8_t> scratch;
-  std::uint64_t records = 0;
-  std::uint64_t malformed = 0;
   std::uint64_t events = 0;
-  std::uint64_t next_seq = 0;
   std::uint64_t datagrams = 0;
 
   // File sink: append the surviving bytes. UDP sink: one datagram per frame
@@ -152,20 +145,15 @@ int cmd_net_send(const util::Flags& flags) {
     }
   };
 
-  while (auto record = reader.next()) {
-    ++records;
-    const auto decoded = capture::decode_record(*record);
-    if (!decoded) {
-      ++malformed;
-      continue;
-    }
-    if (!decoded->has_event) continue;
+  // The rig damages the wire (--link-plan), not the records.
+  capture::RecordFaults no_faults{fault::FaultPlan{}};
+  capture::ReplayStats replay;
+  capture::replay_records(reader, no_faults, replay, [&](const capture::FrameEvent& event) {
     // Same discipline as feed_pcap: one sequence per event, in pcap order.
-    ++events;
     scratch.clear();
-    encoder.push(++next_seq, decoded->event, scratch);
+    encoder.push(++events, event, scratch);
     ship(scratch);
-  }
+  });
   scratch.clear();
   encoder.flush(scratch);
   ship(scratch);
@@ -189,8 +177,8 @@ int cmd_net_send(const util::Flags& flags) {
       enc.data_bytes > 0
           ? 100.0 * static_cast<double>(enc.parity_bytes) / static_cast<double>(enc.data_bytes)
           : 0.0;
-  std::cout << records << " records -> " << events << " events (" << malformed
-            << " malformed), stream " << stream_id << ": " << enc.data_frames
+  std::cout << replay.records << " records -> " << events << " events ("
+            << replay.malformed << " malformed), stream " << stream_id << ": " << enc.data_frames
             << " data + " << enc.parity_frames << " parity frames, "
             << enc.data_bytes + enc.parity_bytes << " wire bytes ("
             << util::Table::fmt(overhead, 1) << "% parity overhead, k="
@@ -248,9 +236,14 @@ int cmd_net_recv(const util::Flags& flags) {
     return 2;
   }
 
+  const auto fec_window = flags.get_int("fec-window", 256);
+  if (fec_window < 2 || static_cast<std::uint64_t>(fec_window) > net::kMaxReorderWindow) {
+    std::cerr << "mmctl net-recv: --fec-window must be in [2, " << net::kMaxReorderWindow
+              << "]\n";
+    return 2;
+  }
   net::FecDecoderOptions fec_options;
-  fec_options.reorder_window =
-      static_cast<std::size_t>(flags.get_int("fec-window", 256));
+  fec_options.reorder_window = static_cast<std::size_t>(fec_window);
 
   LiveEngine engine("mmctl net-recv");
   if (const int rc = engine.open(flags); rc != 0) return rc;

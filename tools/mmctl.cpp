@@ -67,8 +67,9 @@ commands:
              --udp <host:port>         ... or send one datagram per frame
                                        over a real UDP socket
              --stream-id <N>           feed identity (default: 1)
-             --fec-k <K>               data frames per parity frame
-                                       (default: 8; 0 disables parity)
+             --fec-k <K>               data frames per parity frame, in
+                                       [0, 65535] (default: 8; 0 disables
+                                       parity)
              --link-plan <spec>        damage the stream with the seeded link
                                        simulator, e.g. drop=0.05,corrupt=0.01,
                                        reorder=0.02,burst=0.001,seed=7
@@ -84,8 +85,8 @@ commands:
              --rcvbuf <bytes>          SO_RCVBUF request (default: 4 MiB,
                                        clamped 64 KiB..64 MiB)
              --stream-ids <1,2,...>    per-file stream ids (default: 1..N)
-             --fec-window <W>          reassembly window in sequences
-                                       (default: 256)
+             --fec-window <W>          reassembly window in sequences, in
+                                       [2, 65536] (default: 256)
              plus live's engine flags --shards/--ring-capacity/
              --drop-policy/--reject-outliers/--wal-dir/--checkpoint-secs/
              --no-fsync/--recover/--stats-json (none of its pcap-feed
