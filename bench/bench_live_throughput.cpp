@@ -7,6 +7,8 @@
 //                         [--aps-per-device K] [--ring-capacity N]
 //                         [--out BENCH_pipeline.json]
 //
+// The JSON records the machine (hw_cores, build_type) beside the sweep.
+//
 // Events model steady campus traffic: each device keeps hearing the same
 // small set of nearby APs, so most contacts are Gamma duplicates (the cheap
 // path) and a minority grow the disc set and trigger an M-Loc publish — the
@@ -23,6 +25,7 @@
 #include "sim/scenario.h"
 #include "util/flags.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -133,6 +136,8 @@ void write_json(const std::string& path, std::size_t events, std::size_t produce
                 const std::vector<RunResult>& results, double wal_slowdown) {
   std::ofstream out(path);
   out << "{\n  \"benchmark\": \"live_throughput\",\n"
+      << "  \"hw_cores\": " << util::ThreadPool::default_parallelism() << ",\n"
+      << "  \"build_type\": \"" << MM_BUILD_TYPE << "\",\n"
       << "  \"events\": " << events << ",\n"
       << "  \"producers\": " << producers << ",\n"
       << "  \"wal_slowdown\": " << wal_slowdown << ",\n"

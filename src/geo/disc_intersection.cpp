@@ -28,92 +28,11 @@ bool inside_prefiltered(const Circle& a, const Circle& b, double eps) {
   return dx * dx + dy * dy <= slack * slack;
 }
 
-/// Angular interval [lo, hi] with 0 <= lo < hi <= 2*pi (wrapping intervals
-/// are split by the caller before entering an IntervalSet).
-struct Interval {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// Sorted, disjoint set of angular intervals on one circle's boundary.
-class IntervalSet {
- public:
-  static IntervalSet full() {
-    IntervalSet s;
-    s.intervals_.push_back({0.0, kTwoPi});
-    return s;
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return intervals_.empty(); }
-  [[nodiscard]] const std::vector<Interval>& intervals() const noexcept { return intervals_; }
-
-  /// Intersect with the (possibly wrapping) interval [lo, hi] given in any
-  /// real-valued angle; normalizes and splits internally.
-  void clip(double lo, double hi) {
-    std::vector<Interval> allowed;
-    lo = norm_angle(lo);
-    hi = norm_angle(hi);
-    if (lo <= hi) {
-      allowed.push_back({lo, hi});
-    } else {  // wraps through 0
-      allowed.push_back({0.0, hi});
-      allowed.push_back({lo, kTwoPi});
-    }
-    std::vector<Interval> result;
-    for (const Interval& have : intervals_) {
-      for (const Interval& keep : allowed) {
-        const double a = std::max(have.lo, keep.lo);
-        const double b = std::min(have.hi, keep.hi);
-        if (b - a > kMinArcSpan) result.push_back({a, b});
-      }
-    }
-    std::sort(result.begin(), result.end(),
-              [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-    intervals_ = std::move(result);
-  }
-
-  void clear() { intervals_.clear(); }
-
-  static double norm_angle(double theta) {
-    theta = std::fmod(theta, kTwoPi);
-    if (theta < 0.0) theta += kTwoPi;
-    return theta;
-  }
-
- private:
-  std::vector<Interval> intervals_;
-};
-
-/// Clips circle `i`'s boundary interval set by the constraint of disc `j`.
-void clip_circle_by_disc(IntervalSet& set, const Circle& ci, const Circle& cj) {
-  const Vec2 delta = cj.center - ci.center;
-  const double d = delta.norm();
-  if (d + ci.radius <= cj.radius + kEps) {
-    return;  // circle i lies fully inside disc j: no constraint
-  }
-  if (d + cj.radius <= ci.radius - kEps || d < kEps) {
-    // Disc j strictly inside disc i (or concentric smaller): boundary of
-    // circle i is entirely outside disc j.
-    set.clear();
-    return;
-  }
-  const double alpha = delta.angle();
-  const double cos_half =
-      (d * d + ci.radius * ci.radius - cj.radius * cj.radius) / (2.0 * d * ci.radius);
-  const double half = std::acos(std::clamp(cos_half, -1.0, 1.0));
-  set.clip(alpha - half, alpha + half);
-}
-
-/// Re-joins an interval pair split at the 0/2*pi cut so arc endpoints are
-/// genuine circle-circle intersection vertices (emit it as a single arc with
-/// a negative begin; all downstream trigonometry is periodic).
-std::vector<Interval> rejoin_wrap(std::vector<Interval> ivs) {
-  if (ivs.size() >= 2 && ivs.front().lo < kMinArcSpan &&
-      ivs.back().hi > kTwoPi - kMinArcSpan) {
-    ivs.front().lo = ivs.back().lo - kTwoPi;
-    ivs.pop_back();
-  }
-  return ivs;
+/// The same angle in [0, 2*pi).
+double norm_angle(double theta) {
+  theta = std::fmod(theta, kTwoPi);
+  if (theta < 0.0) theta += kTwoPi;
+  return theta;
 }
 
 /// Closed-form contribution of one CCW arc to (1/2) * contour integral of
@@ -185,6 +104,12 @@ bool any_pair_disjoint(std::span<const Circle> discs, double eps) {
 }
 
 DiscIntersection DiscIntersection::compute(std::span<const Circle> discs) {
+  DiscIntersection result;
+  result.recompute(discs);
+  return result;
+}
+
+void DiscIntersection::recompute(std::span<const Circle> discs) {
   if (discs.empty()) throw std::invalid_argument("DiscIntersection: need at least one disc");
   for (const Circle& c : discs) {
     if (!(c.radius > 0.0)) {
@@ -192,57 +117,105 @@ DiscIntersection DiscIntersection::compute(std::span<const Circle> discs) {
     }
   }
 
-  DiscIntersection result;
+  discs_.clear();
+  arcs_.clear();
+  empty_ = true;
+  full_disc_ = false;
+  area_ = 0.0;
 
   // Early exit: any two discs disjoint => empty intersection. The squared
   // scan makes the same decision the scalar predicate would for every pair,
   // so which path detects it cannot change the result.
   if (any_pair_disjoint(discs, -kEps)) {
-    result.empty_ = true;
-    result.discs_.assign(discs.begin(), discs.end());
-    return result;
+    discs_.assign(discs.begin(), discs.end());
+    return;
   }
 
   // Prune redundant discs: if disc i is contained in disc j, disc j adds no
   // constraint (for exact duplicates keep only the first). This also removes
   // the ambiguity that would otherwise double-count identical boundaries.
-  std::vector<bool> keep(discs.size(), true);
   for (std::size_t j = 0; j < discs.size(); ++j) {
-    for (std::size_t i = 0; i < discs.size() && keep[j]; ++i) {
+    bool keep = true;
+    for (std::size_t i = 0; i < discs.size() && keep; ++i) {
       if (i == j) continue;
       if (inside_prefiltered(discs[i], discs[j], kEps) &&
           (!inside_prefiltered(discs[j], discs[i], kEps) || i < j)) {
-        keep[j] = false;
+        keep = false;
       }
     }
+    if (keep) discs_.push_back(discs[j]);
   }
-  for (std::size_t i = 0; i < discs.size(); ++i) {
-    if (keep[i]) result.discs_.push_back(discs[i]);
-  }
-  const std::span<const Circle> pruned{result.discs_};
-  discs = pruned;
 
   // For every circle, find the angular intervals of its boundary lying inside
   // all other discs. Those intervals are exactly the region's boundary arcs.
-  for (std::size_t i = 0; i < discs.size(); ++i) {
-    IntervalSet set = IntervalSet::full();
-    for (std::size_t j = 0; j < discs.size() && !set.empty(); ++j) {
+  for (std::size_t i = 0; i < discs_.size(); ++i) {
+    intervals_.assign(1, {0.0, kTwoPi});
+    for (std::size_t j = 0; j < discs_.size() && !intervals_.empty(); ++j) {
       if (j == i) continue;
-      clip_circle_by_disc(set, discs[i], discs[j]);
+      clip_by_disc(discs_[i], discs_[j]);
     }
-    for (const Interval& iv : rejoin_wrap(set.intervals())) {
-      result.arcs_.push_back({i, iv.lo, iv.hi});
+    // Re-join an interval pair split at the 0/2*pi cut so arc endpoints are
+    // genuine circle-circle intersection vertices (emit it as a single arc
+    // with a negative begin; all downstream trigonometry is periodic).
+    if (intervals_.size() >= 2 && intervals_.front().lo < kMinArcSpan &&
+        intervals_.back().hi > kTwoPi - kMinArcSpan) {
+      intervals_.front().lo = intervals_.back().lo - kTwoPi;
+      intervals_.pop_back();
     }
+    for (const Interval& iv : intervals_) arcs_.push_back({i, iv.lo, iv.hi});
   }
 
-  if (result.arcs_.empty()) {
-    result.resolve_arcless();
-    return result;
+  if (arcs_.empty()) {
+    resolve_arcless();
+    return;
   }
 
-  result.empty_ = false;
-  result.finalize_measures();
-  return result;
+  empty_ = false;
+  finalize_measures();
+}
+
+void DiscIntersection::clip_by_disc(const Circle& ci, const Circle& cj) {
+  const Vec2 delta = cj.center - ci.center;
+  const double d = delta.norm();
+  if (d + ci.radius <= cj.radius + kEps) {
+    return;  // circle i lies fully inside disc j: no constraint
+  }
+  if (d + cj.radius <= ci.radius - kEps || d < kEps) {
+    // Disc j strictly inside disc i (or concentric smaller): boundary of
+    // circle i is entirely outside disc j.
+    intervals_.clear();
+    return;
+  }
+  const double alpha = delta.angle();
+  const double cos_half =
+      (d * d + ci.radius * ci.radius - cj.radius * cj.radius) / (2.0 * d * ci.radius);
+  const double half = std::acos(std::clamp(cos_half, -1.0, 1.0));
+  clip(alpha - half, alpha + half);
+}
+
+void DiscIntersection::clip(double lo, double hi) {
+  lo = norm_angle(lo);
+  hi = norm_angle(hi);
+  std::array<Interval, 2> allowed;
+  std::size_t allowed_count = 1;
+  if (lo <= hi) {
+    allowed[0] = {lo, hi};
+  } else {  // wraps through 0
+    allowed[0] = {0.0, hi};
+    allowed[1] = {lo, kTwoPi};
+    allowed_count = 2;
+  }
+  spare_.clear();
+  for (const Interval& have : intervals_) {
+    for (std::size_t k = 0; k < allowed_count; ++k) {
+      const double a = std::max(have.lo, allowed[k].lo);
+      const double b = std::min(have.hi, allowed[k].hi);
+      if (b - a > kMinArcSpan) spare_.push_back({a, b});
+    }
+  }
+  std::sort(spare_.begin(), spare_.end(),
+            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  intervals_.swap(spare_);
 }
 
 void DiscIntersection::resolve_arcless() {
@@ -301,22 +274,27 @@ bool DiscIntersection::contains(Vec2 p, double eps) const {
 }
 
 std::vector<Vec2> DiscIntersection::vertices() const {
-  std::vector<Vec2> points;
+  std::vector<Vec2> out;
+  vertices_into(out);
+  return out;
+}
+
+void DiscIntersection::vertices_into(std::vector<Vec2>& out) const {
+  out.clear();
+  // Each endpoint in arc order, skipped when an earlier one (an endpoint
+  // shared between adjacent arcs) lies within 1e-7.
+  const auto add_unique = [&out](const Vec2& p) {
+    const bool seen = std::any_of(out.begin(), out.end(), [&](const Vec2& q) {
+      return p.distance_to(q) < 1e-7;
+    });
+    if (!seen) out.push_back(p);
+  };
   for (const BoundaryArc& arc : arcs_) {
     if (arc.span() >= kTwoPi - kMinArcSpan) continue;  // full circle: no vertices
     const Circle& c = discs_[arc.circle_index];
-    points.push_back(c.point_at(arc.theta_begin));
-    points.push_back(c.point_at(arc.theta_end));
+    add_unique(c.point_at(arc.theta_begin));
+    add_unique(c.point_at(arc.theta_end));
   }
-  // Deduplicate endpoints shared between adjacent arcs.
-  std::vector<Vec2> unique;
-  for (const Vec2& p : points) {
-    const bool seen = std::any_of(unique.begin(), unique.end(), [&](const Vec2& q) {
-      return p.distance_to(q) < 1e-7;
-    });
-    if (!seen) unique.push_back(p);
-  }
-  return unique;
 }
 
 double DiscIntersection::monte_carlo_area(std::span<const Circle> discs,

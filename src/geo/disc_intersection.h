@@ -43,9 +43,19 @@ struct BoundaryArc {
 
 class DiscIntersection {
  public:
+  /// An empty region over no discs; recompute() fills it.
+  DiscIntersection() = default;
+
   /// Computes the intersection of all discs. Requires at least one disc.
   /// Throws std::invalid_argument on an empty input or a non-positive radius.
   static DiscIntersection compute(std::span<const Circle> discs);
+
+  /// compute() in place: the same region, bit for bit, built in this
+  /// object's own buffers (discs, arcs and two interval lists), so a caller
+  /// that keeps one region stops allocating once those have grown to its
+  /// largest input. `discs` must not alias discs(). Throws as compute() does,
+  /// before touching the region.
+  void recompute(std::span<const Circle> discs);
 
   [[nodiscard]] bool empty() const noexcept { return empty_; }
   /// True when the region is exactly one input disc (nested-discs case).
@@ -62,6 +72,8 @@ class DiscIntersection {
   [[nodiscard]] const std::vector<Circle>& discs() const noexcept { return discs_; }
   /// Arc endpoints (the Delta set of the paper's M-Loc pseudo-code), deduplicated.
   [[nodiscard]] std::vector<Vec2> vertices() const;
+  /// vertices() into `out`, replacing its contents and keeping its capacity.
+  void vertices_into(std::vector<Vec2>& out) const;
 
   /// Monte-Carlo area estimate over the same discs; used by the property
   /// tests to validate the closed-form boundary computation.
@@ -69,7 +81,19 @@ class DiscIntersection {
                                  std::uint64_t seed);
 
  private:
-  DiscIntersection() = default;
+  /// Angular interval [lo, hi] with 0 <= lo < hi <= 2*pi on one circle's
+  /// boundary (a wrapping interval is split in two).
+  struct Interval {
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+
+  /// Clips intervals_ (circle i's boundary still inside every disc so far)
+  /// by disc j.
+  void clip_by_disc(const Circle& ci, const Circle& cj);
+  /// Intersects intervals_ with the (possibly wrapping) interval [lo, hi],
+  /// given as any real angles, through spare_.
+  void clip(double lo, double hi);
   /// Decides the arcs_-empty endgame (nested discs -> one full disc, or
   /// pairwise overlap without a common point -> empty) over discs_.
   void resolve_arcless();
@@ -78,6 +102,8 @@ class DiscIntersection {
 
   std::vector<Circle> discs_;
   std::vector<BoundaryArc> arcs_;
+  std::vector<Interval> intervals_;  ///< sorted, disjoint; one circle at a time
+  std::vector<Interval> spare_;      ///< clip()'s output, swapped into intervals_
   bool empty_ = true;
   bool full_disc_ = false;
   double area_ = 0.0;

@@ -12,8 +12,9 @@ namespace {
 
 /// Fills `result` from a non-empty intersection region (vertex average, or
 /// the exact centroid where the vertex set is empty or requested).
+/// `vertices` is the buffer the Delta set is built in.
 void estimate_from_region(LocalizationResult& result, const geo::DiscIntersection& region,
-                          const MLocOptions& options) {
+                          const MLocOptions& options, std::vector<geo::Vec2>& vertices) {
   if (options.exact_region_centroid || region.is_full_disc()) {
     // Exact centroid; also the only sensible answer when one disc is nested
     // inside all others (the vertex set Delta is empty there).
@@ -23,7 +24,7 @@ void estimate_from_region(LocalizationResult& result, const geo::DiscIntersectio
     return;
   }
   // Paper-faithful path: average of the boundary vertices Delta.
-  const auto vertices = region.vertices();
+  region.vertices_into(vertices);
   if (vertices.empty()) {
     result.ok = true;
     result.used_fallback = true;
@@ -89,9 +90,10 @@ std::size_t most_violating_disc(const std::vector<geo::Circle>& retained,
 /// Prefers the single removal whose surviving region is tightest (most
 /// information kept); when no single removal helps, evicts the most violating
 /// disc and retries. Returns the number of discs removed, or nullopt if the
-/// region is still empty at the budget. All intermediates live in the
-/// scratch, so repeat calls from one worker never allocate once the buffers
-/// have grown to the largest Gamma.
+/// region is still empty at the budget; either way s.region is left over
+/// the last set tried. All intermediates live in the scratch, so repeat
+/// calls from one worker never allocate once the buffers have grown to the
+/// largest Gamma.
 std::optional<std::size_t> reject_outliers(MLocScratch& s, std::size_t max_outliers) {
   std::vector<geo::Circle>& retained = s.retained;
   const std::size_t n0 = retained.size();
@@ -107,10 +109,10 @@ std::optional<std::size_t> reject_outliers(MLocScratch& s, std::size_t max_outli
       for (std::size_t j = 0; j < retained.size(); ++j) {
         if (j != i) s.candidate.push_back(retained[j]);
       }
-      const auto region = geo::DiscIntersection::compute(s.candidate);
-      if (!region.empty() && region.area() < best_area) {
+      s.region.recompute(s.candidate);
+      if (!s.region.empty() && s.region.area() < best_area) {
         best = i;
-        best_area = region.area();
+        best_area = s.region.area();
       }
     }
     if (best == retained.size()) {
@@ -119,14 +121,15 @@ std::optional<std::size_t> reject_outliers(MLocScratch& s, std::size_t max_outli
     retained.erase(retained.begin() + static_cast<std::ptrdiff_t>(best));
     s.original.erase(s.original.begin() + static_cast<std::ptrdiff_t>(best));
     ++rejected;
-    if (!geo::DiscIntersection::compute(retained).empty()) return rejected;
+    s.region.recompute(retained);
+    if (!s.region.empty()) return rejected;
   }
   return std::nullopt;
 }
 
-/// Per-thread scratch for the overloads that don't take one; keeps the
-/// public convenience API allocation-free on repeat calls without changing
-/// its signature or results.
+/// Per-thread scratch for the overload that doesn't take one: repeat calls
+/// reuse its workspace, and the returned copy of the result is their only
+/// allocation.
 MLocScratch& local_scratch() {
   static thread_local MLocScratch scratch;
   return scratch;
@@ -153,9 +156,13 @@ LocalizationResult mloc_locate(std::span<const geo::Circle> discs,
   return mloc_locate(discs, options, local_scratch());
 }
 
-LocalizationResult mloc_locate(std::span<const geo::Circle> discs,
-                               const MLocOptions& options, MLocScratch& scratch) {
-  LocalizationResult result;
+const LocalizationResult& mloc_locate(std::span<const geo::Circle> discs,
+                                      const MLocOptions& options, MLocScratch& scratch) {
+  // Reset every field but keep the disc buffer's capacity.
+  LocalizationResult& result = scratch.result;
+  std::vector<geo::Circle> kept = std::move(result.discs);
+  result = LocalizationResult{};
+  result.discs = std::move(kept);
   result.method = "M-Loc";
   result.num_aps = discs.size();
   result.discs.assign(discs.begin(), discs.end());
@@ -169,7 +176,8 @@ LocalizationResult mloc_locate(std::span<const geo::Circle> discs,
     return result;
   }
 
-  geo::DiscIntersection region = geo::DiscIntersection::compute(discs);
+  geo::DiscIntersection& region = scratch.region;
+  region.recompute(discs);
 
   if (region.empty() && options.reject_outliers) {
     // Inconsistent evidence (corrupted RSSI/radius rows, ghost APs from
@@ -185,7 +193,7 @@ LocalizationResult mloc_locate(std::span<const geo::Circle> discs,
         result.estimate = result.discs.front().center;
         return result;
       }
-      region = geo::DiscIntersection::compute(result.discs);
+      region.recompute(result.discs);
     }
   }
 
@@ -200,7 +208,7 @@ LocalizationResult mloc_locate(std::span<const geo::Circle> discs,
     return result;
   }
 
-  estimate_from_region(result, region, options);
+  estimate_from_region(result, region, options, scratch.vertices);
   return result;
 }
 

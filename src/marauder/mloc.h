@@ -31,13 +31,16 @@ struct MLocOptions {
   std::size_t max_outliers = 2;
 };
 
-/// Reusable workspace for the M-Loc hot path. locate_all keeps one per
-/// worker thread so the outlier-rejection pass — the pairwise-distance
-/// matrix, its SoA center mirror, and the one-removed candidate sets — runs
-/// allocation-free across every device a worker processes. A
-/// default-constructed scratch is always valid; buffers grow to the largest
-/// Gamma seen and stay.
+/// Reusable workspace for the M-Loc hot path. Each locate_all worker and
+/// each live shard keeps one, so a localization — the intersection region,
+/// its vertex set, the result, and the outlier-rejection pass's
+/// pairwise-distance matrix, SoA center mirror and one-removed candidate
+/// sets — runs allocation-free once the buffers have grown to the largest
+/// Gamma seen. A default-constructed scratch is always valid; buffers stay.
 struct MLocScratch {
+  LocalizationResult result;          ///< what the scratch overload returns
+  geo::DiscIntersection region;       ///< recomputed in place per disc set
+  std::vector<geo::Vec2> vertices;    ///< the region's Delta set
   std::vector<double> dist;           ///< n*n pairwise center distances
   std::vector<double> sx;             ///< SoA x of the active disc set
   std::vector<double> sy;             ///< SoA y of the active disc set
@@ -46,13 +49,16 @@ struct MLocScratch {
   std::vector<std::size_t> original;  ///< retained position -> dist row
 };
 
+/// One-line wrapper over the scratch overload with a per-thread scratch;
+/// returns a copy of its result.
 [[nodiscard]] LocalizationResult mloc_locate(std::span<const geo::Circle> discs,
                                              const MLocOptions& options = {});
 
-/// Scratch-reusing variant: bit-identical to the allocation-per-call one (the
-/// buffers only change where intermediates live, never what they hold).
-[[nodiscard]] LocalizationResult mloc_locate(std::span<const geo::Circle> discs,
-                                             const MLocOptions& options,
-                                             MLocScratch& scratch);
+/// The M-Loc implementation. The result lives in `scratch.result` and stays
+/// valid until the next call with the same scratch; a caller that keeps it
+/// longer copies it. `discs` must not alias the scratch's own buffers.
+[[nodiscard]] const LocalizationResult& mloc_locate(std::span<const geo::Circle> discs,
+                                                    const MLocOptions& options,
+                                                    MLocScratch& scratch);
 
 }  // namespace mm::marauder

@@ -279,8 +279,9 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
   const auto t1 = std::chrono::steady_clock::now();
 
   // Localize each unique disc set once, slotted by group index. Per-chunk
-  // scratch (disc vector + M-Loc workspace) is reused across the chunk's
-  // groups, so the loop body allocates nothing once the buffers have grown.
+  // scratch (disc vector + M-Loc workspace, region included) is reused
+  // across the chunk's groups, so once the buffers have grown the loop
+  // body's only allocation is the stored copy of each group's result.
   const std::size_t groups = rep.size();
   std::vector<LocalizationResult> group_results(groups);
   pool.run_chunks(

@@ -10,9 +10,14 @@
 // Backpressure is explicit: try_push never blocks and never overwrites — when
 // the ring is full it returns false and the *caller* decides the drop policy
 // (count and discard the newest event, or spin until space; see
-// LiveTrackerConfig::drop_policy). Every outcome is counted: pushed, dropped,
-// and the occupancy high-water mark, so a sizing mistake shows up in the
-// `mmctl live` stats table instead of as silent loss.
+// LiveTrackerConfig::drop_policy). Every outcome is counted: pushed and
+// dropped exactly, and a sampled occupancy high-water mark, so a sizing
+// mistake shows up in the `mmctl live` stats table instead of as silent loss.
+//
+// Besides the slot it claims, a push reads nothing the consumer writes: the
+// consumer cursor, which the worker writes on every pop, is loaded only for
+// the high-water sample on every 64th slot claimed. A refused push marks the
+// ring as having been full.
 #pragma once
 
 #include <algorithm>
@@ -40,6 +45,10 @@ class FrameRing {
   /// identical across the compilers CI builds with.
   static constexpr std::size_t kCacheLine = 64;
 
+  /// The high-water mark is sampled on the push that claims every
+  /// kHighWaterStride-th slot.
+  static constexpr std::uint64_t kHighWaterStride = 64;
+
   /// Capacity is rounded up to a power of two, minimum 2.
   explicit FrameRing(std::size_t capacity) {
     std::size_t cap = 2;
@@ -57,8 +66,9 @@ class FrameRing {
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 
   /// Multi-producer push. Returns false when the ring is full; the event is
-  /// NOT enqueued and no counter moves — call count_drop() if the caller's
-  /// policy is to discard.
+  /// NOT enqueued and neither pushed() nor dropped() moves (the high-water
+  /// mark goes to the capacity) — call count_drop() if the caller's policy is
+  /// to discard.
   bool try_push(const capture::FrameEvent& event) noexcept {
     std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
     Cell* cell = nullptr;
@@ -71,7 +81,9 @@ class FrameRing {
           break;
         }
       } else if (dif < 0) {
-        return false;  // the slot still holds an unconsumed event: full
+        // The slot still holds an unconsumed event: full.
+        update_high_water(capacity());
+        return false;
       } else {
         pos = enqueue_pos_.load(std::memory_order_relaxed);
       }
@@ -79,7 +91,9 @@ class FrameRing {
     cell->event = event;
     cell->seq.store(pos + 1, std::memory_order_release);
     pushed_.fetch_add(1, std::memory_order_relaxed);
-    update_high_water(pos + 1 - dequeue_pos_.load(std::memory_order_relaxed));
+    if (pos % kHighWaterStride == 0) {
+      update_high_water(pos + 1 - dequeue_pos_.load(std::memory_order_relaxed));
+    }
     return true;
   }
 
@@ -107,9 +121,11 @@ class FrameRing {
   [[nodiscard]] std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }
-  /// Highest observed occupancy (approximate under concurrent pushes — each
-  /// producer samples the consumer cursor — but never below the true peak of
-  /// any single producer's view).
+  /// Sampled peak occupancy: the capacity once any push has been refused;
+  /// otherwise the highest occupancy seen by the pushes that claimed every
+  /// kHighWaterStride-th slot (the first push included), so a peak between
+  /// samples can read up to kHighWaterStride - 1 low. Never exceeds
+  /// capacity(). pushed() and dropped() stay exact.
   [[nodiscard]] std::uint64_t high_water_mark() const noexcept {
     return high_water_.load(std::memory_order_relaxed);
   }

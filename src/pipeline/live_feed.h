@@ -38,7 +38,8 @@ struct LiveFeedStats {
   /// file + plan, in value) to the batch replay's.
   capture::ReplayStats replay;
   std::uint64_t pushed = 0;   ///< events handed to the tracker
-  std::uint64_t dropped = 0;  ///< events refused by a full ring (kDropNewest)
+  /// Events the tracker refused (LiveTracker::push returned false).
+  std::uint64_t dropped = 0;
   bool interrupted = false;   ///< stopped early by LiveFeedOptions::stop
 };
 

@@ -42,6 +42,9 @@ struct LiveTracker::ShardState {
   bool checkpoint_anchored = false;
   std::chrono::steady_clock::time_point last_checkpoint{};
   std::size_t maintenance_tick = 0;
+  /// Every publish of this generation runs in it, so a publish does not
+  /// allocate once it has grown to the largest Gamma.
+  marauder::MLocScratch mloc_scratch;
 
   // Read live by stats().
   std::atomic<std::uint64_t> frames{0};
@@ -67,7 +70,10 @@ struct LiveTracker::ShardState {
   /// ingest hook and before the WAL append / store apply / seqlock publish,
   /// so a zombie that wakes up after being superseded cannot double-write.
   std::atomic<bool> abandoned{false};
-  std::atomic<bool> dead{false};  ///< worker exited via an exception
+  /// Worker exited via an exception. Written once, but read by every kBlock
+  /// push its full ring refuses, so it sits on its own cache line, away
+  /// from the counters the worker writes per event.
+  alignas(FrameRing::kCacheLine) std::atomic<bool> dead{false};
 };
 
 /// The stable per-partition anchor: producers and queries reach the current
@@ -266,6 +272,13 @@ bool LiveTracker::push(const capture::FrameEvent& event) {
       state->ring.count_drop();
       return false;
     }
+    if (state->dead.load(std::memory_order_acquire) &&
+        !supervised_.load(std::memory_order_acquire)) {
+      // A dead worker with no supervisor to replace it never frees space:
+      // drop and count, as for a circuit-broken shard.
+      util::sat_fetch_add(shard.lost_events);
+      return false;
+    }
     // kBlock: lossless mode; space appears as soon as the worker catches up.
     // Yield first, but on an oversubscribed host a blocked producer that
     // only ever yields keeps getting rescheduled and starves the very worker
@@ -394,8 +407,8 @@ void LiveTracker::publish_device(ShardState& state, const net80211::MacAddress& 
       return;
     }
   }
-  const marauder::LocalizationResult result =
-      marauder::mloc_locate(device.discs, config_.mloc);
+  const marauder::LocalizationResult& result =
+      marauder::mloc_locate(device.discs, config_.mloc, state.mloc_scratch);
   LivePosition position;
   position.x_m = result.estimate.x;
   position.y_m = result.estimate.y;

@@ -119,7 +119,9 @@ class LiveTracker {
   /// spins until the worker frees space — re-reading the shard's state each
   /// spin, so a supervisor restart migrates blocked producers to the
   /// replacement ring. Pushes to a circuit-broken shard are dropped under
-  /// either policy.
+  /// either policy, and so, under kBlock, is a push that finds the ring full
+  /// while the shard's worker is dead and no supervisor is attached; both
+  /// count into the shard's lost_events.
   bool push(const capture::FrameEvent& event);
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
@@ -174,6 +176,12 @@ class LiveTracker {
   /// degraded. Queries for its devices carry shard_degraded from then on.
   void circuit_break_shard(std::size_t shard);
   [[nodiscard]] bool shard_degraded(std::size_t shard) const noexcept;
+  /// Set by ShardSupervisor::start() and cleared by its stop(): whether a
+  /// dead worker will be replaced, which decides whether a kBlock push to
+  /// its full ring waits or drops.
+  void set_supervised(bool supervised) noexcept {
+    supervised_.store(supervised, std::memory_order_release);
+  }
 
  private:
   struct DeviceState;
@@ -204,6 +212,7 @@ class LiveTracker {
   std::vector<std::unique_ptr<Shard>> shards_;
   DeviceDirectory directory_;
   std::atomic<bool> stopping_{false};
+  std::atomic<bool> supervised_{false};
   bool running_ = false;
   /// Serializes restart/circuit-break/stop against each other (the swap of a
   /// shard's generation); never taken on the ingest or query paths.

@@ -22,7 +22,9 @@ struct ShardStats {
   std::uint64_t devices = 0;              ///< devices owned by this shard's store
   std::uint64_t ring_pushed = 0;
   std::uint64_t ring_dropped = 0;
-  std::uint64_t ring_high_water = 0;      ///< peak ring occupancy
+  /// Sampled peak ring occupancy; the capacity once a push was refused
+  /// (FrameRing::high_water_mark).
+  std::uint64_t ring_high_water = 0;
   std::uint64_t ring_capacity = 0;
   double frames_per_sec = 0.0;            ///< frames / engine wall-clock
 

@@ -24,6 +24,7 @@ void ShardSupervisor::start() {
     watches_[i].last_frames = health.frames;
     watches_[i].stalled_for_s = 0.0;
   }
+  tracker_.set_supervised(true);
   thread_ = std::thread([this] { watch_loop(); });
   running_ = true;
 }
@@ -32,6 +33,7 @@ void ShardSupervisor::stop() {
   if (!running_) return;
   stopping_.store(true, std::memory_order_release);
   if (thread_.joinable()) thread_.join();
+  tracker_.set_supervised(false);
   running_ = false;
 }
 

@@ -61,8 +61,11 @@ class ShardSupervisor {
   ShardSupervisor(const ShardSupervisor&) = delete;
   ShardSupervisor& operator=(const ShardSupervisor&) = delete;
 
+  /// Marks the tracker supervised (LiveTracker::set_supervised) and starts
+  /// the watchdog.
   void start();
-  void stop();  ///< joins the watchdog; idempotent
+  /// Joins the watchdog, then marks the tracker unsupervised; idempotent.
+  void stop();
   [[nodiscard]] bool running() const noexcept { return running_; }
 
   [[nodiscard]] SupervisorStats stats() const;

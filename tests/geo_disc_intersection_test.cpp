@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <utility>
 #include <vector>
 
+#include "marauder/mloc.h"
 #include "util/rng.h"
 
 namespace mm::geo {
@@ -288,6 +291,236 @@ TEST(DiscIntersection, LargeKStressStaysConsistent) {
   EXPECT_TRUE(region.contains({0.0, 0.0}, 1e-2) || region.area() > 0.0);
   const double mc = DiscIntersection::monte_carlo_area(discs, 300000, 5);
   EXPECT_NEAR(region.area(), mc, 0.02 * region.area() + 5e-3);
+}
+
+// --- Workspace reuse: one region and one M-Loc scratch across many sets ---
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(Vec2 a, Vec2 b) { return same_bits(a.x, b.x) && same_bits(a.y, b.y); }
+
+bool same_discs(const std::vector<Circle>& a, const std::vector<Circle>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i].center, b[i].center) || !same_bits(a[i].radius, b[i].radius)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+::testing::AssertionResult same_region(const DiscIntersection& got,
+                                       const DiscIntersection& want,
+                                       const std::vector<Vec2>& got_vertices) {
+  if (got.empty() != want.empty() || got.is_full_disc() != want.is_full_disc()) {
+    return ::testing::AssertionFailure() << "empty/full flags differ";
+  }
+  if (!same_bits(got.area(), want.area())) {
+    return ::testing::AssertionFailure() << "area " << got.area() << " vs " << want.area();
+  }
+  if (!same_discs(got.discs(), want.discs())) {
+    return ::testing::AssertionFailure() << "pruned discs differ";
+  }
+  if (got.arcs().size() != want.arcs().size()) {
+    return ::testing::AssertionFailure()
+           << got.arcs().size() << " arcs vs " << want.arcs().size();
+  }
+  for (std::size_t i = 0; i < got.arcs().size(); ++i) {
+    const BoundaryArc& a = got.arcs()[i];
+    const BoundaryArc& b = want.arcs()[i];
+    if (a.circle_index != b.circle_index || !same_bits(a.theta_begin, b.theta_begin) ||
+        !same_bits(a.theta_end, b.theta_end)) {
+      return ::testing::AssertionFailure() << "arc " << i << " differs";
+    }
+  }
+  const std::vector<Vec2> want_vertices = want.vertices();
+  if (got_vertices.size() != want_vertices.size()) {
+    return ::testing::AssertionFailure()
+           << got_vertices.size() << " vertices vs " << want_vertices.size();
+  }
+  for (std::size_t i = 0; i < got_vertices.size(); ++i) {
+    if (!same_bits(got_vertices[i], want_vertices[i])) {
+      return ::testing::AssertionFailure() << "vertex " << i << " differs";
+    }
+  }
+  if (!want.empty() && !same_bits(got.centroid(), want.centroid())) {
+    return ::testing::AssertionFailure() << "centroid differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult same_result(const marauder::LocalizationResult& got,
+                                       const marauder::LocalizationResult& want) {
+  if (got.ok != want.ok || got.used_fallback != want.used_fallback ||
+      got.discs_rejected != want.discs_rejected || got.num_aps != want.num_aps ||
+      got.method != want.method) {
+    return ::testing::AssertionFailure()
+           << "flags differ: ok " << got.ok << "/" << want.ok << ", fallback "
+           << got.used_fallback << "/" << want.used_fallback << ", rejected "
+           << got.discs_rejected << "/" << want.discs_rejected;
+  }
+  if (!same_bits(got.estimate, want.estimate)) {
+    return ::testing::AssertionFailure() << "estimate differs";
+  }
+  if (!same_discs(got.discs, want.discs)) {
+    return ::testing::AssertionFailure() << "result discs differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+enum class SetShape {
+  kOverlapping,   // scattered, mostly a non-empty region with arcs
+  kNested,        // every disc inside the next: a full-disc region
+  kDuplicate,     // a few discs, each repeated
+  kTangent,       // an external tangency: a zero-area (or empty) region
+  kDisjoint,      // overlapping discs plus one far away
+  kEmptyCommon,   // pairwise overlapping, no common point
+  kAcrossTheCut,  // arcs of the first circle straddle angle 0
+  kShapeCount,
+};
+
+std::vector<Circle> make_set(SetShape shape, std::size_t n, util::Rng& rng) {
+  std::vector<Circle> discs;
+  const auto scattered = [&](double spread, double r_lo, double r_hi) {
+    return Circle{Vec2::from_polar(spread * std::sqrt(rng.uniform()), rng.angle()),
+                  rng.uniform(r_lo, r_hi)};
+  };
+  switch (shape) {
+    case SetShape::kOverlapping:
+      for (std::size_t i = 0; i < n; ++i) discs.push_back(scattered(90.0, 80.0, 120.0));
+      break;
+    case SetShape::kNested:
+      for (std::size_t i = 0; i < n; ++i) {
+        const double radius = 10.0 + 3.0 * static_cast<double>(i);
+        discs.push_back(scattered(0.5, radius, radius));
+      }
+      break;
+    case SetShape::kDuplicate:
+      for (std::size_t i = 0; i < n; ++i) {
+        discs.push_back(i < 3 ? scattered(60.0, 80.0, 120.0) : discs[rng.next_u64() % 3]);
+      }
+      break;
+    case SetShape::kTangent: {
+      // External tangency (disjoint within eps: empty), a pair 1e-8 closer
+      // (a sliver region), or internal tangency (the outer disc is pruned).
+      const double r = rng.uniform(20.0, 60.0);
+      const auto kind = rng.next_u64() % 3;
+      discs.push_back({{0.0, 0.0}, r});
+      if (n > 1) {
+        discs.push_back(kind == 2 ? Circle{{r / 2.0, 0.0}, r / 2.0}
+                                  : Circle{{2.0 * r - (kind == 1 ? 1e-8 : 0.0), 0.0}, r});
+      }
+      // Large discs around the tangency point keep it inside every disc.
+      for (std::size_t i = 2; i < n; ++i) {
+        discs.push_back({{r + rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)},
+                         rng.uniform(4.0 * r, 6.0 * r)});
+      }
+      break;
+    }
+    case SetShape::kDisjoint:
+      for (std::size_t i = 0; i < n; ++i) discs.push_back(scattered(90.0, 80.0, 120.0));
+      discs[rng.next_u64() % n] = {{5000.0, rng.uniform(-50.0, 50.0)}, 100.0};
+      break;
+    case SetShape::kEmptyCommon: {
+      // A triangle of discs whose pairwise lenses miss the centre, plus
+      // covering discs that the prune pass removes.
+      const double r = 50.0;
+      const double rho = 1.07 * r;
+      const double phase = rng.angle();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i < 3) {
+          const double at = phase + 2.0 * kPi * static_cast<double>(i) / 3.0;
+          discs.push_back({Vec2::from_polar(rho, at), r});
+        } else {
+          discs.push_back(scattered(10.0, 300.0, 400.0));
+        }
+      }
+      std::swap(discs.front(), discs[rng.next_u64() % n]);
+      break;
+    }
+    case SetShape::kAcrossTheCut:
+      discs.push_back({{0.0, 0.0}, 100.0});
+      for (std::size_t i = 1; i < n; ++i) {
+        discs.push_back({{rng.uniform(60.0, 110.0), rng.uniform(-15.0, 15.0)},
+                         rng.uniform(80.0, 120.0)});
+      }
+      break;
+    case SetShape::kShapeCount:
+      break;
+  }
+  return discs;
+}
+
+// One DiscIntersection and one MLocScratch run through 2,240 seeded sets of
+// 1-64 discs, largest first in every run of 64, so every buffer is reused
+// both after larger sets and after smaller ones. Each result must equal, bit
+// for bit, what a fresh region and a fresh scratch compute on the same set:
+// anything a reused buffer carries over from an earlier set shows here.
+TEST(DiscIntersection, ReusedWorkspaceMatchesFreshComputeBitForBit) {
+  util::Rng rng(0xd15c);
+  DiscIntersection reused;
+  std::vector<Vec2> reused_vertices;
+  marauder::MLocScratch scratch;
+  const marauder::MLocOptions option_sets[] = {
+      {},
+      {.reject_outliers = true},
+      {.exact_region_centroid = true, .reject_outliers = true},
+  };
+  struct Reached {
+    std::size_t empty = 0;
+    std::size_t pruned = 0;    ///< fewer discs kept than given
+    std::size_t one_left = 0;  ///< pruned down to a single disc
+    std::size_t slivers = 0;   ///< non-empty with area below 1e-3
+  };
+  std::vector<Reached> reached(static_cast<std::size_t>(SetShape::kShapeCount));
+  std::size_t wrapped_arcs = 0;
+  std::size_t rejections = 0;
+  std::size_t fallbacks = 0;
+  for (std::size_t k = 0; k < 2240; ++k) {
+    const std::size_t n = 64 - k % 64;
+    const auto shape = static_cast<SetShape>(k % reached.size());
+    const std::vector<Circle> discs = make_set(shape, n, rng);
+    SCOPED_TRACE(::testing::Message() << "set " << k << ", shape "
+                                      << static_cast<int>(shape) << ", " << n << " discs");
+
+    const DiscIntersection fresh = DiscIntersection::compute(discs);
+    reused.recompute(discs);
+    reused.vertices_into(reused_vertices);
+    ASSERT_TRUE(same_region(reused, fresh, reused_vertices));
+    Reached& r = reached[static_cast<std::size_t>(shape)];
+    r.empty += fresh.empty() ? 1 : 0;
+    r.pruned += !fresh.empty() && fresh.discs().size() < n ? 1 : 0;
+    r.one_left += !fresh.empty() && n > 1 && fresh.discs().size() == 1 ? 1 : 0;
+    r.slivers += !fresh.empty() && fresh.area() < 1e-3 ? 1 : 0;
+    for (const BoundaryArc& arc : fresh.arcs()) {
+      wrapped_arcs += arc.theta_begin < 0.0 ? 1 : 0;
+    }
+
+    for (const marauder::MLocOptions& options : option_sets) {
+      marauder::MLocScratch fresh_scratch;
+      const marauder::LocalizationResult want =
+          marauder::mloc_locate(discs, options, fresh_scratch);
+      ASSERT_TRUE(same_result(marauder::mloc_locate(discs, options, scratch), want));
+      ASSERT_TRUE(same_result(marauder::mloc_locate(discs, options), want));
+      rejections += want.discs_rejected > 0 ? 1 : 0;
+      fallbacks += want.used_fallback ? 1 : 0;
+    }
+  }
+  // The sweep reaches every case it is meant to (each shape gets 320 sets,
+  // 315 of them with two or more discs).
+  const auto of = [&](SetShape shape) { return reached[static_cast<std::size_t>(shape)]; };
+  EXPECT_EQ(of(SetShape::kNested).one_left, 315u);
+  EXPECT_GT(of(SetShape::kDuplicate).pruned, 300u);
+  EXPECT_GT(of(SetShape::kTangent).empty, 50u);
+  EXPECT_GT(of(SetShape::kTangent).slivers, 50u);
+  EXPECT_GT(of(SetShape::kTangent).pruned, 50u);
+  EXPECT_EQ(of(SetShape::kDisjoint).empty, 315u);
+  EXPECT_GT(of(SetShape::kEmptyCommon).empty, 300u);
+  EXPECT_GT(wrapped_arcs, 300u);
+  EXPECT_GT(rejections, 300u);
+  EXPECT_GT(fallbacks, 300u);
 }
 
 }  // namespace

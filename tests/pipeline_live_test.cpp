@@ -12,9 +12,11 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -271,32 +273,64 @@ TEST(PipelineLive, FaultPlanSoakQuarantinesIdenticallyToBatch) {
 }
 
 // A worker that dies on an exception with no supervisor to restart it must
-// show in stats(), and must not stall the other shard.
+// show in stats(), and must not stall the other shard. Under kBlock the
+// producer must not stall either: once the dead shard's ring (far smaller
+// than the capture here) is full, its pushes are dropped and counted as lost.
+// The feed runs against a deadline; a producer still blocked at the deadline
+// fails the test and is released by breaking the shard's circuit.
 TEST(PipelineLive, DeadWorkerIsReportedWithoutSupervisor) {
   const LiveScenario s = record_capture("mm_pipeline_live_dead.pcap");
   const auto db = marauder::ApDatabase::from_truth(s.truth, true);
 
-  LiveTrackerConfig config;
-  config.shards = 2;
-  config.drop_policy = DropPolicy::kDropNewest;
-  // Shard 0's worker dies at its first event; the hook never runs again.
-  config.ingest_hook = [](std::size_t shard, const capture::FrameEvent&) {
-    if (shard == 0) throw std::runtime_error("injected worker fault");
-  };
-  LiveTracker tracker(db, config);
-  tracker.start();
-  const auto fed = feed_pcap(s.pcap_path, tracker);
-  tracker.stop();
-  ASSERT_TRUE(fed.ok()) << fed.error();
+  for (const DropPolicy policy : {DropPolicy::kDropNewest, DropPolicy::kBlock}) {
+    SCOPED_TRACE(policy == DropPolicy::kBlock ? "kBlock" : "kDropNewest");
+    LiveTrackerConfig config;
+    config.shards = 2;
+    config.ring_capacity = 64;
+    config.drop_policy = policy;
+    // Shard 0's worker dies at its first event; the hook never runs again.
+    config.ingest_hook = [](std::size_t shard, const capture::FrameEvent&) {
+      if (shard == 0) throw std::runtime_error("injected worker fault");
+    };
+    LiveTracker tracker(db, config);
+    tracker.start();
+    auto feeding = std::async(std::launch::async,
+                              [&] { return feed_pcap(s.pcap_path, tracker); });
+    if (feeding.wait_for(std::chrono::seconds(15)) != std::future_status::ready) {
+      ADD_FAILURE() << "feed_pcap still blocked on the dead shard after 15 s";
+      tracker.circuit_break_shard(0);
+    }
+    const auto fed = feeding.get();
+    tracker.stop();
+    ASSERT_TRUE(fed.ok()) << fed.error();
 
-  const PipelineStats stats = tracker.stats();
-  ASSERT_EQ(stats.shards.size(), 2u);
-  EXPECT_TRUE(stats.shards[0].dead);
-  EXPECT_EQ(stats.shards[0].frames, 0u);
-  EXPECT_GT(stats.shards[0].ring_pushed, 0u);
-  EXPECT_FALSE(stats.shards[1].dead);
-  EXPECT_GT(stats.shards[1].frames, 0u);
-  EXPECT_EQ(stats.shards[1].frames, stats.shards[1].ring_pushed);
+    const PipelineStats stats = tracker.stats();
+    ASSERT_EQ(stats.shards.size(), 2u);
+    const ShardStats& dead = stats.shards[0];
+    const ShardStats& live = stats.shards[1];
+    EXPECT_TRUE(dead.dead);
+    EXPECT_FALSE(dead.degraded);
+    EXPECT_EQ(dead.frames, 0u);
+    // A full ring, plus the event the worker died on when it popped that
+    // one before the feed ended (kDropNewest does not wait for the pop).
+    EXPECT_GE(dead.ring_pushed, dead.ring_capacity);
+    EXPECT_LE(dead.ring_pushed, dead.ring_capacity + 1);
+    EXPECT_FALSE(live.dead);
+    EXPECT_GT(live.frames, 0u);
+    EXPECT_EQ(live.frames, live.ring_pushed);
+    // Every event the feed offered is either in a ring or counted dropped.
+    EXPECT_EQ(fed.value().pushed, dead.ring_pushed + live.ring_pushed);
+    if (policy == DropPolicy::kBlock) {
+      EXPECT_EQ(dead.ring_pushed, dead.ring_capacity + 1);
+      EXPECT_GT(dead.lost_events, 0u);
+      EXPECT_EQ(dead.ring_dropped + live.ring_dropped, 0u);
+      EXPECT_EQ(fed.value().dropped, dead.lost_events);
+    } else {
+      EXPECT_GT(dead.ring_dropped, 0u);
+      EXPECT_EQ(dead.lost_events, 0u);
+      EXPECT_EQ(fed.value().dropped, dead.ring_dropped + live.ring_dropped);
+    }
+  }
   std::filesystem::remove(s.pcap_path);
 }
 

@@ -6,6 +6,7 @@
 // accounting) and double as the ThreadSanitizer workload in CI's tsan job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -62,6 +63,44 @@ TEST(FrameRing, SingleProducerFifoAndCapacity) {
       EXPECT_EQ(out.time_s, static_cast<double>(i));
     }
   }
+}
+
+// The high-water mark is sampled on every kHighWaterStride-th push, so it
+// never reads above the true peak or the capacity and at most
+// kHighWaterStride - 1 below the peak; a refused push pins it at the
+// capacity. pushed() and dropped() stay exact throughout.
+TEST(FrameRing, HighWaterIsSampledAndRefusalReadsCapacity) {
+  FrameRing ring(1024);
+  capture::FrameEvent out;
+  std::uint64_t peak = 0;
+  std::uint64_t pushed = 0;
+  for (std::uint64_t i = 0; i < 900; ++i) {
+    ASSERT_TRUE(ring.try_push(make_event(0, i)));
+    ++pushed;
+    peak = std::max(peak, ring.size());
+    if (i % 3 == 0) {
+      ASSERT_TRUE(ring.try_pop(out));  // occupancy climbs slowly
+    }
+    ASSERT_LE(ring.high_water_mark(), peak) << i;
+    ASSERT_GE(ring.high_water_mark() + FrameRing::kHighWaterStride - 1, peak) << i;
+  }
+  EXPECT_LT(ring.high_water_mark(), ring.capacity());
+
+  while (ring.try_push(make_event(0, pushed))) ++pushed;
+  EXPECT_EQ(ring.size(), ring.capacity());
+  EXPECT_EQ(ring.high_water_mark(), ring.capacity());
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_FALSE(ring.try_push(make_event(0, 0)));
+    ring.count_drop();
+  }
+  EXPECT_EQ(ring.pushed(), pushed);
+  EXPECT_EQ(ring.dropped(), 5u);
+  EXPECT_EQ(ring.high_water_mark(), ring.capacity());
+
+  // The mark is a peak: draining never lowers it.
+  while (ring.try_pop(out)) {
+  }
+  EXPECT_EQ(ring.high_water_mark(), ring.capacity());
 }
 
 TEST(FrameRing, CapacityRoundsUpToPowerOfTwo) {
