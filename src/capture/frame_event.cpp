@@ -101,7 +101,8 @@ ClassifiedFrame classify_frame(const net80211::ManagementFrame& frame, double ti
   return classify(frame, time_s, rssi_dbm);
 }
 
-void apply_event(const FrameEvent& event, ObservationStore& store) {
+bool apply_event(const FrameEvent& event, ObservationStore& store) {
+  bool new_contact = false;
   switch (event.kind) {
     case FrameEventKind::kProbeRequest:
       store.record_probe_request(event.device, event.time_s, event.ssid_str());
@@ -110,7 +111,8 @@ void apply_event(const FrameEvent& event, ObservationStore& store) {
       store.record_presence(event.device, event.time_s);
       break;
     case FrameEventKind::kContact:
-      store.record_contact(event.ap, event.device, event.time_s, event.rssi_dbm);
+      new_contact =
+          store.record_contact(event.ap, event.device, event.time_s, event.rssi_dbm);
       break;
     case FrameEventKind::kBeacon:
       store.record_beacon(event.ap, event.ssid_view(), event.channel, event.time_s,
@@ -121,6 +123,7 @@ void apply_event(const FrameEvent& event, ObservationStore& store) {
     store.record_device_seq(event.device, event.time_s,
                             static_cast<std::uint16_t>(event.device_seq & 0x0FFF));
   }
+  return new_contact;
 }
 
 }  // namespace mm::capture

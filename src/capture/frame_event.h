@@ -96,7 +96,8 @@ struct ClassifiedFrame {
                                              double time_s, double rssi_dbm);
 
 /// Applies one event to a store — the single ingestion policy shared by the
-/// batch and live paths.
-void apply_event(const FrameEvent& event, ObservationStore& store);
+/// batch and live paths. True when the event created a contact (its
+/// device's first frame from its AP).
+bool apply_event(const FrameEvent& event, ObservationStore& store);
 
 }  // namespace mm::capture

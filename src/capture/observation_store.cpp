@@ -54,7 +54,7 @@ void ObservationStore::record_presence(const net80211::MacAddress& device,
   (void)touch_device(devices_, device, time);
 }
 
-void ObservationStore::record_contact(const net80211::MacAddress& ap,
+bool ObservationStore::record_contact(const net80211::MacAddress& ap,
                                       const net80211::MacAddress& device, sim::SimTime time,
                                       double rssi_dbm) {
   DeviceRecord& rec = touch_device(devices_, device, time);
@@ -66,13 +66,15 @@ void ObservationStore::record_contact(const net80211::MacAddress& ap,
   contact.last_rssi_dbm = rssi_dbm;
   contact.times.push_back(time);
   cap_contact_history(contact);
+  return inserted;
 }
 
 void ObservationStore::cap_contact_history(ApContact& contact) const {
   const std::size_t cap = std::max<std::size_t>(options_.contact_history_cap, 4);
   if (contact.times.size() <= cap) return;
-  // Compact the oldest quarter in one move; amortized O(1) per recorded
-  // frame, and the retained suffix stays time-ordered.
+  // Drop the first-applied quarter in one move; amortized O(1) per recorded
+  // frame. `times` keeps arrival order, so what stays is the most recently
+  // applied instants.
   const std::size_t drop = cap / 4;
   contact.times.erase(contact.times.begin(),
                       contact.times.begin() + static_cast<std::ptrdiff_t>(drop));

@@ -30,18 +30,18 @@ struct ObservationWindow {
 /// Evidence that one AP communicated with one device.
 struct ApContact {
   /// The first instant *applied*, which is not the earliest one when events
-  /// arrive out of time order: LiveTracker::rebuild_live_state re-derives a
-  /// restored device's `updated_at_s` from it, so it must mean what the live
+  /// arrive out of time order. A live position's `updated_at_s` is the
+  /// newest of these among the device's known APs, on the live path and in
+  /// LiveTracker::rebuild_live_state alike, so it must mean what the live
   /// path saw first.
   sim::SimTime first_seen = 0.0;
   sim::SimTime last_seen = 0.0;  ///< the latest instant, in any arrival order
   std::uint64_t count = 0;
   double last_rssi_dbm = -200.0;
-  /// Observation instants. Bounded by the store's contact_history_cap: once
-  /// the cap is reached the oldest instants are compacted away
-  /// (first_seen/last_seen/count always remain exact), so a long-running
-  /// stream holds bounded memory per device while recent-window queries stay
-  /// exact.
+  /// Observation instants, in arrival order. Bounded by the store's
+  /// contact_history_cap: once the cap is reached the first-applied instants
+  /// are compacted away (first_seen/last_seen/count always remain exact), so
+  /// a long-running stream holds bounded memory per device.
   std::vector<sim::SimTime> times;
 };
 
@@ -82,9 +82,10 @@ struct ApSighting {
 
 struct ObservationStoreOptions {
   /// Per-contact cap on retained observation instants. When exceeded, the
-  /// oldest quarter of the instants is dropped (amortized O(1) per frame).
-  /// ObservationWindow queries remain exact over the retained suffix; the
-  /// aggregate fields (first_seen/last_seen/count) are always exact.
+  /// first-applied quarter of the instants is dropped (amortized O(1) per
+  /// frame). ObservationWindow queries read the retained, last-applied
+  /// instants; the aggregate fields (first_seen/last_seen/count) are always
+  /// exact.
   std::size_t contact_history_cap = 4096;
 };
 
@@ -98,7 +99,9 @@ class ObservationStore {
   /// Marks a device as seen (association/data traffic) without counting a
   /// probe — the "found but not probing" class of Fig 10/11.
   void record_presence(const net80211::MacAddress& device, sim::SimTime time);
-  void record_contact(const net80211::MacAddress& ap, const net80211::MacAddress& device,
+  /// Counts one AP-to-device frame; true when it is the first contact
+  /// between the two (the event that can grow the device's Gamma).
+  bool record_contact(const net80211::MacAddress& ap, const net80211::MacAddress& device,
                       sim::SimTime time, double rssi_dbm);
   /// Counts one beacon. The first beacon of a BSSID fixes its sighting's SSID
   /// and channel; every beacon updates the last RSSI.

@@ -16,6 +16,13 @@ double logistic_decode(double margin_db) {
   return 1.0 / (1.0 + std::exp(-margin_db / 1.5));
 }
 
+/// Hard decode floor: a card whose effective SNR sits this far below the
+/// NIC's lock threshold decodes with probability exactly 0 (instead of the
+/// logistic tail's ~3e-12). This is what makes frames below the floor
+/// provable no-ops — they consume no RNG draw — so the medium's Atlas index
+/// may cull them without perturbing the decode stream.
+constexpr double kDecodeFloorMarginDb = 40.0;
+
 bool has_frame_faults(const fault::FaultPlan& plan) {
   return plan.corrupt_rate > 0.0 || plan.truncate_rate > 0.0 || plan.drop_rate > 0.0 ||
          plan.duplicate_rate > 0.0;
@@ -104,7 +111,7 @@ double Sniffer::decode_probability(double rssi_dbm, rf::Channel tx, rf::Channel 
   // is astronomically small (~3e-12 at 40 dB) — call it zero. Besides being
   // physical, an exact zero consumes no Bernoulli draw, which is what lets
   // the medium cull sub-floor deliveries without shifting the RNG stream.
-  if (margin <= -config_.decode_floor_margin_db) return 0.0;
+  if (margin <= -kDecodeFloorMarginDb) return 0.0;
   // The SNR term gates weak signals; the lock ceiling caps off-channel
   // capture regardless of power (Fig 9: "few or none").
   return ceiling * logistic_decode(margin);
@@ -118,7 +125,7 @@ sim::DeliveryInterest Sniffer::delivery_interest() const {
   // additive in rssi. The extra 0.5 dB swallows the few-ulp difference
   // between effective_snr_db(rssi) and rssi + effective_snr_db(0), keeping
   // the promise strictly conservative.
-  interest.min_rssi_dbm = config_.chain.nic().snr_min_db - config_.decode_floor_margin_db -
+  interest.min_rssi_dbm = config_.chain.nic().snr_min_db - kDecodeFloorMarginDb -
                           config_.chain.effective_snr_db(0.0) - 0.5;
   return interest;
 }

@@ -56,13 +56,6 @@ struct SnifferConfig {
   /// never costs the station its delivery culling.
   std::optional<std::filesystem::path> checkpoint_path;
   double checkpoint_interval_s = 60.0;
-  /// Hard decode floor: a card whose effective SNR sits this far below the
-  /// NIC's lock threshold decodes with probability exactly 0 (instead of the
-  /// logistic tail's ~3e-12 at the default 40 dB). This is what makes frames
-  /// below the floor provable no-ops — they consume no RNG draw — so the
-  /// medium's Atlas index may cull them without perturbing the decode
-  /// stream.
-  double decode_floor_margin_db = 40.0;
 };
 
 struct SnifferStats {
@@ -98,8 +91,8 @@ class Sniffer final : public sim::FrameReceiver {
   [[nodiscard]] geo::Vec2 position() const override { return config_.position; }
   [[nodiscard]] double antenna_height_m() const override { return config_.antenna_height_m; }
   /// The station is stationary; below this rssi every card's decode
-  /// probability is exactly 0 (see decode_floor_margin_db), so deliveries
-  /// under the floor are provable no-ops the medium may cull.
+  /// probability is exactly 0 (the hard decode floor in sniffer.cpp), so
+  /// deliveries under the floor are provable no-ops the medium may cull.
   [[nodiscard]] sim::DeliveryInterest delivery_interest() const override;
 
   /// Damage injected so far (ground truth for the quarantine counters).

@@ -12,11 +12,12 @@
 // Loading walks metas newest-first and falls back to an older checkpoint when
 // the newest pair is damaged.
 //
-// Live M-Loc state is deliberately NOT serialized: a device's live state is
-// its known-AP discs in AP-MAC order, a pure function of the store's Gamma
-// sets and the AP database. Recovery rebuilds it and publishes mloc_locate
-// over those discs, the same call the uninterrupted run's last publish made,
-// so the rebuilt estimates are bit-for-bit equal to that run's.
+// Live positions are deliberately NOT serialized: a shard keeps nothing per
+// device beside its store slice, and a position is a pure function of the
+// device's store record and the AP database. Recovery publishes each restored
+// device once through the live publish (gamma_append, discs_for,
+// mloc_locate: the calls the uninterrupted run's last publish made), so the
+// rebuilt estimates are bit-for-bit equal to that run's.
 #pragma once
 
 #include <cstddef>

@@ -120,7 +120,6 @@ void DiscIntersection::recompute(std::span<const Circle> discs) {
   discs_.clear();
   arcs_.clear();
   empty_ = true;
-  full_disc_ = false;
   area_ = 0.0;
 
   // Early exit: any two discs disjoint => empty intersection. The squared
@@ -165,10 +164,10 @@ void DiscIntersection::recompute(std::span<const Circle> discs) {
     for (const Interval& iv : intervals_) arcs_.push_back({i, iv.lo, iv.hi});
   }
 
-  if (arcs_.empty()) {
-    resolve_arcless();
-    return;
-  }
+  // No arc means no common point: the discs overlap pairwise but not all
+  // at once. (Nested discs keep an arc: a disc inside every other one is
+  // never clipped, so its whole circle survives as the boundary.)
+  if (arcs_.empty()) return;
 
   empty_ = false;
   finalize_measures();
@@ -218,30 +217,6 @@ void DiscIntersection::clip(double lo, double hi) {
   intervals_.swap(spare_);
 }
 
-void DiscIntersection::resolve_arcless() {
-  // Either one disc contains the whole intersection (nested case) or the
-  // intersection is empty (pairwise-overlapping but no common point).
-  std::size_t smallest = 0;
-  for (std::size_t i = 1; i < discs_.size(); ++i) {
-    if (discs_[i].radius < discs_[smallest].radius) smallest = i;
-  }
-  bool contained = true;
-  for (std::size_t j = 0; j < discs_.size() && contained; ++j) {
-    if (j == smallest) continue;
-    contained = discs_[smallest].inside_of(discs_[j], kEps);
-  }
-  if (contained) {
-    empty_ = false;
-    full_disc_ = true;
-    arcs_.clear();
-    arcs_.push_back({smallest, 0.0, kTwoPi});
-    area_ = discs_[smallest].area();
-    return;
-  }
-  empty_ = true;
-  arcs_.clear();
-}
-
 void DiscIntersection::finalize_measures() {
   double area = 0.0;
   for (const BoundaryArc& arc : arcs_) {
@@ -252,7 +227,6 @@ void DiscIntersection::finalize_measures() {
 
 Vec2 DiscIntersection::centroid() const {
   if (empty_) return {};
-  if (full_disc_) return discs_[arcs_.front().circle_index].center;
   if (area_ > 1e-12) {
     double mx = 0.0;
     double my = 0.0;

@@ -58,13 +58,11 @@ class DiscIntersection {
   void recompute(std::span<const Circle> discs);
 
   [[nodiscard]] bool empty() const noexcept { return empty_; }
-  /// True when the region is exactly one input disc (nested-discs case).
-  [[nodiscard]] bool is_full_disc() const noexcept { return full_disc_; }
   [[nodiscard]] double area() const noexcept { return area_; }
-  /// Centroid of the region; only meaningful when !empty(). A full-disc
-  /// region returns its disc's centre; otherwise every call runs one moment
-  /// quadrature over the boundary arcs (16 Gauss-Legendre nodes per pi/8 of
-  /// arc, two trig calls per node), so a caller that needs it twice keeps it.
+  /// Centroid of the region; only meaningful when !empty(). Every call runs
+  /// one moment quadrature over the boundary arcs (16 Gauss-Legendre nodes
+  /// per pi/8 of arc, two trig calls per node), so a caller that needs it
+  /// twice keeps it.
   [[nodiscard]] Vec2 centroid() const;
   /// Membership test against the defining discs.
   [[nodiscard]] bool contains(Vec2 p, double eps = 1e-9) const;
@@ -94,9 +92,6 @@ class DiscIntersection {
   /// Intersects intervals_ with the (possibly wrapping) interval [lo, hi],
   /// given as any real angles, through spare_.
   void clip(double lo, double hi);
-  /// Decides the arcs_-empty endgame (nested discs -> one full disc, or
-  /// pairwise overlap without a common point -> empty) over discs_.
-  void resolve_arcless();
   /// Area from the closed-form per-arc terms (the centroid is on demand).
   void finalize_measures();
 
@@ -105,7 +100,6 @@ class DiscIntersection {
   std::vector<Interval> intervals_;  ///< sorted, disjoint; one circle at a time
   std::vector<Interval> spare_;      ///< clip()'s output, swapped into intervals_
   bool empty_ = true;
-  bool full_disc_ = false;
   double area_ = 0.0;
 };
 

@@ -206,13 +206,19 @@ void ApDatabase::strip_radii() {
 std::vector<geo::Circle> ApDatabase::discs_for(std::span<const net80211::MacAddress> gamma,
                                                 double default_radius_m) const {
   std::vector<geo::Circle> discs;
-  discs.reserve(gamma.size());
+  discs_for(gamma, default_radius_m, discs);
+  return discs;
+}
+
+void ApDatabase::discs_for(std::span<const net80211::MacAddress> gamma,
+                           double default_radius_m, std::vector<geo::Circle>& out) const {
+  out.clear();
+  out.reserve(gamma.size());
   for (const auto& mac : gamma) {
     const KnownAp* ap = find(mac);
     if (ap == nullptr) continue;
-    discs.push_back({ap->position, ap->radius_m.value_or(default_radius_m)});
+    out.push_back({ap->position, ap->radius_m.value_or(default_radius_m)});
   }
-  return discs;
 }
 
 std::vector<geo::Vec2> ApDatabase::positions_for(

@@ -103,6 +103,9 @@ class ApDatabase {
   /// are skipped.
   [[nodiscard]] std::vector<geo::Circle> discs_for(std::span<const net80211::MacAddress> gamma,
                                                    double default_radius_m) const;
+  /// discs_for into `out`, replacing its contents and keeping its capacity.
+  void discs_for(std::span<const net80211::MacAddress> gamma, double default_radius_m,
+                 std::vector<geo::Circle>& out) const;
 
   /// Positions of Gamma's members known to the database, in Gamma's order.
   [[nodiscard]] std::vector<geo::Vec2> positions_for(

@@ -14,6 +14,10 @@ namespace {
 
 using IndexPair = std::pair<std::size_t, std::size_t>;
 
+/// LP objective penalty per metre of "<" violation. An unsatisfiable
+/// co-observation row, made soft, costs ten times this.
+constexpr double kSoftPenalty = 50.0;
+
 }  // namespace
 
 ApRadConstraints aprad_prepare_constraints(
@@ -134,7 +138,7 @@ std::map<net80211::MacAddress, double> aprad_estimate_radii(
                               lp::Relation::kLessEqual,
                               d - options.epsilon_m,
                               /*soft=*/true,
-                              options.soft_penalty});
+                              kSoftPenalty});
     }
     for (std::size_t k = 0; k < co_pairs.size(); ++k) {
       if (hard_active[k] == 0) continue;
@@ -149,7 +153,7 @@ std::map<net80211::MacAddress, double> aprad_estimate_radii(
                               lp::Relation::kGreaterEqual,
                               d,
                               /*soft=*/!satisfiable,
-                              options.soft_penalty * 10.0});
+                              kSoftPenalty * 10.0});
     }
 
     solution = program.solve();

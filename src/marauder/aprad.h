@@ -36,8 +36,6 @@ struct ApRadOptions {
   double max_radius_m = 250.0;
   /// Margin that turns the strict "<" into "<= d - epsilon".
   double epsilon_m = 1.0;
-  /// Penalty per meter of "<" violation in the LP objective.
-  double soft_penalty = 50.0;
   /// Per-AP limit on "<" constraints (nearest non-co-observed neighbours).
   std::size_t max_less_neighbors = 8;
   /// Added to every LP radius (clamped to the cap): Theorem 3 shows an

@@ -15,15 +15,14 @@ namespace {
 /// `vertices` is the buffer the Delta set is built in.
 void estimate_from_region(LocalizationResult& result, const geo::DiscIntersection& region,
                           const MLocOptions& options, std::vector<geo::Vec2>& vertices) {
-  if (options.exact_region_centroid || region.is_full_disc()) {
-    // Exact centroid; also the only sensible answer when one disc is nested
-    // inside all others (the vertex set Delta is empty there).
+  if (options.exact_region_centroid) {
     result.ok = true;
-    result.used_fallback = region.is_full_disc() && !options.exact_region_centroid;
     result.estimate = region.centroid();
     return;
   }
-  // Paper-faithful path: average of the boundary vertices Delta.
+  // Paper-faithful path: average of the boundary vertices Delta. It is
+  // empty when one disc is nested inside all others, whose centroid is then
+  // the only sensible answer.
   region.vertices_into(vertices);
   if (vertices.empty()) {
     result.ok = true;

@@ -5,7 +5,8 @@
 // point that lies within all discs (the set Delta) and returns their average.
 // Degenerate inputs the pseudo-code leaves open are handled explicitly:
 //   * |Gamma| = 1          -> the AP's position (nearest-AP reduction);
-//   * nested discs, Delta empty, non-empty region -> the inner disc's center;
+//   * nested discs, Delta empty, non-empty region -> the region's centroid,
+//     the inner disc's center up to rounding (flagged as fallback);
 //   * inconsistent discs (empty intersection; possible under AP-Rad's
 //     estimated radii or corrupted capture evidence) -> optionally an
 //     outlier-rejection pass (drop the fewest discs that make the

@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "durability/checkpoint.h"
 #include "util/counters.h"
 
 namespace mm::pipeline {
-
-/// A device's known-AP discs in AP-MAC order, the order batch M-Loc takes
-/// them in; every publish is mloc_locate over `discs`.
-struct LiveTracker::DeviceState {
-  std::vector<net80211::MacAddress> aps;  ///< ascending
-  std::vector<geo::Circle> discs;         ///< aligned with aps
-  SeqlockSlot* slot = nullptr;
-};
 
 /// One *generation* of a shard: a ring, a worker thread, and the state only
 /// that worker touches. Counters the stats()/supervision surfaces read while
@@ -34,7 +27,6 @@ struct LiveTracker::ShardState {
   // Worker-private (single writer; external reads only after stop(), or by
   // restart_shard after the worker is fenced/joined).
   capture::ObservationStore store;
-  std::unordered_map<net80211::MacAddress, DeviceState, net80211::MacHasher> devices;
   std::unique_ptr<durability::WalWriter> wal;
   std::uint64_t applied_seq = 0;  ///< exactly-once high-water mark
   std::uint64_t checkpointed_seq = 0;
@@ -42,8 +34,11 @@ struct LiveTracker::ShardState {
   bool checkpoint_anchored = false;
   std::chrono::steady_clock::time_point last_checkpoint{};
   std::size_t maintenance_tick = 0;
-  /// Every publish of this generation runs in it, so a publish does not
-  /// allocate once it has grown to the largest Gamma.
+  /// Every publish of this generation runs in these (Gamma, its discs and
+  /// the M-Loc workspace), so a publish does not allocate once they have
+  /// grown to the largest Gamma.
+  std::vector<net80211::MacAddress> gamma;
+  std::vector<geo::Circle> discs;
   marauder::MLocScratch mloc_scratch;
 
   // Read live by stats().
@@ -185,33 +180,27 @@ util::Result<bool> LiveTracker::recover_state(std::size_t shard, ShardState& sta
 }
 
 void LiveTracker::rebuild_live_state(ShardState& state, RecoveryStats* stats) {
-  // The live M-Loc state is a pure function of the restored store: per
-  // device, the discs of its database-known contact APs in ascending MAC
-  // order (the contact map's order), published once. That publish is
-  // mloc_locate over the very discs the uninterrupted run's last publish
-  // used, so it is bit-identical; `updates` is the disc count because every
-  // Gamma growth published exactly once; `updated_at_s` is the first_seen of
-  // the newest-contacted known AP, which is the capture time of the event
-  // that produced the uninterrupted run's last publish.
+  // A device's live position is a pure function of the restored store, so
+  // recovery publishes each device with a known AP once, through the live
+  // path's publish: the same Gamma, discs and mloc_locate the uninterrupted
+  // run's last publish used, so the estimate is bit-identical. The stamp
+  // follows the live rule, the newest first contact among the known APs.
+  // That run published once per known AP; the publish below counts itself.
   std::uint64_t earlier_publishes = 0;
   for (const net80211::MacAddress& mac : state.store.devices()) {
-    const capture::DeviceRecord* rec = state.store.device(mac);
-    DeviceState* device = nullptr;
-    double updated_at_s = 0.0;
-    for (const auto& [ap, contact] : rec->contacts) {
-      const marauder::KnownAp* known = db_.find(ap);
-      if (known == nullptr) continue;
-      if (device == nullptr) device = &state.devices[mac];
-      device->aps.push_back(ap);
-      device->discs.push_back(disc_of(*known));
+    const capture::DeviceRecord& record = *state.store.device(mac);
+    std::uint64_t known = 0;
+    double updated_at_s = -std::numeric_limits<double>::infinity();
+    for (const auto& [ap, contact] : record.contacts) {
+      if (db_.find(ap) == nullptr) continue;
+      ++known;
       updated_at_s = std::max(updated_at_s, contact.first_seen);
     }
-    if (device == nullptr) continue;
-    // The uninterrupted run published once per disc; the last of those is
-    // the one below, which counts itself.
-    earlier_publishes += device->discs.size() - 1;
-    publish_device(state, mac, *device, updated_at_s);
-    if (stats != nullptr && device->slot != nullptr) ++stats->positions_republished;
+    if (known == 0) continue;
+    earlier_publishes += known - 1;
+    if (publish_device(state, record, updated_at_s) && stats != nullptr) {
+      ++stats->positions_republished;
+    }
   }
   state.publishes.fetch_add(earlier_publishes, std::memory_order_relaxed);
 }
@@ -236,7 +225,14 @@ void LiveTracker::stop() {
   stopping_.store(true, std::memory_order_release);
   const std::lock_guard<std::mutex> lock(lifecycle_mutex_);
   for (auto& shard : shards_) {
-    if (shard->owned->thread.joinable()) shard->owned->thread.join();
+    ShardState& state = *shard->owned;
+    if (state.thread.joinable()) state.thread.join();
+    // Nobody will apply what a dead worker left in its ring: count it lost,
+    // unless the shard was circuit-broken, which counted it then.
+    if (state.dead.load(std::memory_order_acquire) &&
+        !shard->degraded.load(std::memory_order_relaxed)) {
+      util::sat_fetch_add(shard->lost_events, state.ring.size());
+    }
     // Abandoned generations exit at their next fence check (a wedged worker
     // must have been released by now — in-process supervision cannot free a
     // thread that never runs again).
@@ -370,56 +366,52 @@ void LiveTracker::process_event(std::size_t shard, ShardState& state,
     }
   }
 
-  capture::apply_event(event, state.store);
+  const bool new_contact = capture::apply_event(event, state.store);
   state.applied_seq = seq;
   state.applied_seq_pub.store(seq, std::memory_order_relaxed);
   state.frames.fetch_add(1, std::memory_order_relaxed);
   state.device_count.store(state.store.device_count(), std::memory_order_relaxed);
   if (event.kind == capture::FrameEventKind::kContact) {
     state.contacts.fetch_add(1, std::memory_order_relaxed);
-    // Gamma gained evidence; if the AP is database-known the device's disc
-    // set may grow, which is the only thing that can move its M-Loc estimate.
-    const marauder::KnownAp* ap = db_.find(event.ap);
-    if (ap != nullptr) {
-      DeviceState& device = state.devices[event.device];
-      const auto it = std::lower_bound(device.aps.begin(), device.aps.end(), event.ap);
-      if (it == device.aps.end() || *it != event.ap) {
-        const auto pos = it - device.aps.begin();
-        device.aps.insert(it, event.ap);
-        device.discs.insert(device.discs.begin() + pos, disc_of(*ap));
-        publish_device(state, event.device, device, event.time_s);
-      }
+    // Only a first contact with a database-known AP can add a disc, which
+    // is the only thing that can move the device's M-Loc estimate. The
+    // stamp is the newest first contact among its known APs: this one's,
+    // unless the feed delivered it after a newer one.
+    if (new_contact && db_.find(event.ap) != nullptr) {
+      LivePosition last;
+      const SeqlockSlot* slot = directory_.find(event.device);
+      const bool published = slot != nullptr && slot->read(last);
+      publish_device(state, *state.store.device(event.device),
+                     published ? std::max(last.updated_at_s, event.time_s) : event.time_s);
     }
   }
   state.in_event.store(false, std::memory_order_relaxed);
 }
 
-geo::Circle LiveTracker::disc_of(const marauder::KnownAp& ap) const {
-  return {ap.position, ap.radius_m.value_or(config_.default_radius_m)};
-}
-
-void LiveTracker::publish_device(ShardState& state, const net80211::MacAddress& mac,
-                                 DeviceState& device, double event_time_s) {
-  if (device.slot == nullptr) {
-    device.slot = directory_.insert(mac);
-    if (device.slot == nullptr) {
-      directory_overflows_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+bool LiveTracker::publish_device(ShardState& state, const capture::DeviceRecord& record,
+                                 double updated_at_s) {
+  SeqlockSlot* slot = directory_.insert(record.mac);
+  if (slot == nullptr) {
+    directory_overflows_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
+  state.gamma.clear();
+  capture::ObservationStore::gamma_append(record, {}, state.gamma);
+  db_.discs_for(state.gamma, config_.default_radius_m, state.discs);
   const marauder::LocalizationResult& result =
-      marauder::mloc_locate(device.discs, config_.mloc, state.mloc_scratch);
+      marauder::mloc_locate(state.discs, config_.mloc, state.mloc_scratch);
   LivePosition position;
   position.x_m = result.estimate.x;
   position.y_m = result.estimate.y;
-  position.updated_at_s = event_time_s;
-  position.gamma_size = static_cast<std::uint32_t>(device.discs.size());
+  position.updated_at_s = updated_at_s;
+  position.gamma_size = static_cast<std::uint32_t>(state.discs.size());
   position.ok = result.ok ? 1 : 0;
   position.used_fallback = result.used_fallback ? 1 : 0;
   position.discs_rejected = static_cast<std::uint16_t>(result.discs_rejected);
-  position.updates = device.discs.size();
-  device.slot->publish(position);
+  position.updates = state.discs.size();
+  slot->publish(position);
   state.publishes.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void LiveTracker::idle_maintenance(std::size_t shard, ShardState& state) {

@@ -3,8 +3,10 @@
 // Threading model (DESIGN.md section 8):
 //   producers (capture threads / the pcap feed)
 //        --push()-->  per-shard FrameRing (lock-free MPSC)
-//        --worker-->  shard-private ObservationStore + per-device known-AP discs
-//        --publish--> mloc_locate into the shared DeviceDirectory of seqlock slots
+//        --worker-->  shard-private ObservationStore slice
+//        --publish--> Tracker::locate's calls over the device's store record
+//                     (gamma_append, discs_for, mloc_locate) into the shared
+//                     DeviceDirectory of seqlock slots
 //        <--read----  locate() / snapshot() from any thread, never blocking ingest
 //
 // Devices are hash-partitioned by MAC (the same util::mix64 the store's
@@ -32,7 +34,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -69,8 +70,8 @@ struct LiveTrackerConfig {
   std::size_t shards = 4;
   std::size_t ring_capacity = 1 << 14;  ///< per shard, rounded up to a power of 2
   DropPolicy drop_policy = DropPolicy::kDropNewest;
-  /// Radius for database APs without a known transmission distance —
-  /// mirrors the batch pipeline's discs_for(gamma, default_radius_m).
+  /// Radius for database APs without a known transmission distance: what a
+  /// publish passes to ApDatabase::discs_for, as Tracker::locate does.
   double default_radius_m = 100.0;
   marauder::MLocOptions mloc{};
   capture::ObservationStoreOptions store{};
@@ -102,9 +103,10 @@ class LiveTracker {
   LiveTracker& operator=(const LiveTracker&) = delete;
 
   /// Rebuilds every shard from its durability directory: latest valid
-  /// checkpoint, then the WAL tail through the normal ingest path, then each
-  /// device's known-AP discs and one publish (bit-for-bit what the
-  /// uninterrupted run last published: both are mloc_locate over those discs).
+  /// checkpoint, then the WAL tail through the normal ingest path, then one
+  /// publish per restored device with a known AP, through the live path's
+  /// publish (bit-for-bit what the uninterrupted run last published: both
+  /// read the same store record through the batch Gamma rule).
   /// Must be called before start(); a cold directory is not an error.
   util::Result<RecoveryStats> recover();
 
@@ -184,7 +186,6 @@ class LiveTracker {
   }
 
  private:
-  struct DeviceState;
   struct ShardState;
   struct Shard;
 
@@ -194,11 +195,12 @@ class LiveTracker {
   void worker_loop(std::size_t shard, ShardState& state);
   void process_event(std::size_t shard, ShardState& state,
                      const capture::FrameEvent& event);
-  /// The disc batch M-Loc builds for `ap` (ApDatabase::discs_for's rule).
-  [[nodiscard]] geo::Circle disc_of(const marauder::KnownAp& ap) const;
-  /// mloc_locate over the device's discs, published to its directory slot.
-  void publish_device(ShardState& state, const net80211::MacAddress& mac,
-                      DeviceState& device, double event_time_s);
+  /// Tracker::locate's M-Loc over the record's whole-stream Gamma
+  /// (gamma_append, discs_for, mloc_locate, in the generation's buffers),
+  /// published to the device's directory slot stamped `updated_at_s`.
+  /// False when the directory is full (counted in directory_overflows_).
+  bool publish_device(ShardState& state, const capture::DeviceRecord& record,
+                      double updated_at_s);
   void idle_maintenance(std::size_t shard, ShardState& state);
   void maybe_checkpoint(std::size_t shard, ShardState& state, bool force);
   void mirror_wal_stats(ShardState& state) const;

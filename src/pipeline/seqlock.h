@@ -39,12 +39,16 @@ struct LivePosition {
 
   double x_m = 0.0;
   double y_m = 0.0;
-  double updated_at_s = 0.0;      ///< capture time of the event that produced it
+  /// The newest first-contact instant (ApContact::first_seen) among the
+  /// known APs behind the estimate: a function of the shard's store, so a
+  /// recovered shard republishes the value the uninterrupted run published,
+  /// whatever order the contacts arrived in.
+  double updated_at_s = 0.0;
   std::uint32_t gamma_size = 0;   ///< known-AP Gamma cardinality behind the estimate
   std::uint8_t ok = 0;            ///< LocalizationResult::ok
   std::uint8_t used_fallback = 0; ///< degraded: centroid-of-APs fallback
   std::uint16_t discs_rejected = 0;  ///< degraded: outlier discs removed
-  std::uint64_t updates = 0;      ///< publish count (monotone; readers can diff)
+  std::uint64_t updates = 0;      ///< publishes: one per known AP in Gamma (monotone)
   /// Degraded: the owning shard is circuit-broken (Phoenix supervision), so
   /// this position is the last word before the partition went down. Stamped
   /// at *query* time by LiveTracker::locate()/snapshot() — deliberately NOT

@@ -8,12 +8,14 @@
 
 namespace mm::sim {
 
+/// The receiver grid's cell before the first density resize.
+constexpr double kInitialDeliveryCellM = 64.0;
+
 World::World(Config config)
     : rng_(config.seed),
       propagation_(std::move(config.propagation)),
       config_(config),
-      grid_(config.delivery_cell_m > 0.0 ? config.delivery_cell_m : 64.0),
-      adaptive_cell_(!(config.delivery_cell_m > 0.0)) {
+      grid_(kInitialDeliveryCellM) {
   if (!propagation_) propagation_ = std::make_shared<rf::FreeSpaceModel>();
 }
 
@@ -50,7 +52,7 @@ void World::register_receiver(FrameReceiver* receiver) {
   if (interest.fixed_position && interest.max_distance_m) {
     grid_.insert(slot, *interest.fixed_position);
     max_interest_radius_ = std::max(max_interest_radius_, *interest.max_distance_m);
-    if (adaptive_cell_) maybe_resize_grid();
+    maybe_resize_grid();
   } else if (interest.fixed_position && interest.min_rssi_dbm) {
     floor_slots_.push_back(slot);
   } else {

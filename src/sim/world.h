@@ -92,11 +92,6 @@ class World {
     /// Defaults to a clutter-free free-space model when null.
     std::shared_ptr<const rf::PropagationModel> propagation;
     DeliveryMode delivery = DeliveryMode::kIndexed;
-    /// Cell size of the receiver grid — a performance-only knob (the Atlas
-    /// contract: cell size never changes query results). Non-positive =
-    /// adaptive: the grid re-derives its cell from receiver density (the
-    /// geo::density_cell_m formula) as registrations grow.
-    double delivery_cell_m = 0.0;
   };
 
   explicit World(Config config);
@@ -161,8 +156,10 @@ class World {
   std::vector<std::unique_ptr<MobileDevice>> mobiles_;
   std::vector<ReceiverSlot> slots_;
   std::unordered_map<const FrameReceiver*, std::size_t> slot_of_;
-  geo::SpatialIndex grid_;                   ///< distance-bounded receivers, id = slot
-  bool adaptive_cell_ = false;               ///< re-derive cell from density
+  /// Distance-bounded receivers, id = slot. The cell starts at 64 m and
+  /// follows receiver density; under the Atlas contract it never changes
+  /// which frames are delivered.
+  geo::SpatialIndex grid_;
   std::size_t next_grid_rebuild_ = 32;       ///< registration count of next resize check
   std::vector<std::size_t> always_slots_;    ///< unbounded interests, ascending
   std::vector<std::size_t> floor_slots_;     ///< rssi-floor receivers, ascending

@@ -314,8 +314,8 @@ bool same_discs(const std::vector<Circle>& a, const std::vector<Circle>& b) {
 ::testing::AssertionResult same_region(const DiscIntersection& got,
                                        const DiscIntersection& want,
                                        const std::vector<Vec2>& got_vertices) {
-  if (got.empty() != want.empty() || got.is_full_disc() != want.is_full_disc()) {
-    return ::testing::AssertionFailure() << "empty/full flags differ";
+  if (got.empty() != want.empty()) {
+    return ::testing::AssertionFailure() << "empty flags differ";
   }
   if (!same_bits(got.area(), want.area())) {
     return ::testing::AssertionFailure() << "area " << got.area() << " vs " << want.area();
@@ -372,7 +372,7 @@ bool same_discs(const std::vector<Circle>& a, const std::vector<Circle>& b) {
 
 enum class SetShape {
   kOverlapping,   // scattered, mostly a non-empty region with arcs
-  kNested,        // every disc inside the next: a full-disc region
+  kNested,        // every disc inside the next: the inner disc, one full-circle arc
   kDuplicate,     // a few discs, each repeated
   kTangent,       // an external tangency: a zero-area (or empty) region
   kDisjoint,      // overlapping discs plus one far away

@@ -28,6 +28,7 @@
 #include "sim/mobile.h"
 #include "sim/mobility.h"
 #include "sim/scenario.h"
+#include "unique_temp_path.h"
 
 namespace mm::pipeline {
 namespace {
@@ -79,7 +80,7 @@ RotatingScenario record_rotating_capture(const char* pcap_name) {
   capture::SnifferConfig cfg;
   cfg.position = {0.0, 0.0};
   cfg.antenna_height_m = 20.0;
-  cfg.pcap_path = std::filesystem::temp_directory_path() / pcap_name;
+  cfg.pcap_path = testing_support::unique_temp_path(pcap_name);
   {
     capture::Sniffer sniffer(cfg, &store);
     sniffer.attach(world);
@@ -174,7 +175,7 @@ TEST(PipelineIdentity, ResolutionAfterRecoveryEqualsBatch) {
   const RotatingScenario s = record_rotating_capture("mm_pipeline_identity_recover.pcap");
   const auto db = marauder::ApDatabase::from_truth(s.truth, true);
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "mm_pipeline_identity_recover";
+      testing_support::unique_temp_path("mm_pipeline_identity_recover");
   std::filesystem::remove_all(dir);
 
   capture::ObservationStore batch_store;

@@ -23,6 +23,7 @@
 #include "pipeline/feed_mux.h"
 #include "pipeline/live_tracker.h"
 #include "sim/scenario.h"
+#include "unique_temp_path.h"
 
 namespace mm::pipeline {
 namespace {
@@ -75,6 +76,8 @@ void expect_snapshots_equal(const Snapshot& a, const Snapshot& b) {
     EXPECT_TRUE(bits_equal(a[i].second.x_m, b[i].second.x_m))
         << a[i].first.to_string();
     EXPECT_TRUE(bits_equal(a[i].second.y_m, b[i].second.y_m))
+        << a[i].first.to_string();
+    EXPECT_TRUE(bits_equal(a[i].second.updated_at_s, b[i].second.updated_at_s))
         << a[i].first.to_string();
     EXPECT_EQ(a[i].second.gamma_size, b[i].second.gamma_size);
     EXPECT_EQ(a[i].second.updates, b[i].second.updates);
@@ -286,8 +289,7 @@ TEST(PipelineNet, ForeignStreamIdIsCountedAndIgnored) {
 TEST(PipelineNet, WalRefeedAfterRecoveryDedupsEverything) {
   const Fixture f = Fixture::make(1500);
   const std::vector<std::uint8_t> wire = encode(f.events, 8);
-  const std::filesystem::path wal_dir =
-      std::filesystem::temp_directory_path() / "mm_net_refeed_wal";
+  const std::filesystem::path wal_dir = testing_support::unique_temp_path("mm_net_refeed_wal");
   std::filesystem::remove_all(wal_dir);
 
   LiveTrackerConfig config = lossless_config();

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "capture/sniffer.h"
@@ -29,6 +31,7 @@
 #include "sim/mobile.h"
 #include "sim/mobility.h"
 #include "sim/scenario.h"
+#include "unique_temp_path.h"
 
 namespace mm::pipeline {
 namespace {
@@ -75,7 +78,7 @@ RecoveryScenario record_capture(const char* pcap_name) {
   capture::SnifferConfig cfg;
   cfg.position = {0.0, 0.0};
   cfg.antenna_height_m = 20.0;
-  cfg.pcap_path = fs::temp_directory_path() / pcap_name;
+  cfg.pcap_path = testing_support::unique_temp_path(pcap_name);
   {
     capture::Sniffer sniffer(cfg, &store);
     sniffer.attach(world);
@@ -200,6 +203,7 @@ void expect_trackers_equal(LiveTracker& recovered, LiveTracker& reference) {
     const LivePosition& g = got_snapshot[i].second;
     EXPECT_TRUE(bits_equal(g.x_m, w.x_m));
     EXPECT_TRUE(bits_equal(g.y_m, w.y_m));
+    EXPECT_TRUE(bits_equal(g.updated_at_s, w.updated_at_s));
     EXPECT_EQ(g.gamma_size, w.gamma_size);
     EXPECT_EQ(g.updates, w.updates);
     EXPECT_EQ(g.ok, w.ok);
@@ -212,8 +216,8 @@ void crash_recover_compare(const RecoveryScenario& s, const marauder::ApDatabase
                            const fault::FaultPlan& plan, std::uint64_t kill_after,
                            const char* tag, bool tear_wal_tail = false) {
   SCOPED_TRACE(std::string(tag) + " kill_after=" + std::to_string(kill_after));
-  const fs::path ref_dir = fs::temp_directory_path() / (std::string(tag) + "_ref");
-  const fs::path crash_dir = fs::temp_directory_path() / (std::string(tag) + "_crash");
+  const fs::path ref_dir = testing_support::unique_temp_path(std::string(tag) + "_ref");
+  const fs::path crash_dir = testing_support::unique_temp_path(std::string(tag) + "_crash");
   fs::remove_all(ref_dir);
   fs::remove_all(crash_dir);
   fs::create_directories(ref_dir);
@@ -314,10 +318,55 @@ TEST(PipelineRecovery, TornWalTailStillRecoversBitForBit) {
   fs::remove(s.pcap_path);
 }
 
+// Contacts can reach a shard out of capture-time order: the feed mux
+// interleaves its sites by chunk, not by time. A position's updated_at_s is
+// the newest first contact among the device's known APs on the live path
+// and in recovery alike, so a recovered shard republishes the stamp of the
+// run it recovers.
+TEST(PipelineRecovery, OutOfOrderContactsRecoverTheSameStamp) {
+  const auto device = net80211::MacAddress::from_u64(0x00166f000401ULL);
+  const auto ap1 = net80211::MacAddress::from_u64(0x00166f100001ULL);
+  const auto ap2 = net80211::MacAddress::from_u64(0x00166f100002ULL);
+  marauder::ApDatabase db;
+  db.add({ap1, "one", {0.0, 0.0}, 80.0});
+  db.add({ap2, "two", {60.0, 0.0}, 80.0});
+  const fs::path dir = testing_support::unique_temp_path("mm_rec_stamp");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  LiveTrackerConfig config = base_config(dir);
+  config.shards = 1;
+
+  LiveTracker uninterrupted(db, config);
+  uninterrupted.start();
+  std::uint64_t seq = 0;
+  for (const auto& [ap, time_s] : {std::pair{ap1, 10.0}, std::pair{ap2, 5.0}}) {
+    capture::FrameEvent event;
+    event.kind = capture::FrameEventKind::kContact;
+    event.stream_seq = ++seq;
+    event.device = device;
+    event.ap = ap;
+    event.time_s = time_s;
+    event.rssi_dbm = -50.0;
+    ASSERT_TRUE(uninterrupted.push(event));
+  }
+  uninterrupted.stop();
+  const std::optional<LivePosition> live = uninterrupted.locate(device);
+  ASSERT_TRUE(live.has_value());
+  EXPECT_TRUE(bits_equal(live->updated_at_s, 10.0));
+  EXPECT_EQ(live->updates, 2u);
+
+  LiveTracker recovered(db, config);
+  const auto stats = recovered.recover();
+  ASSERT_TRUE(stats.ok()) << stats.error();
+  EXPECT_EQ(stats.value().positions_republished, 1u);
+  expect_trackers_equal(recovered, uninterrupted);
+  fs::remove_all(dir);
+}
+
 TEST(PipelineRecovery, ColdDirectoryIsNotAnError) {
   const RecoveryScenario s = record_capture("mm_recovery_cold.pcap");
   const auto db = marauder::ApDatabase::from_truth(s.truth, true);
-  const fs::path dir = fs::temp_directory_path() / "mm_rec_cold";
+  const fs::path dir = testing_support::unique_temp_path("mm_rec_cold");
   fs::remove_all(dir);
   fs::create_directories(dir);
   LiveTracker tracker(db, base_config(dir));

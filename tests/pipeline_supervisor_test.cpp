@@ -22,6 +22,7 @@
 #include "pipeline/live_tracker.h"
 #include "pipeline/supervisor.h"
 #include "sim/scenario.h"
+#include "unique_temp_path.h"
 
 namespace mm::pipeline {
 namespace {
@@ -81,7 +82,7 @@ struct SupervisedRig {
   explicit SupervisedRig(const char* dir_name)
       : truth(make_truth()),
         db(marauder::ApDatabase::from_truth(truth, true)),
-        dir(fs::temp_directory_path() / dir_name) {
+        dir(testing_support::unique_temp_path(dir_name)) {
     fs::remove_all(dir);
     fs::create_directories(dir);
   }
