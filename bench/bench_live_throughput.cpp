@@ -88,7 +88,6 @@ RunResult run_once(const marauder::ApDatabase& db,
     // durability dial, not an engine property).
     config.durability.dir = wal_dir;
     config.durability.wal.fsync_on_commit = false;
-    config.durability.checkpoint_save.fsync = false;
   }
   pipeline::LiveTracker tracker(db, config);
   tracker.start();

@@ -3,11 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <fstream>
 #include <system_error>
 #include <thread>
+#include <type_traits>
 
 #include "fault/fault_injector.h"
 #include "util/counters.h"
@@ -17,22 +19,69 @@ namespace mm::capture {
 
 namespace {
 
-std::string fmt(double value) {
-  // Shortest round-trip form: to_chars guarantees the loader's stod gets the
-  // exact same double back, and it is orders of magnitude faster than
-  // stream formatting — checkpoints serialize every contact timestamp, so
-  // this sits on the Phoenix checkpoint path.
+// Doubles in shortest round-trip form: to_chars guarantees the loader's stod
+// gets the exact same double back, and it is orders of magnitude faster than
+// stream formatting — checkpoints serialize every contact timestamp, so this
+// sits on the Phoenix checkpoint path. 32 bytes hold any double or integer.
+template <typename T>
+  requires std::is_arithmetic_v<T>
+void append_field(std::string& out, T value) {
   char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf, end);
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
-std::string join(const std::vector<std::string>& parts, char sep) {
+// Text fields (MACs and SSIDs; an SSID is raw over-the-air bytes): control
+// bytes and , " % | are written as %XX, so a field needs no quotes, a row
+// stays one line, and a directed list splits back into the SSIDs it joined.
+void append_field(std::string& out, const std::string& text) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte < 0x20 || byte == 0x7F || c == ',' || c == '"' || c == '%' || c == '|') {
+      out += {'%', kHex[byte >> 4], kHex[byte & 0x0F]};
+    } else {
+      out += c;
+    }
+  }
+}
+
+/// A device's directed SSIDs, '|'-separated in one field.
+void append_field(std::string& out, const std::vector<std::string>& ssids) {
+  for (std::size_t i = 0; i < ssids.size(); ++i) {
+    if (i != 0) out += '|';
+    append_field(out, ssids[i]);
+  }
+}
+
+/// A contact's instants, ';'-separated in one field.
+void append_field(std::string& out, const std::vector<sim::SimTime>& times) {
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    if (i != 0) out += ';';
+    append_field(out, times[i]);
+  }
+}
+
+template <typename... Fields>
+void append_row(std::string& out, const char* tag, const Fields&... fields) {
+  out += tag;
+  ((out += ',', append_field(out, fields)), ...);
+  out += '\n';
+}
+
+/// Inverse of the text-field escape. A '%' without two hex digits after it
+/// stays as it is: files written before the escape carry it bare.
+std::string unescape_text(const std::string& text) {
   std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) out += sep;
-    out += parts[i];
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    unsigned char byte = 0;
+    const char* hex = text.data() + i + 1;
+    if (text[i] == '%' && i + 2 < text.size() &&
+        std::from_chars(hex, hex + 2, byte, 16).ptr == hex + 2) {
+      out += static_cast<char>(byte);
+      i += 2;
+    } else {
+      out += text[i];
+    }
   }
   return out;
 }
@@ -50,82 +99,30 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return out;
 }
 
-std::vector<util::CsvRow> serialize_store(const ObservationStore& store) {
-  std::vector<util::CsvRow> rows;
-  for (const auto& mac : store.devices()) {
-    const DeviceRecord* rec = store.device(mac);
-    rows.push_back({"device", mac.to_string(), fmt(rec->first_seen), fmt(rec->last_seen),
-                    std::to_string(rec->probe_requests), join(rec->directed_ssids, '|'),
-                    std::to_string(rec->seq_frames), std::to_string(rec->first_seq),
-                    fmt(rec->first_seq_time), std::to_string(rec->last_seq),
-                    fmt(rec->last_seq_time)});
-    for (const auto& [ap, contact] : rec->contacts) {
-      std::vector<std::string> times;
-      times.reserve(contact.times.size());
-      for (const sim::SimTime t : contact.times) times.push_back(fmt(t));
-      rows.push_back({"contact", mac.to_string(), ap.to_string(), fmt(contact.first_seen),
-                      fmt(contact.last_seen), std::to_string(contact.count),
-                      fmt(contact.last_rssi_dbm), join(times, ';')});
-    }
-  }
-  for (const ApSighting& sighting : store.ap_sightings()) {
-    rows.push_back({"sighting", sighting.bssid.to_string(), sighting.ssid,
-                    std::to_string(sighting.channel), std::to_string(sighting.beacons),
-                    fmt(sighting.last_rssi_dbm)});
-  }
-  return rows;
-}
-
-/// Writes rows to `tmp` and fsyncs; returns an error message or "".
-std::string write_and_sync(const std::filesystem::path& tmp,
-                           const std::vector<util::CsvRow>& rows, bool do_fsync) {
+/// Writes `text` to `tmp` and fsyncs; returns an error message or "".
+std::string write_and_sync(const std::filesystem::path& tmp, const std::string& text) {
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return "cannot create " + tmp.string();
-    // One buffered pass: join into a text block and hand the stream large
-    // writes instead of one formatted write per row.
-    std::string block;
-    block.reserve(1u << 16);
-    for (const util::CsvRow& row : rows) {
-      block += util::csv_join(row);
-      block += '\n';
-      if (block.size() >= (1u << 16)) {
-        out.write(block.data(), static_cast<std::streamsize>(block.size()));
-        block.clear();
-      }
-    }
-    out.write(block.data(), static_cast<std::streamsize>(block.size()));
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
     out.flush();
     if (!out) return "write failed on " + tmp.string();
   }
-  if (do_fsync) {
-    const int fd = ::open(tmp.c_str(), O_RDONLY);
-    if (fd < 0) return "cannot reopen " + tmp.string() + " for fsync";
-    const int rc = ::fsync(fd);
-    ::close(fd);
-    if (rc != 0) return "fsync failed on " + tmp.string();
-  }
+  const int fd = ::open(tmp.c_str(), O_RDONLY);
+  if (fd < 0) return "cannot reopen " + tmp.string() + " for fsync";
+  const int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) return "fsync failed on " + tmp.string();
   return "";
 }
 
-bool parse_u64_field(const std::string& text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parse_int_field(const std::string& text, int& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoi(text, &used);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+/// A whole field as an integer: digits only, with a '-' only on a signed
+/// type (std::stoull read "-1" as 2^64 - 1).
+template <typename T>
+bool parse_int_field(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
 void quarantine(LoadStats& stats, std::size_t row, const std::string& reason) {
@@ -137,18 +134,36 @@ void quarantine(LoadStats& stats, std::size_t row, const std::string& reason) {
 
 }  // namespace
 
+void observations_csv(const ObservationStore& store, std::string& out) {
+  for (const auto& mac : store.devices()) {
+    const DeviceRecord* rec = store.device(mac);
+    append_row(out, "device", mac.to_string(), rec->first_seen, rec->last_seen,
+               rec->probe_requests, rec->directed_ssids, rec->seq_frames,
+               rec->first_seq, rec->first_seq_time, rec->last_seq, rec->last_seq_time);
+    for (const auto& [ap, contact] : rec->contacts) {
+      append_row(out, "contact", mac.to_string(), ap.to_string(), contact.first_seen,
+                 contact.last_seen, contact.count, contact.last_rssi_dbm, contact.times);
+    }
+  }
+  for (const ApSighting& sighting : store.ap_sightings()) {
+    append_row(out, "sighting", sighting.bssid.to_string(), sighting.ssid,
+               sighting.channel, sighting.beacons, sighting.last_rssi_dbm);
+  }
+}
+
 util::Result<SaveStats> save_observations(const ObservationStore& store,
                                           const std::filesystem::path& path,
                                           const SaveOptions& options) {
   using R = util::Result<SaveStats>;
-  const std::vector<util::CsvRow> rows = serialize_store(store);
+  std::string text;
+  observations_csv(store, text);
   const std::filesystem::path tmp = path.string() + ".tmp";
 
   std::string last_error;
   const int attempts = std::max(1, options.max_attempts);
   double backoff = options.backoff_s;
   for (int attempt = 1; attempt <= attempts; ++attempt) {
-    last_error = write_and_sync(tmp, rows, options.fsync);
+    last_error = write_and_sync(tmp, text);
     if (last_error.empty() && options.injector != nullptr &&
         options.injector->should_tear_write()) {
       // Simulated crash: the temp file is chopped mid-byte and the process
@@ -160,7 +175,7 @@ util::Result<SaveStats> save_observations(const ObservationStore& store,
     if (last_error.empty()) {
       std::error_code ec;
       std::filesystem::rename(tmp, path, ec);
-      if (!ec) return SaveStats{rows.size(), attempt};
+      if (!ec) return SaveStats{attempt};
       last_error = "rename to " + path.string() + " failed: " + ec.message();
     }
     if (attempt < attempts) {
@@ -177,7 +192,11 @@ util::Result<LoadResult> load_observations(const std::filesystem::path& path,
   using R = util::Result<LoadResult>;
   std::ifstream in(path);
   if (!in) return R::failure("load_observations: cannot open " + path.string());
+  return parse_observations(in, store_options);
+}
 
+LoadResult parse_observations(std::istream& in,
+                              const ObservationStoreOptions& store_options) {
   // Parse line-by-line (rather than whole-file) so one damaged line — e.g.
   // the torn tail of an interrupted write — quarantines that line only.
   std::vector<util::CsvRow> rows;
@@ -210,35 +229,31 @@ util::Result<LoadResult> load_observations(const std::filesystem::path& path,
     DeviceRecord rec;
     if (!mac || !util::parse_double_field(row[2], rec.first_seen) ||
         !util::parse_double_field(row[3], rec.last_seen) ||
-        !parse_u64_field(row[4], rec.probe_requests)) {
+        !parse_int_field(row[4], rec.probe_requests)) {
       quarantine(stats, i, "malformed device row");
       continue;
     }
     rec.mac = *mac;
-    rec.directed_ssids = split(row[5], '|');
+    for (const std::string& ssid : split(row[5], '|')) {
+      rec.directed_ssids.push_back(unescape_text(ssid));
+    }
     // Sequence-trace columns (Chimera). Absent on pre-Chimera snapshots —
     // an old save restores with no seq evidence rather than quarantining.
-    if (row.size() >= 11) {
-      std::uint64_t first_seq = 0;
-      std::uint64_t last_seq = 0;
-      if (!parse_u64_field(row[6], rec.seq_frames) || !parse_u64_field(row[7], first_seq) ||
-          !util::parse_double_field(row[8], rec.first_seq_time) ||
-          !parse_u64_field(row[9], last_seq) ||
-          !util::parse_double_field(row[10], rec.last_seq_time) || first_seq > 0x0FFF ||
-          last_seq > 0x0FFF) {
-        quarantine(stats, i, "malformed device seq trace");
-        continue;
-      }
-      rec.first_seq = static_cast<std::uint16_t>(first_seq);
-      rec.last_seq = static_cast<std::uint16_t>(last_seq);
+    if (row.size() >= 11 &&
+        (!parse_int_field(row[6], rec.seq_frames) || !parse_int_field(row[7], rec.first_seq) ||
+         !util::parse_double_field(row[8], rec.first_seq_time) ||
+         !parse_int_field(row[9], rec.last_seq) ||
+         !util::parse_double_field(row[10], rec.last_seq_time) || rec.first_seq > 0x0FFF ||
+         rec.last_seq > 0x0FFF)) {
+      quarantine(stats, i, "malformed device seq trace");
+      continue;
     }
     devices[rec.mac] = std::move(rec);
     ++stats.rows_loaded;
   }
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& row = rows[i];
-    if (row.empty()) continue;
-    if (row[0] == "device") continue;
+    if (row.empty() || row[0] == "device") continue;
     if (row[0] == "contact") {
       if (row.size() < 8) {
         quarantine(stats, i, "short contact row");
@@ -260,7 +275,7 @@ util::Result<LoadResult> load_observations(const std::filesystem::path& path,
       ApContact contact;
       if (!util::parse_double_field(row[3], contact.first_seen) ||
           !util::parse_double_field(row[4], contact.last_seen) ||
-          !parse_u64_field(row[5], contact.count) ||
+          !parse_int_field(row[5], contact.count) ||
           !util::parse_double_field(row[6], contact.last_rssi_dbm)) {
         quarantine(stats, i, "malformed contact row");
         continue;
@@ -288,13 +303,13 @@ util::Result<LoadResult> load_observations(const std::filesystem::path& path,
       const auto bssid = net80211::MacAddress::parse(row[1]);
       ApSighting sighting;
       if (!bssid || !parse_int_field(row[3], sighting.channel) ||
-          !parse_u64_field(row[4], sighting.beacons) ||
+          !parse_int_field(row[4], sighting.beacons) ||
           !util::parse_double_field(row[5], sighting.last_rssi_dbm)) {
         quarantine(stats, i, "malformed sighting row");
         continue;
       }
       sighting.bssid = *bssid;
-      sighting.ssid = row[2];
+      sighting.ssid = unescape_text(row[2]);
       result.store.restore_sighting(std::move(sighting));
       ++stats.rows_loaded;
     } else {
@@ -307,21 +322,8 @@ util::Result<LoadResult> load_observations(const std::filesystem::path& path,
 
 ObservationCheckpointer::ObservationCheckpointer(const ObservationStore* store,
                                                  std::filesystem::path path,
-                                                 double interval_s, SaveOptions options)
-    : store_(store), path_(std::move(path)), interval_s_(interval_s),
-      options_(options) {}
-
-bool ObservationCheckpointer::maybe_checkpoint(double now) {
-  if (!anchored_) {
-    anchored_ = true;
-    last_ = now;
-    return false;
-  }
-  if (now - last_ < interval_s_) return false;
-  last_ = now;  // advance even on failure so a broken disk isn't hammered
-  const auto result = checkpoint_now();
-  return result.ok();
-}
+                                                 SaveOptions options)
+    : store_(store), path_(std::move(path)), options_(options) {}
 
 util::Result<SaveStats> ObservationCheckpointer::checkpoint_now() {
   auto result = save_observations(*store_, path_, options_);

@@ -7,6 +7,9 @@
 //   device,<mac>,<first>,<last>,<probe_requests>,<ssid|ssid|...>
 //   contact,<device>,<ap>,<first>,<last>,<count>,<last_rssi>,<t;t;...>
 //   sighting,<bssid>,<ssid>,<channel>,<beacons>,<last_rssi>
+// Text fields go unquoted: control bytes and , " % | are written as %XX
+// (SSIDs are raw over-the-air bytes), so each record is one line and reads
+// back unchanged. Quoted fields of older files still load.
 //
 // Robustness contract: saves are atomic (temp file + fsync + rename, with
 // bounded retry on transient I/O failure), so a crash mid-save leaves the
@@ -17,6 +20,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -34,9 +38,6 @@ struct SaveOptions {
   int max_attempts = 3;
   /// Sleep between attempts, doubled each retry.
   double backoff_s = 0.01;
-  /// fsync the temp file before rename (cross the kernel-cache gap a power
-  /// loss would otherwise fall into). Off only in latency-bound tests.
-  bool fsync = true;
   /// When set, the save asks the injector whether this write is torn: the
   /// temp file is chopped and the save reports failure without renaming —
   /// exactly what a crash mid-write does (tests/fault_soak_test).
@@ -44,8 +45,7 @@ struct SaveOptions {
 };
 
 struct SaveStats {
-  std::size_t rows = 0;  ///< records written
-  int attempts = 1;      ///< 1 = first try succeeded
+  int attempts = 1;  ///< 1 = first try succeeded
 };
 
 struct LoadStats {
@@ -61,36 +61,39 @@ struct LoadResult {
   LoadStats stats;
 };
 
+/// Appends the store's full state to `out`, one row per record in the format
+/// above; live checkpoints (durability/checkpoint.h) carry the same rows.
+void observations_csv(const ObservationStore& store, std::string& out);
+
+/// Restores a store from rows written by observations_csv. Malformed rows
+/// (bad MACs, unparsable numbers, short rows, unknown tags, contacts whose
+/// device row was lost) are quarantined and counted, not fatal.
+/// `store_options` configure the restored store — a recovery that will keep
+/// ingesting must restore with the original run's contact-history cap, or
+/// later compaction decisions diverge from the uninterrupted run's.
+[[nodiscard]] LoadResult parse_observations(
+    std::istream& in, const ObservationStoreOptions& store_options = {});
+
 /// Writes the store's full state atomically (see SaveOptions). Fails only
 /// when every attempt failed; the destination is never left half-written.
 util::Result<SaveStats> save_observations(const ObservationStore& store,
                                           const std::filesystem::path& path,
                                           const SaveOptions& options = {});
 
-/// Restores a store saved by save_observations. Malformed rows (bad MACs,
-/// unparsable numbers, short rows, unknown tags, contacts whose device row
-/// was lost) are quarantined, not fatal; only an unreadable file fails.
-/// `store_options` configure the restored store — a recovery that will keep
-/// ingesting must restore with the original run's contact-history cap, or
-/// later compaction decisions diverge from the uninterrupted run's.
+/// Restores a store saved by save_observations (parse_observations over the
+/// file); only an unreadable file fails.
 [[nodiscard]] util::Result<LoadResult> load_observations(
     const std::filesystem::path& path, const ObservationStoreOptions& store_options = {});
 
-/// Periodic checkpointing for a long-running capture: call maybe_checkpoint
-/// from the capture loop and a killed rig loses at most one interval of
-/// evidence. Each checkpoint is a full atomic save_observations.
+/// Checkpointing for a long-running capture, which calls checkpoint_now() on
+/// its own clock: a killed rig loses at most one interval of evidence. Each
+/// checkpoint is a full atomic save_observations.
 class ObservationCheckpointer {
  public:
   /// The store must outlive the checkpointer.
   ObservationCheckpointer(const ObservationStore* store, std::filesystem::path path,
-                          double interval_s, SaveOptions options = {});
+                          SaveOptions options = {});
 
-  /// Saves when at least interval_s of sim-time has passed since the last
-  /// checkpoint (the first call only anchors the clock). Returns true when
-  /// a checkpoint was written.
-  bool maybe_checkpoint(double now);
-
-  /// Unconditional checkpoint (e.g. at shutdown).
   util::Result<SaveStats> checkpoint_now();
 
   [[nodiscard]] std::size_t checkpoints_written() const noexcept { return written_; }
@@ -100,10 +103,7 @@ class ObservationCheckpointer {
  private:
   const ObservationStore* store_;
   std::filesystem::path path_;
-  double interval_s_;
   SaveOptions options_;
-  bool anchored_ = false;
-  double last_ = 0.0;
   std::size_t written_ = 0;
   std::uint64_t failures_ = 0;
 };

@@ -61,8 +61,8 @@ Sniffer::Sniffer(SnifferConfig config, ObservationStore* store)
       checkpoint_injector_ = std::make_unique<fault::FaultInjector>(torn_plan);
       save.injector = checkpoint_injector_.get();
     }
-    checkpointer_ = std::make_unique<ObservationCheckpointer>(
-        store_, *config_.checkpoint_path, config_.checkpoint_interval_s, save);
+    checkpointer_ =
+        std::make_unique<ObservationCheckpointer>(store_, *config_.checkpoint_path, save);
     alive_ = std::make_shared<bool>(true);
   }
 }

@@ -6,125 +6,117 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "capture/persistence.h"
 #include "durability/crc32c.h"
 
 namespace mm::durability {
 
 namespace {
 
-std::string seq_digits(std::uint64_t seq) {
-  std::string digits = std::to_string(seq);
-  return std::string(20 - std::min<std::size_t>(20, digits.size()), '0') + digits;
+constexpr std::string_view kPrefix = "ckpt-";
+constexpr std::string_view kSuffix = ".ckpt";
+constexpr std::size_t kSeqDigits = 20;
+/// v1 was the retired .meta/.obs pair.
+constexpr std::uint32_t kFormatVersion = 2;
+/// "crc=" + 8 hex digits + '\n'.
+constexpr std::size_t kTrailerBytes = 13;
+
+std::filesystem::path checkpoint_path(const std::filesystem::path& dir,
+                                      std::uint64_t seq) {
+  const std::string digits = std::to_string(seq);
+  return dir / (std::string(kPrefix) + std::string(kSeqDigits - digits.size(), '0') +
+                digits + std::string(kSuffix));
 }
 
-std::filesystem::path obs_path(const std::filesystem::path& dir, std::uint64_t seq) {
-  return dir / ("ckpt-" + seq_digits(seq) + ".obs");
-}
-
-std::filesystem::path meta_path(const std::filesystem::path& dir, std::uint64_t seq) {
-  return dir / ("ckpt-" + seq_digits(seq) + ".meta");
-}
-
-bool parse_meta_name(const std::filesystem::path& path, std::uint64_t& seq) {
+bool parse_checkpoint_name(const std::filesystem::path& path, std::uint64_t& seq) {
   const std::string name = path.filename().string();
-  if (name.size() != 30 || name.rfind("ckpt-", 0) != 0 ||
-      name.compare(25, 5, ".meta") != 0) {
+  if (name.size() != kPrefix.size() + kSeqDigits + kSuffix.size() ||
+      !name.starts_with(kPrefix) || !name.ends_with(kSuffix)) {
     return false;
   }
-  std::uint64_t out = 0;
-  for (std::size_t i = 5; i < 25; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  seq = out;
-  return true;
+  const char* digits = name.data() + kPrefix.size();
+  const auto [ptr, ec] = std::from_chars(digits, digits + kSeqDigits, seq);
+  return ec == std::errc{} && ptr == digits + kSeqDigits;
 }
 
-std::string render_meta(const CheckpointMeta& meta) {
-  std::ostringstream body;
-  body << "mmckpt v1\n"
-       << "shard=" << meta.shard << "\n"
-       << "shard_count=" << meta.shard_count << "\n"
-       << "applied_seq=" << meta.applied_seq << "\n"
-       << "frames=" << meta.frames << "\n"
-       << "contacts=" << meta.contacts << "\n"
-       << "publishes=" << meta.publishes << "\n";
-  std::string text = body.str();
-  const std::uint32_t crc = crc32c(
-      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
-  char tail[32];
-  std::snprintf(tail, sizeof(tail), "crc=%08x\n", crc);
-  return text + tail;
+std::string render_header(const CheckpointMeta& meta) {
+  return "mmckpt v" + std::to_string(kFormatVersion) +
+         " shard=" + std::to_string(meta.shard) +
+         " shard_count=" + std::to_string(meta.shard_count) +
+         " applied_seq=" + std::to_string(meta.applied_seq) +
+         " frames=" + std::to_string(meta.frames) +
+         " contacts=" + std::to_string(meta.contacts) +
+         " publishes=" + std::to_string(meta.publishes) + "\n";
 }
 
-bool parse_u64_field(const std::string& line, const char* key, std::uint64_t& out) {
-  const std::size_t key_len = std::strlen(key);
-  if (line.compare(0, key_len, key) != 0 || line.size() <= key_len ||
-      line[key_len] != '=') {
-    return false;
-  }
-  const char* begin = line.data() + key_len + 1;
-  const char* end = line.data() + line.size();
-  auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
+bool parse_header(std::string_view line, CheckpointMeta& out) {
+  const auto field = [&line](std::string_view key, auto& value) {
+    if (!line.starts_with(key)) return false;
+    line.remove_prefix(key.size());
+    const auto [ptr, ec] = std::from_chars(line.data(), line.data() + line.size(), value);
+    line.remove_prefix(static_cast<std::size_t>(ptr - line.data()));
+    return ec == std::errc{};
+  };
+  std::uint32_t version = 0;
+  return field("mmckpt v", version) && version == kFormatVersion &&
+         field(" shard=", out.shard) && field(" shard_count=", out.shard_count) &&
+         field(" applied_seq=", out.applied_seq) && field(" frames=", out.frames) &&
+         field(" contacts=", out.contacts) && field(" publishes=", out.publishes) &&
+         line.empty();
 }
 
-bool parse_meta_text(const std::string& text, CheckpointMeta& out) {
-  // The crc line guards everything above it.
-  const std::size_t crc_at = text.rfind("crc=");
-  if (crc_at == std::string::npos || text.size() - crc_at != 13 ||
-      text.back() != '\n') {
-    return false;
-  }
-  std::uint32_t stated = 0;
-  {
-    const std::string hex = text.substr(crc_at + 4, 8);
-    auto [ptr, ec] = std::from_chars(hex.data(), hex.data() + hex.size(), stated, 16);
-    if (ec != std::errc{} || ptr != hex.data() + hex.size()) return false;
-  }
-  if (crc32c({reinterpret_cast<const std::uint8_t*>(text.data()), crc_at}) != stated) {
-    return false;
-  }
-  std::istringstream lines(text.substr(0, crc_at));
-  std::string line;
-  if (!std::getline(lines, line) || line != "mmckpt v1") return false;
-  std::uint64_t shard = 0;
-  std::uint64_t shard_count = 0;
-  bool ok = std::getline(lines, line) && parse_u64_field(line, "shard", shard);
-  ok = ok && std::getline(lines, line) &&
-       parse_u64_field(line, "shard_count", shard_count);
-  ok = ok && std::getline(lines, line) &&
-       parse_u64_field(line, "applied_seq", out.applied_seq);
-  ok = ok && std::getline(lines, line) && parse_u64_field(line, "frames", out.frames);
-  ok = ok && std::getline(lines, line) &&
-       parse_u64_field(line, "contacts", out.contacts);
-  ok = ok && std::getline(lines, line) &&
-       parse_u64_field(line, "publishes", out.publishes);
-  if (!ok || shard > 0xFFFFFFFFull || shard_count > 0xFFFFFFFFull) return false;
-  out.shard = static_cast<std::uint32_t>(shard);
-  out.shard_count = static_cast<std::uint32_t>(shard_count);
-  return true;
+/// The trailer line that vouches for `covered`.
+std::string crc_trailer(std::string_view covered) {
+  char line[kTrailerBytes + 1];
+  std::snprintf(line, sizeof(line), "crc=%08x\n",
+                crc32c({reinterpret_cast<const std::uint8_t*>(covered.data()),
+                        covered.size()}));
+  return std::string(line, kTrailerBytes);
 }
 
-void prune_checkpoints(const std::filesystem::path& dir) {
-  std::vector<std::filesystem::path> metas = list_checkpoint_metas(dir);
-  if (metas.size() <= kCheckpointsKept) return;
-  for (std::size_t i = 0; i + kCheckpointsKept < metas.size(); ++i) {
-    std::uint64_t seq = 0;
-    if (!parse_meta_name(metas[i], seq)) continue;
-    std::error_code ec;
-    // Meta first: once it is gone the obs file is an ignorable orphan, so a
-    // crash between the two removals cannot leave a meta without its obs.
-    std::filesystem::remove(metas[i], ec);
-    std::filesystem::remove(obs_path(dir, seq), ec);
+/// One checkpoint file, whole or not at all: nullopt on a bad trailer,
+/// header or name, or on any row the parser quarantines.
+std::optional<LoadedCheckpoint> load_checkpoint(
+    const std::filesystem::path& path,
+    const capture::ObservationStoreOptions& store_options) {
+  std::ifstream file(path, std::ios::binary);
+  std::string text{std::istreambuf_iterator<char>(file),
+                   std::istreambuf_iterator<char>()};
+  if (!file || text.size() < kTrailerBytes) return std::nullopt;
+  const std::size_t covered = text.size() - kTrailerBytes;
+  if (text.compare(covered, kTrailerBytes,
+                   crc_trailer(std::string_view(text).substr(0, covered))) != 0) {
+    return std::nullopt;
   }
+  text.resize(covered);
+  std::istringstream in(std::move(text));
+  std::string header;
+  LoadedCheckpoint out;
+  std::uint64_t named_seq = 0;
+  if (!std::getline(in, header) || !parse_header(header, out.meta) ||
+      !parse_checkpoint_name(path, named_seq) || named_seq != out.meta.applied_seq) {
+    return std::nullopt;
+  }
+  capture::LoadResult parsed = capture::parse_observations(in, store_options);
+  if (parsed.stats.quarantined != 0) return std::nullopt;
+  out.store = std::move(parsed.store);
+  return out;
+}
+
+/// Whether `dir` holds a commit marker of the retired two-file format.
+bool holds_retired_pair(const std::filesystem::path& dir) {
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with(kPrefix) && name.ends_with(".meta")) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -155,74 +147,70 @@ util::Result<bool> write_file_atomic(const std::filesystem::path& path,
   return true;
 }
 
-std::vector<std::filesystem::path> list_checkpoint_metas(
-    const std::filesystem::path& dir) {
-  std::vector<std::pair<std::uint64_t, std::filesystem::path>> found;
+std::vector<std::filesystem::path> list_checkpoints(const std::filesystem::path& dir) {
+  std::vector<std::filesystem::path> out;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     std::uint64_t seq = 0;
-    if (entry.is_regular_file(ec) && parse_meta_name(entry.path(), seq)) {
-      found.emplace_back(seq, entry.path());
+    if (entry.is_regular_file(ec) && parse_checkpoint_name(entry.path(), seq)) {
+      out.push_back(entry.path());
     }
   }
-  std::sort(found.begin(), found.end());
-  std::vector<std::filesystem::path> out;
-  out.reserve(found.size());
-  for (auto& [seq, path] : found) out.push_back(std::move(path));
+  // Names are zero-padded to one width, so name order is sequence order.
+  std::sort(out.begin(), out.end());
   return out;
 }
 
-util::Result<bool> write_checkpoint(const std::filesystem::path& dir,
-                                    const CheckpointMeta& meta,
-                                    const capture::ObservationStore& store,
-                                    const capture::SaveOptions& save_options) {
-  using R = util::Result<bool>;
-  auto saved = capture::save_observations(store, obs_path(dir, meta.applied_seq),
-                                          save_options);
-  if (!saved.ok()) return R::failure(saved.error());
-  // The meta is the commit marker, written without save_observations' retry
-  // machinery: the caller retries at the checkpoint cadence anyway.
-  const std::string meta_text = render_meta(meta);
-  auto marked = write_file_atomic(meta_path(dir, meta.applied_seq),
-                                  std::as_bytes(std::span(meta_text)), save_options.fsync);
-  if (!marked.ok()) return R::failure("checkpoint: " + marked.error());
-  prune_checkpoints(dir);
-  return true;
+util::Result<std::uint64_t> write_checkpoint(const std::filesystem::path& dir,
+                                             const CheckpointMeta& meta,
+                                             const capture::ObservationStore& store) {
+  using R = util::Result<std::uint64_t>;
+  std::string text = render_header(meta);
+  capture::observations_csv(store, text);
+  text += crc_trailer(text);
+  auto written = write_file_atomic(checkpoint_path(dir, meta.applied_seq),
+                                   std::as_bytes(std::span(text)), /*do_fsync=*/true);
+  if (!written.ok()) return R::failure("checkpoint: " + written.error());
+  // Prune all but the newest kCheckpointsKept. The first one that stays
+  // (a failed removal stays too) is the oldest recovery may fall back to.
+  const std::vector<std::filesystem::path> listed = list_checkpoints(dir);
+  std::uint64_t oldest_kept = meta.applied_seq;
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    std::error_code ec;
+    if (i + kCheckpointsKept < listed.size() && std::filesystem::remove(listed[i], ec)) {
+      continue;
+    }
+    parse_checkpoint_name(listed[i], oldest_kept);
+    break;
+  }
+  return oldest_kept;
 }
 
 util::Result<std::optional<LoadedCheckpoint>> load_latest_checkpoint(
     const std::filesystem::path& dir,
     const capture::ObservationStoreOptions& store_options) {
   using R = util::Result<std::optional<LoadedCheckpoint>>;
-  std::vector<std::filesystem::path> metas = list_checkpoint_metas(dir);
-  std::size_t damaged = 0;
-  for (auto it = metas.rbegin(); it != metas.rend(); ++it) {
-    std::ifstream in(*it, std::ios::binary);
-    std::string text{std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>()};
-    CheckpointMeta meta;
-    if (!in || !parse_meta_text(text, meta)) {
-      ++damaged;
-      continue;
+  const std::vector<std::filesystem::path> listed = list_checkpoints(dir);
+  for (auto it = listed.rbegin(); it != listed.rend(); ++it) {
+    std::optional<LoadedCheckpoint> loaded = load_checkpoint(*it, store_options);
+    if (!loaded) continue;
+    // The newer files are damaged. Set them aside (best effort), so prune
+    // no longer counts them and keeps this one as the next fallback.
+    for (auto newer = listed.rbegin(); newer != it; ++newer) {
+      std::error_code ec;
+      std::filesystem::rename(*newer, newer->string() + ".damaged", ec);
     }
-    std::uint64_t named_seq = 0;
-    if (!parse_meta_name(*it, named_seq) || named_seq != meta.applied_seq) {
-      ++damaged;
-      continue;
-    }
-    auto loaded =
-        capture::load_observations(obs_path(dir, meta.applied_seq), store_options);
-    if (!loaded.ok()) {
-      ++damaged;
-      continue;
-    }
-    capture::LoadResult result = std::move(loaded).value();
-    LoadedCheckpoint out;
-    out.meta = meta;
-    out.store = std::move(result.store);
-    out.load_stats = std::move(result.stats);
-    out.damaged_skipped = damaged;
-    return R(std::optional<LoadedCheckpoint>(std::move(out)));
+    loaded->damaged_skipped = static_cast<std::size_t>(it - listed.rbegin());
+    return R(std::move(loaded));
+  }
+  // The WAL below the oldest checkpoint is reclaimed: replaying it from zero
+  // would restore a partial store without a word.
+  if (!listed.empty()) {
+    return R::failure("no intact checkpoint in " + dir.string() + " (" +
+                      std::to_string(listed.size()) + " damaged)");
+  }
+  if (holds_retired_pair(dir)) {
+    return R::failure(dir.string() + " holds checkpoints in the retired .meta/.obs format");
   }
   return R(std::optional<LoadedCheckpoint>{});
 }

@@ -4,9 +4,11 @@
 
 namespace mm::marauder {
 
+constexpr int kMaxIterations = 50;
+constexpr double kConvergenceM = 1e-4;  ///< a shorter step ends the iteration
+
 LocalizationResult trilaterate(
-    std::span<const std::pair<geo::Vec2, double>> anchors_with_distance,
-    const TrilaterationOptions& options) {
+    std::span<const std::pair<geo::Vec2, double>> anchors_with_distance) {
   LocalizationResult result;
   result.method = "Trilateration";
   result.num_aps = anchors_with_distance.size();
@@ -36,7 +38,7 @@ LocalizationResult trilaterate(
   };
   double cost = cost_at(guess);
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     // Normal equations J^T J delta = -J^T r for the 2-D unknown.
     double jtj00 = 0.0;
     double jtj01 = 0.0;
@@ -67,7 +69,7 @@ LocalizationResult trilaterate(
       guess = candidate;
       cost = candidate_cost;
       lambda = std::max(lambda * 0.5, 1e-9);
-      if (step.norm() < options.convergence_m) break;
+      if (step.norm() < kConvergenceM) break;
     } else {
       lambda *= 10.0;  // damp harder and retry
       if (lambda > 1e6) break;

@@ -17,18 +17,12 @@
 
 namespace mm::marauder {
 
-struct TrilaterationOptions {
-  int max_iterations = 50;
-  double convergence_m = 1e-4;
-};
-
 /// Least-squares multilateration over (AP position, estimated distance)
 /// pairs via Gauss-Newton with a Levenberg damping fallback. Needs at least
 /// three non-collinear anchors for a well-posed fix; with fewer the result
 /// is flagged as fallback (centroid of anchors).
 [[nodiscard]] LocalizationResult trilaterate(
-    std::span<const std::pair<geo::Vec2, double>> anchors_with_distance,
-    const TrilaterationOptions& options = {});
+    std::span<const std::pair<geo::Vec2, double>> anchors_with_distance);
 
 /// Helper for the claims bench: inverts an RSSI measurement to a distance
 /// using the log-distance model the adversary *assumes* (exponent n,

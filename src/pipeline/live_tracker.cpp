@@ -149,8 +149,6 @@ util::Result<bool> LiveTracker::recover_state(std::size_t shard, ShardState& sta
     state.contacts.store(ck.meta.contacts, std::memory_order_relaxed);
     ++stats.checkpoints_loaded;
     stats.checkpoints_damaged += ck.damaged_skipped;
-    stats.checkpoint_rows_loaded += ck.load_stats.rows_loaded;
-    stats.checkpoint_rows_quarantined += ck.load_stats.quarantined;
   }
 
   auto replayed = durability::replay_wal(
@@ -452,13 +450,14 @@ void LiveTracker::maybe_checkpoint(std::size_t shard, ShardState& state, bool fo
   meta.frames = state.frames.load(std::memory_order_relaxed);
   meta.contacts = state.contacts.load(std::memory_order_relaxed);
   meta.publishes = state.publishes.load(std::memory_order_relaxed);
-  auto written = durability::write_checkpoint(shard_dir(shard), meta, state.store,
-                                              config_.durability.checkpoint_save);
+  auto written = durability::write_checkpoint(shard_dir(shard), meta, state.store);
   if (written.ok()) {
     state.checkpointed_seq = state.applied_seq;
     state.has_checkpoint = true;
     state.checkpoints.fetch_add(1, std::memory_order_relaxed);
-    durability::reclaim_wal_segments(shard_dir(shard), state.applied_seq);
+    // Only up to the oldest checkpoint kept: recovery falls back to it when
+    // the newest is damaged, and must find every record after it.
+    durability::reclaim_wal_segments(shard_dir(shard), written.value());
   } else {
     util::sat_fetch_add(state.checkpoint_failures);
   }
@@ -501,12 +500,11 @@ bool LiveTracker::restart_shard(std::size_t shard) {
   if (old_dead && old->thread.joinable()) old->thread.join();
 
   auto fresh = make_state(shard);
-  if (config_.durability.enabled()) {
-    RecoveryStats scratch;
-    // Failure here means the durability directory itself is unreadable; the
-    // partition continues with whatever state was recoverable (possibly
-    // empty) rather than staying wedged.
-    (void)recover_state(shard, *fresh, scratch);
+  RecoveryStats scratch;
+  if (config_.durability.enabled() && !recover_state(shard, *fresh, scratch).ok()) {
+    // A generation on what did load would checkpoint the loss for good.
+    degrade_locked(s);
+    return false;
   }
   ShardState* fresh_ptr = fresh.get();
   s.state.store(fresh_ptr, std::memory_order_release);
@@ -533,7 +531,10 @@ bool LiveTracker::restart_shard(std::size_t shard) {
 
 void LiveTracker::circuit_break_shard(std::size_t shard) {
   const std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-  Shard& s = *shards_.at(shard);
+  degrade_locked(*shards_.at(shard));
+}
+
+void LiveTracker::degrade_locked(Shard& s) {
   if (s.degraded.exchange(true, std::memory_order_acq_rel)) return;
   ShardState* state = s.owned.get();
   state->abandoned.store(true, std::memory_order_release);

@@ -19,11 +19,12 @@
 //
 // Phoenix (DESIGN.md section 9) adds crash safety and self-healing on top:
 // each shard optionally write-ahead-logs every applied event and snapshots
-// its store slice periodically; recover() rebuilds pre-crash state from
-// checkpoint + WAL tail; and a shard's worker lives in a *generation* — a
-// ShardState the engine can atomically swap out when the ShardSupervisor
-// decides the worker is wedged or dead, re-attaching the partition to its
-// WAL + checkpoint without disturbing the other shards.
+// its store slice periodically (one CRC-checked file); recover() rebuilds
+// pre-crash state from checkpoint + WAL tail, or fails when no checkpoint is
+// intact; and a shard's worker lives in a *generation* — a ShardState the
+// engine can atomically swap out when the ShardSupervisor decides the worker
+// is wedged or dead, re-attaching the partition to its WAL + checkpoint
+// without disturbing the other shards, or degrading it if that fails.
 #pragma once
 
 #include <chrono>
@@ -39,7 +40,6 @@
 
 #include "capture/frame_event.h"
 #include "capture/observation_store.h"
-#include "capture/persistence.h"
 #include "durability/wal.h"
 #include "marauder/ap_database.h"
 #include "marauder/identity.h"
@@ -53,7 +53,8 @@ namespace mm::pipeline {
 
 /// Phoenix durability knobs. Off (no WAL, no checkpoints) unless `dir` is
 /// set; each shard then owns `dir`/shard-<i>/ with its WAL segments and
-/// checkpoints.
+/// checkpoints. Checkpoints always fsync; `wal.fsync_on_commit` covers WAL
+/// group commits only.
 struct DurabilityOptions {
   std::filesystem::path dir;
   durability::WalWriterOptions wal{};
@@ -61,7 +62,6 @@ struct DurabilityOptions {
   /// owning worker, so the snapshot is consistent without locks). 0 = only
   /// the final checkpoint at stop().
   double checkpoint_interval_s = 0.0;
-  capture::SaveOptions checkpoint_save{};
 
   [[nodiscard]] bool enabled() const noexcept { return !dir.empty(); }
 };
@@ -102,12 +102,13 @@ class LiveTracker {
   LiveTracker(const LiveTracker&) = delete;
   LiveTracker& operator=(const LiveTracker&) = delete;
 
-  /// Rebuilds every shard from its durability directory: latest valid
+  /// Rebuilds every shard from its durability directory: latest intact
   /// checkpoint, then the WAL tail through the normal ingest path, then one
   /// publish per restored device with a known AP, through the live path's
   /// publish (bit-for-bit what the uninterrupted run last published: both
   /// read the same store record through the batch Gamma rule).
-  /// Must be called before start(); a cold directory is not an error.
+  /// Must be called before start(); a cold directory is not an error, a
+  /// shard whose checkpoints are all damaged is (its WAL is reclaimed).
   util::Result<RecoveryStats> recover();
 
   void start();
@@ -172,7 +173,8 @@ class LiveTracker {
   /// (a wedged one is fenced out of publishing; a dead one is joined and its
   /// ring drained into the replacement), recovers the new state from the
   /// shard's checkpoint + WAL, and starts a new worker. False when the
-  /// engine is not running or the shard is circuit-broken.
+  /// engine is not running or the shard is circuit-broken, and when that
+  /// recovery fails, which circuit-breaks the shard.
   bool restart_shard(std::size_t shard);
   /// Gives up on the shard: abandons its worker and marks the partition
   /// degraded. Queries for its devices carry shard_degraded from then on.
@@ -208,6 +210,8 @@ class LiveTracker {
   util::Result<bool> recover_state(std::size_t shard, ShardState& state,
                                    RecoveryStats& stats);
   void rebuild_live_state(ShardState& state, RecoveryStats* stats);
+  /// circuit_break_shard's body; the caller holds lifecycle_mutex_.
+  void degrade_locked(Shard& shard);
 
   const marauder::ApDatabase& db_;
   LiveTrackerConfig config_;

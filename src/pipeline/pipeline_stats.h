@@ -56,8 +56,6 @@ struct RecoveryStats {
   bool performed = false;
   std::uint64_t checkpoints_loaded = 0;
   std::uint64_t checkpoints_damaged = 0;   ///< newer checkpoints skipped as unusable
-  std::uint64_t checkpoint_rows_loaded = 0;
-  std::uint64_t checkpoint_rows_quarantined = 0;
   std::uint64_t wal_segments_read = 0;
   std::uint64_t wal_records_replayed = 0;
   std::uint64_t wal_records_skipped = 0;   ///< already covered by a checkpoint

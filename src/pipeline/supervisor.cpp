@@ -91,7 +91,11 @@ void ShardSupervisor::handle_unhealthy(std::size_t shard, ShardWatch& watch,
     circuit_breaks_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (!tracker_.restart_shard(shard)) return;
+  if (!tracker_.restart_shard(shard)) {
+    // A restart whose recovery failed circuit-broke the shard itself.
+    if (tracker_.shard_degraded(shard)) circuit_breaks_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   restarts_.fetch_add(1, std::memory_order_relaxed);
   shard_counters_[shard].restarts.fetch_add(1, std::memory_order_relaxed);
   ++watch.strikes;

@@ -11,7 +11,8 @@
 // notice. Restarts back off exponentially; applying frames again resets the
 // strike counter; a shard that crash-loops past max_restarts is circuit-
 // broken — its partition is marked degraded and queries for its devices
-// carry the flag from then on.
+// carry the flag from then on. So is a shard whose restart cannot recover
+// its state (LiveTracker::restart_shard), counted in circuit_breaks too.
 #pragma once
 
 #include <atomic>

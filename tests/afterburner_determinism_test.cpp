@@ -27,6 +27,7 @@
 #include "sim/mobile.h"
 #include "sim/mobility.h"
 #include "sim/scenario.h"
+#include "unique_temp_path.h"
 #include "util/rng.h"
 
 namespace mm {
@@ -548,7 +549,7 @@ TEST(LocateAllOracle, OutOfOrderArrivals) {
 TEST(LocateAllOracle, RecordsRestoredFromStoreCsv) {
   const CityStream c = city_stream();
   const capture::ObservationStore original = apply_all(c.events);
-  const auto path = std::filesystem::temp_directory_path() / "mm_locate_all_oracle.csv";
+  const auto path = testing_support::unique_temp_path("mm_locate_all_oracle.csv");
   ASSERT_TRUE(capture::save_observations(original, path).ok());
   // Plus a hand-edited device whose saved span misses its contact instants.
   const auto edited = net80211::MacAddress::from_u64(0x0216f0ff0001ULL);

@@ -26,6 +26,7 @@
 #include "sim/mobile.h"
 #include "sim/mobility.h"
 #include "sim/scenario.h"
+#include "unique_temp_path.h"
 #include "util/rng.h"
 
 namespace mm {
@@ -317,9 +318,8 @@ TEST(AtlasEquivalence, TornWriteSnifferIsStillCulled) {
     sc.position = {0.0, 0.0};
     sc.antenna_height_m = 20.0;
     sc.fault_plan = plan;
-    sc.checkpoint_path = std::filesystem::temp_directory_path() /
-                         (mode == sim::DeliveryMode::kScan ? "mm_torn_scan.csv"
-                                                           : "mm_torn_indexed.csv");
+    sc.checkpoint_path = testing_support::unique_temp_path(
+        mode == sim::DeliveryMode::kScan ? "mm_torn_scan.csv" : "mm_torn_indexed.csv");
     sc.checkpoint_interval_s = 5.0;
     capture::Sniffer sniffer(sc, &out.store);
     sniffer.attach(world);

@@ -4,8 +4,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "fault/fault_injector.h"
+#include "unique_temp_path.h"
 
 namespace mm::capture {
 namespace {
@@ -15,7 +18,7 @@ const net80211::MacAddress kAp1 = *net80211::MacAddress::parse("00:1a:2b:00:00:0
 const net80211::MacAddress kAp2 = *net80211::MacAddress::parse("00:1a:2b:00:00:02");
 
 std::filesystem::path temp_file(const char* name) {
-  return std::filesystem::temp_directory_path() / name;
+  return testing_support::unique_temp_path(name);
 }
 
 ObservationStore make_populated_store() {
@@ -94,6 +97,45 @@ TEST(Persistence, SsidWithCommaSurvives) {
   ASSERT_TRUE(loaded.ok());
   ASSERT_NE(loaded.value().store.sighting(kAp1), nullptr);
   EXPECT_EQ(loaded.value().store.sighting(kAp1)->ssid, "Cafe, The \"Best\"");
+  std::filesystem::remove(path);
+}
+
+// SSIDs are raw over-the-air bytes. A line break, the directed-list
+// separator '|', '%' or a NUL is escaped, so no row is split or quarantined.
+TEST(Persistence, RawSsidBytesRoundTrip) {
+  const auto path = temp_file("mm_obs_raw_ssid.csv");
+  const std::vector<std::string> directed = {"home\nnet", "a|b", "100%",
+                                             std::string("\r\0x\x7f\xff", 5)};
+  ObservationStore store;
+  for (const std::string& ssid : directed) store.record_probe_request(kDev, 1.0, ssid);
+  store.record_beacon(kAp1, "cafe\r\n\"free\"", 6, 2.0, -60.0);
+  ASSERT_TRUE(save_observations(store, path).ok());
+  auto loaded = load_observations(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  EXPECT_EQ(loaded.value().stats.quarantined, 0u);
+  ASSERT_NE(loaded.value().store.device(kDev), nullptr);
+  EXPECT_EQ(loaded.value().store.device(kDev)->directed_ssids, directed);
+  ASSERT_NE(loaded.value().store.sighting(kAp1), nullptr);
+  EXPECT_EQ(loaded.value().store.sighting(kAp1)->ssid, "cafe\r\n\"free\"");
+  std::filesystem::remove(path);
+}
+
+// Files written before SSIDs were escaped keep a bare '%' as it is.
+TEST(Persistence, BarePercentInAnOlderFileIsKept) {
+  const auto path = temp_file("mm_obs_bare_percent.csv");
+  {
+    std::ofstream out(path);
+    out << "device,00:16:6f:00:00:0a,1,2,1,100%|5%G\n";
+    out << "sighting,00:1a:2b:00:00:01,50%,6,2,-55\n";
+  }
+  auto loaded = load_observations(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  EXPECT_EQ(loaded.value().stats.quarantined, 0u);
+  ASSERT_NE(loaded.value().store.device(kDev), nullptr);
+  EXPECT_EQ(loaded.value().store.device(kDev)->directed_ssids,
+            (std::vector<std::string>{"100%", "5%G"}));
+  ASSERT_NE(loaded.value().store.sighting(kAp1), nullptr);
+  EXPECT_EQ(loaded.value().store.sighting(kAp1)->ssid, "50%");
   std::filesystem::remove(path);
 }
 
@@ -209,20 +251,16 @@ TEST(Persistence, SaveToUnwritableDirectoryFailsAfterRetries) {
   EXPECT_NE(saved.error().find("2 attempts"), std::string::npos);
 }
 
-TEST(Checkpointer, WritesAtIntervalAndCountsFailures) {
+TEST(Checkpointer, WritesOnDemandAndCountsFailures) {
   const auto path = temp_file("mm_obs_checkpoint.csv");
   std::filesystem::remove(path);
   const ObservationStore store = make_populated_store();
-  ObservationCheckpointer cp(&store, path, /*interval_s=*/10.0);
+  ObservationCheckpointer cp(&store, path);
 
-  EXPECT_FALSE(cp.maybe_checkpoint(0.0));   // anchors the clock only
-  EXPECT_FALSE(cp.maybe_checkpoint(5.0));   // within the interval
-  EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_TRUE(cp.maybe_checkpoint(10.0));
+  ASSERT_TRUE(cp.checkpoint_now().ok());
   EXPECT_EQ(cp.checkpoints_written(), 1u);
   EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_FALSE(cp.maybe_checkpoint(15.0));
-  EXPECT_TRUE(cp.maybe_checkpoint(20.5));
+  ASSERT_TRUE(cp.checkpoint_now().ok());
   EXPECT_EQ(cp.checkpoints_written(), 2u);
   EXPECT_EQ(cp.failures(), 0u);
 
@@ -234,9 +272,10 @@ TEST(Checkpointer, WritesAtIntervalAndCountsFailures) {
 
   SaveOptions bad;
   bad.max_attempts = 1;
-  ObservationCheckpointer broken(&store, "/nonexistent/dir/cp.csv", 1.0, bad);
+  ObservationCheckpointer broken(&store, "/nonexistent/dir/cp.csv", bad);
   EXPECT_FALSE(broken.checkpoint_now().ok());
   EXPECT_EQ(broken.failures(), 1u);
+  EXPECT_EQ(broken.checkpoints_written(), 0u);
 }
 
 }  // namespace

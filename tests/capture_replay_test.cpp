@@ -12,6 +12,7 @@
 #include "sim/ap.h"
 #include "sim/mobile.h"
 #include "sim/mobility.h"
+#include "unique_temp_path.h"
 
 namespace mm::capture {
 namespace {
@@ -20,12 +21,7 @@ const net80211::MacAddress kApMac = *net80211::MacAddress::parse("00:1a:2b:00:00
 const net80211::MacAddress kClientMac = *net80211::MacAddress::parse("00:16:6f:00:00:02");
 
 std::filesystem::path record_session() {
-  // One file per test: ctest runs this binary's tests as parallel processes,
-  // and one test truncating or removing a shared file breaks another.
-  const auto path =
-      std::filesystem::temp_directory_path() /
-      ("mm_replay_" + std::string(testing::UnitTest::GetInstance()->current_test_info()->name()) +
-       ".pcap");
+  const auto path = testing_support::unique_temp_path("mm_replay.pcap");
   sim::World world({});
   sim::ApConfig ap;
   ap.bssid = kApMac;
@@ -81,7 +77,7 @@ TEST(Replay, RebuildsObservationsFromPcap) {
 }
 
 TEST(Replay, RejectsWrongLinktype) {
-  const auto path = std::filesystem::temp_directory_path() / "mm_replay_bad.pcap";
+  const auto path = testing_support::unique_temp_path("mm_replay_bad.pcap");
   { net80211::PcapWriter writer(path, net80211::kLinktype80211); }
   ObservationStore store;
   const auto replayed = replay_pcap(path, store);
@@ -98,7 +94,7 @@ TEST(Replay, MissingFileIsFailure) {
 }
 
 TEST(Replay, CountsMalformedRecords) {
-  const auto path = std::filesystem::temp_directory_path() / "mm_replay_junk.pcap";
+  const auto path = testing_support::unique_temp_path("mm_replay_junk.pcap");
   {
     net80211::PcapWriter writer(path, net80211::kLinktypeRadiotap);
     writer.write(0, std::vector<std::uint8_t>{0x01, 0x02, 0x03});  // not radiotap
@@ -117,7 +113,7 @@ TEST(Replay, CountsMalformedRecords) {
 // quarantined as malformed without ever reading past the record's bytes
 // (run under ASan in CI to prove the "never" part).
 TEST(Replay, RadiotapLengthBeyondRecordQuarantined) {
-  const auto path = std::filesystem::temp_directory_path() / "mm_replay_oob.pcap";
+  const auto path = testing_support::unique_temp_path("mm_replay_oob.pcap");
   {
     net80211::Radiotap rt;
     rt.antenna_signal_dbm = -60;

@@ -13,6 +13,7 @@
 #include "sim/mobile.h"
 #include "sim/mobility.h"
 #include "sim/scenario.h"
+#include "unique_temp_path.h"
 
 namespace mm::capture {
 namespace {
@@ -140,7 +141,7 @@ TEST(Sniffer, FixedCardsReportTheirChannels) {
 }
 
 TEST(Sniffer, WritesPcapOfDecodedFrames) {
-  const auto path = std::filesystem::temp_directory_path() / "mm_sniffer_test.pcap";
+  const auto path = testing_support::unique_temp_path("mm_sniffer_test.pcap");
   {
     sim::World world({});
     world.add_access_point(std::make_unique<sim::AccessPoint>(base_ap({20.0, 0.0}, 100.0)));
@@ -268,7 +269,7 @@ TEST(Sniffer, NicDropoutSkipsCards) {
 // Checkpointing from the capture loop: snapshots appear at the configured
 // sim-time cadence and load back cleanly.
 TEST(Sniffer, CheckpointsObservationStore) {
-  const auto path = std::filesystem::temp_directory_path() / "mm_sniffer_cp.csv";
+  const auto path = testing_support::unique_temp_path("mm_sniffer_cp.csv");
   std::filesystem::remove(path);
   sim::World world({});
   world.add_access_point(std::make_unique<sim::AccessPoint>(base_ap({60.0, 0.0}, 120.0)));

@@ -6,9 +6,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "capture/frame_event.h"
@@ -17,6 +19,7 @@
 #include "durability/crc32c.h"
 #include "durability/wal.h"
 #include "fault/fault_injector.h"
+#include "unique_temp_path.h"
 
 namespace mm::durability {
 namespace {
@@ -24,7 +27,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path fresh_dir(const char* name) {
-  const fs::path dir = fs::temp_directory_path() / name;
+  const fs::path dir = testing_support::unique_temp_path(name);
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
@@ -341,7 +344,6 @@ TEST(Checkpoint, WriteLoadRoundTripsMetaAndStore) {
   EXPECT_EQ(ck.meta.contacts, meta.contacts);
   EXPECT_EQ(ck.meta.publishes, meta.publishes);
   EXPECT_EQ(ck.damaged_skipped, 0u);
-  EXPECT_EQ(ck.load_stats.quarantined, 0u);
   EXPECT_EQ(ck.store.device_count(), store.device_count());
   for (const auto& mac : store.devices()) {
     const auto* want = store.device(mac);
@@ -364,7 +366,7 @@ TEST(Checkpoint, FallsBackOverADamagedNewerCheckpoint) {
   newer.frames = 20;
   ASSERT_TRUE(write_checkpoint(dir, newer, make_store(20)).ok());
 
-  auto metas = list_checkpoint_metas(dir);
+  auto metas = list_checkpoints(dir);
   ASSERT_EQ(metas.size(), 2u);
   auto bytes = read_file(metas.back());  // newest
   bytes[bytes.size() / 2] ^= 0x01;       // CRC now fails
@@ -375,21 +377,105 @@ TEST(Checkpoint, FallsBackOverADamagedNewerCheckpoint) {
   ASSERT_TRUE(loaded.value().has_value());
   EXPECT_EQ(loaded.value()->meta.applied_seq, 10u);
   EXPECT_EQ(loaded.value()->damaged_skipped, 1u);
+
+  // The damaged file is set aside, out of prune's count: the next
+  // checkpoint keeps the seq-10 one as its fallback, not the damaged one.
+  EXPECT_TRUE(fs::exists(metas.back().string() + ".damaged"));
+  EXPECT_EQ(list_checkpoints(dir), std::vector<fs::path>{metas.front()});
+  CheckpointMeta next;
+  next.applied_seq = 30;
+  const auto written = write_checkpoint(dir, next, make_store(30));
+  ASSERT_TRUE(written.ok()) << written.error();
+  EXPECT_EQ(written.value(), 10u);
+  EXPECT_EQ(list_checkpoints(dir).size(), kCheckpointsKept);
+}
+
+// SSIDs are raw over-the-air bytes: line breaks, the directed-list
+// separator '|', '%', quotes, commas and a NUL must load back unchanged,
+// or a row would quarantine and the whole checkpoint be refused.
+TEST(Checkpoint, RawSsidBytesRoundTrip) {
+  const fs::path dir = fresh_dir("mm_ckpt_ssid");
+  const auto device = net80211::MacAddress::from_u64(0x00166f000001ULL);
+  const auto bssid = net80211::MacAddress::from_u64(0x001a2b000001ULL);
+  const std::vector<std::string> directed = {"home\nnet", "a|b", "100%", "%41",
+                                             std::string("\r\0\"x\",y\x7f\xff", 9)};
+  const std::string beacon = "cafe\r\nfree";
+  capture::ObservationStore store;
+  for (const std::string& ssid : directed) store.record_probe_request(device, 1.0, ssid);
+  store.record_beacon(bssid, beacon, 6, 2.0, -60.0);
+  CheckpointMeta meta;
+  meta.applied_seq = 6;
+  ASSERT_TRUE(write_checkpoint(dir, meta, store).ok());
+
+  const auto loaded = load_latest_checkpoint(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  ASSERT_TRUE(loaded.value().has_value());
+  const capture::ObservationStore& got = loaded.value()->store;
+  ASSERT_NE(got.device(device), nullptr);
+  EXPECT_EQ(got.device(device)->directed_ssids, directed);
+  ASSERT_NE(got.sighting(bssid), nullptr);
+  EXPECT_EQ(got.sighting(bssid)->ssid, beacon);
 }
 
 TEST(Checkpoint, PruneKeepsTheNewestTwo) {
   const fs::path dir = fresh_dir("mm_ckpt_prune");
+  std::vector<std::uint64_t> oldest_kept;
   for (std::uint64_t seq : {5u, 10u, 15u, 20u}) {
     CheckpointMeta meta;
     meta.applied_seq = seq;
-    ASSERT_TRUE(write_checkpoint(dir, meta, make_store(seq)).ok());
+    const auto written = write_checkpoint(dir, meta, make_store(seq));
+    ASSERT_TRUE(written.ok()) << written.error();
+    oldest_kept.push_back(written.value());
   }
-  const auto metas = list_checkpoint_metas(dir);
+  // What the WAL must keep: the first checkpoint is its own fallback.
+  EXPECT_EQ(oldest_kept, (std::vector<std::uint64_t>{5, 5, 10, 15}));
+  const auto metas = list_checkpoints(dir);
   ASSERT_EQ(metas.size(), kCheckpointsKept);
   const auto loaded = load_latest_checkpoint(dir);
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(loaded.value().has_value());
   EXPECT_EQ(loaded.value()->meta.applied_seq, 20u);
+}
+
+// Its WAL is reclaimed below the checkpoints, so a directory holding only
+// the retired two-file format is an error, not a cold start.
+TEST(Checkpoint, RetiredMetaObsPairIsRefused) {
+  const fs::path dir = fresh_dir("mm_ckpt_retired");
+  write_file(dir / "ckpt-00000000000000000010.obs", {});
+  write_file(dir / "ckpt-00000000000000000010.meta", {});
+  const auto refused = load_latest_checkpoint(dir);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.error().find(dir.string()), std::string::npos) << refused.error();
+}
+
+// The on-disk format, spelled out: a header line, observation-CSV rows and a
+// CRC-32C trailer over everything before it. A row the parser would
+// quarantine refuses the whole file even under a valid CRC.
+TEST(Checkpoint, QuarantinedRowRefusesTheWholeFile) {
+  const auto checkpoint_with = [](const std::string& rows) {
+    std::string text =
+        "mmckpt v2 shard=1 shard_count=2 applied_seq=7 frames=3 contacts=2 publishes=1\n" +
+        rows;
+    char trailer[16];
+    std::snprintf(trailer, sizeof(trailer), "crc=%08x\n",
+                  crc32c({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}));
+    text += trailer;
+    return std::vector<std::uint8_t>(text.begin(), text.end());
+  };
+  const std::string device_row = "device,00:16:00:00:00:01,1.5,2.5,0,,0,0,0,0,0\n";
+  const fs::path dir = fresh_dir("mm_ckpt_quarantine");
+  const fs::path path = dir / "ckpt-00000000000000000007.ckpt";
+
+  write_file(path, checkpoint_with(device_row));
+  const auto loaded = load_latest_checkpoint(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  ASSERT_TRUE(loaded.value().has_value());
+  EXPECT_EQ(loaded.value()->meta.shard, 1u);
+  EXPECT_EQ(loaded.value()->meta.frames, 3u);
+  EXPECT_EQ(loaded.value()->store.device_count(), 1u);
+
+  write_file(path, checkpoint_with(device_row + "bogus,row\n"));
+  EXPECT_FALSE(load_latest_checkpoint(dir).ok());
 }
 
 TEST(Crc32c, MatchesKnownVector) {

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "unique_temp_path.h"
+
 namespace mm::fault {
 namespace {
 
@@ -224,7 +226,7 @@ TEST(FaultInjector, PerCardFaultsDoNotPerturbFrameStream) {
 }
 
 TEST(FaultInjector, TearFileKeepsPrefixOnly) {
-  const auto path = std::filesystem::temp_directory_path() / "mm_tear.bin";
+  const auto path = testing_support::unique_temp_path("mm_tear.bin");
   {
     std::ofstream out(path, std::ios::binary);
     const std::vector<char> bytes(1000, 'x');

@@ -18,6 +18,7 @@
 #include "sim/mobile.h"
 #include "sim/mobility.h"
 #include "sim/scenario.h"
+#include "unique_temp_path.h"
 
 namespace mm {
 namespace {
@@ -75,7 +76,7 @@ SoakRun run_capture(const SoakScenario& s, const fault::FaultPlan& plan,
   cfg.antenna_height_m = 20.0;
   cfg.fault_plan = plan;
   if (pcap_name != nullptr) {
-    cfg.pcap_path = std::filesystem::temp_directory_path() / pcap_name;
+    cfg.pcap_path = testing_support::unique_temp_path(pcap_name);
   }
   SoakRun run;
   {
@@ -247,7 +248,7 @@ TEST(FaultSoak, ReplaySweepQuarantinesWithoutCrashing) {
 // Crash-safe persistence under repeated torn writes: the previous snapshot
 // survives every failed save, and a retry eventually lands the new one.
 TEST(FaultSoak, TornWriteSoakNeverLosesPreviousSnapshot) {
-  const auto path = std::filesystem::temp_directory_path() / "mm_soak_obs.csv";
+  const auto path = testing_support::unique_temp_path("mm_soak_obs.csv");
   const SoakScenario s = make_scenario();
   capture::ObservationStore store;
   store.record_probe_request(s.victims[0], 1.0, std::string("SoakNet"));

@@ -14,6 +14,7 @@
 #include "sim/mobile.h"
 #include "sim/mobility.h"
 #include "sim/scenario.h"
+#include "unique_temp_path.h"
 
 namespace mm {
 namespace {
@@ -21,7 +22,7 @@ namespace {
 const net80211::MacAddress kVictim = *net80211::MacAddress::parse("00:16:6f:aa:bb:cc");
 
 TEST(OfflineAttack, LocateVictimFromRecordedPcap) {
-  const auto pcap_path = std::filesystem::temp_directory_path() / "mm_offline_attack.pcap";
+  const auto pcap_path = testing_support::unique_temp_path("mm_offline_attack.pcap");
 
   sim::CampusConfig campus;
   campus.seed = 4242;
@@ -76,7 +77,7 @@ TEST(OfflineAttack, LocateVictimFromRecordedPcap) {
 }
 
 TEST(OfflineAttack, ApRadFromRecordedPcap) {
-  const auto pcap_path = std::filesystem::temp_directory_path() / "mm_offline_aprad.pcap";
+  const auto pcap_path = testing_support::unique_temp_path("mm_offline_aprad.pcap");
 
   sim::CampusConfig campus;
   campus.seed = 555;

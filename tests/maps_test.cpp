@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "sim/scenario.h"
+#include "unique_temp_path.h"
 
 namespace mm::maps {
 namespace {
@@ -50,7 +51,7 @@ TEST(MarauderMap, EmptyMapStillRenders) {
 TEST(MarauderMap, WriteHtmlFile) {
   MarauderMap map("file test", frame());
   map.add_ap({5.0, 5.0}, "ap");
-  const auto path = std::filesystem::temp_directory_path() / "mm_map.html";
+  const auto path = testing_support::unique_temp_path("mm_map.html");
   map.write_html(path);
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_GT(std::filesystem::file_size(path), 500u);

@@ -14,6 +14,7 @@
 #include "marauder/tracker.h"
 #include "pipeline/live_tracker.h"
 #include "sim/scenario.h"
+#include "unique_temp_path.h"
 
 namespace mm::marauder {
 namespace {
@@ -92,7 +93,7 @@ TEST(ApDatabase, CsvRoundtripThroughGeodetic) {
   db.add({mac(1), "Cafe, The", {120.0, -340.0}, 95.0});
   db.add({mac(2), "plain", {-80.0, 15.0}, std::nullopt});
 
-  const auto path = std::filesystem::temp_directory_path() / "mm_apdb.csv";
+  const auto path = testing_support::unique_temp_path("mm_apdb.csv");
   db.to_csv(path, frame);
   CsvImportStats stats;
   const auto loaded_result = ApDatabase::from_csv(path, frame, &stats);
@@ -113,7 +114,7 @@ TEST(ApDatabase, CsvRoundtripThroughGeodetic) {
 
 TEST(ApDatabase, WigleImportParsesAppFormat) {
   const geo::EnuFrame frame(sim::uml_north_campus());
-  const auto path = std::filesystem::temp_directory_path() / "mm_wigle.csv";
+  const auto path = testing_support::unique_temp_path("mm_wigle.csv");
   {
     std::ofstream out(path);
     out << "WigleWifi-1.4,appRelease=2.53,model=Pixel,release=13\n";
@@ -145,7 +146,7 @@ TEST(ApDatabase, WigleImportParsesAppFormat) {
 
 TEST(ApDatabase, WigleImportToleratesShortRows) {
   const geo::EnuFrame frame(sim::uml_north_campus());
-  const auto path = std::filesystem::temp_directory_path() / "mm_wigle_short.csv";
+  const auto path = testing_support::unique_temp_path("mm_wigle_short.csv");
   {
     std::ofstream out(path);
     out << "netid,ssid\n00:11:22:33:44:55,x\n";  // too few columns
@@ -160,7 +161,7 @@ TEST(ApDatabase, WigleImportToleratesShortRows) {
 
 TEST(ApDatabase, FromCsvQuarantinesMalformedRows) {
   const geo::EnuFrame frame(sim::uml_north_campus());
-  const auto path = std::filesystem::temp_directory_path() / "mm_apdb_bad.csv";
+  const auto path = testing_support::unique_temp_path("mm_apdb_bad.csv");
   {
     std::ofstream out(path);
     out << "bssid,ssid,lat,lon,radius_m\n";
@@ -188,8 +189,7 @@ TEST(ApDatabase, FromCsvQuarantinesMalformedRows) {
 // first contact, so no later event on that shard was applied.
 TEST(ApDatabase, NonFiniteOrNonPositiveRowsAreQuarantinedAndEveryDeviceLocates) {
   const geo::EnuFrame frame(sim::uml_north_campus());
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto csv_path = dir / "mm_apdb_nonfinite.csv";
+  const auto csv_path = testing_support::unique_temp_path("mm_apdb_nonfinite.csv");
   {
     std::ofstream out(csv_path);
     out << "bssid,ssid,lat,lon,radius_m\n";
@@ -212,7 +212,7 @@ TEST(ApDatabase, NonFiniteOrNonPositiveRowsAreQuarantinedAndEveryDeviceLocates) 
   const ApDatabase db = std::move(imported).value();
   ASSERT_EQ(db.size(), 2u);
 
-  const auto wigle_path = dir / "mm_wigle_nonfinite.csv";
+  const auto wigle_path = testing_support::unique_temp_path("mm_wigle_nonfinite.csv");
   {
     std::ofstream out(wigle_path);
     out << "netid,ssid,authmode,firstseen,channel,rssi,currentlatitude,"

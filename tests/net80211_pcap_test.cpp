@@ -10,12 +10,13 @@
 
 #include "net80211/frames.h"
 #include "net80211/radiotap.h"
+#include "unique_temp_path.h"
 
 namespace mm::net80211 {
 namespace {
 
 std::filesystem::path temp_pcap(const char* name) {
-  return std::filesystem::temp_directory_path() / name;
+  return testing_support::unique_temp_path(name);
 }
 
 TEST(Radiotap, SerializeParseRoundtrip) {

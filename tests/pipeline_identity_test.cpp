@@ -189,7 +189,6 @@ TEST(PipelineIdentity, ResolutionAfterRecoveryEqualsBatch) {
   config.drop_policy = DropPolicy::kBlock;
   config.durability.dir = dir;
   config.durability.wal.fsync_on_commit = false;
-  config.durability.checkpoint_save.fsync = false;
   {
     LiveTracker first(db, config);
     first.start();

@@ -20,10 +20,12 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "capture/sniffer.h"
+#include "durability/checkpoint.h"
 #include "durability/wal.h"
 #include "marauder/ap_database.h"
 #include "pipeline/live_feed.h"
@@ -104,7 +106,6 @@ LiveTrackerConfig base_config(const fs::path& wal_dir) {
   config.durability.wal.commit_every_records = 4;
   config.durability.wal.fsync_on_commit = false;  // a killed process keeps OS-buffered writes
   config.durability.checkpoint_interval_s = 0.0;  // checkpoints forced by tests
-  config.durability.checkpoint_save.fsync = false;
   return config;
 }
 
@@ -361,6 +362,180 @@ TEST(PipelineRecovery, OutOfOrderContactsRecoverTheSameStamp) {
   EXPECT_EQ(stats.value().positions_republished, 1u);
   expect_trackers_equal(recovered, uninterrupted);
   fs::remove_all(dir);
+}
+
+// Two runs of one shard over 60 single-contact devices at -50 dBm: events
+// 1-20 end in the seq-20 checkpoint, a recovered run of 21-60 in the seq-60
+// one. Small segments and a commit per record, so the stop() checkpoints
+// reclaim WAL segments.
+struct TwoCheckpointRun {
+  static constexpr std::uint64_t kDevices = 60;
+  net80211::MacAddress ap = net80211::MacAddress::from_u64(0x00166f200001ULL);
+  marauder::ApDatabase db;
+  fs::path dir;
+  LiveTrackerConfig config;
+
+  explicit TwoCheckpointRun(const char* name) : dir(testing_support::unique_temp_path(name)) {
+    db.add({ap, "one", {0.0, 0.0}, 80.0});
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    config = base_config(dir);
+    config.shards = 1;
+    config.durability.wal.segment_bytes = 512;
+    config.durability.wal.commit_every_records = 1;
+  }
+  ~TwoCheckpointRun() { fs::remove_all(dir); }
+
+  void feed(LiveTracker& tracker, std::uint64_t first, std::uint64_t last) const {
+    tracker.start();
+    for (std::uint64_t seq = first; seq <= last; ++seq) {
+      capture::FrameEvent event;
+      event.kind = capture::FrameEventKind::kContact;
+      event.stream_seq = seq;
+      event.device = net80211::MacAddress::from_u64(0x00166f300000ULL + seq);
+      event.ap = ap;
+      event.time_s = static_cast<double>(seq);
+      event.rssi_dbm = -50.0;
+      ASSERT_TRUE(tracker.push(event));
+    }
+    tracker.stop();
+  }
+
+  void run() const {
+    LiveTracker first(db, config);
+    ASSERT_NO_FATAL_FAILURE(feed(first, 1, 20));
+    LiveTracker second(db, config);
+    const auto recovered = second.recover();
+    ASSERT_TRUE(recovered.ok()) << recovered.error();
+    ASSERT_NO_FATAL_FAILURE(feed(second, 21, kDevices));
+  }
+
+  /// The shard's checkpoint file at applied sequence `seq`.
+  [[nodiscard]] fs::path checkpoint(std::uint64_t seq) const {
+    const std::string digits = std::to_string(seq);
+    return dir / "shard-0" /
+           ("ckpt-" + std::string(20 - digits.size(), '0') + digits + ".ckpt");
+  }
+};
+
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_text(const fs::path& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+void flip_middle_byte(const fs::path& path) {
+  std::string text = read_text(path);
+  ASSERT_FALSE(text.empty()) << path;
+  text[text.size() / 2] ^= 0x01;
+  write_text(path, text);
+}
+
+// Recovery falls back to the older checkpoint kept when the newest is
+// damaged, so the WAL must still hold every record after the older one:
+// checkpoints reclaim segments only up to it.
+TEST(PipelineRecovery, DamagedNewestCheckpointFallsBackWithoutLosingWalRecords) {
+  TwoCheckpointRun run("mm_rec_fallback");
+  ASSERT_NO_FATAL_FAILURE(run.run());
+  ASSERT_NO_FATAL_FAILURE(flip_middle_byte(run.checkpoint(60)));
+
+  LiveTracker recovered(run.db, run.config);
+  const auto stats = recovered.recover();
+  ASSERT_TRUE(stats.ok()) << stats.error();
+  EXPECT_EQ(stats.value().checkpoints_damaged, 1u);
+  EXPECT_EQ(stats.value().checkpoints_loaded, 1u);
+  EXPECT_EQ(stats.value().wal_records_replayed, 40u);
+  EXPECT_EQ(stats.value().max_applied_seq, TwoCheckpointRun::kDevices);
+  EXPECT_EQ(recovered.shard_store(0).device_count(), TwoCheckpointRun::kDevices);
+
+  // The damaged file was set aside, so the next checkpoint (seq 100) keeps
+  // the seq-20 one as its fallback, and the WAL after it: a damaged newest
+  // checkpoint again loses nothing.
+  ASSERT_NO_FATAL_FAILURE(run.feed(recovered, TwoCheckpointRun::kDevices + 1, 100));
+  EXPECT_EQ(durability::list_checkpoints(run.dir / "shard-0"),
+            (std::vector<fs::path>{run.checkpoint(20), run.checkpoint(100)}));
+  ASSERT_NO_FATAL_FAILURE(flip_middle_byte(run.checkpoint(100)));
+  LiveTracker again(run.db, run.config);
+  const auto second = again.recover();
+  ASSERT_TRUE(second.ok()) << second.error();
+  EXPECT_EQ(second.value().checkpoints_damaged, 1u);
+  EXPECT_EQ(second.value().wal_records_replayed, 80u);
+  EXPECT_EQ(second.value().max_applied_seq, 100u);
+  EXPECT_EQ(again.shard_store(0).device_count(), 100u);
+}
+
+// A checkpoint is checked whole: one changed digit in a store row (a
+// contact's last RSSI, -50 -> -59) refuses the file, and the older
+// checkpoint plus the WAL restore the true value.
+TEST(PipelineRecovery, OneByteBodyChangeRefusesTheCheckpoint) {
+  TwoCheckpointRun run("mm_rec_body");
+  ASSERT_NO_FATAL_FAILURE(run.run());
+  const fs::path newest = run.checkpoint(60);
+  std::string text = read_text(newest);
+  const std::size_t contact = text.find("\ncontact,");
+  ASSERT_NE(contact, std::string::npos);
+  const std::size_t rssi = text.find(",-50,", contact);
+  ASSERT_NE(rssi, std::string::npos);
+  text[rssi + 3] = '9';
+  write_text(newest, text);
+
+  LiveTracker recovered(run.db, run.config);
+  const auto stats = recovered.recover();
+  ASSERT_TRUE(stats.ok()) << stats.error();
+  EXPECT_EQ(stats.value().checkpoints_damaged, 1u);
+  const capture::ObservationStore& store = recovered.shard_store(0);
+  EXPECT_EQ(store.device_count(), TwoCheckpointRun::kDevices);
+  for (const auto& mac : store.devices()) {
+    for (const auto& [ap, contact] : store.device(mac)->contacts) {
+      EXPECT_TRUE(bits_equal(contact.last_rssi_dbm, -50.0)) << mac.to_string();
+    }
+  }
+}
+
+// SSIDs are raw over-the-air bytes, so one probe or beacon can carry a
+// line break. The stop() checkpoint must hold it: the shard then recovers
+// from that checkpoint instead of refusing it as damaged.
+TEST(PipelineRecovery, RawSsidBytesSurviveTheCheckpoint) {
+  TwoCheckpointRun run("mm_rec_ssid");
+  const auto device = net80211::MacAddress::from_u64(0x00166f300001ULL);
+  const std::string directed("home\nnet|5%\r\0", 13);
+  const std::string advertised = "cafe\r\n\"free\",wifi";
+  {
+    LiveTracker tracker(run.db, run.config);
+    tracker.start();
+    capture::FrameEvent probe;
+    probe.kind = capture::FrameEventKind::kProbeRequest;
+    probe.stream_seq = 1;
+    probe.device = device;
+    probe.time_s = 1.0;
+    probe.set_ssid(directed);
+    ASSERT_TRUE(tracker.push(probe));
+    capture::FrameEvent beacon;
+    beacon.kind = capture::FrameEventKind::kBeacon;
+    beacon.stream_seq = 2;
+    beacon.ap = run.ap;
+    beacon.time_s = 2.0;
+    beacon.rssi_dbm = -60.0;
+    beacon.channel = 6;
+    beacon.set_ssid(advertised);
+    ASSERT_TRUE(tracker.push(beacon));
+    tracker.stop();
+  }
+
+  LiveTracker recovered(run.db, run.config);
+  const auto stats = recovered.recover();
+  ASSERT_TRUE(stats.ok()) << stats.error();
+  EXPECT_EQ(stats.value().checkpoints_loaded, 1u);
+  EXPECT_EQ(stats.value().checkpoints_damaged, 0u);
+  EXPECT_EQ(stats.value().wal_records_replayed, 0u);
+  const capture::ObservationStore& store = recovered.shard_store(0);
+  ASSERT_NE(store.device(device), nullptr);
+  EXPECT_EQ(store.device(device)->directed_ssids, std::vector<std::string>{directed});
+  ASSERT_NE(store.sighting(run.ap), nullptr);
+  EXPECT_EQ(store.sighting(run.ap)->ssid, advertised);
 }
 
 TEST(PipelineRecovery, ColdDirectoryIsNotAnError) {

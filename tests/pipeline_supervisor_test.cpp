@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -96,7 +97,6 @@ struct SupervisedRig {
     config.durability.dir = dir;
     config.durability.wal.commit_every_records = 1;  // every applied event durable
     config.durability.wal.fsync_on_commit = false;
-    config.durability.checkpoint_save.fsync = false;
     return config;
   }
 
@@ -327,6 +327,77 @@ TEST(ShardSupervisor, CrashLoopTripsTheBreakerAndDegradesOnlyThatPartition) {
   EXPECT_TRUE(stats.shards[kTarget].degraded);
   EXPECT_FALSE(stats.shards[kOther].degraded);
 
+  tracker.stop();
+}
+
+// A restart whose recovery fails gives the partition up: a generation run on
+// what did load would checkpoint the loss over the evidence for good.
+TEST(ShardSupervisor, FailedRecoveryDegradesThePartitionInsteadOfRestarting) {
+  SupervisedRig rig("mm_sup_norecover");
+  constexpr std::size_t kTarget = 0;
+  constexpr std::size_t kOther = 1;
+
+  std::atomic<bool> crash_armed{false};
+  LiveTrackerConfig config = rig.config();
+  config.durability.checkpoint_interval_s = 0.01;
+  config.ingest_hook = [&](std::size_t shard, const capture::FrameEvent&) {
+    if (shard == kTarget && crash_armed.exchange(false, std::memory_order_acq_rel)) {
+      throw std::runtime_error("injected worker crash");
+    }
+  };
+  LiveTracker tracker(rig.db, config);
+  tracker.start();
+  const auto target_dev = mac_for_shard(tracker, kTarget, 6);
+  const auto other_dev = mac_for_shard(tracker, kOther, 7);
+
+  std::uint64_t seq = 0;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const double t = 1.0 + 0.1 * static_cast<double>(i);
+    ASSERT_TRUE(tracker.push(contact_event(target_dev, rig.truth[i].bssid, ++seq, t)));
+    ASSERT_TRUE(tracker.push(contact_event(other_dev, rig.truth[i].bssid, ++seq, t)));
+  }
+  ASSERT_TRUE(wait_for([&] { return tracker.stats().shards[kTarget].checkpoints >= 1; }));
+
+  // Kill the target worker before any supervisor runs, so no newer
+  // checkpoint appears; the event behind the fatal one stays in its ring.
+  crash_armed.store(true, std::memory_order_release);
+  ASSERT_TRUE(tracker.push(contact_event(target_dev, rig.truth[4].bssid, ++seq, 2.0)));
+  ASSERT_TRUE(tracker.push(contact_event(target_dev, rig.truth[5].bssid, ++seq, 2.1)));
+  ASSERT_TRUE(wait_for([&] { return tracker.shard_health(kTarget).dead; }));
+  std::size_t damaged = 0;
+  for (const auto& entry : fs::directory_iterator(rig.dir / "shard-0")) {
+    if (!entry.path().filename().string().starts_with("ckpt-")) continue;
+    std::fstream file(entry.path(), std::ios::in | std::ios::out | std::ios::binary);
+    const auto middle = static_cast<std::streamoff>(fs::file_size(entry.path()) / 2);
+    char byte = 0;
+    file.seekg(middle);
+    file.get(byte);
+    file.seekp(middle);
+    file.put(static_cast<char>(byte ^ 0x01));
+    ++damaged;
+  }
+  ASSERT_GE(damaged, 1u);
+
+  SupervisorOptions sup;
+  sup.poll_interval_s = 0.02;
+  ShardSupervisor supervisor(tracker, sup);
+  supervisor.start();
+  ASSERT_TRUE(wait_for([&] { return tracker.shard_degraded(kTarget); }));
+
+  // The other partition keeps applying events.
+  const std::uint64_t other_frames = tracker.shard_health(kOther).frames;
+  ASSERT_TRUE(tracker.push(contact_event(other_dev, rig.truth[6].bssid, ++seq, 3.0)));
+  ASSERT_TRUE(wait_for([&] { return tracker.shard_health(kOther).frames > other_frames; }));
+  supervisor.stop();
+
+  const SupervisorStats sup_stats = supervisor.stats();
+  EXPECT_EQ(sup_stats.restarts, 0u);
+  EXPECT_EQ(sup_stats.circuit_breaks, 1u);
+  const PipelineStats stats = tracker.stats();
+  EXPECT_EQ(stats.shards[kTarget].restarts, 0u);
+  EXPECT_TRUE(stats.shards[kTarget].degraded);
+  EXPECT_GE(stats.shards[kTarget].lost_events, 1u);
+  EXPECT_FALSE(stats.shards[kOther].degraded);
   tracker.stop();
 }
 

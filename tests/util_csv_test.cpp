@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "unique_temp_path.h"
+
 namespace mm::util {
 namespace {
 
@@ -64,7 +66,7 @@ TEST(Csv, RoundtripParseJoin) {
 }
 
 TEST(Csv, FileRoundtrip) {
-  const auto path = std::filesystem::temp_directory_path() / "mm_csv_test.csv";
+  const auto path = testing_support::unique_temp_path("mm_csv_test.csv");
   const std::vector<CsvRow> rows{
       {"bssid", "ssid", "lat", "lon"},
       {"00:11:22:33:44:55", "Cafe, The", "42.655", "-71.325"},
@@ -80,7 +82,7 @@ TEST(Csv, ReadMissingFileThrows) {
 }
 
 TEST(Csv, ReadSkipsBlankLines) {
-  const auto path = std::filesystem::temp_directory_path() / "mm_csv_blank.csv";
+  const auto path = testing_support::unique_temp_path("mm_csv_blank.csv");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);

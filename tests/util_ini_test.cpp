@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "unique_temp_path.h"
+
 namespace mm::util {
 namespace {
 
@@ -79,7 +81,7 @@ TEST(Ini, LastDuplicateKeyWins) {
 }
 
 TEST(Ini, LoadFromFile) {
-  const auto path = std::filesystem::temp_directory_path() / "mm_ini_test.ini";
+  const auto path = testing_support::unique_temp_path("mm_ini_test.ini");
   {
     std::ofstream out(path);
     out << "[file]\nloaded = yes\n";

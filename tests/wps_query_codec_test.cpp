@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "unique_temp_path.h"
 #include "util/rng.h"
 #include "wps/snapshot_writer.h"
 
@@ -247,7 +248,7 @@ TEST(WpsQueryCodec, ExecuteMatchesDirectServiceCalls) {
     ap.position = {rng.uniform(-2000.0, 2000.0), rng.uniform(-2000.0, 2000.0)};
     db.add(std::move(ap));
   }
-  const fs::path path = fs::temp_directory_path() / "mm_wps_codec_exec.wps";
+  const fs::path path = testing_support::unique_temp_path("mm_wps_codec_exec.wps");
   SnapshotBuildOptions build;
   build.fsync = false;
   ASSERT_TRUE(write_snapshot(db, geo::Geodetic{}, path, build).ok());

@@ -13,6 +13,7 @@
 
 #include "marauder/ap_database.h"
 #include "net80211/mac_address.h"
+#include "unique_temp_path.h"
 #include "util/rng.h"
 #include "wps/service.h"
 #include "wps/snapshot_writer.h"
@@ -38,7 +39,7 @@ marauder::ApDatabase small_city(std::size_t n, std::uint64_t seed) {
 }
 
 Service open_city(const std::string& name, std::size_t n, std::uint64_t seed) {
-  const fs::path path = fs::temp_directory_path() / name;
+  const fs::path path = testing_support::unique_temp_path(name);
   fs::remove(path);
   SnapshotBuildOptions build;
   build.fsync = false;

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <thread>
 
+#include "unique_temp_path.h"
 #include "util/rng.h"
 #include "wps/snapshot_writer.h"
 #include "wps/surveil.h"
@@ -23,7 +24,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path temp_path(const std::string& name) {
-  const fs::path p = fs::temp_directory_path() / name;
+  const fs::path p = testing_support::unique_temp_path(name);
   fs::remove(p);
   return p;
 }
@@ -465,7 +466,7 @@ TEST(WpsServiceReload, ConcurrentQueriesNeverObserveTornEpoch) {
     db2.add(std::move(moved));
   }
   Service service = open_snapshot_of(db1, "mm_wps_epoch_a.wps");
-  const fs::path path_a = fs::temp_directory_path() / "mm_wps_epoch_a.wps";
+  const fs::path path_a = testing_support::unique_temp_path("mm_wps_epoch_a.wps");
   const fs::path path_b = temp_path("mm_wps_epoch_b.wps");
   SnapshotBuildOptions build;
   build.fsync = false;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "durability/crc32c.h"
+#include "unique_temp_path.h"
 #include "util/rng.h"
 #include "wps/service.h"
 #include "wps/snapshot_writer.h"
@@ -19,7 +20,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path temp_path(const std::string& name) {
-  const fs::path p = fs::temp_directory_path() / name;
+  const fs::path p = testing_support::unique_temp_path(name);
   fs::remove(p);
   return p;
 }

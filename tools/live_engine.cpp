@@ -39,8 +39,6 @@ void write_stats_json(const std::string& path, const pipeline::PipelineStats& st
   out << "  \"recovery\": {\"performed\": " << (r.performed ? "true" : "false")
       << ", \"checkpoints_loaded\": " << r.checkpoints_loaded
       << ", \"checkpoints_damaged\": " << r.checkpoints_damaged
-      << ", \"checkpoint_rows_loaded\": " << r.checkpoint_rows_loaded
-      << ", \"checkpoint_rows_quarantined\": " << r.checkpoint_rows_quarantined
       << ", \"wal_segments_read\": " << r.wal_segments_read
       << ", \"wal_records_replayed\": " << r.wal_records_replayed
       << ", \"wal_records_skipped\": " << r.wal_records_skipped
