@@ -105,7 +105,7 @@ bool apply_event(const FrameEvent& event, ObservationStore& store) {
   bool new_contact = false;
   switch (event.kind) {
     case FrameEventKind::kProbeRequest:
-      store.record_probe_request(event.device, event.time_s, event.ssid_str());
+      store.record_probe_request(event.device, event.time_s, event.ssid_opt());
       break;
     case FrameEventKind::kPresence:
       store.record_presence(event.device, event.time_s);

@@ -69,9 +69,10 @@ struct FrameEvent {
   [[nodiscard]] std::string_view ssid_view() const noexcept {
     return has_ssid ? std::string_view(ssid, ssid_len) : std::string_view();
   }
-  [[nodiscard]] std::optional<std::string> ssid_str() const {
+  /// The SSID in place, nullopt when absent (as FrameView::ssid()).
+  [[nodiscard]] std::optional<std::string_view> ssid_opt() const noexcept {
     if (!has_ssid) return std::nullopt;
-    return std::string(ssid_view());
+    return ssid_view();
   }
   void set_ssid(std::optional<std::string_view> s);
 };

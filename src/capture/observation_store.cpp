@@ -38,13 +38,13 @@ auto sighting_slot(Sightings& sightings, const net80211::MacAddress& bssid) {
 
 void ObservationStore::record_probe_request(const net80211::MacAddress& device,
                                             sim::SimTime time,
-                                            const std::optional<std::string>& directed_ssid) {
+                                            std::optional<std::string_view> directed_ssid) {
   DeviceRecord& rec = touch_device(devices_, device, time);
   ++rec.probe_requests;
   if (directed_ssid && !directed_ssid->empty()) {
     if (std::find(rec.directed_ssids.begin(), rec.directed_ssids.end(), *directed_ssid) ==
         rec.directed_ssids.end()) {
-      rec.directed_ssids.push_back(*directed_ssid);
+      rec.directed_ssids.emplace_back(*directed_ssid);
     }
   }
 }

@@ -94,8 +94,10 @@ class ObservationStore {
   ObservationStore() = default;
   explicit ObservationStore(ObservationStoreOptions options) : options_(options) {}
 
+  /// Counts one probe request; a directed (non-empty) SSID new to the
+  /// device is copied into its record, so a repeated SSID builds no string.
   void record_probe_request(const net80211::MacAddress& device, sim::SimTime time,
-                            const std::optional<std::string>& directed_ssid);
+                            std::optional<std::string_view> directed_ssid);
   /// Marks a device as seen (association/data traffic) without counting a
   /// probe — the "found but not probing" class of Fig 10/11.
   void record_presence(const net80211::MacAddress& device, sim::SimTime time);

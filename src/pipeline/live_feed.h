@@ -9,6 +9,11 @@
 // inline. Under the kBlock drop policy this makes the live run
 // informationally identical to a batch replay of the same file, which the
 // live/batch equivalence test pins bit-for-bit.
+//
+// The records are decoded on replay_records' helper thread; the pacing
+// wait, the sequence stamp and the push run on the calling thread, which
+// checks `stop` before each record, so a paced feed still stops between
+// records while the helper has read ahead (DESIGN.md §6).
 #pragma once
 
 #include <filesystem>
@@ -29,7 +34,8 @@ struct LiveFeedOptions {
   /// Cooperative cancellation (the `mmctl live` SIGINT/SIGTERM path): when
   /// set and it becomes true, the feed stops between records and returns
   /// normally with `interrupted` flagged, so the tracker can still drain and
-  /// write its final checkpoint.
+  /// write its final checkpoint. Records the decode helper read ahead are
+  /// not pushed; `replay`'s framing and fault counters may include them.
   const std::atomic<bool>* stop = nullptr;
 };
 

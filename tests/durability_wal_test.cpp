@@ -53,7 +53,7 @@ void expect_events_equal(const capture::FrameEvent& a, const capture::FrameEvent
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a.rssi_dbm),
             std::bit_cast<std::uint64_t>(b.rssi_dbm));
   EXPECT_EQ(a.channel, b.channel);
-  EXPECT_EQ(a.ssid_str(), b.ssid_str());
+  EXPECT_EQ(a.ssid_opt(), b.ssid_opt());
 }
 
 std::vector<std::uint8_t> read_file(const fs::path& path) {

@@ -78,7 +78,9 @@ void expect_same_ap(const WpsAp& got, const marauder::KnownAp& want) {
   EXPECT_TRUE(bits_equal(got.position.x, want.position.x));
   EXPECT_TRUE(bits_equal(got.position.y, want.position.y));
   ASSERT_EQ(got.radius_m.has_value(), want.radius_m.has_value());
-  if (got.radius_m) EXPECT_TRUE(bits_equal(*got.radius_m, *want.radius_m));
+  if (got.radius_m) {
+    EXPECT_TRUE(bits_equal(*got.radius_m, *want.radius_m));
+  }
 }
 
 void expect_same_list(const std::vector<WpsAp>& got,
@@ -337,7 +339,9 @@ TEST(WpsService, MaterializeRebuildsDatabase) {
     EXPECT_TRUE(bits_equal(got->position.x, ap->position.x));
     EXPECT_TRUE(bits_equal(got->position.y, ap->position.y));
     ASSERT_EQ(got->radius_m.has_value(), ap->radius_m.has_value());
-    if (got->radius_m) EXPECT_TRUE(bits_equal(*got->radius_m, *ap->radius_m));
+    if (got->radius_m) {
+      EXPECT_TRUE(bits_equal(*got->radius_m, *ap->radius_m));
+    }
   }
   // The rebuilt database answers queries exactly like the original.
   util::Rng rng(7);
