@@ -55,5 +55,5 @@ int main(int argc, char** argv) {
   std::cout << "\npaper shape check: AP-Rad's intersected area exceeds M-Loc's "
             << "(radius-estimation error): " << (aprad_larger ? "HOLDS" : "VIOLATED")
             << "; both shrink as k grows\n";
-  return 0;
+  return aprad_larger ? 0 : 1;
 }

@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical kernels:
-// disc-intersection geometry, the simplex solver on AP-Rad-shaped LPs,
+// disc-intersection geometry, AP-Rad's radius estimate on the bench campus,
 // M-Loc localization, 802.11 frame codec, per-record capture decode,
 // CRC-32, and pcap I/O.
 #include <benchmark/benchmark.h>
@@ -8,8 +8,9 @@
 #include <vector>
 
 #include "capture/replay.h"
+#include "common.h"
 #include "geo/disc_intersection.h"
-#include "lp/simplex.h"
+#include "marauder/aprad.h"
 #include "marauder/mloc.h"
 #include "net80211/crc32.h"
 #include "net80211/frames.h"
@@ -60,37 +61,21 @@ void BM_MLocExactCentroid(benchmark::State& state) {
 }
 BENCHMARK(BM_MLocExactCentroid)->Arg(4)->Arg(8)->Arg(16);
 
-void BM_SimplexApRadShape(benchmark::State& state) {
-  // n APs on a jittered grid; chain-style constraints as AP-Rad generates.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(11);
-  std::vector<geo::Vec2> positions;
-  for (std::size_t i = 0; i < n; ++i) {
-    positions.push_back({rng.uniform(-400.0, 400.0), rng.uniform(-400.0, 400.0)});
-  }
+// AP-Rad's whole radius estimate (constraint generation and the one LP
+// solve) on the bench campus at 40, 130 and 170 APs. The campus walk and its
+// session Gammas are built once per size, outside the timed loop.
+void BM_ApRadEstimateRadii(benchmark::State& state) {
+  bench::CampusRunConfig cfg;
+  cfg.num_aps = static_cast<std::size_t>(state.range(0));
+  const bench::CampusRun run = bench::run_campus(cfg);
+  const marauder::ApDatabase db = marauder::ApDatabase::from_truth(run.truth, false);
+  const auto gammas = run.store.session_gammas(marauder::TrackerOptions{}.session_gap_s);
   for (auto _ : state) {
-    lp::LinearProgram program(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      program.set_objective(i, 1.0);
-      program.add_upper_bound(i, 200.0);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double d = positions[i].distance_to(positions[j]);
-        if (d < 150.0) {
-          program.add_constraint(
-              {{{i, 1.0}, {j, 1.0}}, lp::Relation::kGreaterEqual, d, false, 0.0});
-        } else if (d < 400.0) {
-          program.add_constraint(
-              {{{i, 1.0}, {j, 1.0}}, lp::Relation::kLessEqual, d - 1.0, true, 50.0});
-        }
-      }
-    }
-    auto solution = program.solve();
-    benchmark::DoNotOptimize(solution.objective);
+    auto radii = marauder::aprad_estimate_radii(db, gammas);
+    benchmark::DoNotOptimize(radii);
   }
 }
-BENCHMARK(BM_SimplexApRadShape)->Arg(10)->Arg(25)->Arg(50)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ApRadEstimateRadii)->Arg(40)->Arg(130)->Arg(170)->Unit(benchmark::kMillisecond);
 
 void BM_FrameSerialize(benchmark::State& state) {
   const auto ap = *net80211::MacAddress::parse("00:1a:2b:00:00:01");

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 
 #include "geo/spatial_index.h"
-#include "lp/simplex.h"
+#include "lp/pair_lp.h"
 
 namespace mm::marauder {
 
@@ -16,7 +15,16 @@ using IndexPair = std::pair<std::size_t, std::size_t>;
 
 /// LP objective penalty per metre of "<" violation. An unsatisfiable
 /// co-observation row, made soft, costs ten times this.
-constexpr double kSoftPenalty = 50.0;
+constexpr std::int64_t kSoftPenalty = 50;
+
+/// Margin that turns the strict "<" into "<= d - epsilon".
+constexpr double kEpsilonM = 1.0;
+
+/// Added to every LP radius (clamped to the cap): Theorem 3 shows an
+/// overestimate costs area linearly while an underestimate destroys the
+/// coverage guarantee exponentially in k, so residual noise in the
+/// co-observation evidence is absorbed upward.
+constexpr double kOverestimateBiasM = 10.0;
 
 }  // namespace
 
@@ -78,7 +86,7 @@ ApRadConstraints aprad_prepare_constraints(
   // disc is inclusive, so the strict d < 2R predicate re-filters the
   // boundary; candidates sort by (d, j), and rows enter in ascending i with
   // the first row for a pair kept. Selected distances are kept alongside
-  // the pairs so the LP rounds never re-derive them.
+  // the pairs so the LP never re-derives them.
   const double interest_radius = 2.0 * options.max_radius_m;
   geo::SpatialIndex grid(std::max(1.0, options.max_radius_m));
   for (std::size_t i = 0; i < position.size(); ++i) grid.insert(i, position[i]);
@@ -100,8 +108,7 @@ ApRadConstraints aprad_prepare_constraints(
     }
   }
 
-  // Flatten the co-observation matrix and precompute its distances once —
-  // the LP's row-generation loop re-scans these per round.
+  // Flatten the co-observation matrix and precompute its distances once.
   out.co_pairs.assign(co_observed.begin(), co_observed.end());
   out.co_dist.reserve(out.co_pairs.size());
   for (const auto& [i, j] : out.co_pairs) {
@@ -114,69 +121,28 @@ std::map<net80211::MacAddress, double> aprad_estimate_radii(
     const ApDatabase& db, const std::vector<std::set<net80211::MacAddress>>& gammas,
     const ApRadOptions& options) {
   const ApRadConstraints prepared = aprad_prepare_constraints(db, gammas, options);
-  const std::vector<net80211::MacAddress>& observed = prepared.observed;
-  const std::map<IndexPair, double>& less_rows = prepared.less_rows;
-  const std::vector<IndexPair>& co_pairs = prepared.co_pairs;
-  const std::vector<double>& co_dist = prepared.co_dist;
   std::map<net80211::MacAddress, double> radii;
-  if (observed.empty()) return radii;
+  if (prepared.observed.empty()) return radii;
 
-  // Hard ">=" co-observation rows by *row generation*: rich evidence yields
-  // thousands of co-observed pairs, but maximizing sum(r) satisfies nearly
-  // all of them for free — only those the "<" pressure actually violates
-  // need to enter the LP. Solve, find violated rows, add them, repeat.
-  std::vector<char> hard_active(co_pairs.size(), 0);
-  lp::Solution solution;
-  for (int round = 0; round < 8; ++round) {
-    lp::LinearProgram program(observed.size());
-    for (std::size_t i = 0; i < observed.size(); ++i) {
-      program.set_objective(i, 1.0);  // maximize sum of radii (overestimate bias)
-      program.add_upper_bound(i, options.max_radius_m);
-    }
-    for (const auto& [pair, d] : less_rows) {
-      program.add_constraint({{{pair.first, 1.0}, {pair.second, 1.0}},
-                              lp::Relation::kLessEqual,
-                              d - options.epsilon_m,
-                              /*soft=*/true,
-                              kSoftPenalty});
-    }
-    for (std::size_t k = 0; k < co_pairs.size(); ++k) {
-      if (hard_active[k] == 0) continue;
-      const auto& [i, j] = co_pairs[k];
-      const double d = co_dist[k];
-      // Under the disc model d <= r_i + r_j <= 2*cap always holds; polluted
-      // evidence (a device that moved between two sightings) can violate
-      // that, so rows the caps cannot satisfy become soft instead of making
-      // the whole LP infeasible.
-      const bool satisfiable = d <= 2.0 * options.max_radius_m;
-      program.add_constraint({{{i, 1.0}, {j, 1.0}},
-                              lp::Relation::kGreaterEqual,
-                              d,
-                              /*soft=*/!satisfiable,
-                              kSoftPenalty * 10.0});
-    }
-
-    solution = program.solve();
-    if (!solution.optimal()) {
-      throw std::runtime_error(std::string("AP-Rad: LP failed: ") +
-                               lp::to_string(solution.status));
-    }
-
-    std::size_t added = 0;
-    for (std::size_t k = 0; k < co_pairs.size(); ++k) {
-      if (hard_active[k] != 0) continue;
-      if (solution.values[co_pairs[k].first] + solution.values[co_pairs[k].second] <
-          co_dist[k] - 1e-6) {
-        hard_active[k] = 1;
-        ++added;
-      }
-    }
-    if (added == 0) break;
+  // One solve over every row: maximize sum(r) under soft "<" rows and the
+  // co-observation rows. Under the disc model d <= r_i + r_j <= 2*cap always
+  // holds; polluted evidence (a device that moved between two sightings) can
+  // break that, and the solver keeps such a row soft instead of hard.
+  lp::PairLp program{.variables = prepared.observed.size(),
+                     .cap = options.max_radius_m,
+                     .at_most_penalty = kSoftPenalty,
+                     .at_least_penalty = kSoftPenalty * 10};
+  for (const auto& [pair, d] : prepared.less_rows) {
+    program.at_most.push_back({pair.first, pair.second, d - kEpsilonM});
   }
+  for (std::size_t k = 0; k < prepared.co_pairs.size(); ++k) {
+    program.at_least.push_back(
+        {prepared.co_pairs[k].first, prepared.co_pairs[k].second, prepared.co_dist[k]});
+  }
+  const std::vector<double> r = lp::solve(program);
 
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    radii[observed[i]] =
-        std::min(solution.values[i] + options.overestimate_bias_m, options.max_radius_m);
+  for (std::size_t i = 0; i < prepared.observed.size(); ++i) {
+    radii[prepared.observed[i]] = std::min(r[i] + kOverestimateBiasM, options.max_radius_m);
   }
   return radii;
 }

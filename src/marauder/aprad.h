@@ -18,6 +18,11 @@
 //     infeasible — while co-observation ">=" constraints stay hard;
 //   * radii are capped by the Theorem-1 bound, without which maximizing
 //     sum(r) is unbounded for APs with no "<" neighbour.
+// The LP is solved once, over every row, as a min-cost flow (lp/pair_lp.h).
+// Where its optimum is not unique — one binding r_i + r_j <= c row can be
+// split any way between i and j — the flow returns one optimal point, not
+// necessarily a vertex, so such radii can differ from a simplex's while the
+// objective is the same.
 #pragma once
 
 #include <map>
@@ -34,15 +39,8 @@ namespace mm::marauder {
 struct ApRadOptions {
   /// Theorem-1-style cap on any AP's maximum transmission distance.
   double max_radius_m = 250.0;
-  /// Margin that turns the strict "<" into "<= d - epsilon".
-  double epsilon_m = 1.0;
   /// Per-AP limit on "<" constraints (nearest non-co-observed neighbours).
   std::size_t max_less_neighbors = 8;
-  /// Added to every LP radius (clamped to the cap): Theorem 3 shows an
-  /// overestimate costs area linearly while an underestimate destroys the
-  /// coverage guarantee exponentially in k, so residual noise in the
-  /// co-observation evidence is absorbed upward.
-  double overestimate_bias_m = 10.0;
   MLocOptions mloc;
 };
 
@@ -60,13 +58,15 @@ struct ApRadConstraints {
   std::vector<double> co_dist;
 };
 
-/// Constraint generation only (everything before the LP rounds).
+/// Constraint generation only (everything before the LP solve).
 [[nodiscard]] ApRadConstraints aprad_prepare_constraints(
     const ApDatabase& db, const std::vector<std::set<net80211::MacAddress>>& gammas,
     const ApRadOptions& options = {});
 
-/// Radii estimated by the LP, keyed by BSSID (only observed APs appear).
-/// Throws std::runtime_error if the LP fails to reach an optimum.
+/// Radii estimated by the LP, keyed by BSSID (only observed APs appear):
+/// each LP radius plus a 10 m overestimate bias (Theorem 3 makes
+/// overestimates cheap and underestimates costly), clamped to the cap. The
+/// "<" rows read r_i + r_j <= d - 1 m, the strict "<" with a 1 m margin.
 [[nodiscard]] std::map<net80211::MacAddress, double> aprad_estimate_radii(
     const ApDatabase& db, const std::vector<std::set<net80211::MacAddress>>& gammas,
     const ApRadOptions& options = {});

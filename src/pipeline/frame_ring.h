@@ -24,8 +24,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
+#include <stdexcept>
 
 #include "capture/frame_event.h"
 #include "util/counters.h"
@@ -49,8 +51,16 @@ class FrameRing {
   /// kHighWaterStride-th slot.
   static constexpr std::uint64_t kHighWaterStride = 64;
 
-  /// Capacity is rounded up to a power of two, minimum 2.
+  /// The largest power of two a size_t holds: the largest capacity.
+  static constexpr std::size_t kMaxCapacity =
+      std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
+
+  /// Capacity is rounded up to a power of two, minimum 2. One above
+  /// kMaxCapacity has no power of two to round up to: std::length_error.
   explicit FrameRing(std::size_t capacity) {
+    if (capacity > kMaxCapacity) {
+      throw std::length_error("FrameRing: no power of two holds the capacity");
+    }
     std::size_t cap = 2;
     while (cap < capacity) cap <<= 1;
     mask_ = cap - 1;

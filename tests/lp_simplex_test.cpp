@@ -1,4 +1,4 @@
-#include "lp/simplex.h"
+#include "simplex_oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 
 #include "util/rng.h"
 
-namespace mm::lp {
+namespace mm::lp::oracle {
 namespace {
 
 TEST(Simplex, TrivialSingleVariable) {
@@ -281,4 +281,4 @@ TEST(Simplex, MediumScaleChain) {
 }
 
 }  // namespace
-}  // namespace mm::lp
+}  // namespace mm::lp::oracle

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -107,6 +109,13 @@ TEST(FrameRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(FrameRing(1).capacity(), 2u);
   EXPECT_EQ(FrameRing(3).capacity(), 4u);
   EXPECT_EQ(FrameRing(1000).capacity(), 1024u);
+}
+
+// Past the top power of two the rounding loop would wrap to 0 and spin: the
+// ring refuses such a capacity before it allocates anything.
+TEST(FrameRing, RefusesCapacityItCannotRoundUp) {
+  EXPECT_THROW((void)FrameRing(FrameRing::kMaxCapacity + 1), std::length_error);
+  EXPECT_THROW((void)FrameRing(std::numeric_limits<std::size_t>::max()), std::length_error);
 }
 
 // Four producers race into one small ring while a consumer drains it. The

@@ -16,6 +16,12 @@ namespace {
 
 std::atomic<bool> g_stop{false};
 
+/// Upper bounds of --shards and --ring-capacity: each shard is one worker
+/// thread and one ring of this many slots at most, so a mistyped value
+/// cannot start thousands of threads or reserve gigabytes per shard.
+constexpr std::int64_t kMaxShards = 64;
+constexpr std::int64_t kMaxRingCapacity = std::int64_t{1} << 20;
+
 extern "C" void live_engine_signal_handler(int) { g_stop.store(true); }
 
 void write_stats_json(const std::string& path, const pipeline::PipelineStats& stats,
@@ -85,9 +91,18 @@ const std::atomic<bool>& LiveEngine::stop_flag() { return g_stop; }
 
 int LiveEngine::open(const util::Flags& flags) {
   pipeline::LiveTrackerConfig config;
-  config.shards = static_cast<std::size_t>(flags.get_int("shards", 4));
-  config.ring_capacity =
-      static_cast<std::size_t>(flags.get_int("ring-capacity", 1 << 14));
+  const std::int64_t shards = flags.get_int("shards", 4);
+  if (shards < 1 || shards > kMaxShards) {
+    std::cerr << who_ << ": --shards must be in [1, " << kMaxShards << "]\n";
+    return 2;
+  }
+  config.shards = static_cast<std::size_t>(shards);
+  const std::int64_t ring_capacity = flags.get_int("ring-capacity", 1 << 14);
+  if (ring_capacity < 1 || ring_capacity > kMaxRingCapacity) {
+    std::cerr << who_ << ": --ring-capacity must be in [1, " << kMaxRingCapacity << "]\n";
+    return 2;
+  }
+  config.ring_capacity = static_cast<std::size_t>(ring_capacity);
   config.default_radius_m = flags.get_double("default-radius", 100.0);
   if (!(std::isfinite(config.default_radius_m) && config.default_radius_m > 0.0)) {
     // A shard worker would throw at its first multi-disc locate and exit.
@@ -112,6 +127,13 @@ int LiveEngine::open(const util::Flags& flags) {
   if (!wal_dir.empty()) {
     config.durability.dir = wal_dir;
     config.durability.checkpoint_interval_s = flags.get_double("checkpoint-secs", 30.0);
+    if (!(std::isfinite(config.durability.checkpoint_interval_s) &&
+          config.durability.checkpoint_interval_s >= 0.0)) {
+      // NaN passes the tracker's "0 = final only" test, and no elapsed time
+      // compares below it, so every poll with new records would checkpoint.
+      std::cerr << who_ << ": --checkpoint-secs must be a finite number >= 0\n";
+      return 2;
+    }
     config.durability.wal.fsync_on_commit = !flags.has("no-fsync");
   }
   const bool do_recover = flags.has("recover");

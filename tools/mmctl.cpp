@@ -43,16 +43,19 @@ commands:
   live       stream a capture through Riptide, the sharded live-tracking
              engine, and print throughput stats + the live position snapshot
              --pcap <capture.pcap> --apdb <apdb.csv>   (required)
-             --shards <N>              worker shards (default: 4)
+             --shards <N>              worker shards, in [1, 64] (default: 4)
              --speed <X>               pace at X times capture speed (0 = flat out)
-             --ring-capacity <N>       per-shard ingest ring slots (default: 16384)
+             --ring-capacity <N>       per-shard ingest ring slots, in
+                                       [1, 1048576], rounded up to a power
+                                       of two (default: 16384)
              --drop-policy drop|block  backpressure when a ring fills (default: drop)
              --fault-plan <spec>       inject faults into the stream (see simulate)
              --reject-outliers         shed inconsistent discs in live M-Loc
              --stats-json <out.json>   machine-readable engine stats
              --wal-dir <dir>           Phoenix durability: per-shard WAL +
                                        checkpoints under <dir>/shard-N/
-             --checkpoint-secs <s>     checkpoint cadence (default: 30)
+             --checkpoint-secs <s>     checkpoint cadence, >= 0 (default: 30;
+                                       0 = only the final checkpoint)
              --no-fsync                skip fsync on WAL group commit
              --recover                 replay checkpoint + WAL tail from
                                        --wal-dir before ingesting
