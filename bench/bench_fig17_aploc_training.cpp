@@ -1,8 +1,11 @@
 // Fig 17 — AP-Loc accuracy vs number of training tuples. Wardriving passes
 // of increasing sample density produce more tuples; AP-Loc's error drops
 // quickly and beats the Centroid baseline already with a handful of tuples
-// (paper: 12.21 m average with 19 tuples).
+// (paper: 12.21 m average with 19 tuples). The shape check asserts that the
+// densest pass's error is below the sparsest pass's and below Centroid's,
+// and exits 1 on VIOLATED.
 #include <iostream>
+#include <vector>
 
 #include "capture/wardrive.h"
 #include "common.h"
@@ -33,7 +36,10 @@ int main(int argc, char** argv) {
   util::Table table({"training tuples", "APs placed", "AP-Loc avg error (m)",
                      "beats Centroid"});
   // Denser wardriving -> more tuples (spacing in meters along the route).
-  for (double spacing : {600.0, 400.0, 250.0, 150.0, 100.0, 70.0, 45.0}) {
+  const std::vector<double> spacings{600.0, 400.0, 250.0, 150.0, 100.0, 70.0, 45.0};
+  double sparsest_err = 0.0;
+  double densest_err = 0.0;
+  for (const double spacing : spacings) {
     capture::Wardriver driver;
     driver.attach(*run.world);
     const auto finish =
@@ -43,11 +49,13 @@ int main(int argc, char** argv) {
     marauder::TrackerOptions options;
     options.algorithm = marauder::Algorithm::kApLoc;
     options.aploc.training_disc_radius_m = 160.0;
-    options.aploc.aprad.max_radius_m = 200.0;
+    options.aprad.max_radius_m = 200.0;
     marauder::Tracker aploc = marauder::Tracker::from_training(driver.tuples(), options);
 
     util::RunningStats err;
     for (const auto& o : bench::evaluate(run, aploc)) err.add(o.error_m());
+    if (spacing == spacings.front()) sparsest_err = err.mean();
+    densest_err = err.mean();
     table.add_row({std::to_string(driver.tuples().size()),
                    std::to_string(aploc.database().size()),
                    util::Table::fmt(err.mean(), 2),
@@ -55,8 +63,12 @@ int main(int argc, char** argv) {
     run.world->unregister_receiver(&driver);
   }
   table.print(std::cout);
-  std::cout << "\npaper shape check: error falls as tuples accumulate and undercuts\n"
-            << "the Centroid baseline with a small training set (paper: 12.21 m at\n"
-            << "19 tuples vs 17.28 m Centroid)\n";
-  return 0;
+  const bool shape = densest_err < sparsest_err && densest_err < centroid_err.mean();
+  std::cout << "\npaper shape check: the densest pass's error ("
+            << util::Table::fmt(densest_err, 2) << " m) is below the\nsparsest pass's ("
+            << util::Table::fmt(sparsest_err, 2) << " m) and below Centroid's ("
+            << util::Table::fmt(centroid_err.mean(), 2)
+            << " m): " << (shape ? "HOLDS" : "VIOLATED")
+            << "\n(paper: 12.21 m at 19 tuples vs 17.28 m Centroid)\n";
+  return shape ? 0 : 1;
 }

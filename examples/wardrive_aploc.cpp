@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   marauder::TrackerOptions options;
   options.algorithm = marauder::Algorithm::kApLoc;
   options.aploc = aploc_options;
-  options.aploc.aprad.max_radius_m = 200.0;
+  options.aprad.max_radius_m = 200.0;
   marauder::Tracker tracker = marauder::Tracker::from_training(driver.tuples(), options);
   tracker.prepare(store);
 

@@ -116,15 +116,6 @@ std::string write_and_sync(const std::filesystem::path& tmp, const std::string& 
   return "";
 }
 
-/// A whole field as an integer: digits only, with a '-' only on a signed
-/// type (std::stoull read "-1" as 2^64 - 1).
-template <typename T>
-bool parse_int_field(const std::string& text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
 void quarantine(LoadStats& stats, std::size_t row, const std::string& reason) {
   util::sat_inc(stats.quarantined);
   if (stats.sample_errors.size() < 8) {
@@ -229,7 +220,7 @@ LoadResult parse_observations(std::istream& in,
     DeviceRecord rec;
     if (!mac || !util::parse_double_field(row[2], rec.first_seen) ||
         !util::parse_double_field(row[3], rec.last_seen) ||
-        !parse_int_field(row[4], rec.probe_requests)) {
+        !util::parse_int_field(row[4], rec.probe_requests)) {
       quarantine(stats, i, "malformed device row");
       continue;
     }
@@ -240,9 +231,10 @@ LoadResult parse_observations(std::istream& in,
     // Sequence-trace columns (Chimera). Absent on pre-Chimera snapshots —
     // an old save restores with no seq evidence rather than quarantining.
     if (row.size() >= 11 &&
-        (!parse_int_field(row[6], rec.seq_frames) || !parse_int_field(row[7], rec.first_seq) ||
+        (!util::parse_int_field(row[6], rec.seq_frames) ||
+         !util::parse_int_field(row[7], rec.first_seq) ||
          !util::parse_double_field(row[8], rec.first_seq_time) ||
-         !parse_int_field(row[9], rec.last_seq) ||
+         !util::parse_int_field(row[9], rec.last_seq) ||
          !util::parse_double_field(row[10], rec.last_seq_time) || rec.first_seq > 0x0FFF ||
          rec.last_seq > 0x0FFF)) {
       quarantine(stats, i, "malformed device seq trace");
@@ -275,7 +267,7 @@ LoadResult parse_observations(std::istream& in,
       ApContact contact;
       if (!util::parse_double_field(row[3], contact.first_seen) ||
           !util::parse_double_field(row[4], contact.last_seen) ||
-          !parse_int_field(row[5], contact.count) ||
+          !util::parse_int_field(row[5], contact.count) ||
           !util::parse_double_field(row[6], contact.last_rssi_dbm)) {
         quarantine(stats, i, "malformed contact row");
         continue;
@@ -302,8 +294,8 @@ LoadResult parse_observations(std::istream& in,
       }
       const auto bssid = net80211::MacAddress::parse(row[1]);
       ApSighting sighting;
-      if (!bssid || !parse_int_field(row[3], sighting.channel) ||
-          !parse_int_field(row[4], sighting.beacons) ||
+      if (!bssid || !util::parse_int_field(row[3], sighting.channel) ||
+          !util::parse_int_field(row[4], sighting.beacons) ||
           !util::parse_double_field(row[5], sighting.last_rssi_dbm)) {
         quarantine(stats, i, "malformed sighting row");
         continue;

@@ -1,40 +1,12 @@
 #include "fault/fault_plan.h"
 
-#include <charconv>
+#include <cmath>
 #include <sstream>
 #include <vector>
 
+#include "util/csv.h"
+
 namespace mm::fault {
-
-namespace {
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const auto end = text.find(sep, begin);
-    out.push_back(text.substr(begin, end - begin));
-    if (end == std::string::npos) break;
-    begin = end + 1;
-  }
-  return out;
-}
-
-bool parse_double(const std::string& text, double& out) {
-  const char* first = text.data();
-  const char* last = first + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  const char* first = text.data();
-  const char* last = first + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
-}
-
-}  // namespace
 
 bool FaultPlan::active() const noexcept {
   return corrupt_rate > 0.0 || truncate_rate > 0.0 || drop_rate > 0.0 ||
@@ -47,18 +19,19 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& spec) {
   using R = util::Result<FaultPlan>;
   FaultPlan plan;
   if (spec.empty()) return plan;
-  for (const std::string& item : split(spec, ',')) {
-    if (item.empty()) continue;
+  for (const std::string& item : util::split_list(spec)) {
     const auto eq = item.find('=');
     if (eq == std::string::npos) return R::failure("fault plan: missing '=' in '" + item + "'");
     const std::string key = item.substr(0, eq);
     const std::string val = item.substr(eq + 1);
     if (key == "seed") {
-      if (!parse_u64(val, plan.seed)) return R::failure("fault plan: bad seed '" + val + "'");
+      if (!util::parse_int_field(val, plan.seed)) {
+        return R::failure("fault plan: bad seed '" + val + "'");
+      }
       continue;
     }
     double value = 0.0;
-    if (!parse_double(val, value) || value < 0.0) {
+    if (!util::parse_double_field(val, value) || !std::isfinite(value) || value < 0.0) {
       return R::failure("fault plan: bad value for '" + key + "': '" + val + "'");
     }
     const bool is_rate = key == "corrupt" || key == "truncate" || key == "drop" ||

@@ -49,22 +49,4 @@ ApDatabase aploc_build_database(const std::vector<capture::TrainingTuple>& tuple
   return db;
 }
 
-LocalizationResult aploc_locate(const std::vector<capture::TrainingTuple>& tuples,
-                                const std::vector<std::set<net80211::MacAddress>>& gammas,
-                                const std::set<net80211::MacAddress>& target,
-                                const ApLocOptions& options) {
-  const ApDatabase db = aploc_build_database(tuples, options);
-
-  // The training tuples themselves are co-observation evidence: every tuple
-  // is "a mobile" that saw its heard-AP set simultaneously.
-  std::vector<std::set<net80211::MacAddress>> evidence = gammas;
-  for (const capture::TrainingTuple& tuple : tuples) {
-    if (tuple.heard_aps.size() >= 2) evidence.push_back(tuple.heard_aps);
-  }
-
-  LocalizationResult result = aprad_locate(db, evidence, target, options.aprad);
-  result.method = "AP-Loc";
-  return result;
-}
-
 }  // namespace mm::marauder

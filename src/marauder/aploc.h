@@ -1,18 +1,16 @@
 // AP-Loc (Section III-C.3 / III-D): no external AP knowledge at all. From
-// wardriving training tuples (location, heard-AP set) the attacker first
-// places each AP by disc-intersecting its training locations with a
-// theoretical-upper-bound radius, then estimates radii with AP-Rad's LP, and
-// finally locates mobiles with M-Loc.
+// wardriving training tuples (location, heard-AP set) the attacker places
+// each AP by disc-intersecting its training locations with a
+// theoretical-upper-bound radius. This file is that placement step; the
+// rest of the chain (AP-Rad's LP over the placed APs, then M-Loc) is the
+// Tracker's (Tracker::from_training in tracker.h).
 #pragma once
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "capture/wardrive.h"
 #include "marauder/ap_database.h"
-#include "marauder/aprad.h"
-#include "marauder/localization.h"
 
 namespace mm::marauder {
 
@@ -31,12 +29,6 @@ struct ApLocOptions {
   /// Theoretical upper bound on AP transmission distance used as the disc
   /// radius around each training location (Section III-C.3).
   double training_disc_radius_m = 150.0;
-  /// AP-Rad stage options. AP-Loc defaults to the exact-region centroid for
-  /// the final M-Loc (the paper's own wording for this scenario: "estimate
-  /// ... as the centroid of the intersected area"); the vertex-average
-  /// shortcut is badly biased once both positions and radii carry training
-  /// noise (see bench_ablation).
-  ApRadOptions aprad{.mloc = {.exact_region_centroid = true}};
 };
 
 /// Estimated AP positions, keyed by BSSID; APs never heard in any tuple do
@@ -47,12 +39,5 @@ struct ApLocOptions {
 /// Builds a location-only database from the estimated positions.
 [[nodiscard]] ApDatabase aploc_build_database(
     const std::vector<capture::TrainingTuple>& tuples, const ApLocOptions& options = {});
-
-/// Full AP-Loc: train AP positions, estimate radii from the observed Gammas
-/// (the training tuples double as co-observation evidence), locate `target`.
-[[nodiscard]] LocalizationResult aploc_locate(
-    const std::vector<capture::TrainingTuple>& tuples,
-    const std::vector<std::set<net80211::MacAddress>>& gammas,
-    const std::set<net80211::MacAddress>& target, const ApLocOptions& options = {});
 
 }  // namespace mm::marauder

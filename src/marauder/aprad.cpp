@@ -147,24 +147,4 @@ std::map<net80211::MacAddress, double> aprad_estimate_radii(
   return radii;
 }
 
-LocalizationResult aprad_locate(const ApDatabase& db,
-                                const std::vector<std::set<net80211::MacAddress>>& gammas,
-                                const std::set<net80211::MacAddress>& target,
-                                const ApRadOptions& options) {
-  const auto radii = aprad_estimate_radii(db, gammas, options);
-
-  std::vector<geo::Circle> discs;
-  discs.reserve(target.size());
-  for (const auto& mac : target) {
-    const KnownAp* ap = db.find(mac);
-    if (ap == nullptr) continue;
-    const auto it = radii.find(mac);
-    const double r = it != radii.end() ? it->second : options.max_radius_m;
-    if (r > 0.0) discs.push_back({ap->position, r});
-  }
-  LocalizationResult result = mloc_locate(discs, options.mloc);
-  result.method = "AP-Rad";
-  return result;
-}
-
 }  // namespace mm::marauder

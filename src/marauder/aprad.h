@@ -1,6 +1,7 @@
 // AP-Rad (Section III-C.2 / III-D): when only AP locations are known,
 // estimate every observed AP's maximum transmission distance by linear
-// programming over co-observation evidence, then call M-Loc.
+// programming over co-observation evidence. The final M-Loc over those
+// radii is the Tracker's (tracker.h), which composes the chain.
 //
 // Constraint generation follows the paper: for APs i, j both observed,
 //   r_i + r_j >= d_ij   if some mobile's Gamma contains both,
@@ -30,8 +31,6 @@
 #include <vector>
 
 #include "marauder/ap_database.h"
-#include "marauder/localization.h"
-#include "marauder/mloc.h"
 #include "net80211/mac_address.h"
 
 namespace mm::marauder {
@@ -41,7 +40,6 @@ struct ApRadOptions {
   double max_radius_m = 250.0;
   /// Per-AP limit on "<" constraints (nearest non-co-observed neighbours).
   std::size_t max_less_neighbors = 8;
-  MLocOptions mloc;
 };
 
 /// The LP inputs produced by constraint generation, exposed so benches and
@@ -70,11 +68,5 @@ struct ApRadConstraints {
 [[nodiscard]] std::map<net80211::MacAddress, double> aprad_estimate_radii(
     const ApDatabase& db, const std::vector<std::set<net80211::MacAddress>>& gammas,
     const ApRadOptions& options = {});
-
-/// Full AP-Rad: estimate radii from all observed Gammas, then locate the
-/// device whose Gamma is `target` with M-Loc.
-[[nodiscard]] LocalizationResult aprad_locate(
-    const ApDatabase& db, const std::vector<std::set<net80211::MacAddress>>& gammas,
-    const std::set<net80211::MacAddress>& target, const ApRadOptions& options = {});
 
 }  // namespace mm::marauder

@@ -13,7 +13,8 @@
 //     intersection non-empty, greedily, up to `max_outliers`), else the
 //     centroid of the AP positions, flagged as fallback.
 // `exact_region_centroid` switches the estimate from the vertex average to
-// the true centroid of the intersection region (ablation in bench_ablation).
+// the true centroid of the intersection region (ablation in bench_ablation);
+// an AP-Loc Tracker always sets it (Tracker::from_training).
 #pragma once
 
 #include "geo/disc_intersection.h"

@@ -21,6 +21,11 @@ double seconds_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
+/// AP-Rad and AP-Loc take their radii from prepare()'s LP.
+bool lp_radii(Algorithm algorithm) {
+  return algorithm == Algorithm::kApRad || algorithm == Algorithm::kApLoc;
+}
+
 }  // namespace
 
 const char* to_string(Algorithm algorithm) noexcept {
@@ -54,12 +59,13 @@ Tracker::Tracker(ApDatabase db, TrackerOptions options)
 
 Tracker Tracker::from_training(const std::vector<capture::TrainingTuple>& tuples,
                                TrackerOptions options) {
-  ApDatabase db = aploc_build_database(tuples, options.aploc);
-  // AP-Loc proceeds exactly like AP-Rad on the trained database.
-  TrackerOptions adjusted = options;
-  adjusted.algorithm = Algorithm::kApRad;
-  adjusted.aprad = options.aploc.aprad;
-  Tracker tracker(std::move(db), std::move(adjusted));
+  if (options.algorithm != Algorithm::kApLoc) {
+    throw std::invalid_argument("Tracker: from_training() builds AP-Loc trackers");
+  }
+  options.mloc.exact_region_centroid = true;
+  // The trained database holds positions only, so there are no radii to strip.
+  Tracker tracker(aploc_build_database(tuples, options.aploc), {});
+  tracker.options_ = std::move(options);
   for (const capture::TrainingTuple& tuple : tuples) {
     if (tuple.heard_aps.size() >= 2) tracker.training_evidence_.push_back(tuple.heard_aps);
   }
@@ -68,7 +74,7 @@ Tracker Tracker::from_training(const std::vector<capture::TrainingTuple>& tuples
 
 void Tracker::prepare(const capture::ObservationStore& store,
                       const capture::ObservationWindow& window) {
-  if (options_.algorithm != Algorithm::kApRad) {
+  if (!lp_radii(options_.algorithm)) {
     prepared_ = true;
     return;
   }
@@ -82,33 +88,33 @@ void Tracker::prepare(const capture::ObservationStore& store,
   prepared_ = true;
 }
 
+Tracker::DiscRule Tracker::disc_rule() const noexcept {
+  const char* method = to_string(options_.algorithm);
+  if (!lp_radii(options_.algorithm)) return {options_.default_radius_m, method, false};
+  // Radii were materialized into db_ by prepare(); unknown ones fall back
+  // to the cap (overestimates preferred, Theorem 3). Faultline convention:
+  // degrade, don't throw. Without the LP radii the defensible disc set is
+  // the Theorem-1 cap for every heard AP — a coarse but covering region —
+  // and the result is flagged so the display can grey it out.
+  return {options_.aprad.max_radius_m, method, !prepared_};
+}
+
 LocalizationResult Tracker::locate(const capture::ObservationStore& store,
                                    const net80211::MacAddress& device,
                                    const capture::ObservationWindow& window) const {
   std::vector<net80211::MacAddress> gamma;
   store.gamma_append(device, window, gamma);
   switch (options_.algorithm) {
-    case Algorithm::kMLoc: {
+    case Algorithm::kMLoc:
+    case Algorithm::kApRad:
+    case Algorithm::kApLoc: {
+      const DiscRule rule = disc_rule();
       LocalizationResult result =
-          mloc_locate(db_.discs_for(gamma, options_.default_radius_m), options_.mloc);
-      result.method = "M-Loc";
+          mloc_locate(db_.discs_for(gamma, rule.default_radius_m), options_.mloc);
+      result.method = rule.method;
+      if (rule.fallback) result.used_fallback = true;
       return result;
     }
-    case Algorithm::kApRad: {
-      // Radii were materialized into db_ by prepare(); unknown ones fall
-      // back to the cap (overestimates preferred, Theorem 3).
-      LocalizationResult result =
-          mloc_locate(db_.discs_for(gamma, options_.aprad.max_radius_m), options_.aprad.mloc);
-      result.method = "AP-Rad";
-      // Faultline convention: degrade, don't throw. Without the LP radii
-      // the defensible disc set is the Theorem-1 cap for every heard AP —
-      // a coarse but covering region — and the result is flagged so the
-      // display can grey it out.
-      if (!prepared_) result.used_fallback = true;
-      return result;
-    }
-    case Algorithm::kApLoc:
-      throw std::logic_error("Tracker: AP-Loc trackers run as AP-Rad after training");
     case Algorithm::kCentroid: {
       return centroid_locate(db_.positions_for(gamma));
     }
@@ -134,7 +140,7 @@ LocalizationResult Tracker::locate(const capture::ObservationStore& store,
 std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all(
     const capture::ObservationStore& store, const capture::ObservationWindow& window,
     LocateAllProfile* profile) const {
-  if (options_.algorithm == Algorithm::kMLoc || options_.algorithm == Algorithm::kApRad) {
+  if (options_.algorithm == Algorithm::kMLoc || lp_radii(options_.algorithm)) {
     return locate_all_grouped(store, window, profile);
   }
 
@@ -184,11 +190,7 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
   const ApDatabase::DiscSlabView slab = db_.disc_slab();
   const ApDatabase::RankMap& ranks = db_.rank_index();
 
-  const bool aprad = options_.algorithm == Algorithm::kApRad;
-  const double default_radius =
-      aprad ? options_.aprad.max_radius_m : options_.default_radius_m;
-  const MLocOptions& mloc_opts = aprad ? options_.aprad.mloc : options_.mloc;
-  const char* method = aprad ? "AP-Rad" : "M-Loc";
+  const DiscRule rule = disc_rule();
 
   util::ThreadPool& pool = util::ThreadPool::shared();
 
@@ -293,19 +295,17 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
           discs.clear();
           for (const std::uint32_t r : ranks_of(planned[rep[g]])) {
             const double radius =
-                std::isnan(slab.radius[r]) ? default_radius : slab.radius[r];
+                std::isnan(slab.radius[r]) ? rule.default_radius_m : slab.radius[r];
             discs.push_back({{slab.x[r], slab.y[r]}, radius});
           }
-          group_results[g] = mloc_locate(discs, mloc_opts, scratch);
+          group_results[g] = mloc_locate(discs, options_.mloc, scratch);
         }
       });
 
   const auto t2 = std::chrono::steady_clock::now();
 
   // Fan the group results back out to their devices in MAC order, so each
-  // result lands at the end of the map. Unprepared AP-Rad results carry the
-  // Faultline fallback flag, matching locate().
-  const bool force_fallback = aprad && !prepared_;
+  // result lands at the end of the map.
   std::sort(planned.begin(), planned.end(),
             [](const Planned& a, const Planned& b) { return a.mac < b.mac; });
   std::map<net80211::MacAddress, LocalizationResult> results;
@@ -313,8 +313,8 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
   for (const Planned& p : planned) {
     if (!group_results[p.group].ok) continue;
     LocalizationResult r = group_results[p.group];
-    r.method = method;
-    if (force_fallback) r.used_fallback = true;
+    r.method = rule.method;
+    if (rule.fallback) r.used_fallback = true;
     if (r.discs_rejected > 0) ++outliers;
     results.emplace_hint(results.end(), net80211::MacAddress::from_u64(p.mac), std::move(r));
   }

@@ -1,7 +1,8 @@
 // The end-to-end attack pipeline (Fig 1): consume the sniffer's observation
 // store and produce a location estimate for every monitored device, using a
 // selectable localization algorithm. This is the class the digital
-// Marauder's map display feeds from.
+// Marauder's map display feeds from, and the one place the paper's chain
+// (AP-Loc placement -> AP-Rad radii -> M-Loc) is composed and configured.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +35,10 @@ struct TrackerOptions {
   /// Per-device tasks are merged in ascending-MAC order, so the result map
   /// is identical — bit for bit — at any setting.
   std::size_t threads = 1;
-  ApRadOptions aprad;
-  ApLocOptions aploc;
+  ApRadOptions aprad;  ///< AP-Rad and AP-Loc
+  ApLocOptions aploc;  ///< AP-Loc's placement (from_training)
+  /// M-Loc, AP-Rad and AP-Loc. from_training sets exact_region_centroid
+  /// on an AP-Loc tracker, whatever the caller passed.
   MLocOptions mloc;
 };
 
@@ -64,11 +67,15 @@ struct LocateAllProfile {
 
 class Tracker {
  public:
-  /// External-knowledge construction (M-Loc / AP-Rad / baselines).
+  /// External-knowledge construction (M-Loc / AP-Rad / baselines); throws
+  /// std::invalid_argument for kApLoc.
   Tracker(ApDatabase db, TrackerOptions options);
 
-  /// Training-phase construction (AP-Loc): the database is built from the
-  /// wardriving tuples; tuples also seed co-observation evidence.
+  /// Training-phase construction (kApLoc only, else std::invalid_argument):
+  /// the database is built from the wardriving tuples; tuples also seed
+  /// co-observation evidence. The final M-Loc takes the exact region
+  /// centroid, the paper's "centroid of the intersected area": this sets
+  /// options.mloc.exact_region_centroid, overriding a false.
   static Tracker from_training(const std::vector<capture::TrainingTuple>& tuples,
                                TrackerOptions options);
 
@@ -83,10 +90,11 @@ class Tracker {
                                           const capture::ObservationWindow& window = {}) const;
 
   /// Locates every monitored device and keeps the results that are ok.
-  /// M-Loc and AP-Rad run plan -> group -> locate-unique -> fan-out: devices
-  /// with identical disc sets in this batch share one localization. The
-  /// baselines run one locate() per device. Either way each result is
-  /// bit-identical to locate() for that device, at any thread count.
+  /// M-Loc, AP-Rad and AP-Loc run plan -> group -> locate-unique -> fan-out:
+  /// devices with identical disc sets in this batch share one localization.
+  /// The baselines run one locate() per device. Either way each result is
+  /// bit-identical to locate() for that device, at any thread count (both
+  /// paths take disc_rule()).
   /// `profile`, when non-null, receives the per-stage timing breakdown.
   [[nodiscard]] std::map<net80211::MacAddress, LocalizationResult> locate_all(
       const capture::ObservationStore& store,
@@ -100,7 +108,16 @@ class Tracker {
   [[nodiscard]] GammaCacheStats gamma_cache_stats() const { return {}; }
 
  private:
-  /// The grouped batch path for M-Loc / AP-Rad (see locate_all).
+  /// M-Loc / AP-Rad / AP-Loc: the radius of a heard AP without one, the
+  /// result's method, and whether to flag it as a fallback.
+  struct DiscRule {
+    double default_radius_m;
+    const char* method;
+    bool fallback;
+  };
+  [[nodiscard]] DiscRule disc_rule() const noexcept;
+
+  /// The grouped batch path for M-Loc / AP-Rad / AP-Loc (see locate_all).
   [[nodiscard]] std::map<net80211::MacAddress, LocalizationResult> locate_all_grouped(
       const capture::ObservationStore& store, const capture::ObservationWindow& window,
       LocateAllProfile* profile) const;

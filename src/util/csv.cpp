@@ -1,5 +1,6 @@
 #include "util/csv.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +15,16 @@ bool parse_double_field(const std::string& field, double& out) {
   } catch (const std::exception&) {
     return false;
   }
+}
+
+std::vector<std::string> split_list(std::string_view text, char sep) {
+  std::vector<std::string> out;
+  while (!text.empty()) {
+    const std::size_t end = std::min(text.find(sep), text.size());
+    if (end > 0) out.emplace_back(text.substr(0, end));
+    text.remove_prefix(std::min(end + 1, text.size()));
+  }
+  return out;
 }
 
 std::string csv_escape(const std::string& field) {

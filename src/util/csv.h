@@ -3,8 +3,12 @@
 // console tables.
 #pragma once
 
+#include <charconv>
 #include <filesystem>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace mm::util {
@@ -27,6 +31,22 @@ using CsvRow = std::vector<std::string>;
 /// or an out-of-range value; which finite values make sense is the caller's
 /// call.
 [[nodiscard]] bool parse_double_field(const std::string& field, double& out);
+
+/// The non-empty items of a `sep`-separated list ("a,,b" -> {"a", "b"});
+/// no quoting. For flag and spec lists, not CSV lines.
+[[nodiscard]] std::vector<std::string> split_list(std::string_view text, char sep = ',');
+
+/// Parses a whole field as an integer T (std::from_chars, base 10): false
+/// for an empty field, any other character (a '+', a space, a '-' for an
+/// unsigned T) or an out-of-range value. Doubles go through
+/// parse_double_field.
+template <typename T>
+[[nodiscard]] bool parse_int_field(std::string_view field, T& out) {
+  static_assert(std::is_integral_v<T>, "parse_double_field reads doubles");
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
 
 /// Writes rows (with optional header as first row) to a file.
 void csv_write_file(const std::filesystem::path& path, const std::vector<CsvRow>& rows);

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/csv.h"
+
 namespace mm::util {
 
 namespace {
@@ -86,14 +88,9 @@ double IniFile::get_double(const std::string& section, const std::string& key,
                            double fallback) const {
   const auto value = get(section, key);
   if (!value) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(*value, &consumed);
-    if (consumed != value->size()) throw std::invalid_argument("trailing junk");
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::runtime_error("ini: [" + section + "] " + key + " is not a number: " + *value);
-  }
+  double parsed = 0.0;
+  if (parse_double_field(*value, parsed)) return parsed;
+  throw std::runtime_error("ini: [" + section + "] " + key + " is not a number: " + *value);
 }
 
 std::int64_t IniFile::get_int(const std::string& section, const std::string& key,

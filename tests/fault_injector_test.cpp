@@ -59,6 +59,9 @@ TEST(FaultPlan, RejectsTypos) {
   EXPECT_FALSE(FaultPlan::parse("drop=-0.1").ok());        // negative
   EXPECT_FALSE(FaultPlan::parse("corrupt-bits=0").ok());   // needs >= 1
   EXPECT_FALSE(FaultPlan::parse("nic-dropout=0.1,dropout-mean=0").ok());
+  // Not finite: a NaN mean passed the "> 0" check and turned the dropout off.
+  EXPECT_FALSE(FaultPlan::parse("nic-dropout=0.1,dropout-mean=nan").ok());
+  EXPECT_FALSE(FaultPlan::parse("skew=inf").ok());
 }
 
 TEST(FaultInjector, InactivePlanPassesFramesUntouched) {

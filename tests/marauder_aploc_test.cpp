@@ -4,6 +4,7 @@
 
 #include <numbers>
 
+#include "marauder/tracker.h"
 #include "util/rng.h"
 
 namespace mm::marauder {
@@ -93,14 +94,19 @@ TEST(ApLoc, EndToEndLocatesMobile) {
     tuples.push_back(std::move(tuple));
   }
 
-  // Victim at origin sees all six APs.
-  std::set<net80211::MacAddress> target;
-  for (int i = 0; i < 6; ++i) target.insert(mac(i));
+  // Victim at origin sees all six APs in one scan, which is also AP-Rad's
+  // co-observation evidence beside the training tuples.
+  const net80211::MacAddress victim = *net80211::MacAddress::parse("00:16:6f:00:00:02");
+  capture::ObservationStore store;
+  for (int i = 0; i < 6; ++i) store.record_contact(mac(i), victim, 1.0, -60.0);
 
-  ApLocOptions options;
-  options.training_disc_radius_m = 150.0;
+  TrackerOptions options;
+  options.algorithm = Algorithm::kApLoc;
+  options.aploc.training_disc_radius_m = 150.0;
   options.aprad.max_radius_m = 200.0;
-  const LocalizationResult r = aploc_locate(tuples, {target}, target, options);
+  Tracker tracker = Tracker::from_training(tuples, options);
+  tracker.prepare(store);
+  const LocalizationResult r = tracker.locate(store, victim);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.method, "AP-Loc");
   EXPECT_LT(r.estimate.norm(), 50.0);

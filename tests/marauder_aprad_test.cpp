@@ -9,6 +9,7 @@
 
 #include "common.h"
 #include "lp/pair_lp.h"
+#include "marauder/tracker.h"
 #include "simplex_oracle.h"
 #include "util/rng.h"
 
@@ -19,6 +20,30 @@ net80211::MacAddress mac(int i) {
   std::array<std::uint8_t, 6> bytes{0x00, 0x1a, 0x2b, 0x00, 0x00,
                                     static_cast<std::uint8_t>(i)};
   return net80211::MacAddress(bytes);
+}
+
+const net80211::MacAddress kDevice = *net80211::MacAddress::parse("00:16:6f:00:00:01");
+
+/// A store in which kDevice hears `aps` in one scan: prepare() takes them
+/// as one Gamma, and locate() locates the device from them.
+capture::ObservationStore store_hearing(const std::set<net80211::MacAddress>& aps) {
+  capture::ObservationStore store;
+  for (const auto& ap : aps) store.record_contact(ap, kDevice, 1.0, -60.0);
+  return store;
+}
+
+/// AP-Rad through the Tracker, the path every caller runs: radii from the
+/// LP over the store's Gammas, then M-Loc over the device's discs.
+LocalizationResult aprad_tracker_locate(ApDatabase db,
+                                        const std::set<net80211::MacAddress>& heard,
+                                        double max_radius_m) {
+  TrackerOptions options;
+  options.algorithm = Algorithm::kApRad;
+  options.aprad.max_radius_m = max_radius_m;
+  Tracker tracker(std::move(db), options);
+  const capture::ObservationStore store = store_hearing(heard);
+  tracker.prepare(store);
+  return tracker.locate(store, kDevice);
 }
 
 ApDatabase line_db(const std::vector<double>& xs) {
@@ -108,7 +133,6 @@ TEST(ApRad, LocateProducesEstimateNearTruth) {
   // origin sees exactly the APs covering it.
   util::Rng rng(5);
   ApDatabase db;
-  std::vector<std::set<net80211::MacAddress>> gammas;
   const double true_r = 100.0;
   std::set<net80211::MacAddress> target;
   std::vector<geo::Vec2> positions;
@@ -119,11 +143,8 @@ TEST(ApRad, LocateProducesEstimateNearTruth) {
     target.insert(mac(i));
     positions.push_back(p);
   }
-  // Several auxiliary mobiles provide co-observation evidence.
-  gammas.push_back(target);
-  ApRadOptions options;
-  options.max_radius_m = 200.0;
-  const LocalizationResult r = aprad_locate(db, gammas, target, options);
+  // The target's own scan is the co-observation evidence.
+  const LocalizationResult r = aprad_tracker_locate(std::move(db), target, 200.0);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.method, "AP-Rad");
   EXPECT_LT(r.estimate.norm(), 60.0);  // mobile is at the origin
@@ -155,10 +176,7 @@ TEST(ApRad, RegionUsuallyCoversTruthAcrossTrials) {
       db.add({mac(i), "ap", p, std::nullopt});
       target.insert(mac(i));
     }
-    ApRadOptions options;
-    options.max_radius_m = 250.0;
-    const LocalizationResult r =
-        aprad_locate(db, {target}, target, options);
+    const LocalizationResult r = aprad_tracker_locate(std::move(db), target, 250.0);
     if (r.ok && region_covers(r, mobile)) ++covered;
   }
   EXPECT_GT(covered, kTrials * 3 / 4);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numbers>
 
 #include "capture/sniffer.h"
 #include "capture/wardrive.h"
@@ -135,7 +136,7 @@ TEST(TrackerEndToEnd, ApLocFromWardrivingTraining) {
   TrackerOptions options;
   options.algorithm = Algorithm::kApLoc;
   options.aploc.training_disc_radius_m = 160.0;
-  options.aploc.aprad.max_radius_m = 200.0;
+  options.aprad.max_radius_m = 200.0;
   Tracker aploc = Tracker::from_training(driver.tuples(), options);
   const double err = mean_error(p, aploc);
   // Fig 17: AP-Loc lands near 12 m with enough tuples; allow generous slack
@@ -193,6 +194,109 @@ TEST(Tracker, ApRadUnpreparedEmptyGammaStaysNotOk) {
 TEST(Tracker, ApLocConstructorRejected) {
   EXPECT_THROW(Tracker(ApDatabase{}, {.algorithm = Algorithm::kApLoc}),
                std::invalid_argument);
+}
+
+TEST(Tracker, FromTrainingBuildsOnlyApLoc) {
+  EXPECT_THROW((void)Tracker::from_training({}, {.algorithm = Algorithm::kApRad}),
+               std::invalid_argument);
+}
+
+net80211::MacAddress ap_mac(std::uint64_t i) {
+  return net80211::MacAddress::from_u64(0x001a2b000100ULL + i);
+}
+
+/// A store in which kVictim hears `aps` in one scan.
+capture::ObservationStore victim_hears(const std::vector<net80211::MacAddress>& aps) {
+  capture::ObservationStore store;
+  for (const auto& mac : aps) store.record_contact(mac, kVictim, 1.0, -60.0);
+  return store;
+}
+
+TEST(Tracker, ApRadLocatesWithTheTrackersMLocOptions) {
+  // Three APs beside the victim and one about 1 km off. Unprepared, AP-Rad
+  // gives each the 250 m cap, so the far disc misses the other three, and
+  // options.mloc.reject_outliers sheds it in both locate paths.
+  ApDatabase db;
+  const std::vector<geo::Vec2> at{{0.0, 0.0}, {60.0, 0.0}, {0.0, 60.0}, {1000.0, 0.0}};
+  std::vector<net80211::MacAddress> heard;
+  for (std::uint64_t i = 0; i < at.size(); ++i) {
+    db.add({ap_mac(i), "ap", at[i], std::nullopt});
+    heard.push_back(ap_mac(i));
+  }
+  const capture::ObservationStore store = victim_hears(heard);
+  TrackerOptions options;
+  options.algorithm = Algorithm::kApRad;
+  options.mloc.reject_outliers = true;
+  const Tracker tracker(std::move(db), options);
+
+  const LocalizationResult one = tracker.locate(store, kVictim);
+  ASSERT_TRUE(one.ok);
+  EXPECT_EQ(one.discs_rejected, 1u);
+  const auto all = tracker.locate_all(store);
+  ASSERT_EQ(all.count(kVictim), 1u);
+  EXPECT_EQ(all.at(kVictim).discs_rejected, 1u);
+}
+
+/// AP-Loc's inputs: six APs of true radius 100 m on a 70 m ring round the
+/// victim, wardriven on a 30 m grid, and one victim scan that hears all six.
+struct ApLocInputs {
+  std::vector<capture::TrainingTuple> tuples;
+  capture::ObservationStore store;
+};
+
+ApLocInputs aploc_inputs() {
+  std::vector<geo::Vec2> aps;
+  std::vector<net80211::MacAddress> macs;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    aps.push_back(geo::Vec2::from_polar(70.0, static_cast<double>(i) * std::numbers::pi / 3.0));
+    macs.push_back(ap_mac(i));
+  }
+  ApLocInputs inputs;
+  for (double x = -150.0; x <= 150.0; x += 30.0) {
+    for (double y = -150.0; y <= 150.0; y += 30.0) {
+      capture::TrainingTuple tuple{{x, y}, {}};
+      for (std::size_t i = 0; i < aps.size(); ++i) {
+        if (aps[i].distance_to(tuple.position) <= 100.0) tuple.heard_aps.insert(macs[i]);
+      }
+      if (!tuple.heard_aps.empty()) inputs.tuples.push_back(std::move(tuple));
+    }
+  }
+  inputs.store = victim_hears(macs);
+  return inputs;
+}
+
+TEST(Tracker, ApLocRadiiStayWithinTheTrackersApRadCap) {
+  const ApLocInputs inputs = aploc_inputs();
+  TrackerOptions options;
+  options.algorithm = Algorithm::kApLoc;
+  options.aprad.max_radius_m = 120.0;  // below the default 250 m cap
+  Tracker tracker = Tracker::from_training(inputs.tuples, options);
+  tracker.prepare(inputs.store);
+
+  ASSERT_EQ(tracker.database().size(), 6u);
+  for (const KnownAp* ap : tracker.database().sorted_records()) {
+    ASSERT_TRUE(ap->radius_m.has_value());
+    EXPECT_LE(*ap->radius_m, 120.0);
+  }
+  const LocalizationResult r = tracker.locate(inputs.store, kVictim);
+  ASSERT_TRUE(r.ok);
+  for (const auto& disc : r.discs) EXPECT_LE(disc.radius, 120.0);
+}
+
+TEST(Tracker, ApLocReportsItself) {
+  const ApLocInputs inputs = aploc_inputs();
+  Tracker tracker = Tracker::from_training(inputs.tuples, {.algorithm = Algorithm::kApLoc});
+  tracker.prepare(inputs.store);
+
+  EXPECT_EQ(tracker.options().algorithm, Algorithm::kApLoc);
+  EXPECT_TRUE(tracker.options().mloc.exact_region_centroid);
+  const LocalizationResult one = tracker.locate(inputs.store, kVictim);
+  ASSERT_TRUE(one.ok);
+  EXPECT_EQ(one.method, "AP-Loc");
+  EXPECT_FALSE(one.degraded());
+  const auto all = tracker.locate_all(inputs.store);
+  ASSERT_EQ(all.count(kVictim), 1u);
+  EXPECT_EQ(all.at(kVictim).method, "AP-Loc");
 }
 
 TEST(Tracker, AlgorithmNames) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace mm::util {
 namespace {
@@ -59,11 +63,61 @@ TEST(Flags, GetDouble) {
 TEST(Flags, BadIntegerThrows) {
   const Flags f = make({"--seed=abc"});
   EXPECT_THROW((void)f.get_int("seed", 0), std::invalid_argument);
+  // The whole value is read: std::stoll took "65x" as 65, "2.5" as 2, "1e3"
+  // as 1.
+  for (const char* bad :
+       {"--n=65x", "--n=2.5", "--n=1e3", "--n=", "--n= 5", "--n=0x10",
+        "--n=9223372036854775808"}) {
+    EXPECT_THROW((void)make({bad}).get_int("n", 0), FlagError) << bad;
+  }
 }
 
 TEST(Flags, BadDoubleThrows) {
   const Flags f = make({"--rate=xyz"});
   EXPECT_THROW((void)f.get_double("rate", 0.0), std::invalid_argument);
+  for (const char* bad : {"--x=1.5x", "--x="}) {
+    EXPECT_THROW((void)make({bad}).get_double("x", 0.0), FlagError) << bad;
+  }
+}
+
+TEST(Flags, ReadsSignsExponentsAndLimits) {
+  EXPECT_EQ(make({"--n=-42"}).get_int("n", 0), -42);
+  EXPECT_EQ(make({"--n=9223372036854775807"}).get_int("n", 0), INT64_MAX);
+  EXPECT_DOUBLE_EQ(make({"--x=1e3"}).get_double("x", 0.0), 1000.0);
+  EXPECT_DOUBLE_EQ(make({"--x=-2.5"}).get_double("x", 0.0), -2.5);
+  // A double reads as a CSV or INI field does (util::parse_double_field).
+  EXPECT_DOUBLE_EQ(make({"--x=+5"}).get_double("x", 0.0), 5.0);
+  EXPECT_TRUE(std::isinf(make({"--x=inf"}).get_double("x", 0.0)));
+}
+
+TEST(Flags, ErrorNamesTheFlag) {
+  const Flags f = make({"--shards=65x"});
+  try {
+    (void)f.get_int("shards", 4);
+    FAIL() << "no FlagError";
+  } catch (const FlagError& error) {
+    EXPECT_NE(std::string(error.what()).find("--shards"), std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("65x"), std::string::npos);
+  }
+}
+
+TEST(Flags, RangedGettersRefuseOutsideValues) {
+  const Flags f = make({"--count=-1", "--k=70000", "--rate=nan", "--ok=7"});
+  EXPECT_THROW((void)f.get_int_in("count", 1, 1, 65536), FlagError);
+  EXPECT_THROW((void)f.get_int_in("k", 8, 1, 65535), FlagError);
+  EXPECT_THROW((void)f.get_double_in("rate", 1.0, 0.0, 100.0), FlagError);
+  EXPECT_EQ(f.get_int_in("ok", 0, 0, 7), 7);
+  EXPECT_EQ(f.get_int_in("absent", 3, 1, 5), 3);
+  EXPECT_DOUBLE_EQ(f.get_double_in("absent", 0.5, 0.0, 1.0), 0.5);
+}
+
+TEST(Flags, ListsAreReadWholeAndRanged) {
+  const Flags f = make({"--levels=0,0.5,,1", "--ids=1,2x", "--over=0,1.5", "--big=1e3"});
+  EXPECT_EQ(f.get_double_list("levels", 0.0, 1.0), (std::vector<double>{0.0, 0.5, 1.0}));
+  EXPECT_THROW((void)f.get_int_list("ids", 0, 100), FlagError);
+  EXPECT_THROW((void)f.get_double_list("over", 0.0, 1.0), FlagError);
+  EXPECT_THROW((void)f.get_int_list("big", 0, 10000), FlagError);
+  EXPECT_TRUE(f.get_int_list("absent", 0, 1).empty());
 }
 
 TEST(Flags, GetSeedHelper) {

@@ -1,7 +1,7 @@
 // mmctl arena — the Chimera attack-vs-defense sweep from the command line.
+#include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "commands.h"
@@ -12,15 +12,11 @@ namespace mm::tools {
 
 namespace {
 
-std::vector<double> parse_levels(const std::string& csv) {
-  std::vector<double> levels;
-  std::stringstream stream(csv);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) levels.push_back(std::stod(item));
-  }
-  return levels;
-}
+// Bounds of the numeric flags (mmctl help states them), checked before the
+// sweep starts: a negative count would wrap to 2^64 in a size_t.
+constexpr std::int64_t kMaxArenaDevices = 4096;  ///< --devices
+constexpr std::int64_t kMaxArenaAps = 65536;     ///< --aps
+constexpr double kMaxArenaDurationS = 86400.0;   ///< --duration, one day
 
 }  // namespace
 
@@ -30,14 +26,15 @@ int cmd_arena(const util::Flags& flags) {
   marauder::ArenaConfig config;
   config.seed = flags.get_seed(7001);
   config.devices =
-      static_cast<std::size_t>(flags.get_int("devices", smoke ? 20 : 48));
+      static_cast<std::size_t>(flags.get_int_in("devices", smoke ? 20 : 48, 1, kMaxArenaDevices));
   config.num_aps =
-      static_cast<std::size_t>(flags.get_int("aps", smoke ? 90 : 120));
-  config.duration_s = flags.get_double("duration", smoke ? 420.0 : 600.0);
+      static_cast<std::size_t>(flags.get_int_in("aps", smoke ? 90 : 120, 1, kMaxArenaAps));
+  config.duration_s =
+      flags.get_double_in("duration", smoke ? 420.0 : 600.0, 0.0, kMaxArenaDurationS);
   if (smoke) config.adoption_levels = {0.0, 0.5, 1.0};
-  const std::string adoption_csv = flags.get("adoption", "");
-  if (!adoption_csv.empty()) {
-    config.adoption_levels = parse_levels(adoption_csv);
+  if (flags.has("adoption")) {
+    // Adoption is the fraction of devices that run the defense.
+    config.adoption_levels = flags.get_double_list("adoption", 0.0, 1.0);
     if (config.adoption_levels.empty()) {
       std::cerr << "mmctl arena: --adoption parsed to an empty list\n";
       return 2;

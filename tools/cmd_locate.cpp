@@ -98,7 +98,6 @@ int cmd_locate(const util::Flags& flags) {
   // Damaged evidence (quarantined rows upstream) makes inconsistent disc
   // sets likely; let M-Loc shed outliers instead of falling back.
   options.mloc.reject_outliers = flags.has("reject-outliers");
-  options.aprad.mloc.reject_outliers = options.mloc.reject_outliers;
   marauder::Tracker tracker(std::move(db), options);
   tracker.prepare(store);
 

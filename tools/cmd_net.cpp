@@ -36,22 +36,12 @@
 #include "net/wire_codec.h"
 #include "net80211/pcap.h"
 #include "pipeline/feed_mux.h"
+#include "util/csv.h"
 #include "util/table.h"
 
 namespace mm::tools {
 
 namespace {
-
-/// Splits a comma-separated flag value ("a.bin,b.bin") into its parts.
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> parts;
-  std::stringstream in(value);
-  std::string part;
-  while (std::getline(in, part, ',')) {
-    if (!part.empty()) parts.push_back(part);
-  }
-  return parts;
-}
 
 void send_through_link(net::LinkSimulator& link, std::span<const std::uint8_t> bytes) {
   net::for_each_wire_frame(
@@ -68,13 +58,9 @@ int cmd_net_send(const util::Flags& flags) {
     std::cerr << "mmctl net-send: --pcap and exactly one of --out/--udp are required\n";
     return 2;
   }
-  const auto stream_id = static_cast<std::uint32_t>(flags.get_int("stream-id", 1));
-  const auto fec_k = flags.get_int("fec-k", 8);
-  if (fec_k < 0 || static_cast<std::uint64_t>(fec_k) > net::kMaxFecBlockK) {
-    std::cerr << "mmctl net-send: --fec-k must be in [0, " << net::kMaxFecBlockK
-              << "] (0 disables parity)\n";
-    return 2;
-  }
+  const auto stream_id =
+      static_cast<std::uint32_t>(flags.get_int_in("stream-id", 1, 0, kMaxStreamId));
+  const auto fec_k = flags.get_int_in("fec-k", 8, 0, net::kMaxFecBlockK);
 
   std::unique_ptr<net::LinkSimulator> link;
   if (flags.has("link-plan")) {
@@ -206,12 +192,12 @@ int cmd_net_recv(const util::Flags& flags) {
     std::cerr << "mmctl net-recv: --apdb and exactly one of --in/--udp-listen are required\n";
     return 2;
   }
-  const std::vector<std::string> paths = split_list(in_list);
+  const std::vector<std::string> paths = util::split_list(in_list);
 
   std::vector<std::uint32_t> stream_ids;
   if (flags.has("stream-ids")) {
-    for (const std::string& id : split_list(flags.get("stream-ids", ""))) {
-      stream_ids.push_back(static_cast<std::uint32_t>(std::stoul(id)));
+    for (const std::int64_t id : flags.get_int_list("stream-ids", 0, kMaxStreamId)) {
+      stream_ids.push_back(static_cast<std::uint32_t>(id));
     }
     if (!udp_mode && stream_ids.size() != paths.size()) {
       std::cerr << "mmctl net-recv: --stream-ids must list one id per --in file\n";
@@ -230,20 +216,10 @@ int cmd_net_recv(const util::Flags& flags) {
       stream_ids.push_back(static_cast<std::uint32_t>(i + 1));
     }
   }
-  const auto port = flags.get_int("udp-listen", 0);
-  if (udp_mode && (port <= 0 || port > 65535)) {
-    std::cerr << "mmctl net-recv: --udp-listen needs a port in [1, 65535]\n";
-    return 2;
-  }
-
-  const auto fec_window = flags.get_int("fec-window", 256);
-  if (fec_window < 2 || static_cast<std::uint64_t>(fec_window) > net::kMaxReorderWindow) {
-    std::cerr << "mmctl net-recv: --fec-window must be in [2, " << net::kMaxReorderWindow
-              << "]\n";
-    return 2;
-  }
+  const auto port = udp_mode ? flags.get_int_in("udp-listen", 0, 1, 65535) : 0;
   net::FecDecoderOptions fec_options;
-  fec_options.reorder_window = static_cast<std::size_t>(fec_window);
+  fec_options.reorder_window = static_cast<std::size_t>(
+      flags.get_int_in("fec-window", 256, 2, net::kMaxReorderWindow));
 
   LiveEngine engine("mmctl net-recv");
   if (const int rc = engine.open(flags); rc != 0) return rc;

@@ -32,6 +32,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -60,6 +61,21 @@ namespace mm::tools {
 namespace {
 
 namespace fs = std::filesystem;
+
+// Bounds of the numeric flags (mmctl help states them), checked before
+// anything opens: a negative value would wrap to 2^64 in a size_t or u64,
+// and a large one would truncate into a narrower field.
+constexpr std::int64_t kMaxServeQueue = std::int64_t{1} << 16;   ///< --max-queue
+constexpr std::int64_t kMaxDedupWindow = std::int64_t{1} << 16;  ///< --dedup-window
+constexpr std::int64_t kMaxServeThreads = 256;                   ///< wps-serve --threads
+constexpr std::int64_t kMaxNearestK = 65535;  ///< --k, the request's u16 field
+constexpr std::int64_t kMaxSendCount = std::int64_t{1} << 16;  ///< send --count, --expect-ok
+constexpr std::int64_t kMaxRetries = 100;                      ///< send --retries
+constexpr std::int64_t kMaxTimeoutMs = 600000;                 ///< send --timeout-ms
+/// wps-surveil --devices and --fixed-aps: each population's BSSID block.
+constexpr std::int64_t kMaxSurveilPopulation = std::int64_t{1} << 24;
+constexpr double kMaxSurveilHours = 8760.0;     ///< --duration/refresh/sweep-hours
+constexpr double kMaxSurveilSpeedMps = 100.0;   ///< --speed
 
 std::atomic<bool> g_wps_interrupted{false};
 std::atomic<bool> g_wps_reload{false};
@@ -105,6 +121,11 @@ int cmd_wps_build(const util::Flags& flags) {
     std::cerr << "mmctl wps-build: --out and exactly one of --apdb/--wigle are required\n";
     return 2;
   }
+  wps::SnapshotBuildOptions options;
+  options.tile_size_m =
+      flags.get_double_in("tile-size", options.tile_size_m, kMinPositive, kMaxFinite);
+  options.mac_index = !flags.has("no-mac-index");
+  options.fsync = !flags.has("no-fsync");
 
   const geo::Geodetic origin = sim::uml_north_campus();
   const geo::EnuFrame frame(origin);
@@ -120,15 +141,6 @@ int cmd_wps_build(const util::Flags& flags) {
   if (import_stats.quarantined > 0) {
     std::cerr << "import: quarantined " << import_stats.quarantined << "/"
               << import_stats.rows_total << " malformed rows\n";
-  }
-
-  wps::SnapshotBuildOptions options;
-  options.tile_size_m = flags.get_double("tile-size", options.tile_size_m);
-  options.mac_index = !flags.has("no-mac-index");
-  options.fsync = !flags.has("no-fsync");
-  if (!(options.tile_size_m > 0.0)) {
-    std::cerr << "mmctl wps-build: --tile-size must be positive\n";
-    return 2;
   }
 
   auto written = wps::write_snapshot(db, origin, out_path, options);
@@ -206,8 +218,8 @@ class ServeCore {
 };
 
 /// The Aegis UDP tier: one datagram in = one upstream chunk, one wire frame
-/// out = one datagram back to the sender.
-int serve_udp(const util::Flags& flags, wps::Service& service,
+/// out = one datagram back to the sender. `port` 0 = kernel-assigned.
+int serve_udp(const util::Flags& flags, std::uint16_t port, wps::Service& service,
               const std::string& snapshot_path,
               const wps::RemoteServerOptions& options, ServeCore& core) {
   using clock = std::chrono::steady_clock;
@@ -218,9 +230,7 @@ int serve_udp(const util::Flags& flags, wps::Service& service,
       net::clamp_idle_timeout_ms(flags.get_int("idle-timeout-ms", 5000));
   std::string error;
   std::uint16_t bound_port = 0;
-  const int fd = net::open_udp_listener(
-      static_cast<std::uint16_t>(flags.get_int("udp", 0)), listener, error,
-      &bound_port);
+  const int fd = net::open_udp_listener(port, listener, error, &bound_port);
   if (fd < 0) {
     std::cerr << "mmctl wps-serve: " << error << "\n";
     return 1;
@@ -358,10 +368,14 @@ int cmd_wps_serve(const util::Flags& flags) {
     return 2;
   }
   wps::RemoteServerOptions options;
-  options.max_queue = static_cast<std::size_t>(flags.get_int("max-queue", 256));
+  options.max_queue =
+      static_cast<std::size_t>(flags.get_int_in("max-queue", 256, 1, kMaxServeQueue));
   options.dedup_window =
-      static_cast<std::size_t>(flags.get_int("dedup-window", 4096));
-  options.threads = static_cast<std::size_t>(flags.get_int("threads", 1));
+      static_cast<std::size_t>(flags.get_int_in("dedup-window", 4096, 0, kMaxDedupWindow));
+  options.threads =
+      static_cast<std::size_t>(flags.get_int_in("threads", 1, 0, kMaxServeThreads));
+  const auto udp_port =
+      static_cast<std::uint16_t>(udp_mode ? flags.get_int_in("udp", 0, 0, 65535) : 0);
 
   auto opened = wps::Service::open(snapshot_path);
   if (!opened.ok()) {
@@ -386,7 +400,7 @@ int cmd_wps_serve(const util::Flags& flags) {
   std::signal(SIGINT, wps_signal_handler);
   std::signal(SIGTERM, wps_signal_handler);
   std::signal(SIGHUP, wps_hup_handler);
-  const int rc = udp_mode ? serve_udp(flags, service, snapshot_path, options, core)
+  const int rc = udp_mode ? serve_udp(flags, udp_port, service, snapshot_path, options, core)
                           : serve_stream(in_path, out_path, service, snapshot_path, core);
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
@@ -432,7 +446,7 @@ int parse_query_request(const util::Flags& flags, const char* who,
     request.bssid = mac->to_u64();
   } else if (op_text == "nearest") {
     request.op = wps::QueryOp::kNearest;
-    request.k = static_cast<std::uint16_t>(flags.get_int("k", 8));
+    request.k = static_cast<std::uint16_t>(flags.get_int_in("k", 8, 1, kMaxNearestK));
     request.center = {flags.get_double("x", 0.0), flags.get_double("y", 0.0)};
   } else if (op_text == "range") {
     request.op = wps::QueryOp::kRange;
@@ -459,8 +473,10 @@ int wps_query_encode(const util::Flags& flags) {
   }
 
   net::WireFrame frame;
-  frame.stream_id = static_cast<std::uint32_t>(flags.get_int("stream-id", 1));
-  frame.seq = static_cast<std::uint64_t>(flags.get_int("seq", 1));
+  frame.stream_id =
+      static_cast<std::uint32_t>(flags.get_int_in("stream-id", 1, 0, kMaxStreamId));
+  frame.seq = static_cast<std::uint64_t>(
+      flags.get_int_in("seq", 1, 0, std::numeric_limits<std::int64_t>::max()));
   frame.payload = wps::encode_request(request);
   std::vector<std::uint8_t> bytes;
   net::append_wire_frame(frame, bytes);
@@ -489,7 +505,9 @@ int wps_query_decode(const util::Flags& flags) {
     std::cerr << "mmctl wps-query decode: --in is required\n";
     return 2;
   }
-  const auto max_rows = static_cast<std::size_t>(flags.get_int("max-rows", 20));
+  constexpr std::int64_t kNoLimit = std::numeric_limits<std::int64_t>::max();
+  const auto max_rows = static_cast<std::size_t>(flags.get_int_in("max-rows", 20, 0, kNoLimit));
+  const auto expect = static_cast<std::size_t>(flags.get_int_in("expect", 0, 0, kNoLimit));
 
   std::ifstream in(in_path, std::ios::binary);
   if (!in) {
@@ -540,13 +558,10 @@ int wps_query_decode(const util::Flags& flags) {
             << assembler.chunks_rejected() << " chunks rejected, "
             << wire.resync_bytes << " resync bytes\n";
 
-  if (flags.has("expect")) {
-    const auto expect = static_cast<std::size_t>(flags.get_int("expect", 0));
-    if (completed.size() < expect) {
-      std::cerr << "mmctl wps-query decode: expected >= " << expect
-                << " responses, got " << completed.size() << "\n";
-      return 1;
-    }
+  if (completed.size() < expect) {
+    std::cerr << "mmctl wps-query decode: expected >= " << expect << " responses, got "
+              << completed.size() << "\n";
+    return 1;
   }
   return 0;
 }
@@ -568,16 +583,16 @@ int wps_query_send(const util::Flags& flags) {
   }
 
   wps::RemoteClientOptions options;
-  options.stream_id = static_cast<std::uint32_t>(flags.get_int("stream-id", 1));
+  options.stream_id =
+      static_cast<std::uint32_t>(flags.get_int_in("stream-id", 1, 0, kMaxStreamId));
   options.retry.max_attempts = static_cast<int>(
-      flags.get_int("retries", options.retry.max_attempts));
-  options.retry.timeout_ms = static_cast<std::uint64_t>(flags.get_int(
-      "timeout-ms", static_cast<std::int64_t>(options.retry.timeout_ms)));
+      flags.get_int_in("retries", options.retry.max_attempts, 1, kMaxRetries));
+  options.retry.timeout_ms = static_cast<std::uint64_t>(flags.get_int_in(
+      "timeout-ms", static_cast<std::int64_t>(options.retry.timeout_ms), 1, kMaxTimeoutMs));
   options.retry.seed = flags.get_seed(options.retry.seed);
-  if (options.retry.max_attempts < 1 || options.retry.timeout_ms == 0) {
-    std::cerr << "mmctl wps-query send: --retries and --timeout-ms must be positive\n";
-    return 2;
-  }
+  const auto count = static_cast<std::size_t>(flags.get_int_in("count", 1, 1, kMaxSendCount));
+  const auto expect_ok =
+      static_cast<std::size_t>(flags.get_int_in("expect-ok", 0, 0, kMaxSendCount));
 
   std::optional<net::LinkSimulator> link;
   if (flags.has("link-plan")) {
@@ -608,7 +623,6 @@ int wps_query_send(const util::Flags& flags) {
             .count());
   };
 
-  const auto count = static_cast<std::size_t>(flags.get_int("count", 1));
   for (std::size_t i = 0; i < count; ++i) client.issue(request, now_ms());
 
   std::signal(SIGINT, wps_signal_handler);
@@ -672,13 +686,10 @@ int wps_query_send(const util::Flags& flags) {
                  std::to_string(st.stale_responses)});
   table.print(std::cout);
 
-  if (flags.has("expect-ok")) {
-    const auto expect = static_cast<std::size_t>(flags.get_int("expect-ok", 0));
-    if (ok_answers < expect) {
-      std::cerr << "mmctl wps-query send: expected >= " << expect
-                << " ok answers, got " << ok_answers << "\n";
-      return 1;
-    }
+  if (ok_answers < expect_ok) {
+    std::cerr << "mmctl wps-query send: expected >= " << expect_ok << " ok answers, got "
+              << ok_answers << "\n";
+    return 1;
   }
   return g_wps_interrupted.load() ? 130 : 0;
 }
@@ -698,20 +709,26 @@ int cmd_wps_query(const util::Flags& flags) {
 int cmd_wps_surveil(const util::Flags& flags) {
   wps::SurveilOptions options;
   options.seed = flags.get_seed(options.seed);
-  options.fixed_ap_count =
-      static_cast<std::size_t>(flags.get_int("fixed-aps", static_cast<std::int64_t>(options.fixed_ap_count)));
-  options.device_count =
-      static_cast<std::size_t>(flags.get_int("devices", static_cast<std::int64_t>(options.device_count)));
-  options.duration_s = flags.get_double("duration-hours", options.duration_s / 3600.0) * 3600.0;
-  options.snapshot_refresh_s =
-      flags.get_double("refresh-hours", options.snapshot_refresh_s / 3600.0) * 3600.0;
-  options.query_interval_s =
-      flags.get_double("sweep-hours", options.query_interval_s / 3600.0) * 3600.0;
-  options.speed_mps = flags.get_double("speed", options.speed_mps);
+  const auto population = [&](const char* key, std::size_t fallback) {
+    return static_cast<std::size_t>(
+        flags.get_int_in(key, static_cast<std::int64_t>(fallback), 0, kMaxSurveilPopulation));
+  };
+  const auto hours = [&](const char* key, double fallback_s) {
+    return flags.get_double_in(key, fallback_s / 3600.0, 0.0, kMaxSurveilHours) * 3600.0;
+  };
+  options.fixed_ap_count = population("fixed-aps", options.fixed_ap_count);
+  options.device_count = population("devices", options.device_count);
+  options.duration_s = hours("duration-hours", options.duration_s);
+  options.snapshot_refresh_s = hours("refresh-hours", options.snapshot_refresh_s);
+  options.query_interval_s = hours("sweep-hours", options.query_interval_s);
+  options.speed_mps = flags.get_double_in("speed", options.speed_mps, 0.0, kMaxSurveilSpeedMps);
   options.ap_density_per_km2 = flags.get_double("density", options.ap_density_per_km2);
-  options.nearest_k = static_cast<std::size_t>(flags.get_int("k", static_cast<std::int64_t>(options.nearest_k)));
-  options.tile_size_m = flags.get_double("tile-size", options.tile_size_m);
-  const auto top = static_cast<std::size_t>(flags.get_int("top", 10));
+  options.nearest_k = static_cast<std::size_t>(
+      flags.get_int_in("k", static_cast<std::int64_t>(options.nearest_k), 0, kMaxNearestK));
+  options.tile_size_m =
+      flags.get_double_in("tile-size", options.tile_size_m, kMinPositive, kMaxFinite);
+  const auto top = static_cast<std::size_t>(
+      flags.get_int_in("top", 10, 0, std::numeric_limits<std::int64_t>::max()));
 
   fs::path workdir = flags.get("workdir", "");
   if (workdir.empty()) workdir = fs::temp_directory_path() / "mm_wps_surveil";

@@ -2,9 +2,19 @@
 // code; all I/O goes through stdout/stderr so the tool scripts cleanly.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+
 #include "util/flags.h"
 
 namespace mm::tools {
+
+/// Largest --stream-id / --stream-ids value: the wire frame's u32 field.
+inline constexpr std::int64_t kMaxStreamId = std::numeric_limits<std::uint32_t>::max();
+/// get_double_in bounds of a flag that must be finite (kMaxFinite) and > 0
+/// (kMinPositive); NaN and inf lie outside any range.
+inline constexpr double kMinPositive = std::numeric_limits<double>::min();
+inline constexpr double kMaxFinite = std::numeric_limits<double>::max();
 
 /// `mmctl simulate --config scenario.ini --out prefix`
 /// Runs a scenario described by an INI file and writes:

@@ -1,12 +1,12 @@
 #include "live_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <iostream>
 #include <utility>
 
+#include "commands.h"
 #include "sim/scenario.h"
 #include "util/table.h"
 
@@ -91,24 +91,13 @@ const std::atomic<bool>& LiveEngine::stop_flag() { return g_stop; }
 
 int LiveEngine::open(const util::Flags& flags) {
   pipeline::LiveTrackerConfig config;
-  const std::int64_t shards = flags.get_int("shards", 4);
-  if (shards < 1 || shards > kMaxShards) {
-    std::cerr << who_ << ": --shards must be in [1, " << kMaxShards << "]\n";
-    return 2;
-  }
-  config.shards = static_cast<std::size_t>(shards);
-  const std::int64_t ring_capacity = flags.get_int("ring-capacity", 1 << 14);
-  if (ring_capacity < 1 || ring_capacity > kMaxRingCapacity) {
-    std::cerr << who_ << ": --ring-capacity must be in [1, " << kMaxRingCapacity << "]\n";
-    return 2;
-  }
-  config.ring_capacity = static_cast<std::size_t>(ring_capacity);
-  config.default_radius_m = flags.get_double("default-radius", 100.0);
-  if (!(std::isfinite(config.default_radius_m) && config.default_radius_m > 0.0)) {
-    // A shard worker would throw at its first multi-disc locate and exit.
-    std::cerr << who_ << ": --default-radius must be a finite number > 0\n";
-    return 2;
-  }
+  config.shards = static_cast<std::size_t>(flags.get_int_in("shards", 4, 1, kMaxShards));
+  config.ring_capacity =
+      static_cast<std::size_t>(flags.get_int_in("ring-capacity", 1 << 14, 1, kMaxRingCapacity));
+  // Finite and > 0: a shard worker would throw at its first multi-disc
+  // locate and exit.
+  config.default_radius_m =
+      flags.get_double_in("default-radius", 100.0, kMinPositive, kMaxFinite);
   config.mloc.reject_outliers = flags.has("reject-outliers");
   const std::string policy = flags.get("drop-policy", "drop");
   if (policy == "drop") {
@@ -126,14 +115,11 @@ int LiveEngine::open(const util::Flags& flags) {
   const std::string wal_dir = flags.get("wal-dir", "");
   if (!wal_dir.empty()) {
     config.durability.dir = wal_dir;
-    config.durability.checkpoint_interval_s = flags.get_double("checkpoint-secs", 30.0);
-    if (!(std::isfinite(config.durability.checkpoint_interval_s) &&
-          config.durability.checkpoint_interval_s >= 0.0)) {
-      // NaN passes the tracker's "0 = final only" test, and no elapsed time
-      // compares below it, so every poll with new records would checkpoint.
-      std::cerr << who_ << ": --checkpoint-secs must be a finite number >= 0\n";
-      return 2;
-    }
+    // NaN would pass the tracker's "0 = final only" test, and no elapsed
+    // time compares below it, so every poll with new records would
+    // checkpoint.
+    config.durability.checkpoint_interval_s =
+        flags.get_double_in("checkpoint-secs", 30.0, 0.0, kMaxFinite);
     config.durability.wal.fsync_on_commit = !flags.has("no-fsync");
   }
   const bool do_recover = flags.has("recover");

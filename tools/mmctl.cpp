@@ -18,6 +18,9 @@ void print_usage() {
 
 usage: mmctl <command> [flags]
 
+A numeric flag is read whole and checked against the range stated below;
+a bad value exits 2 and names the flag.
+
 commands:
   simulate   run an INI-described scenario; writes pcap + AP db + observations
              --config <scenario.ini>   (required)
@@ -69,7 +72,8 @@ commands:
              --out <stream.bin>        write the stream to a file or FIFO
              --udp <host:port>         ... or send one datagram per frame
                                        over a real UDP socket
-             --stream-id <N>           feed identity (default: 1)
+             --stream-id <N>           feed identity, in [0, 4294967295]
+                                       (default: 1)
              --fec-k <K>               data frames per parity frame, in
                                        [0, 65535] (default: 8; 0 disables
                                        parity)
@@ -87,7 +91,8 @@ commands:
                                        clamped 100..600000)
              --rcvbuf <bytes>          SO_RCVBUF request (default: 4 MiB,
                                        clamped 64 KiB..64 MiB)
-             --stream-ids <1,2,...>    per-file stream ids (default: 1..N)
+             --stream-ids <1,2,...>    per-file stream ids, each in
+                                       [0, 4294967295] (default: 1..N)
              --fec-window <W>          reassembly window in sequences, in
                                        [2, 65536] (default: 256)
              plus live's engine flags --shards/--ring-capacity/
@@ -99,7 +104,8 @@ commands:
              mmap-backed WPS snapshot format
              --apdb <apdb.csv> | --wigle <wigle.csv>   (one required)
              --out <snap.wps>          (required)
-             --tile-size <m>           tile edge (default: 512; perf only)
+             --tile-size <m>           tile edge, finite and > 0 (default: 512;
+                                       perf only)
              --no-mac-index            skip the O(log n) BSSID index section
              --no-fsync                skip fsync before the atomic rename
   wps-serve  answer WPS lookup/nearest/range requests carried as Lattice
@@ -107,17 +113,20 @@ commands:
              Aegis fault-tolerant tier (dedup, load shedding, SIGHUP hot-swap)
              --snapshot <snap.wps>     (required)
              --in <req> --out <resp>   byte-stream mode (required sans --udp)
-             --udp <port>              ... or serve datagrams on loopback
-                                       (port 0 = kernel-assigned, printed)
+             --udp <port>              ... or serve datagrams on loopback,
+                                       port in [0, 65535] (0 = kernel-assigned,
+                                       printed)
              --max-queue <N>           shed beyond this backlog per read or
-                                       datagram (default: 256)
-             --dedup-window <N>        replayable responses (default: 4096);
-                                       a repeated stream id + seq is answered
-                                       from the cache, on either transport
+                                       datagram, in [1, 65536] (default: 256)
+             --dedup-window <N>        replayable responses, in [0, 65536]
+                                       (default: 4096); a repeated stream id +
+                                       seq is answered from the cache, on
+                                       either transport
              --rcvbuf <bytes> / --idle-timeout-ms <ms>   as in net-recv
              --prewarm                 verify+index every tile eagerly at
                                        open; prewarm_s lands in the JSON
-             --threads <N>             concurrent query execution (default: 1;
+             --threads <N>             concurrent query execution, in
+                                       [0, 256] (default: 1; 0 = one per core;
                                        responses stay in request order)
              --stats-json <out.json>   machine-readable serve stats
              SIGHUP re-opens --snapshot beside the live mmap and atomically
@@ -132,18 +141,25 @@ commands:
              send   --udp <host:port> --op ... [--count N] [--retries N]
                     [--timeout-ms T] [--seed S] [--link-plan <spec>]
                     [--expect-ok N]   retrying Aegis client over live UDP
+             bounds: --k in [1, 65535], --stream-id in [0, 4294967295],
+                    --seq/--max-rows/--expect >= 0, --count in [1, 65536],
+                    --expect-ok in [0, 65536], --retries in [1, 100],
+                    --timeout-ms in [1, 600000]
   wps-surveil  replay the opportunistic mass-surveillance scenario: a moving
              population tracked through nothing but WPS query access
-             --seed <S> --devices <N> --fixed-aps <N>
-             --duration-hours/--refresh-hours/--sweep-hours <H>
-             --speed <m/s> --density <APs/km2> --k <N> --tile-size <m>
+             --seed <S> --devices <N> --fixed-aps <N>   (each in [0, 16777216])
+             --duration-hours/--refresh-hours/--sweep-hours <H>   (in [0, 8760])
+             --speed <m/s> (in [0, 100]) --density <APs/km2>
+             --k <N> (in [0, 65535]) --tile-size <m> (finite, > 0)
              --workdir <dir>           snapshot scratch dir (default: tmp)
-             --top <N>                 rows of the tracked-device table
+             --top <N>                 rows of the tracked-device table (>= 0)
              --stats-json <out.json>   machine-readable report
   arena      Chimera attack-vs-defense sweep: attacker capability (identity
              signals enabled) x defense adoption, on a simulated campus
              --seed <S> --devices <N> --aps <N> --duration <s>
-             --adoption <0,0.25,...>   adoption levels to sweep
+                                       devices in [1, 4096], APs in
+                                       [1, 65536], duration in [0, 86400]
+             --adoption <0,0.25,...>   adoption levels to sweep, each in [0, 1]
              --smoke                   small preset for CI
              --out <BENCH_arena.json>  machine-readable sweep
 )";
@@ -172,6 +188,9 @@ int main(int argc, char** argv) {
     if (command == "wps-query") return mm::tools::cmd_wps_query(flags);
     if (command == "wps-surveil") return mm::tools::cmd_wps_surveil(flags);
     if (command == "arena") return mm::tools::cmd_arena(flags);
+  } catch (const mm::util::FlagError& error) {
+    std::cerr << "mmctl " << command << ": " << error.what() << "\n";
+    return 2;
   } catch (const std::exception& error) {
     std::cerr << "mmctl " << command << ": " << error.what() << "\n";
     return 1;
