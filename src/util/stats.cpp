@@ -104,10 +104,27 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
 }
 
 void Histogram::add(double x) noexcept {
-  auto raw = static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width_));
-  raw = std::clamp<std::ptrdiff_t>(raw, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(raw)];
+  // Clamped before the cast to an index: an infinite or NaN position has no
+  // integer value, and a huge finite one overflows it.
+  const double raw = std::floor((x - lo_) / width_);
+  const double last = static_cast<double>(counts_.size() - 1);
+  const double bin = raw >= 0.0 ? std::min(raw, last) : 0.0;
+  ++counts_[static_cast<std::size_t>(bin)];
   ++total_;
+}
+
+double Histogram::percentile(double p) const {
+  if (total_ == 0) throw std::out_of_range("Histogram::percentile on empty histogram");
+  const double rank = std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(total_ - 1);
+  std::size_t bin = 0;
+  std::size_t below = 0;  // samples in the bins before `bin`
+  while (bin + 1 < counts_.size() && static_cast<double>(below + counts_[bin]) <= rank) {
+    below += counts_[bin];
+    ++bin;
+  }
+  // The bin holds the rank, so it holds at least one sample.
+  return bin_lo(bin) +
+         width_ * (rank - static_cast<double>(below)) / static_cast<double>(counts_[bin]);
 }
 
 double Histogram::bin_lo(std::size_t bin) const noexcept {

@@ -58,13 +58,20 @@ class SampleSet {
   mutable bool sorted_valid_ = false;
 };
 
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so totals always match the sample count.
+/// Fixed-width-bin histogram over [lo, hi); out-of-range samples (infinities
+/// too, and NaN into the first bin) clamp to the edge bins so totals always
+/// match the sample count. Its memory is fixed at construction.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x) noexcept;
+  /// The value at percentile p in [0, 100] by SampleSet::percentile's rank
+  /// rule (rank p/100 * (total - 1)), placed linearly inside the bin that
+  /// holds that rank. For samples inside [lo, hi) it lies in the same bin as
+  /// the sorted sample of rank floor(p/100 * (total - 1)). Requires
+  /// total() > 0.
+  [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
   [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
   [[nodiscard]] std::size_t total() const noexcept { return total_; }

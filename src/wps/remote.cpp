@@ -278,12 +278,20 @@ void LossyLoopback::step() {
   now_ms_ += options_.step_ms;
 }
 
+namespace {
+
+/// Safety valve: run() stops after this many steps even if the client is not
+/// idle (a correctness bug, surfaced by the caller's accounting checks).
+constexpr std::uint64_t kMaxLoopbackSteps = 100000;
+
+}  // namespace
+
 std::uint64_t LossyLoopback::run() {
   std::uint64_t steps = 0;
   // Termination needs no link flush: a frame parked behind reorder delay is
   // released by retransmission traffic, and a request that never hears back
   // finalizes through timeout exhaustion regardless.
-  while (!client_.idle() && steps < options_.max_steps) {
+  while (!client_.idle() && steps < kMaxLoopbackSteps) {
     step();
     ++steps;
   }

@@ -230,9 +230,6 @@ struct LoopbackOptions {
   fault::FaultPlan up;    ///< client -> server damage
   fault::FaultPlan down;  ///< server -> client damage
   std::uint64_t step_ms = 10;
-  /// Safety valve: run() stops after this many steps even if not idle
-  /// (a correctness bug, surfaced by the caller's accounting checks).
-  std::uint64_t max_steps = 100000;
 };
 
 /// One client and one server joined by two independently seeded lossy links,
@@ -244,7 +241,8 @@ class LossyLoopback {
   LossyLoopback(RemoteClient& client, RemoteServer& server,
                 const LoopbackOptions& options);
 
-  /// Pumps until the client is idle (or max_steps). Returns steps run.
+  /// Pumps until the client is idle, or for at most kMaxLoopbackSteps
+  /// (remote.cpp). Returns steps run.
   std::uint64_t run();
 
   /// One pump step (advances the clock by step_ms).

@@ -10,13 +10,13 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 
 #include "durability/crc32c.h"
 #include "geo/spatial_index.h"
 #include "util/bytes.h"
 #include "util/hash.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace mm::wps {
@@ -202,36 +202,14 @@ struct Service::Impl {
   }
 };
 
-/// The swap point behind a Service (Aegis hot-swap, DESIGN.md §14). Queries
-/// pin() the serving Impl — a shared_ptr copy — for their whole execution,
-/// so a concurrent reload() can retire the old mapping without ever pulling
-/// it out from under a reader: the last pinned query's destructor unmaps it.
-struct Service::State {
-  std::atomic<std::shared_ptr<const Impl>> current;
-  std::mutex reload_mutex;  ///< serializes reload(); queries never take it
-  std::atomic<std::uint64_t> epoch{1};
-  std::atomic<std::uint64_t> reloads{0};
-  std::atomic<std::uint64_t> reloads_rejected{0};
-
-  [[nodiscard]] std::shared_ptr<const Impl> pin() const noexcept {
-    return current.load(std::memory_order_acquire);
-  }
-
-  /// The whole of snapshot admission: map, parse header, locate sections
-  /// (footer fast path / forward-scan fallback), build the tile table.
-  /// Shared verbatim by open() and reload().
-  static util::Result<std::shared_ptr<const Impl>> open_impl(
-      const std::filesystem::path& path);
-};
-
-Service::Service(std::unique_ptr<State> state) : state_(std::move(state)) {}
+Service::Service(std::unique_ptr<const Impl> impl) : impl_(std::move(impl)) {}
 Service::Service(Service&&) noexcept = default;
 Service& Service::operator=(Service&&) noexcept = default;
 Service::~Service() = default;
 
-util::Result<std::shared_ptr<const Service::Impl>> Service::State::open_impl(
+util::Result<std::unique_ptr<const Service::Impl>> Service::open_impl(
     const std::filesystem::path& path) {
-  using R = util::Result<std::shared_ptr<const Impl>>;
+  using R = util::Result<std::unique_ptr<const Impl>>;
 
   auto impl = std::make_unique<Impl>();
 
@@ -400,69 +378,54 @@ util::Result<std::shared_ptr<const Service::Impl>> Service::State::open_impl(
   }
   impl->tile_states = std::make_unique<Impl::TileState[]>(impl->tiles.size());
 
-  return R(std::shared_ptr<const Impl>(std::move(impl)));
+  return R(std::unique_ptr<const Impl>(std::move(impl)));
 }
 
 util::Result<Service> Service::open(const std::filesystem::path& path) {
   using R = util::Result<Service>;
-  auto impl = State::open_impl(path);
+  auto impl = open_impl(path);
   if (!impl.ok()) return R::failure(impl.error());
-  auto state = std::make_unique<State>();
-  state->current.store(std::move(impl).value(), std::memory_order_release);
-  return Service(std::move(state));
+  return Service(std::move(impl).value());
 }
 
-util::Result<std::uint64_t> Service::reload(const std::filesystem::path& path,
-                                            const ReloadOptions& options) {
+util::Result<std::uint64_t> Service::reload(const std::filesystem::path& path) {
   using R = util::Result<std::uint64_t>;
-  std::lock_guard<std::mutex> lock(state_->reload_mutex);
+  const auto reject = [&](const std::string& why) {
+    ++reloads_rejected_;
+    return R::failure("wps reload rejected: " + why);
+  };
 
-  auto opened = State::open_impl(path);
-  if (!opened.ok()) {
-    state_->reloads_rejected.fetch_add(1, std::memory_order_relaxed);
-    return R::failure("wps reload rejected: " + opened.error());
-  }
-  std::shared_ptr<const Impl> fresh = std::move(opened).value();
+  auto opened = open_impl(path);
+  if (!opened.ok()) return reject(opened.error());
+  std::unique_ptr<const Impl> fresh = std::move(opened).value();
 
   // A candidate that needed *any* degraded-open machinery is refused whole:
   // reload is a chosen act with a healthy incumbent, so the bar is pristine,
   // not merely survivable.
   if (fresh->footer_recovered || fresh->sections_rejected != 0 ||
       fresh->tail_bytes_quarantined != 0) {
-    state_->reloads_rejected.fetch_add(1, std::memory_order_relaxed);
-    return R::failure("wps reload rejected: candidate needed damage recovery (footer/sections/tail)");
+    return reject("candidate needed damage recovery (footer/sections/tail)");
   }
-
-  // Up-front CRC verification of a deterministic tile sample; a sampled tile
-  // arrives pre-verified in the new epoch, so the spend is not wasted.
-  const std::size_t tiles = fresh->tiles.size();
-  if (tiles != 0 && options.sample_tiles != 0) {
-    util::Rng rng(util::hash_combine(options.seed,
-                                     static_cast<std::uint64_t>(tiles)));
-    const std::size_t samples = std::min(options.sample_tiles, tiles);
-    for (std::size_t s = 0; s < samples; ++s) {
-      const std::size_t t =
-          options.sample_tiles >= tiles
-              ? s  // few enough tiles: verify them all
-              : static_cast<std::size_t>(
-                    rng.uniform_int(0, static_cast<std::int64_t>(tiles) - 1));
-      if (!fresh->ensure_verified(t)) {
-        state_->reloads_rejected.fetch_add(1, std::memory_order_relaxed);
-        return R::failure("wps reload rejected: sampled tile failed its CRC");
-      }
+  // Every payload CRC is checked up front, so each tile arrives verified in
+  // the new epoch and no query into it pays or fails the check later.
+  for (std::size_t t = 0; t < fresh->tiles.size(); ++t) {
+    if (!fresh->ensure_verified(t)) {
+      const TileKey& key = fresh->tiles[t].key;
+      return reject("tile (" + std::to_string(key.x) + ", " + std::to_string(key.y) +
+                    ") failed its CRC");
     }
   }
+  if (fresh->mac_index_present && !fresh->ensure_mac_index()) {
+    return reject("MAC index failed its check");
+  }
 
-  state_->current.store(std::move(fresh), std::memory_order_release);
-  state_->reloads.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t epoch =
-      state_->epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-  return R(epoch);
+  impl_ = std::move(fresh);
+  ++reloads_;
+  return R(++epoch_);
 }
 
 std::uint64_t Service::prewarm(std::size_t parallelism) const {
-  const std::shared_ptr<const Impl> pin = state_->pin();
-  const Impl& im = *pin;
+  const Impl& im = *impl_;
   if (im.tiles.empty()) {
     im.ensure_mac_index();
     return 0;
@@ -481,13 +444,8 @@ std::uint64_t Service::prewarm(std::size_t parallelism) const {
   return usable.load(std::memory_order_relaxed);
 }
 
-std::uint64_t Service::epoch() const noexcept {
-  return state_->epoch.load(std::memory_order_acquire);
-}
-
 std::optional<WpsAp> Service::lookup(const net80211::MacAddress& bssid) const {
-  const std::shared_ptr<const Impl> pin = state_->pin();  // epoch pin
-  const Impl& im = *pin;
+  const Impl& im = *impl_;
   const std::uint64_t key = bssid.to_u64();
 
   if (im.ensure_mac_index()) {
@@ -535,8 +493,7 @@ std::optional<WpsAp> Service::lookup(const net80211::MacAddress& bssid) const {
 }
 
 std::vector<WpsAp> Service::range(geo::Vec2 center, double radius_m) const {
-  const std::shared_ptr<const Impl> pin = state_->pin();  // epoch pin
-  const Impl& im = *pin;
+  const Impl& im = *impl_;
   std::vector<WpsAp> out;
   if (!(radius_m >= 0.0) || im.tiles.empty()) return out;  // rejects NaN too
 
@@ -585,8 +542,7 @@ std::vector<WpsAp> Service::range(geo::Vec2 center, double radius_m) const {
 }
 
 std::vector<WpsAp> Service::nearest_k(geo::Vec2 center, std::size_t k) const {
-  const std::shared_ptr<const Impl> pin = state_->pin();  // epoch pin
-  const Impl& im = *pin;
+  const Impl& im = *impl_;
   std::vector<WpsAp> out;
   if (k == 0 || im.tiles.empty()) return out;
 
@@ -702,18 +658,16 @@ std::vector<WpsAp> Service::nearest_k(geo::Vec2 center, std::size_t k) const {
   return out;
 }
 
-std::size_t Service::size() const noexcept { return state_->pin()->records_total; }
-geo::Geodetic Service::origin() const noexcept { return state_->pin()->origin; }
-double Service::tile_size_m() const noexcept { return state_->pin()->tile_size; }
+std::size_t Service::size() const noexcept { return impl_->records_total; }
+geo::Geodetic Service::origin() const noexcept { return impl_->origin; }
+double Service::tile_size_m() const noexcept { return impl_->tile_size; }
 
 TileKey Service::tile_of(geo::Vec2 p) const noexcept {
-  const double tile_size = state_->pin()->tile_size;
-  return {tile_coord(p.x, tile_size), tile_coord(p.y, tile_size)};
+  return {tile_coord(p.x, impl_->tile_size), tile_coord(p.y, impl_->tile_size)};
 }
 
 ServiceStats Service::stats() const {
-  const std::shared_ptr<const Impl> pin = state_->pin();  // epoch pin
-  const Impl& im = *pin;
+  const Impl& im = *impl_;
   ServiceStats s;
   s.records_total = im.records_total;
   s.tiles_total = im.tiles.size();
@@ -724,15 +678,14 @@ ServiceStats Service::stats() const {
   s.mac_index_damaged = im.mac_index_damaged.load(std::memory_order_acquire);
   s.tiles_quarantined = im.tiles_quarantined.load(std::memory_order_relaxed);
   s.records_quarantined = im.records_quarantined.load(std::memory_order_relaxed);
-  s.epoch = state_->epoch.load(std::memory_order_acquire);
-  s.reloads = state_->reloads.load(std::memory_order_relaxed);
-  s.reloads_rejected = state_->reloads_rejected.load(std::memory_order_relaxed);
+  s.epoch = epoch_;
+  s.reloads = reloads_;
+  s.reloads_rejected = reloads_rejected_;
   return s;
 }
 
 marauder::ApDatabase Service::materialize() const {
-  const std::shared_ptr<const Impl> pin = state_->pin();  // epoch pin
-  const Impl& im = *pin;
+  const Impl& im = *impl_;
   marauder::ApDatabase db;
   for (std::size_t t = 0; t < im.tiles.size(); ++t) {
     if (!im.ensure_verified(t)) continue;

@@ -15,6 +15,10 @@
 //   * a tile whose CRC disagrees is quarantined — counted, skipped by every
 //     later query, never thrown (the Phoenix fallback contract).
 //
+// A Service owns one mapped snapshot at a time, and a query reads it with no
+// pin and no lock. reload() swaps in a new snapshot between batches of
+// queries, never during one (its precondition, DESIGN.md §14).
+//
 // Determinism contract: for an undamaged snapshot built from an ApDatabase,
 // every query returns bit-identical results to the in-memory database —
 //   lookup(b)        == db.find(b)                 (position/radius bits)
@@ -47,20 +51,9 @@ struct WpsAp {
   std::optional<double> radius_m;
 };
 
-/// Admission policy for reload() (Aegis hot-swap, DESIGN.md §14). The
-/// candidate snapshot is opened *beside* the serving one and must pass every
-/// check before the swap; any failure rolls back to the incumbent.
-struct ReloadOptions {
-  /// Tiles whose payload CRCs are verified up front (deterministically
-  /// sampled; all of them when the snapshot has fewer). The sampled tiles
-  /// come up pre-verified in the new epoch.
-  std::size_t sample_tiles = 16;
-  /// Salts the tile sample (combined with the snapshot's tile count).
-  std::uint64_t seed = 0xae6e5;
-};
-
-/// Open-time + runtime health counters. Everything quarantine-shaped is
-/// monotone; the runtime fields are sampled from atomics.
+/// Open-time + runtime health counters of the serving snapshot, plus the
+/// Service's reload counters. Everything quarantine-shaped is monotone; the
+/// first-touch quarantine fields are sampled from atomics.
 struct ServiceStats {
   std::uint64_t records_total = 0;   ///< records in accepted tile sections
   std::uint64_t tiles_total = 0;     ///< accepted tile sections
@@ -116,21 +109,25 @@ class Service {
   /// and counted in stats().
   [[nodiscard]] marauder::ApDatabase materialize() const;
 
-  // --- Aegis hot-swap (DESIGN.md §14) ---
+  // --- Aegis hot-swap between batches (DESIGN.md §14) ---
 
-  /// Atomically replaces the serving snapshot with `path`. The candidate is
-  /// opened beside the incumbent and admitted only when it is pristine: no
-  /// recovered footer, no rejected sections, no quarantined tail, and every
-  /// deterministically sampled tile's payload CRC clean. On success the
-  /// epoch bumps and the new snapshot serves every *subsequent* query; on
-  /// failure the incumbent keeps serving untouched and reloads_rejected
-  /// counts the quarantined candidate. Queries already executing — local or
-  /// draining in a RemoteServer batch — hold a shared_ptr pin on their
-  /// epoch's mapping, so no query ever observes a torn swap; the old mapping
-  /// unmaps when its last pinned query finishes. Concurrent reload() calls
-  /// serialize; queries never block.
-  [[nodiscard]] util::Result<std::uint64_t> reload(
-      const std::filesystem::path& path, const ReloadOptions& options = {});
+  /// Replaces the serving snapshot with `path` and returns the new epoch.
+  /// The candidate is opened beside the incumbent and checked whole: it is
+  /// admitted only when it is pristine — no recovered footer, no rejected
+  /// section, no quarantined tail, every tile's payload CRC clean, and the
+  /// MAC index usable with a clean CRC when the section is present. On
+  /// success the old mapping is released, the epoch bumps, and the new
+  /// snapshot serves every later query with all of its tiles already
+  /// verified. On failure the incumbent keeps serving untouched and
+  /// reloads_rejected counts the refused candidate.
+  ///
+  /// Precondition: reload() is a mutation, so it follows the repo-wide
+  /// convention that an object is not read while it is being written. No
+  /// other call on the same Service — a query, stats(), prewarm(), or a
+  /// RemoteServer batch running over it — may be in progress while reload()
+  /// runs. `mmctl wps-serve` meets this by reloading on its serving thread
+  /// between batches, after RemoteServer::drain has joined the last one.
+  [[nodiscard]] util::Result<std::uint64_t> reload(const std::filesystem::path& path);
 
   /// Eagerly verifies + spatially indexes every tile of the current epoch
   /// (deterministic parallel chunks; parallelism 0 = hardware). Bounds the
@@ -139,13 +136,22 @@ class Service {
   std::uint64_t prewarm(std::size_t parallelism = 0) const;
 
   /// Current serving epoch (1 at open, +1 per successful reload).
-  [[nodiscard]] std::uint64_t epoch() const noexcept;
+  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
  private:
   struct Impl;
-  struct State;
-  explicit Service(std::unique_ptr<State> state);
-  std::unique_ptr<State> state_;
+  explicit Service(std::unique_ptr<const Impl> impl);
+
+  /// The whole of snapshot admission: map, parse the header, locate the
+  /// sections (footer fast path, forward-scan fallback) and build the tile
+  /// table. Shared by open() and reload().
+  static util::Result<std::unique_ptr<const Impl>> open_impl(
+      const std::filesystem::path& path);
+
+  std::unique_ptr<const Impl> impl_;  ///< the serving snapshot
+  std::uint64_t epoch_ = 1;
+  std::uint64_t reloads_ = 0;
+  std::uint64_t reloads_rejected_ = 0;
 };
 
 }  // namespace mm::wps

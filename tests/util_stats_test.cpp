@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+
+#include "util/rng.h"
 
 namespace mm::util {
 namespace {
@@ -151,6 +155,49 @@ TEST(Histogram, InvalidConstruction) {
   EXPECT_THROW(Histogram(0.0, 0.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram(1.0, 0.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
+}
+
+// Fed log(value), the equal-width bins are log-spaced: a latency record
+// whose percentiles stay within one bin's relative width of the exact ones,
+// in memory that does not grow with the sample count. wps-serve keeps its
+// per-response times this way, with these bounds.
+TEST(Histogram, LogBinnedPercentilesTrackExactOnesInFixedMemory) {
+  Histogram h(std::log(0.01), std::log(1e8), 2048);
+  const std::size_t bins = h.bin_count();
+  SampleSet exact;
+  Rng rng(2024);
+  constexpr int kSamples = 120000;
+  for (int i = 0; i < kSamples; ++i) {
+    // A body near 20 us under a log-uniform spread over 0.1 us .. 1 s.
+    const double us = rng.bernoulli(0.7)
+                          ? std::exp(rng.gaussian(std::log(20.0), 0.8))
+                          : std::exp(rng.uniform(std::log(0.1), std::log(1e6)));
+    h.add(std::log(us));
+    exact.add(us);
+  }
+  EXPECT_EQ(h.bin_count(), bins);
+  EXPECT_EQ(h.total(), static_cast<std::size_t>(kSamples));
+  const double bin_width = h.bin_hi(0) - h.bin_lo(0);  // in log units
+  for (const double p : {50.0, 99.0}) {
+    const double got = std::exp(h.percentile(p));
+    EXPECT_LE(std::abs(std::log(got / exact.percentile(p))), bin_width) << "p" << p;
+  }
+}
+
+TEST(Histogram, PercentileReadsInsideTheRankBin) {
+  Histogram h(0.0, 10.0, 5);
+  EXPECT_THROW((void)h.percentile(50.0), std::out_of_range);
+  for (const double x : {1.0, 3.0, 3.5, 9.0}) h.add(x);
+  // Ranks 0 .. 3 over bins [0,2) x1, [2,4) x2, [8,10) x1.
+  EXPECT_DOUBLE_EQ(h.percentile(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(h.percentile(50.0), 2.0 + 2.0 * 0.5 / 2.0);
+  EXPECT_DOUBLE_EQ(h.percentile(100.0), 8.0);
+  h.add(std::numeric_limits<double>::infinity());
+  h.add(-std::numeric_limits<double>::infinity());
+  h.add(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(h.count(0), 3u);
+  EXPECT_EQ(h.count(4), 2u);
+  EXPECT_EQ(h.total(), 7u);
 }
 
 TEST(Histogram, ToStringContainsBars) {

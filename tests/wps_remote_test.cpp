@@ -277,6 +277,63 @@ TEST(WpsRemote, ServerCountsRequestsByOpAndRecordsReturned) {
   EXPECT_EQ(server.buffered(), 0u);
 }
 
+// The dedup window spans a hot-swap between batches: a retransmit arriving
+// after reload() replays the bytes answered on the old snapshot and never
+// runs on the new one, while a fresh request is answered by the new one.
+TEST(WpsRemote, RetransmitAfterReloadReplaysTheOldSnapshotsAnswer) {
+  Service service = open_city("mm_remote_swap_a.wps", 400, 71);
+  const fs::path path_b = testing_support::unique_temp_path("mm_remote_swap_b.wps");
+  fs::remove(path_b);
+  SnapshotBuildOptions build;
+  build.fsync = false;
+  ASSERT_TRUE(write_snapshot(small_city(400, 72), geo::Geodetic{}, path_b, build).ok());
+
+  QueryRequest q;
+  q.op = QueryOp::kNearest;
+  q.k = 5;
+  const auto request = [&](std::uint64_t seq) {
+    net::WireFrame frame;
+    frame.type = net::WireFrameType::kData;
+    frame.stream_id = 1;
+    frame.seq = seq;
+    frame.payload = encode_request(q);
+    std::vector<std::uint8_t> bytes;
+    net::append_wire_frame(frame, bytes);
+    return bytes;
+  };
+
+  RemoteServer server(service, {});
+  std::vector<std::vector<std::uint8_t>> before;
+  server.on_bytes(request(1), before);
+  server.drain(before);
+  const QueryResponse old_answer = execute_query(service, q);
+
+  ASSERT_TRUE(service.reload(path_b).ok());
+  const QueryResponse new_answer = execute_query(service, q);
+  ASSERT_FALSE(bits_equal(old_answer.aps.front().position.x,
+                          new_answer.aps.front().position.x));
+
+  std::vector<std::vector<std::uint8_t>> after;
+  server.on_bytes(request(1), after);  // retransmit: replayed from the cache
+  EXPECT_EQ(after, before);
+  server.on_bytes(request(2), after);  // fresh: runs on the new snapshot
+  server.drain(after);
+
+  net::WireDecoder decoder;
+  for (const auto& f : after) decoder.feed(f);
+  ResponseAssembler assembler;
+  std::vector<QueryResponse> got;
+  net::WireFrame frame;
+  while (decoder.next(frame)) {
+    if (const auto seq = assembler.feed(frame)) got.push_back(*assembler.take(*seq));
+  }
+  ASSERT_EQ(got.size(), 2u);
+  expect_same_response(got[0], old_answer);
+  expect_same_response(got[1], new_answer);
+  EXPECT_EQ(server.stats().replayed, 1u);
+  EXPECT_EQ(server.stats().executed, 2u);
+}
+
 TEST(WpsRemote, ShedRequestsRecoverThroughRetry) {
   const Service service = open_city("mm_remote_shedretry.wps", 400, 53);
   const auto requests = mixed_requests(40, 400, 54);

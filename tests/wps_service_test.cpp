@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -390,7 +388,7 @@ TEST(WpsService, ConcurrentColdQueriesMatchOracle) {
 }
 
 // --------------------------------------------------------------------------
-// Aegis hot-swap: reload() validation, rollback, and epoch pinning.
+// Aegis hot-swap between batches: reload() validation, rollback, and epochs.
 
 TEST(WpsServiceReload, SwapsEpochAndAnswersFromNewSnapshot) {
   const auto db1 = random_db(21, 2000);
@@ -443,9 +441,7 @@ TEST(WpsServiceReload, DamagedCandidateRollsBack) {
     }
   }
 
-  ReloadOptions options;
-  options.sample_tiles = 1u << 20;  // sample everything: the damage WILL be seen
-  auto swapped = service.reload(damaged, options);
+  auto swapped = service.reload(damaged);
   EXPECT_FALSE(swapped.ok());
   EXPECT_EQ(service.epoch(), 1u);
   EXPECT_EQ(service.stats().reloads, 0u);
@@ -458,10 +454,12 @@ TEST(WpsServiceReload, DamagedCandidateRollsBack) {
   }
 }
 
-// No torn epoch: queries racing a storm of reloads between two different
-// snapshots must each return an answer wholly from one epoch or the other —
-// never a mix (TSan covers this target in CI).
-TEST(WpsServiceReload, ConcurrentQueriesNeverObserveTornEpoch) {
+// Hot-swap between batches, the way mmctl wps-serve reloads: each round runs
+// its query threads to completion and joins them, then reloads the other
+// snapshot. Every answer in a round must come from that round's snapshot
+// (TSan covers this target in CI: the joins order each reload after the
+// queries before it and before the queries after it).
+TEST(WpsServiceReload, ReloadBetweenQueryRoundsAnswersFromOneSnapshot) {
   const auto db1 = random_db(24, 1500);
   marauder::ApDatabase db2;  // same BSSIDs, every position shifted
   for (const marauder::KnownAp* ap : db1.sorted_records()) {
@@ -477,61 +475,53 @@ TEST(WpsServiceReload, ConcurrentQueriesNeverObserveTornEpoch) {
   ASSERT_TRUE(write_snapshot(db2, geo::Geodetic{47.6, -122.3, 0.0}, path_b, build).ok());
 
   const auto records = db1.sorted_records();
-  std::atomic<bool> stop{false};
-  constexpr int kThreads = 6;
-  std::vector<std::thread> threads;
-  std::vector<int> failures(kThreads, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      util::Rng rng(3000 + static_cast<std::uint64_t>(t));
-      while (!stop.load(std::memory_order_relaxed)) {
-        const auto idx = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(records.size()) - 1));
-        const marauder::KnownAp* want1 = records[idx];
-        const marauder::KnownAp* want2 = db2.find(want1->bssid);
-        const auto got = service.lookup(want1->bssid);
-        if (!got) {
-          ++failures[t];
-          continue;
-        }
-        const bool is1 = bits_equal(got->position.x, want1->position.x) &&
-                         bits_equal(got->position.y, want1->position.y);
-        const bool is2 = bits_equal(got->position.x, want2->position.x) &&
-                         bits_equal(got->position.y, want2->position.y);
-        if (!is1 && !is2) ++failures[t];
-        // A k-NN answer must come wholly from one world too: with every AP
-        // shifted by the same vector, a torn mix would surface as a nearest
-        // set matching neither oracle.
-        const geo::Vec2 c{rng.uniform(-4000.0, 4000.0), rng.uniform(-4000.0, 4000.0)};
-        const auto nearest = service.nearest_k(c, 4);
-        const auto oracle1 = db1.nearest_aps(c, 4);
-        const auto oracle2 = db2.nearest_aps(c, 4);
-        const auto matches = [&](const std::vector<const marauder::KnownAp*>& want) {
-          if (nearest.size() != want.size()) return false;
+  constexpr int kRounds = 24;
+  constexpr int kThreads = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    const marauder::ApDatabase& oracle = (round % 2 == 0) ? db1 : db2;
+    ASSERT_EQ(service.epoch(), 1u + static_cast<std::uint64_t>(round));
+    std::vector<std::thread> threads;
+    std::vector<int> failures(kThreads, 0);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        util::Rng rng(3000 + 100 * static_cast<std::uint64_t>(round) +
+                      static_cast<std::uint64_t>(t));
+        for (int i = 0; i < 30; ++i) {
+          const auto idx = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(records.size()) - 1));
+          const marauder::KnownAp* want = oracle.find(records[idx]->bssid);
+          const auto got = service.lookup(want->bssid);
+          if (!got || !bits_equal(got->position.x, want->position.x) ||
+              !bits_equal(got->position.y, want->position.y)) {
+            ++failures[t];
+          }
+          const geo::Vec2 c{rng.uniform(-4000.0, 4000.0), rng.uniform(-4000.0, 4000.0)};
+          const auto nearest = service.nearest_k(c, 4);
+          const auto expect = oracle.nearest_aps(c, 4);
+          if (nearest.size() != expect.size()) {
+            ++failures[t];
+            continue;
+          }
           for (std::size_t j = 0; j < nearest.size(); ++j) {
-            if (nearest[j].bssid != want[j]->bssid ||
-                !bits_equal(nearest[j].position.x, want[j]->position.x)) {
-              return false;
+            if (nearest[j].bssid != expect[j]->bssid ||
+                !bits_equal(nearest[j].position.x, expect[j]->position.x) ||
+                !bits_equal(nearest[j].position.y, expect[j]->position.y)) {
+              ++failures[t];
             }
           }
-          return true;
-        };
-        if (!matches(oracle1) && !matches(oracle2)) ++failures[t];
-      }
-    });
-  }
-
-  int swaps_ok = 0;
-  for (int round = 0; round < 24; ++round) {
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(failures[t], 0) << "round " << round << " thread " << t;
+    }
     const auto swapped = service.reload((round % 2 == 0) ? path_b : path_a);
-    if (swapped.ok()) ++swaps_ok;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(swapped.ok()) << swapped.error();
+    EXPECT_EQ(swapped.value(), 2u + static_cast<std::uint64_t>(round));
   }
-  stop.store(true);
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(swaps_ok, 24);
-  EXPECT_EQ(service.epoch(), 1u + 24u);
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
+  EXPECT_EQ(service.stats().reloads, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(service.stats().reloads_rejected, 0u);
 }
 
 TEST(WpsService, PrewarmVerifiesEveryTile) {

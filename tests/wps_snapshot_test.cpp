@@ -285,6 +285,67 @@ TEST(WpsSnapshot, RandomDamageNeverThrows) {
   }
 }
 
+// --------------------------------------------------------------------------
+// Reload admission: a candidate is checked whole before it may serve, so
+// damage a hundred tiles away from anything a query touched still refuses
+// it, and the incumbent keeps answering bit for bit.
+
+/// Opens the pristine fixture as the incumbent and offers `damaged` as the
+/// reload candidate; the candidate must be refused and change nothing.
+void expect_reload_refused(Fixture& fx, const std::vector<std::uint8_t>& damaged,
+                           const std::string& candidate_name) {
+  Service service = fx.open_bytes(fx.pristine);
+  const fs::path candidate = temp_path(candidate_name);
+  write_file(candidate, damaged);
+  const auto swapped = service.reload(candidate);
+  EXPECT_FALSE(swapped.ok());
+  std::size_t answered = 0;
+  for (const marauder::KnownAp* ap : fx.db.sorted_records()) {
+    const auto got = service.lookup(ap->bssid);
+    if (!got) continue;
+    ++answered;
+    EXPECT_EQ(std::memcmp(&got->position, &ap->position, sizeof(geo::Vec2)), 0);
+    EXPECT_EQ(got->radius_m, ap->radius_m);
+  }
+  EXPECT_EQ(answered, fx.db.size());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.epoch, 1u);
+  EXPECT_EQ(stats.reloads, 0u);
+  EXPECT_EQ(stats.reloads_rejected, 1u);
+  EXPECT_EQ(stats.tiles_quarantined, 0u);
+  EXPECT_FALSE(stats.mac_index_damaged);
+}
+
+TEST(WpsServiceReload, DamagedTileOutsideTheSampleIsRefused) {
+  Fixture fx("mm_snap_reload_tile.wps");
+  std::vector<SectionView> tiles;
+  for (const auto& s : sections_of(fx.pristine)) {
+    if (s.type == static_cast<std::uint8_t>(SectionType::kTileRecords) &&
+        s.payload_len > 0) {
+      tiles.push_back(s);
+    }
+  }
+  ASSERT_GE(tiles.size(), 100u);
+  // One flipped bit in one record of one tile of a hundred: a check that
+  // samples a few tiles would most likely let this candidate serve.
+  auto bytes = fx.pristine;
+  bytes[tiles[tiles.size() * 2 / 3].payload_off + 17] ^= 0x40;
+  expect_reload_refused(fx, bytes, "mm_snap_reload_tile_candidate.wps");
+}
+
+TEST(WpsServiceReload, DamagedMacIndexIsRefused) {
+  Fixture fx("mm_snap_reload_macidx.wps");
+  const auto sections = sections_of(fx.pristine);
+  const SectionView* mac = nullptr;
+  for (const auto& s : sections) {
+    if (s.type == static_cast<std::uint8_t>(SectionType::kMacIndex)) mac = &s;
+  }
+  ASSERT_NE(mac, nullptr);
+  auto bytes = fx.pristine;
+  bytes[mac->payload_off + 3] ^= 0x10;
+  expect_reload_refused(fx, bytes, "mm_snap_reload_macidx_candidate.wps");
+}
+
 TEST(WpsSnapshot, RebuildOverwritesAtomically) {
   const fs::path path = temp_path("mm_snap_rewrite.wps");
   SnapshotBuildOptions build;

@@ -128,9 +128,12 @@ commands:
              --threads <N>             concurrent query execution, in
                                        [0, 256] (default: 1; 0 = one per core;
                                        responses stay in request order)
-             --stats-json <out.json>   machine-readable serve stats
-             SIGHUP re-opens --snapshot beside the live mmap and atomically
-             swaps epochs (validation failure rolls back; serving continues)
+             --stats-json <out.json>   machine-readable serve stats; its
+                                       latency p50/p99 are within 1.2% of
+                                       the exact per-response percentiles
+             SIGHUP re-opens --snapshot beside the live mmap between
+             batches, checks every tile's CRC and the MAC index's, and
+             swaps epochs (a damaged candidate is refused; serving continues)
   wps-query  the client end of wps-serve
              encode --op lookup --bssid <mac> --out <req>
              encode --op nearest --x <m> --y <m> --k <N> --out <req>
