@@ -40,6 +40,7 @@
 #include "sim/scenario.h"
 #include "util/flags.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -72,7 +73,7 @@ std::vector<std::set<net80211::MacAddress>> make_gammas(
   std::vector<geo::Vec2> positions;
   positions.reserve(truth.size());
   for (const auto& ap : truth) positions.push_back(ap.position);
-  const geo::SpatialIndex index = geo::SpatialIndex::build_from(positions);
+  const geo::SpatialIndex index(positions);
   std::vector<std::set<net80211::MacAddress>> gammas;
   gammas.reserve(truth.size());
   std::vector<geo::SpatialIndex::Id> hits;
@@ -348,6 +349,8 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << "{\n  \"benchmark\": \"spatial_index\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+      << "  \"hw_cores\": " << util::ThreadPool::default_parallelism() << ",\n"
+      << "  \"build_type\": \"" << MM_BUILD_TYPE << "\",\n"
       << "  \"reps\": " << reps << ",\n  \"aprad\": [";
   for (std::size_t i = 0; i < aprad_rows.size(); ++i) {
     const ApRadRow& r = aprad_rows[i];

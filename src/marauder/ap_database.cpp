@@ -26,7 +26,6 @@ struct ApDatabase::Caches {
   std::vector<double> slab_y;
   std::vector<double> slab_r;  ///< NaN = unknown radius
   std::unordered_map<net80211::MacAddress, std::uint32_t, net80211::MacHasher> rank;
-  bool grid_valid = false;
   std::optional<geo::SpatialIndex> grid;
 
   /// The grid over `records` (= `sorted`), built on first use.
@@ -76,7 +75,6 @@ void ApDatabase::invalidate_caches() {
   c.slab_y.clear();
   c.slab_r.clear();
   c.rank.clear();
-  c.grid_valid = false;
   c.grid.reset();
 }
 
@@ -144,15 +142,11 @@ const ApDatabase::RankMap& ApDatabase::rank_index() const {
 const geo::SpatialIndex& ApDatabase::Caches::grid_over(
     const std::vector<const KnownAp*>& records) {
   std::lock_guard<std::mutex> lock(mutex);
-  if (!grid_valid) {
-    // ~1 record per cell; an empty or single-point database gets 100 m.
-    const double cell =
-        records.size() < 2
-            ? 100.0
-            : geo::density_cell_m(records, [](const KnownAp* ap) { return ap->position; });
-    grid.emplace(cell);
-    for (std::size_t i = 0; i < records.size(); ++i) grid->insert(i, records[i]->position);
-    grid_valid = true;
+  if (!grid) {
+    std::vector<geo::Vec2> positions;
+    positions.reserve(records.size());
+    for (const KnownAp* ap : records) positions.push_back(ap->position);
+    grid.emplace(positions);
   }
   return *grid;
 }

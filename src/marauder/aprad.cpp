@@ -88,8 +88,7 @@ ApRadConstraints aprad_prepare_constraints(
   // the first row for a pair kept. Selected distances are kept alongside
   // the pairs so the LP never re-derives them.
   const double interest_radius = 2.0 * options.max_radius_m;
-  geo::SpatialIndex grid(std::max(1.0, options.max_radius_m));
-  for (std::size_t i = 0; i < position.size(); ++i) grid.insert(i, position[i]);
+  const geo::SpatialIndex grid(position);
   std::vector<geo::SpatialIndex::Id> near;
   std::vector<std::pair<double, std::size_t>> candidates;
   for (std::size_t i = 0; i < observed.size(); ++i) {

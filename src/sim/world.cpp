@@ -8,14 +8,8 @@
 
 namespace mm::sim {
 
-/// The receiver grid's cell before the first density resize.
-constexpr double kInitialDeliveryCellM = 64.0;
-
 World::World(Config config)
-    : rng_(config.seed),
-      propagation_(std::move(config.propagation)),
-      config_(config),
-      grid_(kInitialDeliveryCellM) {
+    : rng_(config.seed), propagation_(std::move(config.propagation)), config_(config) {
   if (!propagation_) propagation_ = std::make_shared<rf::FreeSpaceModel>();
 }
 
@@ -50,9 +44,8 @@ void World::register_receiver(FrameReceiver* receiver) {
   ++active_count_;
 
   if (interest.fixed_position && interest.max_distance_m) {
-    grid_.insert(slot, *interest.fixed_position);
-    max_interest_radius_ = std::max(max_interest_radius_, *interest.max_distance_m);
-    maybe_resize_grid();
+    grid_slots_.push_back(slot);
+    grid_stale_ = true;
   } else if (interest.fixed_position && interest.min_rssi_dbm) {
     floor_slots_.push_back(slot);
   } else {
@@ -60,28 +53,17 @@ void World::register_receiver(FrameReceiver* receiver) {
   }
 }
 
-void World::maybe_resize_grid() {
-  // Density-derived cell: ~1 receiver per cell over the registered
-  // positions. Cell size is a performance-only knob (the Atlas contract), so
-  // resizing mid-run can never change which frames are delivered — only how
-  // fast we decide. Checked at doubling registration counts to amortize the
-  // rebuild.
-  if (grid_.size() < next_grid_rebuild_) return;
-  next_grid_rebuild_ *= 2;
-  std::vector<std::pair<std::size_t, geo::Vec2>> entries;
-  entries.reserve(grid_.size());
-  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-    const ReceiverSlot& s = slots_[slot];
-    if (!s.active || !s.interest.fixed_position || !s.interest.max_distance_m) continue;
-    entries.emplace_back(slot, *s.interest.fixed_position);
+void World::rebuild_grid() {
+  std::vector<geo::Vec2> positions;
+  positions.reserve(grid_slots_.size());
+  max_interest_radius_ = 0.0;
+  for (const std::size_t slot : grid_slots_) {
+    const DeliveryInterest& interest = slots_[slot].interest;
+    positions.push_back(*interest.fixed_position);
+    max_interest_radius_ = std::max(max_interest_radius_, *interest.max_distance_m);
   }
-  if (entries.size() < 2) return;
-  const double cell =
-      geo::density_cell_m(entries, [](const auto& entry) { return entry.second; });
-  if (!geo::cell_change_is_material(grid_.cell_size_m(), cell)) return;
-  geo::SpatialIndex rebuilt(cell);
-  for (const auto& [slot, p] : entries) rebuilt.insert(slot, p);
-  grid_ = std::move(rebuilt);
+  grid_ = geo::SpatialIndex(positions);
+  grid_stale_ = false;
 }
 
 void World::unregister_receiver(FrameReceiver* receiver) {
@@ -91,14 +73,15 @@ void World::unregister_receiver(FrameReceiver* receiver) {
   slot_of_.erase(it);
   slots_[slot].active = false;
   --active_count_;
-  grid_.erase(slot);  // no-op for non-grid slots
   const auto drop = [slot](std::vector<std::size_t>& v) {
-    v.erase(std::remove(v.begin(), v.end(), slot), v.end());
+    const auto tail = std::remove(v.begin(), v.end(), slot);
+    const bool found = tail != v.end();
+    v.erase(tail, v.end());
+    return found;
   };
+  if (drop(grid_slots_)) grid_stale_ = true;
   drop(always_slots_);
   drop(floor_slots_);
-  // max_interest_radius_ is intentionally not shrunk: a stale maximum only
-  // widens the grid query, never changes its filtered result.
 }
 
 void World::deliver(FrameReceiver& receiver, const net80211::ManagementFrame& frame,
@@ -135,14 +118,16 @@ void World::transmit(const net80211::ManagementFrame& frame, const TxRadio& tx) 
   candidates_.clear();
   candidates_.insert(candidates_.end(), always_slots_.begin(), always_slots_.end());
 
+  if (grid_stale_) rebuild_grid();
   if (!grid_.empty()) {
     grid_.query_disc(tx.position, max_interest_radius_, hits_);
     for (const geo::SpatialIndex::Id id : hits_) {
-      const ReceiverSlot& slot = slots_[id];
+      const std::size_t slot_id = grid_slots_[id];
+      const ReceiverSlot& slot = slots_[slot_id];
       // rx.distance_m is recomputed from the same endpoints at delivery; the
       // receiver's no-op test is `distance_m > max`, so <= must deliver.
       const double d = tx.position.distance_to(*slot.interest.fixed_position);
-      if (d <= *slot.interest.max_distance_m) candidates_.push_back(id);
+      if (d <= *slot.interest.max_distance_m) candidates_.push_back(slot_id);
     }
   }
 

@@ -137,7 +137,7 @@ class World {
 
  private:
   /// One registration, in registration order. Slots are tombstoned (not
-  /// erased) on unregister so slot indices stay stable grid ids.
+  /// erased) on unregister so slot indices stay stable.
   struct ReceiverSlot {
     FrameReceiver* receiver = nullptr;
     DeliveryInterest interest;
@@ -146,7 +146,8 @@ class World {
 
   void deliver(FrameReceiver& receiver, const net80211::ManagementFrame& frame,
                const TxRadio& tx, double freq_mhz);
-  void maybe_resize_grid();
+  /// Re-indexes grid_slots_ (and their widest interest) into grid_.
+  void rebuild_grid();
 
   EventQueue queue_;
   util::Rng rng_;
@@ -156,14 +157,15 @@ class World {
   std::vector<std::unique_ptr<MobileDevice>> mobiles_;
   std::vector<ReceiverSlot> slots_;
   std::unordered_map<const FrameReceiver*, std::size_t> slot_of_;
-  /// Distance-bounded receivers, id = slot. The cell starts at 64 m and
-  /// follows receiver density; under the Atlas contract it never changes
-  /// which frames are delivered.
+  /// Distance-bounded receivers: grid id i is slot grid_slots_[i]. Built
+  /// on the first indexed transmit after that set changes (registrations
+  /// happen at setup, so in practice once).
   geo::SpatialIndex grid_;
-  std::size_t next_grid_rebuild_ = 32;       ///< registration count of next resize check
+  std::vector<std::size_t> grid_slots_;      ///< distance-bounded receivers, ascending
+  bool grid_stale_ = false;                  ///< grid_slots_ changed since the build
+  double max_interest_radius_ = 0.0;         ///< over grid_'s receivers
   std::vector<std::size_t> always_slots_;    ///< unbounded interests, ascending
   std::vector<std::size_t> floor_slots_;     ///< rssi-floor receivers, ascending
-  double max_interest_radius_ = 0.0;         ///< over grid entries, never shrunk
   std::size_t active_count_ = 0;             ///< live registrations
   std::vector<std::size_t> candidates_;      ///< transmit() scratch
   std::vector<geo::SpatialIndex::Id> hits_;  ///< transmit() scratch

@@ -160,8 +160,7 @@ struct Service::Impl {
       // Local ids are record offsets within the tile; records are
       // BSSID-ascending inside a tile, so ascending local id == ascending
       // BSSID — the property the query merges lean on.
-      st.index = std::make_unique<geo::SpatialIndex>(
-          geo::SpatialIndex::build_from(points));
+      st.index = std::make_unique<geo::SpatialIndex>(points);
     });
     return st.index.get();
   }
@@ -407,7 +406,22 @@ util::Result<std::uint64_t> Service::reload(const std::filesystem::path& path) {
     return reject("candidate needed damage recovery (footer/sections/tail)");
   }
   // Every payload CRC is checked up front, so each tile arrives verified in
-  // the new epoch and no query into it pays or fails the check later.
+  // the new epoch and no query into it pays or fails the check later. The
+  // checks run in chunks of 64 on the shared pool (reload's precondition:
+  // nothing else runs on this Service meanwhile). The MAC index is item 0,
+  // so its one long CRC starts first while the other participants take the
+  // tiles. The refusal then names the lowest-index failing tile, as a serial
+  // loop would.
+  util::ThreadPool::shared().run_chunks(
+      fresh->tiles.size() + 1, 64, 0, [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          if (i == 0) {
+            fresh->ensure_mac_index();
+          } else {
+            fresh->ensure_verified(i - 1);
+          }
+        }
+      });
   for (std::size_t t = 0; t < fresh->tiles.size(); ++t) {
     if (!fresh->ensure_verified(t)) {
       const TileKey& key = fresh->tiles[t].key;

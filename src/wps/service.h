@@ -118,7 +118,9 @@ class Service {
   /// MAC index usable with a clean CRC when the section is present. On
   /// success the old mapping is released, the epoch bumps, and the new
   /// snapshot serves every later query with all of its tiles already
-  /// verified. On failure the incumbent keeps serving untouched and
+  /// verified. The CRCs are checked in parallel chunks on
+  /// util::ThreadPool::shared(); a refusal names the lowest-index failing
+  /// tile. On failure the incumbent keeps serving untouched and
   /// reloads_rejected counts the refused candidate.
   ///
   /// Precondition: reload() is a mutation, so it follows the repo-wide

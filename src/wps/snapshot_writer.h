@@ -15,8 +15,9 @@
 namespace mm::wps {
 
 struct SnapshotBuildOptions {
-  /// Tile edge length. Performance only (it shapes section granularity and
-  /// the lazy per-tile index cost), never query results.
+  /// Tile edge length. Performance only, never query results: it sets
+  /// the section granularity and how many records each tile's lazily built
+  /// flat grid holds (the grid picks its own cell inside the tile).
   double tile_size_m = 512.0;
   /// fsync the temp file before rename. Off only in latency-bound tests.
   bool fsync = true;

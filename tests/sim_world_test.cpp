@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "sim/ap.h"
 #include "sim/attacker.h"
@@ -31,6 +33,28 @@ class RecordingReceiver final : public FrameReceiver {
 
  private:
   geo::Vec2 pos_;
+};
+
+/// A fixed receiver that ignores every frame from beyond `reach_m` and
+/// promises the world so, which puts it in the indexed delivery grid.
+class BoundedReceiver final : public FrameReceiver {
+ public:
+  BoundedReceiver(geo::Vec2 pos, double reach_m) : pos_(pos), reach_m_(reach_m) {}
+  [[nodiscard]] geo::Vec2 position() const override { return pos_; }
+  [[nodiscard]] double antenna_height_m() const override { return 2.0; }
+  [[nodiscard]] DeliveryInterest delivery_interest() const override {
+    return {pos_, reach_m_, std::nullopt};
+  }
+  void on_air_frame(const net80211::ManagementFrame&, const RxInfo& rx) override {
+    if (rx.distance_m > reach_m_) return;
+    heard.emplace_back(rx.tx_position.x, rx.tx_position.y, rx.rssi_dbm);
+  }
+
+  std::vector<std::tuple<double, double, double>> heard;
+
+ private:
+  geo::Vec2 pos_;
+  double reach_m_;
 };
 
 std::unique_ptr<MobileDevice> make_mobile(geo::Vec2 pos, ScanProfile profile = {}) {
@@ -86,6 +110,50 @@ TEST(World, UnregisterStopsDelivery) {
                  {{10.0, 0.0}, 1.5, 15.0, 0.0, {rf::Band::kBg24GHz, 1}, nullptr});
   EXPECT_TRUE(r.frames.empty());
   EXPECT_EQ(world.frames_transmitted(), 1u);
+}
+
+TEST(World, IndexedDeliveryFollowsRegistrationChangesLikeScan) {
+  // The indexed world builds its receiver grid on the first transmit after
+  // the set of distance-bounded receivers changes: one registered after the
+  // first transmit and one unregistered mid-run must hear exactly what the
+  // kScan oracle delivers to them.
+  struct Heard {
+    std::vector<std::tuple<double, double, double>> early, leaving, late;
+    std::uint64_t culled = 0;
+  };
+  const auto run = [](DeliveryMode mode) {
+    World world({.seed = 5, .propagation = nullptr, .delivery = mode});
+    BoundedReceiver early({0.0, 0.0}, 130.0);
+    BoundedReceiver leaving({300.0, 0.0}, 60.0);
+    BoundedReceiver late({150.0, 40.0}, 80.0);
+    const auto send = [&](geo::Vec2 from) {
+      world.transmit(net80211::make_probe_request(kClientMac, std::nullopt, 1),
+                     {from, 1.5, 15.0, 0.0, {rf::Band::kBg24GHz, 6}, nullptr});
+    };
+    world.register_receiver(&early);
+    world.register_receiver(&leaving);
+    send({50.0, 0.0});
+    world.register_receiver(&late);
+    send({120.0, 40.0});
+    send({280.0, 0.0});
+    world.unregister_receiver(&leaving);
+    send({290.0, 10.0});
+    send({140.0, 30.0});
+    send({60.0, 10.0});
+    return Heard{early.heard, leaving.heard, late.heard, world.deliveries_culled()};
+  };
+  const Heard scan = run(DeliveryMode::kScan);
+  const Heard indexed = run(DeliveryMode::kIndexed);
+  EXPECT_EQ(indexed.early, scan.early);
+  EXPECT_EQ(indexed.leaving, scan.leaving);
+  EXPECT_EQ(indexed.late, scan.late);
+  // Each receiver heard something, the one that left nothing after it left,
+  // and the indexed world culled the far ones.
+  EXPECT_EQ(scan.early.size(), 3u);
+  EXPECT_EQ(scan.leaving.size(), 1u);
+  EXPECT_EQ(scan.late.size(), 2u);
+  EXPECT_EQ(scan.culled, 0u);
+  EXPECT_GT(indexed.culled, 0u);
 }
 
 TEST(World, ApAnswersProbeInsideDisc) {

@@ -228,6 +228,47 @@ TEST(WpsService, RangeBruteForceAtExactRadiusAcrossTileEdge) {
   }
 }
 
+TEST(WpsService, DenseTileBesideSingleApTiles) {
+  // 2,400 APs in tile (0, 0) of 512 m tiles, a 400-AP blob of them within a
+  // few metres, and one AP in each tile around it: a tile grid of thousands
+  // of cells beside one-cell grids, queried across all of them.
+  util::Rng rng(47);
+  marauder::ApDatabase db;
+  std::uint64_t next = 0;
+  for (int i = 0; i < 2000; ++i) {
+    db.add(ap_at(scrambled_bssid(next++), {rng.uniform(1.0, 511.0), rng.uniform(1.0, 511.0)}));
+  }
+  for (int i = 0; i < 400; ++i) {
+    db.add(ap_at(scrambled_bssid(next++),
+                 {300.0 + rng.gaussian(0.0, 2.0), 120.0 + rng.gaussian(0.0, 2.0)}));
+  }
+  for (int tx = -2; tx <= 3; ++tx) {
+    for (int ty = -2; ty <= 3; ++ty) {
+      if (tx == 0 && ty == 0) continue;
+      db.add(ap_at(scrambled_bssid(next++), {tx * 512.0 + rng.uniform(0.0, 512.0),
+                                              ty * 512.0 + rng.uniform(0.0, 512.0)}));
+    }
+  }
+  const Service service = open_snapshot_of(db, "mm_wps_dense_tile.wps");
+  for (int q = 0; q < 60; ++q) {
+    const geo::Vec2 c = q % 4 == 0 ? geo::Vec2{300.0 + rng.uniform(-5.0, 5.0),
+                                               120.0 + rng.uniform(-5.0, 5.0)}
+                                   : geo::Vec2{rng.uniform(-1200.0, 1800.0),
+                                               rng.uniform(-1200.0, 1800.0)};
+    const double r = rng.uniform(0.0, 700.0);
+    std::vector<const marauder::KnownAp*> brute;
+    for (const marauder::KnownAp* ap : db.sorted_records()) {
+      if (ap->position.distance_to(c) <= r) brute.push_back(ap);
+    }
+    expect_same_list(service.range(c, r), db.aps_in_range(c, r));
+    expect_same_list(service.range(c, r), brute);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{8}, std::size_t{300}}) {
+      expect_same_list(service.nearest_k(c, k), db.nearest_aps(c, k));
+      expect_brute_nearest(service, db, c, k);
+    }
+  }
+}
+
 TEST(WpsService, NearestKBruteForceSparseTiles) {
   // 400 APs over a 12 km square in 256 m tiles: most tiles hold 0-2 APs,
   // fewer than k, so every answer is gathered across many tiles.

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "durability/crc32c.h"
@@ -292,8 +293,9 @@ TEST(WpsSnapshot, RandomDamageNeverThrows) {
 
 /// Opens the pristine fixture as the incumbent and offers `damaged` as the
 /// reload candidate; the candidate must be refused and change nothing.
-void expect_reload_refused(Fixture& fx, const std::vector<std::uint8_t>& damaged,
-                           const std::string& candidate_name) {
+/// Returns the refusal.
+std::string expect_reload_refused(Fixture& fx, const std::vector<std::uint8_t>& damaged,
+                                  const std::string& candidate_name) {
   Service service = fx.open_bytes(fx.pristine);
   const fs::path candidate = temp_path(candidate_name);
   write_file(candidate, damaged);
@@ -314,23 +316,55 @@ void expect_reload_refused(Fixture& fx, const std::vector<std::uint8_t>& damaged
   EXPECT_EQ(stats.reloads_rejected, 1u);
   EXPECT_EQ(stats.tiles_quarantined, 0u);
   EXPECT_FALSE(stats.mac_index_damaged);
+  return swapped.ok() ? std::string() : swapped.error();
 }
 
-TEST(WpsServiceReload, DamagedTileOutsideTheSampleIsRefused) {
-  Fixture fx("mm_snap_reload_tile.wps");
+/// The non-empty tile sections in file order, which is tile-key order.
+std::vector<SectionView> tile_sections_of(const std::vector<std::uint8_t>& bytes) {
   std::vector<SectionView> tiles;
-  for (const auto& s : sections_of(fx.pristine)) {
+  for (const auto& s : sections_of(bytes)) {
     if (s.type == static_cast<std::uint8_t>(SectionType::kTileRecords) &&
         s.payload_len > 0) {
       tiles.push_back(s);
     }
   }
+  return tiles;
+}
+
+TEST(WpsServiceReload, DamagedTileOutsideTheSampleIsRefused) {
+  Fixture fx("mm_snap_reload_tile.wps");
+  const std::vector<SectionView> tiles = tile_sections_of(fx.pristine);
   ASSERT_GE(tiles.size(), 100u);
   // One flipped bit in one record of one tile of a hundred: a check that
   // samples a few tiles would most likely let this candidate serve.
   auto bytes = fx.pristine;
   bytes[tiles[tiles.size() * 2 / 3].payload_off + 17] ^= 0x40;
   expect_reload_refused(fx, bytes, "mm_snap_reload_tile_candidate.wps");
+}
+
+TEST(WpsServiceReload, TwoDamagedTilesNameTheLowerOne) {
+  // The whole-candidate check runs in parallel chunks, and either damaged
+  // tile may fail first; the refusal still names the lower tile, as a
+  // serial check would, on every try.
+  Fixture fx("mm_snap_reload_two_tiles.wps");
+  const std::vector<SectionView> tiles = tile_sections_of(fx.pristine);
+  ASSERT_GE(tiles.size(), 100u);
+  const SectionView& lower = tiles[tiles.size() / 5];
+  const SectionView& upper = tiles[tiles.size() * 4 / 5];
+  auto bytes = fx.pristine;
+  bytes[upper.payload_off + 9] ^= 0x04;
+  bytes[lower.payload_off + 25] ^= 0x80;
+  std::int64_t x = 0;
+  std::int64_t y = 0;
+  std::memcpy(&x, bytes.data() + lower.header_off + 8, sizeof(x));
+  std::memcpy(&y, bytes.data() + lower.header_off + 16, sizeof(y));
+  const std::string expected = "wps reload rejected: tile (" + std::to_string(x) + ", " +
+                               std::to_string(y) + ") failed its CRC";
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    EXPECT_EQ(expect_reload_refused(fx, bytes, "mm_snap_reload_two_tiles_candidate.wps"),
+              expected)
+        << "attempt " << attempt;
+  }
 }
 
 TEST(WpsServiceReload, DamagedMacIndexIsRefused) {
