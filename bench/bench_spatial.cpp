@@ -78,7 +78,7 @@ std::vector<std::set<net80211::MacAddress>> make_gammas(
   gammas.reserve(truth.size());
   std::vector<geo::SpatialIndex::Id> hits;
   for (std::size_t i = 0; i < truth.size(); ++i) {
-    index.query_disc(positions[i], 150.0, hits);
+    index.query_disc(positions, positions[i], 150.0, hits);
     std::set<net80211::MacAddress> gamma{truth[i].bssid};
     for (const geo::SpatialIndex::Id j : hits) {
       if (gamma.size() >= 4) break;

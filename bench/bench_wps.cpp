@@ -21,7 +21,10 @@
 //     subsystem's contract.
 // Writes machine-readable BENCH_wps.json: the machine (hw_cores, build
 // type), then queries/s and p50/p99 latency per op (lookup / nearest_k /
-// range) for the cold and the warm pass.
+// range) for the cold and the warm pass, and the heap of every tile's
+// spatial index once all are built. That heap is a FAIL (exit 1) above
+// kMaxIndexBytesPerAp: the indexes hold ids and cell offsets over the
+// mapped records, never a copy of the coordinates.
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -60,6 +63,11 @@ double half_extent_for(std::size_t num_aps) {
 }
 
 constexpr std::uint64_t kBssidBase = 0x02b500000000ULL;  // 02:b5:...
+
+/// Tile-index heap allowed per AP after prewarm: a 4-byte id, about one
+/// 4-byte cell offset, and the per-tile object. An index that copied each
+/// position (16 B) would exceed it.
+constexpr double kMaxIndexBytesPerAp = 16.0;
 
 marauder::ApDatabase build_city(std::size_t num_aps, std::uint64_t seed) {
   marauder::ApDatabase db;
@@ -309,6 +317,11 @@ int main(int argc, char** argv) {
   print_pass("cold", cold);
   std::cout << "prewarm: " << prewarm_s << " s\n";
   print_pass("warm", warm);
+  const double index_bytes_per_ap =
+      num_aps == 0 ? 0.0 : static_cast<double>(stats.index_bytes) / static_cast<double>(num_aps);
+  const bool index_ok = index_bytes_per_ap <= kMaxIndexBytesPerAp;
+  std::cout << "tile indexes: " << stats.index_bytes << " heap bytes, " << index_bytes_per_ap
+            << " per AP (gate <= " << kMaxIndexBytesPerAp << ")\n";
 
   // Oracle pass, after the timed ones so its allocations (the database's
   // lazily built index) stay out of their latencies: sampled bit-exact
@@ -342,6 +355,8 @@ int main(int argc, char** argv) {
       << "  \"build_s\": " << build_s << ",\n"
       << "  \"open_s\": " << open_s << ",\n"
       << "  \"prewarm_s\": " << prewarm_s << ",\n"
+      << "  \"index_bytes\": " << stats.index_bytes << ",\n"
+      << "  \"index_bytes_per_ap\": " << index_bytes_per_ap << ",\n"
       << "  \"oracle\": {\"samples\": " << oracle_sample
       << ", \"mismatches\": " << mismatches << ", \"identical\": "
       << (mismatches == 0 ? "true" : "false") << "},\n"
@@ -358,5 +373,7 @@ int main(int argc, char** argv) {
 
   std::cout << (mismatches == 0 ? "PASS" : "FAIL")
             << ": mmapped service bit-identical to the in-memory oracle\n";
-  return mismatches == 0 ? 0 : 1;
+  std::cout << (index_ok ? "PASS" : "FAIL") << ": tile indexes hold " << index_bytes_per_ap
+            << " B per AP (<= " << kMaxIndexBytesPerAp << ")\n";
+  return mismatches == 0 && index_ok ? 0 : 1;
 }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace mm::geo {
 
@@ -28,7 +29,7 @@ std::size_t clamp_coord(std::int64_t c, std::size_t count) noexcept {
 
 }  // namespace
 
-SpatialIndex::SpatialIndex(std::span<const Vec2> points) {
+SpatialIndex::SpatialIndex(PointView points) {
   const std::size_t n = points.size();
   if (n == 0) return;
   if (n > std::numeric_limits<std::uint32_t>::max()) {
@@ -37,7 +38,8 @@ SpatialIndex::SpatialIndex(std::span<const Vec2> points) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   Vec2 lo{kInf, kInf};
   Vec2 hi{-kInf, -kInf};
-  for (const Vec2& p : points) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec2 p = points[i];
     if (std::isfinite(p.x)) {
       lo.x = std::min(lo.x, p.x);
       hi.x = std::max(hi.x, p.x);
@@ -67,16 +69,23 @@ SpatialIndex::SpatialIndex(std::span<const Vec2> points) {
   ny_ = clamp_coord(grid_coord(hi.y, lo.y, inv_cell_), n + 1) + 1;
 
   // Counting sort: count per cell, prefix-sum to cell starts, then place the
-  // points in ascending id order, which leaves each cell's run in id order.
+  // ids in ascending order, which leaves each cell's run in id order.
   // Placing advances every start to its cell's end; one shift restores them.
   const auto cell_of = [&](Vec2 p) { return row_of(p.y) * nx_ + column_of(p.x); };
   offsets_.assign(nx_ * ny_ + 1, 0);
-  for (const Vec2& p : points) ++offsets_[cell_of(p) + 1];
+  for (std::size_t i = 0; i < n; ++i) ++offsets_[cell_of(points[i]) + 1];
   std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
-  entries_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) entries_[offsets_[cell_of(points[i])]++] = {points[i], i};
+  ids_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) ids_[offsets_[cell_of(points[i])]++] = static_cast<Id>(i);
   std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
   offsets_[0] = 0;
+}
+
+void SpatialIndex::check_count(const PointView& points) const {
+  if (points.size() != ids_.size()) {
+    throw std::invalid_argument("SpatialIndex: queried with " + std::to_string(points.size()) +
+                                " points, built over " + std::to_string(ids_.size()));
+  }
 }
 
 std::size_t SpatialIndex::column_of(double x) const noexcept {
@@ -87,15 +96,18 @@ std::size_t SpatialIndex::row_of(double y) const noexcept {
   return clamp_coord(grid_coord(y, lo_.y, inv_cell_), ny_);
 }
 
-std::vector<SpatialIndex::Id> SpatialIndex::query_disc(Vec2 center, double radius_m) const {
+std::vector<SpatialIndex::Id> SpatialIndex::query_disc(PointView points, Vec2 center,
+                                                       double radius_m) const {
   std::vector<Id> out;
-  query_disc(center, radius_m, out);
+  query_disc(points, center, radius_m, out);
   return out;
 }
 
-void SpatialIndex::query_disc(Vec2 center, double radius_m, std::vector<Id>& out) const {
+void SpatialIndex::query_disc(PointView points, Vec2 center, double radius_m,
+                              std::vector<Id>& out) const {
+  check_count(points);
   out.clear();
-  if (!(radius_m >= 0.0) || entries_.empty()) return;  // rejects NaN too
+  if (!(radius_m >= 0.0) || ids_.empty()) return;  // rejects NaN too
 
   // center -/+ radius can round across a cell edge and drop a point at
   // exactly the radius, so the rectangle (only) is widened by the rounding
@@ -107,26 +119,28 @@ void SpatialIndex::query_disc(Vec2 center, double radius_m, std::vector<Id>& out
   const std::size_t last_column = column_of(center.x + reach);
   const std::size_t last_row = row_of(center.y + reach);
   for (std::size_t y = row_of(center.y - reach); y <= last_row; ++y) {
-    // The row's cells [first_column, last_column] are one run of entries.
+    // The row's cells [first_column, last_column] are one run of ids.
     const std::size_t end = offsets_[y * nx_ + last_column + 1];
     for (std::size_t i = offsets_[y * nx_ + first_column]; i < end; ++i) {
-      if (entries_[i].p.distance_to(center) <= radius_m) out.push_back(entries_[i].id);
+      if (points[ids_[i]].distance_to(center) <= radius_m) out.push_back(ids_[i]);
     }
   }
   std::sort(out.begin(), out.end());
 }
 
-std::vector<SpatialIndex::Id> SpatialIndex::nearest_k(Vec2 center, std::size_t k) const {
+std::vector<SpatialIndex::Id> SpatialIndex::nearest_k(PointView points, Vec2 center,
+                                                      std::size_t k) const {
+  check_count(points);
   std::vector<Id> out;
-  if (k == 0 || entries_.empty()) return out;
+  if (k == 0 || ids_.empty()) return out;
 
   // Max-heap of the k best (distance, id) pairs seen so far; front() is the
   // current k-th best, the distance every unscanned cell must beat.
   std::vector<std::pair<double, Id>> best;
-  best.reserve(std::min(k, entries_.size()));
+  best.reserve(std::min(k, ids_.size()));
   const auto scan = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      const std::pair<double, Id> cand{entries_[i].p.distance_to(center), entries_[i].id};
+      const std::pair<double, Id> cand{points[ids_[i]].distance_to(center), ids_[i]};
       if (best.size() < k) {
         best.push_back(cand);
         std::push_heap(best.begin(), best.end());
@@ -138,10 +152,10 @@ std::vector<SpatialIndex::Id> SpatialIndex::nearest_k(Vec2 center, std::size_t k
     }
   };
 
-  if (2 * k >= entries_.size()) {
+  if (2 * k >= ids_.size()) {
     // The answer covers (most of) the index: any traversal degenerates to a
     // full scan, so scan without the walk's bookkeeping.
-    scan(0, entries_.size());
+    scan(0, ids_.size());
   } else {
     // Chebyshev rings of cells around the query's cell, each clipped to the
     // grid; a center outside the grid starts at the first ring that touches
@@ -163,7 +177,7 @@ std::vector<SpatialIndex::Id> SpatialIndex::nearest_k(Vec2 center, std::size_t k
     const std::int64_t first_ring =
         std::max({std::int64_t{0}, -cx, cx - last_x, -cy, cy - last_y});
     const std::int64_t last_ring = std::max({cx, last_x - cx, cy, last_y - cy});
-    // Entries of cells [x_lo, x_hi] of row y: one contiguous run.
+    // Ids of cells [x_lo, x_hi] of row y: one contiguous run.
     const auto scan_cells = [&](std::int64_t y, std::int64_t x_lo, std::int64_t x_hi) {
       const std::size_t row = static_cast<std::size_t>(y) * nx_;
       scan(offsets_[row + static_cast<std::size_t>(x_lo)],

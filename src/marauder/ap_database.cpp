@@ -12,12 +12,12 @@
 namespace mm::marauder {
 
 /// Derived views over aps_, built on first use. `sorted` holds pointers into
-/// the (node-stable) unordered_map; `grid` indexes positions by the record's
-/// rank in `sorted`, so ascending grid ids ARE ascending BSSIDs and every
-/// spatial query inherits the canonical ordering for free. The SoA slab
-/// (slab_x/slab_y/slab_r + the rank index) is built with `sorted` and shares
-/// its lifetime: radius mutations patch slab_r in place, position mutations
-/// (add) invalidate everything.
+/// the (node-stable) unordered_map; `grid` indexes the slab's positions in
+/// place, by the record's rank in `sorted`, so ascending grid ids ARE
+/// ascending BSSIDs and every spatial query inherits the canonical ordering
+/// for free. The SoA slab (slab_x/slab_y/slab_r + the rank index) is built
+/// with `sorted` and shares its lifetime: radius mutations patch slab_r in
+/// place, position mutations (add) invalidate everything.
 struct ApDatabase::Caches {
   std::mutex mutex;
   bool sorted_valid = false;
@@ -28,8 +28,10 @@ struct ApDatabase::Caches {
   std::unordered_map<net80211::MacAddress, std::uint32_t, net80211::MacHasher> rank;
   std::optional<geo::SpatialIndex> grid;
 
-  /// The grid over `records` (= `sorted`), built on first use.
-  const geo::SpatialIndex& grid_over(const std::vector<const KnownAp*>& records);
+  /// The sorted records' positions, as the slab holds them.
+  [[nodiscard]] geo::PointView positions() const {
+    return {slab_x.data(), slab_y.data(), sizeof(double), slab_x.size()};
+  }
 };
 
 ApDatabase::ApDatabase() : caches_(std::make_unique<Caches>()) {}
@@ -139,36 +141,32 @@ const ApDatabase::RankMap& ApDatabase::rank_index() const {
   return c.rank;
 }
 
-const geo::SpatialIndex& ApDatabase::Caches::grid_over(
-    const std::vector<const KnownAp*>& records) {
-  std::lock_guard<std::mutex> lock(mutex);
-  if (!grid) {
-    std::vector<geo::Vec2> positions;
-    positions.reserve(records.size());
-    for (const KnownAp* ap : records) positions.push_back(ap->position);
-    grid.emplace(positions);
-  }
-  return *grid;
+const ApDatabase::Caches& ApDatabase::gridded_caches() const {
+  Caches& c = caches();
+  std::lock_guard<std::mutex> lock(c.mutex);
+  build_sorted_locked(c);
+  if (!c.grid) c.grid.emplace(c.positions());
+  return c;
 }
 
 std::vector<const KnownAp*> ApDatabase::aps_in_range(geo::Vec2 center,
                                                      double radius_m) const {
-  const std::vector<const KnownAp*>& sorted = sorted_records();
+  const Caches& c = gridded_caches();
   std::vector<const KnownAp*> out;
-  for (const geo::SpatialIndex::Id id : caches().grid_over(sorted).query_disc(center, radius_m)) {
-    out.push_back(sorted[id]);
+  for (const geo::SpatialIndex::Id id : c.grid->query_disc(c.positions(), center, radius_m)) {
+    out.push_back(c.sorted[id]);
   }
   return out;
 }
 
 std::vector<const KnownAp*> ApDatabase::nearest_aps(geo::Vec2 center,
                                                     std::size_t k) const {
-  const std::vector<const KnownAp*>& sorted = sorted_records();
+  const Caches& c = gridded_caches();
   // nearest_k breaks distance ties by ascending id = ascending BSSID, so the
   // documented (distance, BSSID) order falls out directly.
   std::vector<const KnownAp*> out;
-  for (const geo::SpatialIndex::Id id : caches().grid_over(sorted).nearest_k(center, k)) {
-    out.push_back(sorted[id]);
+  for (const geo::SpatialIndex::Id id : c.grid->nearest_k(c.positions(), center, k)) {
+    out.push_back(c.sorted[id]);
   }
   return out;
 }

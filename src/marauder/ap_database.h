@@ -149,6 +149,8 @@ class ApDatabase {
   void invalidate_caches();
   /// Builds the sorted view + SoA slab + rank index; caller holds c.mutex.
   void build_sorted_locked(Caches& c) const;
+  /// The caches with the slab and the grid over its positions built.
+  const Caches& gridded_caches() const;
 
   std::unordered_map<net80211::MacAddress, KnownAp, net80211::MacHasher> aps_;
   mutable std::unique_ptr<Caches> caches_;

@@ -92,7 +92,7 @@ ApRadConstraints aprad_prepare_constraints(
   std::vector<geo::SpatialIndex::Id> near;
   std::vector<std::pair<double, std::size_t>> candidates;
   for (std::size_t i = 0; i < observed.size(); ++i) {
-    grid.query_disc(position[i], interest_radius, near);
+    grid.query_disc(position, position[i], interest_radius, near);
     candidates.clear();
     for (const geo::SpatialIndex::Id id : near) {
       const auto j = static_cast<std::size_t>(id);

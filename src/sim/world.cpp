@@ -54,15 +54,14 @@ void World::register_receiver(FrameReceiver* receiver) {
 }
 
 void World::rebuild_grid() {
-  std::vector<geo::Vec2> positions;
-  positions.reserve(grid_slots_.size());
+  grid_positions_.clear();
   max_interest_radius_ = 0.0;
   for (const std::size_t slot : grid_slots_) {
     const DeliveryInterest& interest = slots_[slot].interest;
-    positions.push_back(*interest.fixed_position);
+    grid_positions_.push_back(*interest.fixed_position);
     max_interest_radius_ = std::max(max_interest_radius_, *interest.max_distance_m);
   }
-  grid_ = geo::SpatialIndex(positions);
+  grid_ = geo::SpatialIndex(grid_positions_);
   grid_stale_ = false;
 }
 
@@ -120,7 +119,7 @@ void World::transmit(const net80211::ManagementFrame& frame, const TxRadio& tx) 
 
   if (grid_stale_) rebuild_grid();
   if (!grid_.empty()) {
-    grid_.query_disc(tx.position, max_interest_radius_, hits_);
+    grid_.query_disc(grid_positions_, tx.position, max_interest_radius_, hits_);
     for (const geo::SpatialIndex::Id id : hits_) {
       const std::size_t slot_id = grid_slots_[id];
       const ReceiverSlot& slot = slots_[slot_id];

@@ -157,11 +157,12 @@ class World {
   std::vector<std::unique_ptr<MobileDevice>> mobiles_;
   std::vector<ReceiverSlot> slots_;
   std::unordered_map<const FrameReceiver*, std::size_t> slot_of_;
-  /// Distance-bounded receivers: grid id i is slot grid_slots_[i]. Built
-  /// on the first indexed transmit after that set changes (registrations
-  /// happen at setup, so in practice once).
+  /// Distance-bounded receivers: grid id i is slot grid_slots_[i], at
+  /// grid_positions_[i]. Built on the first indexed transmit after that set
+  /// changes (registrations happen at setup, so in practice once).
   geo::SpatialIndex grid_;
   std::vector<std::size_t> grid_slots_;      ///< distance-bounded receivers, ascending
+  std::vector<geo::Vec2> grid_positions_;    ///< the points grid_ was built over
   bool grid_stale_ = false;                  ///< grid_slots_ changed since the build
   double max_interest_radius_ = 0.0;         ///< over grid_'s receivers
   std::vector<std::size_t> always_slots_;    ///< unbounded interests, ascending

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -109,6 +110,9 @@ struct Service::Impl {
   mutable std::atomic<bool> mac_index_damaged{false};
   mutable std::atomic<std::uint64_t> tiles_quarantined{0};
   mutable std::atomic<std::uint64_t> records_quarantined{0};
+  /// Heap held by the built tile indexes: each heap-allocated object plus
+  /// its arrays.
+  mutable std::atomic<std::uint64_t> index_bytes{0};
 
   ~Impl() {
     if (data != nullptr) {
@@ -144,23 +148,26 @@ struct Service::Impl {
     return !st.damaged.load(std::memory_order_acquire);
   }
 
+  /// The tile's record positions, read in place from the mapping: x and y
+  /// sit at offsets 8 and 16 of each 32-byte record.
+  [[nodiscard]] geo::PointView points_of(const TileMeta& tile) const {
+    const std::uint8_t* records = data + tile.payload_off;
+    return {records + offsetof(PackedRecord, x), records + offsetof(PackedRecord, y),
+            kRecordBytes, tile.count};
+  }
+
   /// Verifies + builds the tile's spatial index on first geometric touch;
   /// nullptr when the tile is quarantined.
   const geo::SpatialIndex* ensure_index(std::size_t t) const {
     if (!ensure_verified(t)) return nullptr;
     TileState& st = tile_states[t];
     std::call_once(st.index_once, [&] {
-      const TileMeta& m = tiles[t];
-      std::vector<geo::Vec2> points;
-      points.reserve(m.count);
-      for (std::uint64_t i = 0; i < m.count; ++i) {
-        const PackedRecord r = record_at(m, i);
-        points.push_back({r.x, r.y});
-      }
       // Local ids are record offsets within the tile; records are
       // BSSID-ascending inside a tile, so ascending local id == ascending
       // BSSID — the property the query merges lean on.
-      st.index = std::make_unique<geo::SpatialIndex>(points);
+      st.index = std::make_unique<geo::SpatialIndex>(points_of(tiles[t]));
+      index_bytes.fetch_add(sizeof(geo::SpatialIndex) + st.index->heap_bytes(),
+                            std::memory_order_relaxed);
     });
     return st.index.get();
   }
@@ -271,6 +278,10 @@ util::Result<std::unique_ptr<const Service::Impl>> Service::open_impl(
             static_cast<std::uint64_t>(entries) * kFooterEntryBytes;
         if (footer_off + 8 + table_bytes == size - kTrailerBytes) {
           footer_ok = true;
+          // One entry per section, and all but the MAC index are tiles.
+          sections.reserve(entries);
+          impl->tiles.reserve(entries);
+          impl->tile_lookup.reserve(entries);
           for (std::uint32_t e = 0; e < entries; ++e) {
             const std::uint8_t* row = base + footer_off + 8 +
                                       static_cast<std::uint64_t>(e) * kFooterEntryBytes;
@@ -523,9 +534,10 @@ std::vector<WpsAp> Service::range(geo::Vec2 center, double radius_m) const {
   const auto scan_tile = [&](std::size_t t) {
     const geo::SpatialIndex* index = im.ensure_index(t);
     if (index == nullptr) return;
-    index->query_disc(center, radius_m, hits);
+    const Impl::TileMeta& meta = im.tiles[t];
+    index->query_disc(im.points_of(meta), center, radius_m, hits);
     for (const geo::SpatialIndex::Id local : hits) {
-      out.push_back(Impl::to_ap(im.record_at(im.tiles[t], local)));
+      out.push_back(Impl::to_ap(im.record_at(meta, local)));
     }
   };
 
@@ -629,12 +641,13 @@ std::vector<WpsAp> Service::nearest_k(geo::Vec2 center, std::size_t k) const {
     const geo::SpatialIndex* index = im.ensure_index(it->second);
     if (index == nullptr) return;
     const Impl::TileMeta& meta = im.tiles[it->second];
+    const geo::PointView points = im.points_of(meta);
     if (best.size() < k) {
-      for (const geo::SpatialIndex::Id local : index->nearest_k(center, k)) {
+      for (const geo::SpatialIndex::Id local : index->nearest_k(points, center, k)) {
         offer(im.record_at(meta, local));
       }
     } else {
-      index->query_disc(center, best.front().dist, hits);
+      index->query_disc(points, center, best.front().dist, hits);
       for (const geo::SpatialIndex::Id local : hits) offer(im.record_at(meta, local));
     }
   };
@@ -692,6 +705,7 @@ ServiceStats Service::stats() const {
   s.mac_index_damaged = im.mac_index_damaged.load(std::memory_order_acquire);
   s.tiles_quarantined = im.tiles_quarantined.load(std::memory_order_relaxed);
   s.records_quarantined = im.records_quarantined.load(std::memory_order_relaxed);
+  s.index_bytes = im.index_bytes.load(std::memory_order_relaxed);
   s.epoch = epoch_;
   s.reloads = reloads_;
   s.reloads_rejected = reloads_rejected_;

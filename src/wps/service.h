@@ -64,6 +64,9 @@ struct ServiceStats {
   bool mac_index_damaged = false;    ///< CRC failed on first lookup; using tile fallback
   std::uint64_t tiles_quarantined = 0;    ///< payload CRC failures on first touch
   std::uint64_t records_quarantined = 0;  ///< records inside quarantined tiles
+  /// Heap bytes of the tile spatial indexes built so far: each index object
+  /// and its id and cell-offset arrays (coordinates stay in the mapping).
+  std::uint64_t index_bytes = 0;
   std::uint64_t epoch = 1;             ///< bumps on every successful reload
   std::uint64_t reloads = 0;           ///< successful hot-swaps
   std::uint64_t reloads_rejected = 0;  ///< candidates quarantined at reload

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "durability/checkpoint.h"
 #include "durability/crc32c.h"
@@ -71,19 +72,48 @@ util::Result<SnapshotBuildStats> write_snapshot(std::vector<PackedRecord>& recor
 
   // On-disk order: (tile, BSSID). Ascending BSSID within a tile is what makes
   // per-tile binary search work and makes per-tile SpatialIndex ids (local
-  // record offsets) coincide with BSSID rank.
-  std::sort(records.begin(), records.end(),
-            [tile](const PackedRecord& a, const PackedRecord& b) {
-              const TileKey ta{tile_coord(a.x, tile), tile_coord(a.y, tile)};
-              const TileKey tb{tile_coord(b.x, tile), tile_coord(b.y, tile)};
-              if (ta != tb) return ta < tb;
-              return a.bssid < b.bssid;
-            });
+  // record offsets) coincide with BSSID rank. Each record's tile is computed
+  // once: the (tile, BSSID, input index) keys are sorted and the records
+  // gathered in their order. BSSIDs are unique, so (tile, BSSID) is a total
+  // order and the result does not depend on the input's order.
+  struct Keyed {
+    TileKey tile;
+    std::uint64_t bssid;
+    std::size_t index;
+  };
+  // The tile runs, taken from the keys: a run ends where the next begins.
+  struct TileRun {
+    TileKey key;
+    std::size_t end;
+  };
+  std::vector<TileRun> runs;
+  {
+    std::vector<Keyed> keyed(records.size());
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      keyed[r] = {{tile_coord(records[r].x, tile), tile_coord(records[r].y, tile)},
+                  records[r].bssid, r};
+    }
+    std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+      if (a.tile != b.tile) return a.tile < b.tile;
+      return a.bssid < b.bssid;
+    });
+    std::vector<PackedRecord> sorted(records.size());
+    for (std::size_t r = 0; r < keyed.size(); ++r) {
+      sorted[r] = records[keyed[r].index];
+      if (r + 1 == keyed.size() || keyed[r + 1].tile != keyed[r].tile) {
+        runs.push_back({keyed[r].tile, r + 1});
+      }
+    }
+    records.swap(sorted);
+  }
 
+  // The file's exact size, so the buffer never grows by copying.
+  const bool mac_index = options.mac_index && !records.empty();
+  const std::size_t sections = runs.size() + (mac_index ? 1 : 0);
   std::vector<std::uint8_t> out;
-  // Records dominate; headers, index, and footer add ~60% worst case.
-  out.reserve(kFileHeaderBytes + records.size() * (kRecordBytes + kMacIndexEntryBytes) +
-              kTrailerBytes + 4096);
+  out.reserve(kFileHeaderBytes + sections * (kSectionHeaderBytes + kFooterEntryBytes) +
+              records.size() * (kRecordBytes + (mac_index ? kMacIndexEntryBytes : 0)) +
+              kFooterMagic.size() + sizeof(std::uint32_t) + kTrailerBytes);
 
   // --- file header ---
   out.insert(out.end(), kFileMagic.begin(), kFileMagic.end());
@@ -103,37 +133,27 @@ util::Result<SnapshotBuildStats> write_snapshot(std::vector<PackedRecord>& recor
     std::size_t header_at;
   };
   std::vector<FooterRow> footer_rows;
-  std::uint64_t tiles = 0;
-  std::size_t i = 0;
-  while (i < records.size()) {
-    const TileKey key{tile_coord(records[i].x, tile), tile_coord(records[i].y, tile)};
-    std::size_t j = i;
-    while (j < records.size() &&
-           TileKey{tile_coord(records[j].x, tile), tile_coord(records[j].y, tile)} == key) {
-      ++j;
-    }
-    const std::uint64_t payload = static_cast<std::uint64_t>(j - i) * kRecordBytes;
-    const SectionAt at = begin_section(out, SectionType::kTileRecords, key, payload,
-                                       static_cast<std::uint64_t>(i));
-    for (std::size_t r = i; r < j; ++r) append_record(out, records[r]);
+  std::size_t begin = 0;
+  for (const TileRun& run : runs) {
+    const std::uint64_t payload = static_cast<std::uint64_t>(run.end - begin) * kRecordBytes;
+    const SectionAt at = begin_section(out, SectionType::kTileRecords, run.key, payload,
+                                       static_cast<std::uint64_t>(begin));
+    for (std::size_t r = begin; r < run.end; ++r) append_record(out, records[r]);
     end_section(out, at);
     footer_rows.push_back({static_cast<std::uint64_t>(at.header_at), at.header_at});
-    ++tiles;
-    i = j;
+    begin = run.end;
   }
 
   // --- MAC index section: (bssid, global record index), BSSID-ascending ---
-  if (options.mac_index && !records.empty()) {
-    std::vector<std::uint64_t> order(records.size());
-    for (std::size_t r = 0; r < records.size(); ++r) order[r] = r;
-    std::sort(order.begin(), order.end(), [&](std::uint64_t a, std::uint64_t b) {
-      return records[a].bssid < records[b].bssid;
-    });
+  if (mac_index) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> by_bssid(records.size());
+    for (std::size_t r = 0; r < records.size(); ++r) by_bssid[r] = {records[r].bssid, r};
+    std::sort(by_bssid.begin(), by_bssid.end());
     const std::uint64_t payload =
         static_cast<std::uint64_t>(records.size()) * kMacIndexEntryBytes;
     const SectionAt at = begin_section(out, SectionType::kMacIndex, {}, payload, 0);
-    for (const std::uint64_t r : order) {
-      util::append_u64(out, records[r].bssid);
+    for (const auto& [bssid, r] : by_bssid) {
+      util::append_u64(out, bssid);
       util::append_u64(out, r);
     }
     end_section(out, at);
@@ -166,7 +186,7 @@ util::Result<SnapshotBuildStats> write_snapshot(std::vector<PackedRecord>& recor
 
   SnapshotBuildStats stats;
   stats.records = records.size();
-  stats.tiles = tiles;
+  stats.tiles = runs.size();
   stats.file_bytes = out.size();
   return stats;
 }

@@ -579,6 +579,36 @@ TEST(WpsService, PrewarmVerifiesEveryTile) {
   }
 }
 
+// A warm tile's index is ids and cell offsets over the mapped records. On a
+// uniform city of about 46 APs per 512 m tile (perfbench's wps_city density)
+// the built indexes hold at most 16 B per record, their objects included; a
+// copy of each position would take 16 B on its own. Lookups build none.
+TEST(WpsService, PrewarmedIndexesHoldAtMostSixteenBytesPerRecord) {
+  util::Rng rng(30);
+  marauder::ApDatabase db;
+  const double half = 10.5 * 512.0;  // 21 x 21 tiles
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    marauder::KnownAp ap;
+    ap.bssid = net80211::MacAddress::from_u64(0x02c000000000ULL + i);
+    ap.position = {rng.uniform(-half, half), rng.uniform(-half, half)};
+    db.add(std::move(ap));
+  }
+  const Service service = open_snapshot_of(db, "mm_wps_index_bytes.wps");
+  for (const marauder::KnownAp* ap : db.sorted_records()) {
+    ASSERT_TRUE(service.lookup(ap->bssid).has_value());
+  }
+  EXPECT_EQ(service.stats().index_bytes, 0u);
+  EXPECT_EQ(service.prewarm(2), service.stats().tiles_total);
+  const ServiceStats stats = service.stats();
+  EXPECT_GT(stats.index_bytes, 0u);
+  EXPECT_LE(stats.index_bytes, 16 * stats.records_total)
+      << static_cast<double>(stats.index_bytes) / static_cast<double>(stats.records_total)
+      << " B per record";
+  // A second prewarm builds nothing new.
+  (void)service.prewarm(2);
+  EXPECT_EQ(service.stats().index_bytes, stats.index_bytes);
+}
+
 TEST(WpsSurveil, WorldAndReplayAreDeterministic) {
   SurveilOptions options;
   options.seed = 42;

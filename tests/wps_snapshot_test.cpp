@@ -3,9 +3,11 @@
 // ServiceStats, never thrown — mirroring the Phoenix checkpoint fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -403,6 +405,74 @@ TEST(WpsSnapshot, IdenticalInputsProduceIdenticalBytes) {
   ASSERT_TRUE(write_snapshot(db, geo::Geodetic{1, 2, 3}, p1, build).ok());
   ASSERT_TRUE(write_snapshot(db, geo::Geodetic{1, 2, 3}, p2, build).ok());
   EXPECT_EQ(read_file(p1), read_file(p2));
+}
+
+// The writer sorts by (tile, BSSID) from keys it computes once per record.
+// BSSIDs are unique, so that is a total order: any input order gives the same
+// file, and the records come back in the order a direct (tile, BSSID)
+// comparison gives — negative, NaN, infinite and +-2^40-clamped coordinates
+// and points on tile edges included.
+TEST(WpsSnapshot, ShuffledInputsProduceIdenticalBytes) {
+  constexpr double kTile = 512.0;
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kClamp = 1099511627776.0 * kTile;  // tile 2^40, the clamp
+  util::Rng rng(0x5AFF1E);
+  const auto coordinate = [&] {
+    const double dice = rng.uniform(0.0, 1.0);
+    const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
+    if (dice < 0.55) return rng.uniform(-3000.0, 3000.0);
+    if (dice < 0.65) return kNan;
+    if (dice < 0.72) return sign * 1e300;
+    if (dice < 0.77) return sign * kInf;
+    if (dice < 0.85) return sign * (kClamp + kTile * static_cast<double>(rng.uniform_int(0, 3)));
+    return kTile * static_cast<double>(rng.uniform_int(-6, 6));  // on a tile edge
+  };
+  std::vector<PackedRecord> records(3000);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    // Distinct BSSIDs in no particular order: 7919 is coprime to 100000.
+    records[i].bssid = 0x02aa00000000ULL + (i * 7919) % 100000;
+    records[i].x = coordinate();
+    records[i].y = coordinate();
+    records[i].radius_m = rng.bernoulli(0.5) ? rng.uniform(20.0, 150.0) : no_radius();
+  }
+
+  SnapshotBuildOptions build;
+  build.fsync = false;
+  build.tile_size_m = kTile;
+  const geo::Geodetic origin{1, 2, 3};
+  const fs::path first_path = temp_path("mm_snap_shuffled_first.wps");
+  std::vector<PackedRecord> first = records;
+  ASSERT_TRUE(write_snapshot(first, origin, first_path, build).ok());
+  const std::vector<std::uint8_t> first_bytes = read_file(first_path);
+  const auto before = [&](const PackedRecord& a, const PackedRecord& b) {
+    const TileKey ta{tile_coord(a.x, kTile), tile_coord(a.y, kTile)};
+    const TileKey tb{tile_coord(b.x, kTile), tile_coord(b.y, kTile)};
+    return ta != tb ? ta < tb : a.bssid < b.bssid;
+  };
+  EXPECT_TRUE(std::is_sorted(first.begin(), first.end(), before));
+
+  const fs::path path = temp_path("mm_snap_shuffled.wps");
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<PackedRecord> shuffled = records;
+    if (trial == 1) {
+      std::reverse(shuffled.begin(), shuffled.end());
+    } else if (trial > 1) {
+      rng.shuffle(shuffled);
+    }
+    ASSERT_TRUE(write_snapshot(shuffled, origin, path, build).ok());
+    EXPECT_EQ(read_file(path), first_bytes) << "trial " << trial;
+    EXPECT_EQ(std::memcmp(shuffled.data(), first.data(), first.size() * sizeof(PackedRecord)), 0)
+        << "trial " << trial;
+  }
+
+  auto service = Service::open(first_path);
+  ASSERT_TRUE(service.ok()) << service.error();
+  EXPECT_EQ(service.value().size(), records.size());
+  EXPECT_EQ(service.value().prewarm(2), service.value().stats().tiles_total);
+  for (const PackedRecord& r : records) {
+    EXPECT_TRUE(service.value().lookup(net80211::MacAddress::from_u64(r.bssid)).has_value());
+  }
 }
 
 }  // namespace

@@ -361,6 +361,7 @@ void write_serve_stats_json(const std::string& path, const ServeCore& core,
       << ", \"sections_rejected\": " << service.sections_rejected
       << ", \"tiles_quarantined\": " << service.tiles_quarantined
       << ", \"records_quarantined\": " << service.records_quarantined
+      << ", \"index_bytes\": " << service.index_bytes
       << ", \"footer_recovered\": " << (service.footer_recovered ? "true" : "false")
       << ", \"mac_index_damaged\": " << (service.mac_index_damaged ? "true" : "false")
       << ", \"epoch\": " << service.epoch
